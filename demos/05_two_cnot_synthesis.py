@@ -36,9 +36,10 @@ gate = build_u2cx(u_inv)
 print("representative is Hermitian:", np.abs(gate - gate.conj().T).max() < 1e-12)
 print("eigenvalues:", np.round(np.sort(np.linalg.eigvals(gate).real), 6))
 
-# The magic-basis KAK of the representative: angles pair up as (a, -a, b, -b)
-# and the Pauli-string coefficients have omega_0 = 0 with one of the other
-# three vanishing, which is exactly the two-CNOT condition.
+# One magic-basis KAK serves both synthesis modes. For the representative its
+# angles pair up as (a, -a, b, -b) and the Pauli-string coefficients have
+# omega_0 = 0 with one of the other three vanishing, which is exactly the
+# two-CNOT condition.
 angles = magic_kak_decompose(gate)
 print("\ntheta:", angles.theta)
 print("omega:", angles.omega)
@@ -49,6 +50,8 @@ print(f"\nsynthesized with {seq.cnot_count} CNOTs and "
 for g in seq.gates:
     print(f"  {g.kind} on wires {g.wires}")
 
+# The generic baseline factors the raw unitary with the same KAK and puts a
+# fixed three-CNOT core between the same kind of outer local gates.
 generic = synthesize_generic(u_inv)
 print(f"\ngeneric baseline for the raw unitary: {generic.cnot_count} CNOTs")
 

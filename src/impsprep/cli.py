@@ -122,17 +122,16 @@ def compile_one(
     result = run_schedule(target_state, schedule, layers, trunc, rewrite_2cx=rewrite)
     emit_mode = SynthMode.OPTIMIZED2 if rewrite else SynthMode.GENERIC3
     primitive = gatesynth.synthesize_circuit(result.circuit, emit_mode)
-    cnots, singles, u_depth = gatesynth.count_gates(result.circuit, emit_mode)
     g_cnots, g_singles, _ = gatesynth.count_gates(result.circuit, SynthMode.GENERIC3)
     report = SynthesisReport(
         scheme=schedule.scheme,
         target=target_label,
         n=schedule.n,
         layers=layers,
-        u_depth=u_depth,
+        u_depth=result.circuit.u_depth,
         infidelity=result.final_infidelity,
-        cnot_count=cnots,
-        single_qubit_count=singles,
+        cnot_count=primitive.two_qubit_count(),
+        single_qubit_count=primitive.one_qubit_count(),
         cnot_count_generic=g_cnots,
         single_qubit_count_generic=g_singles,
         truncation=trunc.value,

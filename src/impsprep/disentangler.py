@@ -20,7 +20,11 @@ under all gates applied so far, and a *working* copy that is truncated
   from the exact state only at layer boundaries.
 
 Multiple layers repeat the schedule; later layers see the residual error of
-earlier ones, so the prepared fidelity is non-decreasing in the layer count.
+earlier ones. That usually raises the prepared fidelity but does not
+guarantee it: with PER_ROUND truncation a second layer can lower it slightly
+on random targets (hen at n = 14, mean over 10 samples, seeds 0 and 1). The
+tests check that the infidelity does not increase over 1, 2 and 3 layers
+only for the f1-f3 and g1-g3 benchmark targets at n = 10.
 """
 from __future__ import annotations
 

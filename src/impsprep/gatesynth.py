@@ -7,11 +7,15 @@ representative obtained by cancelling the outer factors of a (modified)
 cosine-sine decomposition; that representative is a Hermitian involution with
 eigenvalues (1, 1, -1, -1) and can always be realized with two CNOTs.
 
-The realization goes through a real-orthogonal KAK factorization in the magic
-basis: M^dag k M = P exp(i Theta) Q^T with P, Q in SO(4). The diagonal angles
-map linearly (via the fixed sign matrix GAMMA) onto coefficients of
-XX / YY / ZZ, of which at least one vanishes for this class, leaving a
-two-CNOT core. A generic three-CNOT synthesizer is included as the baseline.
+Every 4x4 unitary goes through one real-orthogonal KAK factorization in the
+magic basis: M^dag u M = P exp(i Theta) Q^T up to global phase, with P, Q in
+SO(4), which makes M P M^dag and M Q^T M^dag local gates. The diagonal
+angles map linearly (via the fixed sign matrix GAMMA) onto coefficients of
+XX / YY / ZZ, and the two synthesis modes differ only in how they realize
+that middle factor. The two-CNOT mode needs one coefficient to vanish
+(mod pi/2), which holds for the class above. The generic three-CNOT baseline
+uses no CNOT when all three vanish and a fixed three-CNOT core otherwise
+(Vatan & Williams, quant-ph/0308006).
 
 Wire convention inside a 4x4 gate: wire 0 is the more significant bit (the
 ``a`` qubit of the pair), CNOTs are written (control, target).
@@ -23,14 +27,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cossin, schur
+from scipy.linalg import cossin
 
 from .circuits import CNOT, Circuit, OneQubitGate
 from .statevec import TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
 CLASS_TOL = 1e-8
-DEG_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -166,91 +169,22 @@ def _check_class_member(k: np.ndarray) -> np.ndarray:
 def magic_kak_decompose(k: np.ndarray) -> KakAngles:
     """Factor a Hermitian involution k as M P exp(i Theta) Q^T M^dag.
 
-    Works on K = M^dag k M: the real part of K is symmetric and the imaginary
-    part anticommutes with it, so an eigenbasis of Re(K) splits K into
-    opposite-eigenvalue planes on which a secondary symmetric eigensolve (or,
-    on the kernel of Re(K), a real Schur form of the antisymmetric remainder)
-    finishes the simultaneous diagonalization. Determinant and sign fixes make
-    P, Q special orthogonal with theta sorted ascending in (-pi, pi].
+    This is the KAK that synthesis uses; det k = 1, so it holds exactly, not
+    only up to a global phase. P, Q are special orthogonal and theta lies in
+    (-pi, pi]. theta sums to a multiple of 2 pi, so omega_0 is a multiple of
+    pi/2; when it is an odd one (exactly local members such as Z x I give
+    theta = pi/2 four times), two angles of the same sign are moved by pi
+    towards zero and their Q columns negated, which leaves exp(i Theta) Q^T
+    and det Q unchanged and makes omega_0 a multiple of pi.
     """
     k = _check_class_member(k)
-    kk = MAGIC.conj().T @ k @ MAGIC
-    kr = (kk + kk.conj()).real / 2.0
-    ki = ((kk - kk.conj()) / 2j).real
-    kr = (kr + kr.T) / 2.0
-    d, p1 = np.linalg.eigh(kr)
-    g_raw = p1.T @ ki @ p1
-
-    p2 = np.zeros((4, 4))
-    sq = np.zeros((4, 4))  # factor with Q = P1 @ sq
-    theta = np.zeros(4)
-    used = [False] * 4
-    for i in range(4):
-        if used[i]:
-            continue
-        grp = [j for j in range(4) if not used[j] and abs(abs(d[j]) - abs(d[i])) < DEG_TOL]
-        for j in grp:
-            used[j] = True
-        idx = np.array(grp)
-        absd = abs(d[idx[0]])
-        sub = np.ix_(idx, idx)
-        if absd > DEG_TOL:
-            sgn = np.sign(d[idx])
-            g_blk = g_raw[sub] @ np.diag(sgn)
-            g_blk = (g_blk + g_blk.T) / 2.0
-            lam, w = np.linalg.eigh(g_blk)
-            p2[sub] = w
-            sq[sub] = np.diag(sgn) @ w
-            theta[idx] = np.arctan2(lam, absd)
-        else:
-            # kernel of Re(K): K acts as i * (real antisymmetric square root
-            # of -I); its Schur planes carry angles +-pi/2
-            if len(idx) % 2:
-                raise ValueError("odd-dimensional kernel of Re(K); input not in class")
-            a_blk = g_raw[sub]
-            a_blk = (a_blk - a_blk.T) / 2.0
-            jj, zrot = schur(a_blk, output="real")
-            flip = np.zeros((len(idx), len(idx)))
-            for t in range(0, len(idx), 2):
-                if jj[t + 1, t] < 0:
-                    zrot[:, [t, t + 1]] = zrot[:, [t + 1, t]]
-                theta[idx[t]] = math.pi / 2
-                theta[idx[t + 1]] = -math.pi / 2
-                flip[t, t + 1] = -1.0
-                flip[t + 1, t] = -1.0
-            p2[sub] = zrot
-            sq[sub] = zrot @ flip
-    p = p1 @ p2
-    q = p1 @ sq
-
-    det_p, det_q = np.linalg.det(p), np.linalg.det(q)
-    if det_p < 0 and det_q < 0:
-        p[:, 3] *= -1.0
-        q[:, 3] *= -1.0
-    elif det_p < 0:
-        p[:, 3] *= -1.0
-        theta[3] += math.pi
-    elif det_q < 0:
-        q[:, 3] *= -1.0
-        theta[3] += math.pi
-    theta = np.angle(np.exp(1j * theta))
-
-    order = np.argsort(theta, kind="stable")
-    p, q, theta = p[:, order], q[:, order], theta[order]
-    if np.linalg.det(np.eye(4)[:, order]) < 0:
-        p[:, 0] *= -1.0
-        q[:, 0] *= -1.0
-    for j in range(3):
-        lead = np.flatnonzero(np.abs(p[:, j]) > DEG_TOL)
-        if lead.size and p[lead[0], j] < 0:
-            p[:, j] *= -1.0
-            q[:, j] *= -1.0
-    if np.linalg.det(p) < 0:
-        p[:, 3] *= -1.0
-        q[:, 3] *= -1.0
-
-    omega = GAMMA.T @ theta / 4.0
-    angles = KakAngles(theta=theta, omega=omega, p=p, q=q)
+    p, theta, q = _general_magic_kak(k)
+    if abs(math.remainder(theta.sum() / 4.0, math.pi)) > math.pi / 4:
+        pos = theta > 0
+        idx = np.flatnonzero(pos if pos.sum() >= 2 else ~pos)[:2]
+        theta[idx] += np.where(pos[idx], -math.pi, math.pi)
+        q[:, idx] *= -1.0
+    angles = KakAngles(theta=theta, omega=GAMMA.T @ theta / 4.0, p=p, q=q)
     err = np.abs(angles.reconstruct() - k).max()
     if err > RECON_TOL:
         raise ValueError(f"KAK reconstruction failed: deviation {err:.3e}")
@@ -332,33 +266,50 @@ def _exp_iz(a: float) -> np.ndarray:
     return np.diag([cmath.exp(1j * a), cmath.exp(-1j * a)])
 
 
+def _rz(t: float) -> np.ndarray:
+    return np.diag([cmath.exp(-1j * t / 2), cmath.exp(1j * t / 2)])
+
+
+def _ry(t: float) -> np.ndarray:
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
 _RX_CONJ = _exp_ix(math.pi / 4)  # maps Z -> Y under conjugation, fixes X
 
 
-def _middle_sequence(omega: np.ndarray) -> tuple[list[Primitive], complex]:
+def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, list[Primitive]]:
+    """Split exp(i (w1 XX + w2 YY + w3 ZZ)), up to global phase, into reduced
+    coefficients in (-pi/2, pi/2) and a local Pauli tail.
+
+    A multiple of pi only flips the global sign, and a coefficient of pi/2
+    (mod pi) contributes exp(i pi/2 PP) = i P x P; both commute with the
+    rest. Coefficients within 1e-10 of those values become exactly 0; the
+    test is linear in the nonlocal angle.
+    """
+    red = np.empty(3)
+    for i, w in enumerate(omega):
+        red[i] = w - round(w / math.pi) * math.pi
+    tail = [I2, I2]
+    for i, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
+        if abs(abs(red[i]) - math.pi / 2) < 1e-10:
+            tail = [pauli @ tail[0], pauli @ tail[1]]
+            red[i] = 0.0
+    red[np.abs(red) <= 1e-10] = 0.0
+    if np.abs(tail[0] - I2).max() > 1e-12:
+        return red, [_u(0, tail[0]), _u(1, tail[1])]
+    return red, []
+
+
+def _middle_sequence(omega: np.ndarray) -> list[Primitive]:
     """<= 2 CNOT realization of exp(i (w1 XX + w2 YY + w3 ZZ)) requiring at
     least one coefficient to vanish mod pi/2.
 
     Uses CX (e^{iaX} x e^{icZ}) CX = exp(i (a XX + c ZZ)) plus single-qubit
     conjugations rotating the missing axis onto Y.
     """
-    phase = 1.0 + 0j
-    red = np.empty(3)
-    for i, w in enumerate(omega):
-        k = round(w / math.pi)
-        red[i] = w - k * math.pi
-        if k % 2:
-            phase = -phase
-    gates: list[Primitive] = []
-    tail = [I2.copy(), I2.copy()]
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    for i in range(3):
-        if abs(abs(red[i]) - math.pi / 2) < 1e-10:
-            phase *= 1j if red[i] > 0 else -1j
-            tail[0] = paulis[i] @ tail[0]
-            tail[1] = paulis[i] @ tail[1]
-            red[i] = 0.0
-    live = [i for i in range(3) if abs(red[i]) > 1e-10]
+    red, gates = _reduce_omega(omega)
+    live = [i for i in range(3) if red[i] != 0.0]
     if len(live) > 2:
         raise ValueError(f"no vanishing coefficient in {omega}; not two-CNOT realizable")
     if live:
@@ -371,134 +322,31 @@ def _middle_sequence(omega: np.ndarray) -> tuple[list[Primitive], complex]:
         else:  # YY and ZZ: rotate X -> Y
             conj = S_GATE
             inner = (red[1], red[2])
-        if conj is not None:
-            gates += [_u(0, conj.conj().T), _u(1, conj.conj().T)]
-        gates += [
+        core = [
             _cx(0, 1),
             _u(0, _exp_ix(inner[0])),
             _u(1, _exp_iz(inner[1])),
             _cx(0, 1),
         ]
         if conj is not None:
-            gates += [_u(0, conj), _u(1, conj)]
-    if np.abs(tail[0] - I2).max() > 1e-12:
-        gates += [_u(0, tail[0]), _u(1, tail[1])]
-    return gates, phase
+            core = [_u(0, conj.conj().T), _u(1, conj.conj().T)] + core + [_u(0, conj), _u(1, conj)]
+        gates = core + gates
+    return gates
 
 
-def _general_magic_kak(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KAK of an arbitrary 4x4 unitary in the magic basis: returns (p, theta, q)
-    with M p exp(i theta) q^T M^dag = u up to global phase. Unlike
-    ``magic_kak_decompose`` this makes no class guarantees about theta."""
-    u_su = u / np.linalg.det(u) ** 0.25
-    w = MAGIC.conj().T @ u_su @ MAGIC
-    o1, d, o2 = _ai_kak(w)
-    theta = np.angle(np.diag(d))
-    return o1, theta, o2.T
-
-
-def split_tensor_product(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Split u4 = phase * (A x B) with A, B special unitary."""
-    r = u4[:2, :2].copy()
-    det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
-        r = u4[2:, :2].copy()
-        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
-        raise ValueError("matrix is not a tensor product of single-qubit gates")
-    r /= np.sqrt(det_r)
-    tmp = u4 @ np.kron(I2, r.conj().T)
-    le = tmp[::2, ::2]
-    det_l = le[0, 0] * le[1, 1] - le[0, 1] * le[1, 0]
-    le /= np.sqrt(det_l)
-    phase = np.trace(np.kron(le, r).conj().T @ u4) / 4.0
-    if abs(abs(phase) - 1.0) > 1e-9:
-        raise ValueError("tensor-product split failed")
-    return le, r, phase
-
-
-def _is_class_member(k: np.ndarray) -> bool:
-    try:
-        _check_class_member(k)
-    except ValueError:
-        return False
-    return True
-
-
-def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
-    """Realize a two-CNOT-implementable 4x4 unitary with at most two CNOTs
-    and at most eight single-qubit gates.
-
-    Accepts members of the U (Z x I) U^dag class (``build_u2cx`` outputs; via
-    the Hermitian-class KAK) and, through a general-KAK fallback, any unitary
-    whose Pauli-string coefficients already include a vanishing one mod pi/2;
-    that covers real special-orthogonal matrices (the SVDs of real
-    amplitudes) and single Pauli-string exponentials. Raises ValueError for
-    gates that genuinely need a third CNOT.
-    """
-    u2cx = np.asarray(u2cx, dtype=complex)
-    if _is_class_member(u2cx):
-        angles = magic_kak_decompose(u2cx)
-        p, theta, q = angles.p, angles.theta, angles.q
-    else:
-        require_unitary(u2cx, what="synthesis input")
-        p, theta, q = _general_magic_kak(u2cx)
-    omega = GAMMA.T @ theta / 4.0
-    left = MAGIC @ p @ MAGIC.conj().T
-    right = MAGIC @ q.T @ MAGIC.conj().T
-    la, lb, _ = split_tensor_product(left)
-    ra, rb, _ = split_tensor_product(right)
-    try:
-        mid, _ = _middle_sequence(omega[1:])
-    except ValueError as exc:
-        raise ValueError(
-            "input is not two-CNOT realizable (no vanishing Pauli-string "
-            "coefficient); rewrite with build_u2cx or use synthesize_generic"
-        ) from exc
-    gates = [_u(0, ra), _u(1, rb)] + mid + [_u(0, la), _u(1, lb)]
-    return _finish_sequence(gates, u2cx, max_cnots=2)
-
-
-def _finish_sequence(gates: list[Primitive], source: np.ndarray, max_cnots: int) -> GateSequence:
-    merged = _merge_singles(gates)
-    ncx = sum(1 for g in merged if g.kind == "cx")
-    if ncx > max_cnots:
-        raise ValueError(f"synthesis produced {ncx} CNOTs, budget {max_cnots}")
-    nsingle = len(merged) - ncx
-    if nsingle > 8:
-        raise ValueError(f"synthesis produced {nsingle} single-qubit gates, budget 8")
-    seq = GateSequence(gates=tuple(merged), cnot_count=ncx, source=np.asarray(source, dtype=complex))
-    rebuilt = seq.matrix()
-    tr = np.trace(rebuilt.conj().T @ seq.source) / 4.0
-    if abs(tr) < 1e-12:
-        raise ValueError("synthesis reconstruction failed (orthogonal result)")
-    err = np.abs(rebuilt * (tr / abs(tr)) - seq.source).max()
-    if err > RECON_TOL:
-        raise ValueError(f"synthesis reconstruction failed: deviation {err:.3e}")
-    return seq
-
-
-# --- generic three-CNOT baseline ---------------------------------------------
-
-# Standard AI-type KAK in the alternative magic basis; the bookkeeping gates
-# below convert its diagonal core into the central three-CNOT circuit
-# CX(1,0) RZ RY CX(0,1) RY CX(1,0).
-_E = np.array(
-    [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
-) / math.sqrt(2)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-_S0 = np.kron(np.diag([1j, 1.0]), np.eye(2))
-
-
-def _rz(t: float) -> np.ndarray:
-    return np.diag([cmath.exp(-1j * t / 2), cmath.exp(1j * t / 2)])
-
-
-def _ry(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _three_cnot_core(a: float, b: float, c: float) -> list[Primitive]:
+    """exp(i (a XX + b YY + c ZZ)) up to global phase with three CNOTs
+    (Vatan & Williams, quant-ph/0308006)."""
+    return [
+        _u(1, _rz(-math.pi / 2)),
+        _cx(1, 0),
+        _u(0, _rz(math.pi / 2 - 2 * c)),
+        _u(1, _ry(2 * a - math.pi / 2)),
+        _cx(0, 1),
+        _u(1, _ry(math.pi / 2 - 2 * b)),
+        _cx(1, 0),
+        _u(0, _rz(math.pi / 2)),
+    ]
 
 
 def _real_imag_split_eigh(a: np.ndarray, factor: float):
@@ -533,69 +381,98 @@ def _ai_kak(u: np.ndarray):
     return o1, d, o2
 
 
-def _extract_central_angles(a_m: np.ndarray):
-    if np.allclose(a_m[::3, 0].real, 0.0):
-        apb = math.atan2(a_m[3, 0].imag, a_m[0, 0].imag)
-    else:
-        apb = math.atan2(a_m[3, 0].real, a_m[0, 0].real)
-    if np.allclose(a_m[1:3, 1].real, 0.0):
-        amb = math.atan2(a_m[1, 1].imag, a_m[2, 1].imag)
-    else:
-        amb = math.atan2(a_m[1, 1].real, a_m[2, 1].real)
-    a = apb + amb
-    b = apb - amb
-    if abs(a_m[0, 0]) < 1e-12:
-        apb_frac = a_m[3, 0] / math.sin(apb)
-    else:
-        apb_frac = a_m[0, 0] / math.cos(apb)
-    if abs(a_m[2, 1]) < 1e-12:
-        amb_frac = a_m[1, 1] / math.sin(amb)
-    else:
-        amb_frac = a_m[2, 1] / math.cos(amb)
-    d = cmath.phase(amb_frac * apb_frac.conjugate())
-    return a, b, d
-
-
-def _is_tensor_product(u: np.ndarray) -> bool:
+def _general_magic_kak(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KAK of an arbitrary 4x4 unitary in the magic basis: returns (p, theta, q)
+    with M p exp(i theta) q^T M^dag = u up to global phase, p and q in SO(4)
+    and theta in (-pi, pi] summing to a multiple of 2 pi."""
     u_su = u / np.linalg.det(u) ** 0.25
-    g = _E.conj().T @ u_su @ _E
-    tr = np.trace(g @ g.T)
-    return bool(abs(tr - 4.0) < 1e-9 or abs(tr + 4.0) < 1e-9)
+    w = MAGIC.conj().T @ u_su @ MAGIC
+    o1, d, o2 = _ai_kak(w)
+    theta = np.angle(np.diag(d))
+    return o1, theta, o2.T
 
 
-def synthesize_generic(u: np.ndarray) -> GateSequence:
-    """Baseline synthesis of an arbitrary 4x4 unitary with at most 3 CNOTs."""
+def split_tensor_product(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Split u4 = phase * (A x B) with A, B special unitary."""
+    r = u4[:2, :2].copy()
+    det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+    if abs(det_r) < 0.1:
+        r = u4[2:, :2].copy()
+        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
+    if abs(det_r) < 0.1:
+        raise ValueError("matrix is not a tensor product of single-qubit gates")
+    r /= np.sqrt(det_r)
+    tmp = u4 @ np.kron(I2, r.conj().T)
+    le = tmp[::2, ::2]
+    det_l = le[0, 0] * le[1, 1] - le[0, 1] * le[1, 0]
+    le /= np.sqrt(det_l)
+    phase = np.trace(np.kron(le, r).conj().T @ u4) / 4.0
+    if abs(abs(phase) - 1.0) > 1e-9:
+        raise ValueError("tensor-product split failed")
+    return le, r, phase
+
+
+def _kak_layers(u: np.ndarray) -> tuple[list[Primitive], np.ndarray, list[Primitive]]:
+    """The shared KAK of a 4x4 unitary as (right locals, XX/YY/ZZ
+    coefficients, left locals): u = left exp(i omega . PP) right up to
+    global phase."""
     u = require_unitary(u, what="synthesis input")
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    if _is_tensor_product(u):
-        la, lb, _ = split_tensor_product(u)
-        return _finish_sequence([_u(0, la), _u(1, lb)], u, max_cnots=0)
-    u_su = u / np.linalg.det(u) ** 0.25
-    w = _E.conj().T @ _S0.conj().T @ _SWAP @ u_su @ _S0 @ _E
-    k1, ak, k2 = _ai_kak(w)
-    l1 = _E @ k1 @ _E.conj().T
-    al = _E @ ak @ _E.conj().T
-    l2 = _E @ k2 @ _E.conj().T
-    m1 = _SWAP @ _S0 @ l1 @ _S0.conj().T @ _SWAP
-    m2 = _S0 @ l2 @ _S0.conj().T
-    a_m = _SWAP @ _S0 @ al @ _S0.conj().T
-    a, b, d = _extract_central_angles(a_m)
-    m2a, m2b, _ = split_tensor_product(m2)
-    m1a, m1b, _ = split_tensor_product(m1)
-    gates = [
-        _u(0, m2a),
-        _u(1, m2b),
-        _cx(1, 0),
-        _u(0, _rz(d)),
-        _u(1, _ry(b)),
-        _cx(0, 1),
-        _u(1, _ry(a)),
-        _cx(1, 0),
-        _u(0, m1a),
-        _u(1, m1b),
-    ]
-    return _finish_sequence(gates, u, max_cnots=3)
+    p, theta, q = _general_magic_kak(u)
+    la, lb, _ = split_tensor_product(MAGIC @ p @ MAGIC.conj().T)
+    ra, rb, _ = split_tensor_product(MAGIC @ q.T @ MAGIC.conj().T)
+    omega = GAMMA.T @ theta / 4.0
+    return [_u(0, ra), _u(1, rb)], omega[1:], [_u(0, la), _u(1, lb)]
+
+
+def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
+    """Realize a two-CNOT-implementable 4x4 unitary with at most two CNOTs
+    and at most eight single-qubit gates.
+
+    Accepts any unitary whose Pauli-string coefficients include a vanishing
+    one mod pi/2: members of the U (Z x I) U^dag class (``build_u2cx``
+    outputs), real special-orthogonal matrices (the SVDs of real amplitudes)
+    and single Pauli-string exponentials. Raises ValueError for gates that
+    genuinely need a third CNOT.
+    """
+    right, omega, left = _kak_layers(u2cx)
+    try:
+        mid = _middle_sequence(omega)
+    except ValueError as exc:
+        raise ValueError(
+            "input is not two-CNOT realizable (no vanishing Pauli-string "
+            "coefficient); rewrite with build_u2cx or use synthesize_generic"
+        ) from exc
+    return _finish_sequence(right + mid + left, u2cx, max_cnots=2)
+
+
+def synthesize_generic(u: np.ndarray) -> GateSequence:
+    """Baseline synthesis of an arbitrary 4x4 unitary: no CNOT for a local
+    gate, the fixed three-CNOT core otherwise."""
+    right, omega, left = _kak_layers(u)
+    red, tail = _reduce_omega(omega)
+    mid = _three_cnot_core(*omega) if red.any() else tail
+    return _finish_sequence(right + mid + left, u, max_cnots=3)
+
+
+def _finish_sequence(gates: list[Primitive], source: np.ndarray, max_cnots: int) -> GateSequence:
+    merged = _merge_singles(gates)
+    ncx = sum(1 for g in merged if g.kind == "cx")
+    if ncx > max_cnots:
+        raise ValueError(f"synthesis produced {ncx} CNOTs, budget {max_cnots}")
+    nsingle = len(merged) - ncx
+    if nsingle > 8:
+        raise ValueError(f"synthesis produced {nsingle} single-qubit gates, budget 8")
+    seq = GateSequence(gates=tuple(merged), cnot_count=ncx, source=np.asarray(source, dtype=complex))
+    rebuilt = seq.matrix()
+    tr = np.trace(rebuilt.conj().T @ seq.source) / 4.0
+    if abs(tr) < 1e-12:
+        raise ValueError("synthesis reconstruction failed (orthogonal result)")
+    err = np.abs(rebuilt * (tr / abs(tr)) - seq.source).max()
+    if err > RECON_TOL:
+        raise ValueError(f"synthesis reconstruction failed: deviation {err:.3e}")
+    return seq
 
 
 class SynthMode:

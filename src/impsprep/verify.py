@@ -153,6 +153,15 @@ def _check_synthesis(n_max: int, fuzz: int, rng, corrupt=False):
         gen = gatesynth.synthesize_generic(haar_unitary(4, rng))
         if gen.cnot_count > 3:
             return f"generic synthesis used {gen.cnot_count} CNOTs"
+        # near-local gate: a nonlocal angle from 1e-4 down to 1e-9 still needs three
+        eps = (1e-4, 1e-5, 4e-7, 1e-8, 1e-9)[trial % 5]
+        xx = np.kron(gatesynth.PAULI_X, gatesynth.PAULI_X)
+        near = math.cos(eps) * np.eye(4) + 1j * math.sin(eps) * xx
+        near = np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ near
+        near = near @ np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+        gen = gatesynth.synthesize_generic(near)
+        if gen.cnot_count != 3:
+            return f"generic synthesis used {gen.cnot_count} CNOTs at nonlocal angle {eps:g}"
     return None
 
 

@@ -104,6 +104,20 @@ class TestCompile:
         # chain(5) has 4 two-qubit gates: generic baseline counts 3 each
         assert report["cnot_count_generic"] == 12
 
+    @pytest.mark.parametrize("target,scheme,n", [
+        ("f2", "htn", 16),  # two-CNOT route near degenerate KAK angles
+        ("g2", "htn", 16),  # generic count on a nearly local gate
+        ("f1", "htn", 12),
+    ])
+    def test_compiles_at_real_sizes(self, tmp_path, target, scheme, n):
+        rc = run_cli([
+            "compile", "--target", target, "--scheme", scheme, "--n", str(n),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["cnot_count"] <= 2 * report["cnot_count_generic"] / 3
+
     def test_amps_file_target(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
         path = tmp_path / "target.amps"
@@ -127,6 +141,14 @@ class TestBenchmark:
         header = lines[1].split(",")
         assert header[:4] == ["target", "scheme", "n", "layers"]
         assert len(lines) == 2 + 2 * 2 * 2  # comment + header + rows
+
+    def test_sweep_with_near_local_gates_completes(self, tmp_path):
+        run_cli([
+            "benchmark", "--targets", "f1,f2,g1", "--schemes", "chain,htn",
+            "--n-list", "10", "--n", "10", "--out", str(tmp_path),
+        ])
+        lines = (tmp_path / "results.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 + 6
 
     def test_deterministic_csv(self, tmp_path):
         digests = []

@@ -253,6 +253,29 @@ class TestSynthesizeTwoCnot:
             assert seq.cnot_count <= 2
             self.assert_reconstructs(seq, step.unitary)
 
+    @pytest.mark.parametrize("angles", [
+        (0.0, 0.7),  # cosine at 1
+        (np.pi / 2, 0.7),  # cosine at 0
+        (0.7, 0.7),  # equal cosines
+        (1e-9, 0.7),
+        (np.pi / 2 - 1e-9, 0.7),
+        (0.7, 0.7 + 1e-9),
+        (0.0, np.pi / 2),
+    ])
+    def test_degenerate_csd_angles(self, angles):
+        rng = np.random.default_rng(2024)
+        th = np.array(angles)
+        c, s = np.diag(np.cos(th)), np.diag(np.sin(th))
+        z = np.zeros((2, 2))
+        mid = np.block([[c, s], [s, -c]])
+        for _ in range(20):
+            l1, l2, r1, r2 = (haar_unitary(2, rng) for _ in range(4))
+            u = np.block([[l1, z], [z, l2]]) @ mid @ np.block([[r1, z], [z, r2]])
+            k = build_u2cx(u)
+            seq = synthesize_two_cnot(k)
+            assert seq.cnot_count <= 2
+            self.assert_reconstructs(seq, k, tol=gatesynth.RECON_TOL)
+
     def test_generic_complex_input_rejected(self, rng):
         with pytest.raises(ValueError):
             synthesize_two_cnot(haar_unitary(4, rng))
@@ -281,6 +304,18 @@ class TestSynthesizeGeneric:
             assert seq.cnot_count == 3
             assert seq.single_qubit_count() <= 8
             TestSynthesizeTwoCnot.assert_reconstructs(seq, u)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 4e-7, 1e-8, 1e-9])
+    def test_near_local_gates_need_three(self, eps):
+        rng = np.random.default_rng(99)
+        xx = np.kron(X, X)
+        core = np.cos(eps) * np.eye(4) + 1j * np.sin(eps) * xx  # expm(i eps XX)
+        for _ in range(20):
+            a, b, c, d = (haar_unitary(2, rng) for _ in range(4))
+            u = np.kron(a, b) @ core @ np.kron(c, d)
+            seq = synthesize_generic(u)
+            assert seq.cnot_count == 3
+            TestSynthesizeTwoCnot.assert_reconstructs(seq, u, tol=gatesynth.RECON_TOL)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
