@@ -5,6 +5,8 @@ Run:  python demos/01_disentangling_basics.py
 import numpy as np
 
 from impsprep import (
+    TwoQubitGate,
+    apply_two_qubit,
     disentangle_step,
     extract_block,
     from_amplitudes,
@@ -28,9 +30,11 @@ block = extract_block(state, 0, 1)
 print("\nblock matrix on (0, 1):")
 print(block.rows)
 
-# One step: SVD the block, apply the inverse left factor. The pair is rank-1
-# here (a single nonzero singular value), so qubit 0 lands exactly on |0>.
-step, after = disentangle_step(state, 0, 1)
+# One step: SVD the block; the step's unitary is the inverse left factor.
+# Applying it leaves qubit 0 exactly on |0>, since the pair is rank-1 here
+# (a single nonzero singular value).
+step = disentangle_step(state, 0, 1)
+after = apply_two_qubit(state, TwoQubitGate(0, 1, step.unitary))
 print("\nsingular values:", np.round(step.singular_values, 6))
 print("retained weight (top two):", step.retained_weight)
 print("state after the step:", np.round(after.amps, 4))
@@ -44,7 +48,8 @@ print("\ndiscarded mass:", discarded)
 # two smallest singular directions.
 rng = np.random.default_rng(0)
 messy = from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
-step, after = disentangle_step(messy, 0, 1)
+step = disentangle_step(messy, 0, 1)
+after = apply_two_qubit(messy, TwoQubitGate(0, 1, step.unitary))
 print("\nrandom 4-qubit state: singular values", np.round(step.singular_values, 4))
 print("retained weight:", round(step.retained_weight, 6))
 truncated, discarded = truncate_and_renormalize(after, 0)

@@ -24,7 +24,7 @@ rng = np.random.default_rng(1)
 
 # A disentangling unitary from a random complex 4-qubit state.
 state = from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
-step, _ = disentangle_step(state, 1, 3)
+step = disentangle_step(state, 1, 3)
 u_inv = step.unitary
 
 # Its cosine-sine decomposition splits it into block-diagonal factors around

@@ -58,17 +58,14 @@ class Circuit:
         return Circuit(self.n, inv, self.u_depth, self.scheme, self.layers)
 
 
-def apply_gate(state: StateVector, gate: GateLike) -> StateVector:
-    if isinstance(gate, TwoQubitGate):
-        return apply_two_qubit(state, gate)
-    return apply_single_qubit(state, gate.wire, gate.matrix)
-
-
 def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Run the circuit on |0...0> (or ``initial``) with the exact simulator."""
     state = zero_state(circuit.n) if initial is None else initial
     if state.n != circuit.n:
         raise ValueError(f"initial state has {state.n} qubits, circuit needs {circuit.n}")
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
+    for g in circuit.gates:
+        if isinstance(g, TwoQubitGate):
+            state = apply_two_qubit(state, g)
+        else:
+            state = apply_single_qubit(state, g.wire, g.matrix)
     return state

@@ -122,7 +122,10 @@ def compile_one(
     result = run_schedule(target_state, schedule, layers, trunc, rewrite_2cx=rewrite)
     emit_mode = SynthMode.OPTIMIZED2 if rewrite else SynthMode.GENERIC3
     primitive = gatesynth.synthesize_circuit(result.circuit, emit_mode)
-    g_cnots, g_singles, _ = gatesynth.count_gates(result.circuit, SynthMode.GENERIC3)
+    if rewrite:
+        g_cnots, g_singles, _ = gatesynth.count_gates(result.circuit, SynthMode.GENERIC3)
+    else:  # the emitted circuit is already the generic synthesis
+        g_cnots, g_singles = primitive.two_qubit_count(), primitive.one_qubit_count()
     report = SynthesisReport(
         scheme=schedule.scheme,
         target=target_label,
@@ -210,6 +213,8 @@ CSV_FIELDS = [
 
 
 def cmd_benchmark(args) -> int:
+    if args.samples < 1:
+        raise SystemExit(f"--samples must be >= 1, got {args.samples}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plotdir = out / "plotdata"

@@ -5,19 +5,23 @@ the inverse left factor, concentrating the pair's weight on the rows where
 the source qubit is |0>. Running a schedule executes rounds of such steps
 and reverses them into a preparation circuit.
 
+``disentangle_step`` returns the step only. ``run_schedule`` applies the
+steps to raw amplitude arrays with the gate kernel of ``statevec``, which
+never writes its input, so states are shared instead of copied.
+
 Truncation conventions
 ----------------------
-The engine keeps two amplitude vectors: the *exact* image of the target
-under all gates applied so far, and a *working* copy that is truncated
-(source qubit projected to |0> and renormalized) as the schedule demands.
+The engine keeps two states: the *exact* image of the target under all
+gates applied so far, and a *working* state that is truncated (source qubit
+projected to |0> and renormalized) as the schedule demands.
 
-* PER_ROUND: the working copy is reset from the exact state after every
-  round, so each round's unitaries are computed from the true current
-  amplitudes. Used by the hypercube/slot-filled/grid schemes, whose rounds
-  revisit already-disentangled qubits to re-squeeze residual weight.
-* PER_LAYER: within a layer the working copy stays truncated (for the chain
+* PER_ROUND: the working state is the exact state at every round, so each
+  round's unitaries are computed from the true current amplitudes. Used by
+  the hypercube/slot-filled/grid schemes, whose rounds revisit
+  already-disentangled qubits to re-squeeze residual weight.
+* PER_LAYER: within a layer the working state stays truncated (for the chain
   this reproduces the canonical sequential MPS sweep exactly) and is reset
-  from the exact state only at layer boundaries.
+  to the exact state only at layer boundaries.
 
 Multiple layers repeat the schedule; later layers see the residual error of
 earlier ones. That usually raises the prepared fidelity but does not
@@ -30,21 +34,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circuits import Circuit, OneQubitGate, simulate
 from .schedules import Schedule
 from .statevec import (
-    BlockMatrix,
     StateVector,
     TwoQubitGate,
+    _apply_gate_to_amps,
     extract_block,
     infidelity,
-    inverse_extract,
     zero_state,
 )
+from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
 
@@ -106,28 +110,25 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _fix_svd_phases(u), lam
 
 
-def disentangle_step(state: StateVector, a: int, b: int) -> tuple[DisentangleStep, StateVector]:
-    """SVD the (a, b) block and apply U^-1; no truncation is performed.
+def disentangle_step(state: StateVector, a: int, b: int) -> DisentangleStep:
+    """SVD the (a, b) block and return the step that applies U^-1.
 
-    Returns the step record (unitary = U^-1, retained_weight = l0^2 + l1^2)
-    and the transformed state. Sign/phase conventions on U's columns are
-    fixed so the result is deterministic under degenerate singular values.
+    The step record holds unitary = U^-1 and retained_weight = l0^2 + l1^2;
+    the state itself is not transformed. Sign/phase conventions on U's
+    columns are fixed so the result is deterministic under degenerate
+    singular values.
     """
     block = extract_block(state, a, b)
     if not np.all(np.isfinite(block.rows)):
         raise ValueError("block matrix contains non-finite entries; SVD aborted")
     u, lam = _block_svd(block.rows)
-    u_inv = u.conj().T
-    new_rows = u_inv @ block.rows
-    new_state = inverse_extract(BlockMatrix(n=block.n, a=a, b=b, rows=new_rows))
     retained = float(lam[0] ** 2 + lam[1] ** 2)
-    step = DisentangleStep(
+    return DisentangleStep(
         pair=(a, b),
-        unitary=u_inv,
+        unitary=u.conj().T,
         retained_weight=min(1.0, retained),
         singular_values=lam,
     )
-    return step, new_state
 
 
 def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, float]:
@@ -139,7 +140,7 @@ def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, f
     """
     if not 0 <= a < state.n:
         raise ValueError(f"qubit index {a} out of range for n = {state.n}")
-    t = state.copy_amps().reshape([2] * state.n)
+    t = np.array(state.amps, dtype=complex).reshape([2] * state.n)
     moved = np.moveaxis(t, a, 0)
     discarded = math.fsum(np.abs(moved[1]).ravel() ** 2)
     kept = math.fsum(np.abs(moved[0]).ravel() ** 2)
@@ -147,16 +148,16 @@ def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, f
         raise ValueError(f"truncation of qubit {a} would discard (almost) all mass")
     moved[1] = 0.0
     moved[0] /= math.sqrt(kept)
-    amps = np.moveaxis(moved, 0, a).reshape(-1)
-    out = StateVector(n=state.n, amps=amps)
-    out.amps.setflags(write=False)
-    return out, float(discarded)
+    t.setflags(write=False)
+    return StateVector(n=state.n, amps=t.reshape(-1)), float(discarded)
 
 
-def _apply_gate_to_amps(amps: np.ndarray, n: int, a: int, b: int, u4: np.ndarray) -> np.ndarray:
-    t = np.moveaxis(amps.reshape([2] * n), (a, b), (0, 1)).reshape(4, -1)
-    t = u4 @ t
-    return np.moveaxis(t.reshape([2, 2] + [2] * (n - 2)), (0, 1), (a, b)).reshape(-1)
+def _apply_steps(state: StateVector, steps: list[DisentangleStep]) -> StateVector:
+    """``state`` with each step's unitary applied on its pair."""
+    amps = state.amps
+    for step in steps:
+        amps = _apply_gate_to_amps(amps, state.n, step.pair, step.unitary)
+    return StateVector(n=state.n, amps=amps)
 
 
 def _absorb_survivor(amps: np.ndarray, n: int, survivor: int) -> np.ndarray | None:
@@ -205,39 +206,30 @@ def run_schedule(
     if rewrite_2cx:
         from .gatesynth import build_u2cx
 
-    exact = target.copy_amps()
-    work = exact.copy()
+    # Steps are computed from ``work``; only PER_LAYER mode, which truncates
+    # it, applies the gates to it separately from ``exact``.
     n = target.n
+    per_layer = truncation_mode is TruncationMode.PER_LAYER
+    exact = target
     steps: list[DisentangleStep] = []
     per_round_weights: list[float] = []
 
     for _layer in range(layers):
-        work = exact.copy()
+        work = exact
         for rnd in schedule.rounds:
-            if truncation_mode is TruncationMode.PER_ROUND:
-                work = exact.copy()
-            pre = StateVector(n=n, amps=work)
             round_steps = []
             for a, b in rnd:
-                step, _ = disentangle_step(pre, a, b)
+                step = disentangle_step(work, a, b)
                 if rewrite_2cx:
-                    gate = build_u2cx(step.unitary)
-                    step = DisentangleStep(
-                        pair=step.pair,
-                        unitary=gate,
-                        retained_weight=step.retained_weight,
-                        singular_values=step.singular_values,
-                    )
+                    step = replace(step, unitary=build_u2cx(step.unitary))
                 round_steps.append(step)
-            for step in round_steps:
-                a, b = step.pair
-                work = _apply_gate_to_amps(work, n, a, b, step.unitary)
-                exact = _apply_gate_to_amps(exact, n, a, b, step.unitary)
-            if truncation_mode is TruncationMode.PER_LAYER:
-                state = StateVector(n=n, amps=work)
+            exact = _apply_steps(exact, round_steps)
+            if per_layer:
+                work = _apply_steps(work, round_steps)
                 for a, _b in rnd:
-                    state, _ = truncate_and_renormalize(state, a)
-                work = state.copy_amps()
+                    work, _ = truncate_and_renormalize(work, a)
+            else:
+                work = exact
             steps.extend(round_steps)
             per_round_weights.append(
                 float(np.prod([s.retained_weight for s in round_steps]))
@@ -245,7 +237,7 @@ def run_schedule(
 
     survivor = schedule.survivor()
     gates: list = []
-    rot = _absorb_survivor(exact, n, survivor)
+    rot = _absorb_survivor(exact.amps, n, survivor)
     if rot is not None:
         gates.append(OneQubitGate(survivor, rot.conj().T))
     for step in reversed(steps):

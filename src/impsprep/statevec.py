@@ -2,8 +2,11 @@
 
 Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
-States are value-semantic; every operation returns a fresh object and the
-underlying buffer is marked read-only.
+States are value-semantic: every public operation returns a fresh object
+whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
+every gate to amplitudes; it only reads its input and returns a fresh
+buffer, so the engine shares arrays instead of copying them.
+``apply_two_qubit`` and ``apply_single_qubit`` are its checked wrappers.
 """
 from __future__ import annotations
 
@@ -34,14 +37,6 @@ class StateVector:
 
     n: int
     amps: np.ndarray = field(repr=False)
-
-    def copy_amps(self) -> np.ndarray:
-        """Writable copy of the amplitude buffer."""
-        return np.array(self.amps, dtype=complex)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -97,18 +92,19 @@ def from_amplitudes(raw) -> StateVector:
     return StateVector(n=n, amps=_freeze(amps / norm))
 
 
-def zero_state(n: int) -> StateVector:
+def basis_state(n: int, k: int) -> StateVector:
+    """The computational basis state |k> on ``n`` qubits."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n=n, amps=_freeze(amps))
-
-
-def basis_state(n: int, k: int) -> StateVector:
+    if not 0 <= k < 1 << n:
+        raise ValueError(f"basis index {k} out of range for n = {n}")
     amps = np.zeros(1 << n, dtype=complex)
     amps[k] = 1.0
     return StateVector(n=n, amps=_freeze(amps))
+
+
+def zero_state(n: int) -> StateVector:
+    return basis_state(n, 0)
 
 
 def _check_pair(n: int, a: int, b: int) -> None:
@@ -147,23 +143,32 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix
     return m
 
 
+def _apply_gate_to_amps(amps: np.ndarray, n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
+    """Apply the 2^k x 2^k ``matrix`` to the k = 1 or 2 ``wires`` of ``amps``.
+
+    The first wire is the most significant bit of the matrix's own basis.
+    ``amps`` is only read; the result is one fresh buffer.
+    """
+    front = tuple(range(len(wires)))
+    t = np.moveaxis(amps.reshape([2] * n), wires, front).reshape(1 << len(wires), -1)
+    t = matrix @ t
+    return np.moveaxis(t.reshape([2] * n), front, wires).reshape(-1)
+
+
 def apply_two_qubit(state: StateVector, gate: TwoQubitGate) -> StateVector:
     """Apply a two-qubit gate: left-multiplies the (a, b) block matrix."""
     matrix = require_unitary(gate.matrix, what="two-qubit gate")
-    block = extract_block(state, gate.a, gate.b)
-    new = BlockMatrix(n=block.n, a=block.a, b=block.b, rows=matrix @ block.rows)
-    return inverse_extract(new)
+    _check_pair(state.n, gate.a, gate.b)
+    amps = _apply_gate_to_amps(state.amps, state.n, (gate.a, gate.b), matrix)
+    return StateVector(n=state.n, amps=_freeze(amps))
 
 
 def apply_single_qubit(state: StateVector, wire: int, matrix: np.ndarray) -> StateVector:
     matrix = require_unitary(matrix, what="single-qubit gate")
     if not 0 <= wire < state.n:
         raise ValueError(f"qubit index {wire} out of range for n = {state.n}")
-    t = state.amps.reshape([2] * state.n)
-    t = np.moveaxis(t, wire, 0).reshape(2, -1)
-    t = matrix @ t
-    t = np.moveaxis(t.reshape([2] * state.n), 0, wire)
-    return StateVector(n=state.n, amps=_freeze(t.reshape(-1).copy()))
+    amps = _apply_gate_to_amps(state.amps, state.n, (wire,), matrix)
+    return StateVector(n=state.n, amps=_freeze(amps))
 
 
 def fidelity(phi: StateVector, psi: StateVector) -> float:

@@ -127,7 +127,7 @@ def _check_retained_weight_bound(n_max: int, fuzz: int, rng, corrupt=False):
         n = int(rng.integers(2, n_max + 1))
         state = random_state(n, rng)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        step, _post = disentangler.disentangle_step(state, a, b)
+        step = disentangler.disentangle_step(state, a, b)
         lam = np.sort(step.singular_values)[::-1]
         bottom = lam[2] ** 2 + lam[3] ** 2
         if step.retained_weight < bottom - 1e-12:
@@ -170,7 +170,7 @@ def _check_weight_preserving_rewrite(n_max: int, fuzz: int, rng, corrupt=False):
         n = int(rng.integers(2, n_max + 1))
         state = random_state(n, rng)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        step, _ = disentangler.disentangle_step(state, a, b)
+        step = disentangler.disentangle_step(state, a, b)
         rewritten = gatesynth.build_u2cx(step.unitary)
         blk = statevec.extract_block(state, a, b)
         moved = rewritten @ blk.rows

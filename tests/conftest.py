@@ -56,6 +56,12 @@ def dense_two_qubit_operator(u4, n, a, b):
     return full
 
 
+def apply_step(state, step):
+    """The state after ``step``: its unitary applied on its pair."""
+    a, b = step.pair
+    return statevec.apply_two_qubit(state, statevec.TwoQubitGate(a, b, step.unitary))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -62,7 +62,7 @@ def disentangling_instances():
         n = int(rng.integers(2, 6))
         state = random_state(n, rng)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        step, _ = disentangle_step(state, a, b)
+        step = disentangle_step(state, a, b)
         instances.append((state, a, b, step))
     return instances
 
@@ -194,7 +194,7 @@ def test_criterion_7_weight_preserving_rewrite():
         n = int(rng.integers(2, 6))
         state = random_state(n, rng)
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        step, _ = disentangle_step(state, a, b)
+        step = disentangle_step(state, a, b)
         rewritten = build_u2cx(step.unitary)
         rows = statevec.extract_block(state, a, b).rows
         kept = float(np.linalg.norm((rewritten @ rows)[:2]) ** 2)

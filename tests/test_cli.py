@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from impsprep import cli, qasm, statevec, targets
+from impsprep import cli, gatesynth, qasm, statevec, targets
 from impsprep.circuits import simulate
 
 
@@ -104,6 +104,25 @@ class TestCompile:
         # chain(5) has 4 two-qubit gates: generic baseline counts 3 each
         assert report["cnot_count_generic"] == 12
 
+    @pytest.mark.parametrize("synth,calls", [("3cx", 7), ("none", 7), ("2cx", 14)])
+    def test_synthesizes_each_unitary_once_per_mode(self, tmp_path, monkeypatch, synth, calls):
+        # chain(8) has 7 unitaries; only 2cx needs a second, generic pass for the counts
+        original = gatesynth.synthesize_gate
+        seen = []
+
+        def counting(matrix, mode):
+            seen.append(mode)
+            return original(matrix, mode)
+
+        monkeypatch.setattr(gatesynth, "synthesize_gate", counting)
+        run_cli([
+            "compile", "--target", "f1", "--scheme", "chain", "--n", "8",
+            "--synth", synth, "--out", str(tmp_path),
+        ])
+        assert len(seen) == calls
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["cnot_count_generic"] == 21
+
     @pytest.mark.parametrize("target,scheme,n", [
         ("f2", "htn", 16),  # two-CNOT route near degenerate KAK angles
         ("g2", "htn", 16),  # generic count on a nearly local gate
@@ -182,6 +201,15 @@ class TestBenchmark:
         lines = (tmp_path / "results.csv").read_text().splitlines()
         row = next(csvmod.DictReader(lines[1:]))
         assert int(row["cnot_2cx"]) * 3 == int(row["cnot_3cx"]) * 2
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_rejected(self, tmp_path, samples):
+        with pytest.raises(SystemExit, match="--samples"):
+            run_cli([
+                "benchmark", "--targets", "random", "--samples", samples,
+                "--n", "4", "--n-list", "4", "--schemes", "chain",
+                "--out", str(tmp_path),
+            ])
 
     def test_plotdata_emission(self, tmp_path):
         run_cli([

@@ -12,13 +12,14 @@ from impsprep.disentangler import (
     truncate_and_renormalize,
 )
 
-from conftest import dense_two_qubit_operator, random_real_state, random_state
+from conftest import apply_step, dense_two_qubit_operator, random_real_state, random_state
 
 
 class TestDisentangleStep:
     def test_bell_state_fully_disentangles(self):
         bell = statevec.from_amplitudes([1, 0, 0, 1])
-        step, post = disentangle_step(bell, 0, 1)
+        step = disentangle_step(bell, 0, 1)
+        post = apply_step(bell, step)
         assert abs(step.retained_weight - 1.0) < 1e-14
         # the 4x1 block [1,0,0,1]/sqrt(2) has the single singular value 1
         assert np.allclose(np.sort(step.singular_values)[::-1], [1, 0, 0, 0], atol=1e-14)
@@ -28,20 +29,21 @@ class TestDisentangleStep:
         rest = random_state(3, rng)
         amps = np.concatenate([rest.amps, np.zeros(8)])  # qubit 0 already |0>
         s = statevec.from_amplitudes(amps)
-        step, post = disentangle_step(s, 0, 1)
+        step = disentangle_step(s, 0, 1)
+        post = apply_step(s, step)
         assert abs(step.retained_weight - 1.0) < 1e-12
         assert np.abs(post.amps[8:]).max() < 1e-12
 
     def test_uniform_state_rank_one_block(self):
         s = statevec.from_amplitudes(np.ones(8))
-        step, _ = disentangle_step(s, 0, 1)
+        step = disentangle_step(s, 0, 1)
         assert abs(step.retained_weight - 1.0) < 1e-14
         assert np.allclose(np.sort(step.singular_values)[::-1][1:], 0.0, atol=1e-14)
 
     def test_unitary_is_unitary_and_deterministic(self, rng):
         s = random_state(4, rng)
-        step1, _ = disentangle_step(s, 2, 0)
-        step2, _ = disentangle_step(s, 2, 0)
+        step1 = disentangle_step(s, 2, 0)
+        step2 = disentangle_step(s, 2, 0)
         assert np.array_equal(step1.unitary, step2.unitary)
         assert np.abs(step1.unitary @ step1.unitary.conj().T - np.eye(4)).max() < 1e-10
         assert abs(np.linalg.det(step1.unitary) - 1.0) < 1e-10
@@ -51,7 +53,8 @@ class TestDisentangleStep:
             n = int(rng.integers(2, 7))
             s = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-            step, post = disentangle_step(s, a, b)
+            step = disentangle_step(s, a, b)
+            post = apply_step(s, step)
             lam = np.sort(step.singular_values)[::-1]
             assert step.retained_weight >= lam[2] ** 2 + lam[3] ** 2 - 1e-12
             assert 0.0 <= step.retained_weight <= 1.0 + 1e-12
@@ -64,7 +67,7 @@ class TestDisentangleStep:
         for _ in range(10):
             s = random_real_state(4, rng)
             a, b = (int(x) for x in rng.choice(4, size=2, replace=False))
-            step, _ = disentangle_step(s, a, b)
+            step = disentangle_step(s, a, b)
             assert np.abs(step.unitary.imag).max() < 1e-12
             assert abs(np.linalg.det(step.unitary).real - 1.0) < 1e-10
 
@@ -87,7 +90,7 @@ class TestTruncate:
 
     def test_bell_after_step_unchanged(self):
         bell = statevec.from_amplitudes([1, 0, 0, 1])
-        _, post = disentangle_step(bell, 0, 1)
+        post = apply_step(bell, disentangle_step(bell, 0, 1))
         out, discarded = truncate_and_renormalize(post, 0)
         assert discarded < 1e-14
         assert statevec.infidelity(out, post) < 1e-12

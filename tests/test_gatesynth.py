@@ -131,7 +131,7 @@ class TestBuildU2cx:
             n = int(rng.integers(2, 6))
             state = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-            step, _ = disentangle_step(state, a, b)
+            step = disentangle_step(state, a, b)
             rewritten = build_u2cx(step.unitary)
             rows = statevec.extract_block(state, a, b).rows
             kept = np.linalg.norm((rewritten @ rows)[:2]) ** 2
@@ -139,7 +139,7 @@ class TestBuildU2cx:
 
     def test_real_orthogonal_input_gives_real_output(self, rng):
         state = random_real_state(4, rng)
-        step, _ = disentangle_step(state, 1, 3)
+        step = disentangle_step(state, 1, 3)
         g = build_u2cx(step.unitary)
         assert np.abs(g.imag).max() < 1e-9
 
@@ -237,7 +237,7 @@ class TestSynthesizeTwoCnot:
             n = int(rng.integers(2, 6))
             state = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-            step, _ = disentangle_step(state, a, b)
+            step = disentangle_step(state, a, b)
             seq = synthesize_two_cnot(build_u2cx(step.unitary))
             assert seq.cnot_count == 2  # generic instances saturate the bound
             self.assert_reconstructs(seq, build_u2cx(step.unitary))
@@ -248,7 +248,7 @@ class TestSynthesizeTwoCnot:
             n = int(rng.integers(2, 6))
             state = random_real_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-            step, _ = disentangle_step(state, a, b)
+            step = disentangle_step(state, a, b)
             seq = synthesize_two_cnot(step.unitary)
             assert seq.cnot_count <= 2
             self.assert_reconstructs(seq, step.unitary)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -111,6 +112,18 @@ class TestExtractBlock:
             statevec.extract_block(s, 0, 3)
 
 
+class TestBasisState:
+    def test_single_amplitude(self):
+        s = statevec.basis_state(3, 5)
+        assert s.amps[5] == 1.0 and np.count_nonzero(s.amps) == 1
+        assert not s.amps.flags.writeable
+
+    @pytest.mark.parametrize("n,k", [(3, -1), (3, 8), (0, 0), (-1, 0)])
+    def test_invalid_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            statevec.basis_state(n, k)
+
+
 class TestApplyTwoQubit:
     def test_identity_is_noop(self, rng):
         s = random_state(4, rng)
@@ -133,6 +146,26 @@ class TestApplyTwoQubit:
             dense = dense_two_qubit_operator(u, n, a, b)
             assert np.allclose(out.amps, dense @ s.amps, atol=1e-12)
 
+    def test_dense_oracle_on_every_ordered_pair(self, rng):
+        s = random_state(4, rng)
+        for a, b in itertools.permutations(range(4), 2):
+            u = haar_unitary(4, rng)
+            out = statevec.apply_two_qubit(s, TwoQubitGate(a, b, u))
+            assert np.allclose(out.amps, dense_two_qubit_operator(u, 4, a, b) @ s.amps, atol=1e-12)
+
+    def test_input_untouched_and_output_frozen(self, rng):
+        s = random_state(4, rng)
+        before = s.amps.copy()
+        out = statevec.apply_two_qubit(s, TwoQubitGate(0, 1, haar_unitary(4, rng)))
+        assert np.array_equal(s.amps, before)
+        assert not out.amps.flags.writeable
+
+    def test_out_of_range_pair_rejected(self, rng):
+        s = random_state(3, rng)
+        for a, b in ((0, 3), (-1, 1), (2, 2)):
+            with pytest.raises(ValueError):
+                statevec.apply_two_qubit(s, TwoQubitGate(a, b, np.eye(4)))
+
     def test_unitary_roundtrip_and_norm(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 7))
@@ -148,6 +181,33 @@ class TestApplyTwoQubit:
         s = random_state(3, rng)
         with pytest.raises(ValueError):
             statevec.apply_two_qubit(s, TwoQubitGate(0, 1, np.eye(4) * 1.01))
+
+
+def dense_single_qubit_operator(m, n, wire):
+    """Reference 2^n x 2^n operator: ``m`` on ``wire`` in a Kronecker chain."""
+    return functools.reduce(np.kron, [m if q == wire else np.eye(2) for q in range(n)])
+
+
+class TestApplySingleQubit:
+    def test_matches_dense_operator_oracle_on_every_wire(self, rng):
+        for n in range(1, 6):
+            s = random_state(n, rng)
+            for wire in range(n):
+                m = haar_unitary(2, rng)
+                out = statevec.apply_single_qubit(s, wire, m)
+                assert np.allclose(out.amps, dense_single_qubit_operator(m, n, wire) @ s.amps, atol=1e-12)
+                assert not out.amps.flags.writeable
+
+    def test_out_of_range_wire_rejected(self, rng):
+        s = random_state(3, rng)
+        for wire in (-1, 3):
+            with pytest.raises(ValueError):
+                statevec.apply_single_qubit(s, wire, np.eye(2))
+
+    def test_non_unitary_rejected(self, rng):
+        s = random_state(3, rng)
+        with pytest.raises(ValueError):
+            statevec.apply_single_qubit(s, 1, np.eye(2) * 1.01)
 
 
 class TestInfidelity:
