@@ -42,7 +42,7 @@ print(f"\nladder graph: u_depth {res.circuit.u_depth}, "
       f"infidelity {res.final_infidelity:.3e}")
 
 # Synthesize to u3/cx primitives and emit the portable text format.
-prim = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
+prim, _generic_counts = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
 text = qasm.emit(prim, {"scheme": "graph", "n": 6,
                         "infidelity": f"{res.final_infidelity:.17g}"})
 print("\nfirst lines of the emitted circuit:")

@@ -89,17 +89,15 @@ def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
     raise SystemExit(f"unknown scheme {scheme!r}")
 
 
-def random_target(n: int, rng: np.random.Generator) -> statevec.StateVector:
-    """Random complex amplitudes: i.i.d. standard-normal real and imaginary
-    parts, then normalized (the sampling law is recorded in reports)."""
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return statevec.from_amplitudes(z)
+def _truncation(args, schedule: schedules.Schedule) -> TruncationMode:
+    """``--trunc`` if given, else the scheme's convention."""
+    return TruncationMode(args.trunc) if args.trunc else default_truncation_mode(schedule.scheme)
 
 
 def resolve_target(name: str, n: int, rng) -> tuple[str, statevec.StateVector, tuple | None]:
     name = name.strip()
     if name == "random":
-        return "random", random_target(n, rng), None
+        return "random", statevec.random_state(n, rng), None
     if name.endswith(".amps") or "/" in name:
         spec = targets.make_spec("rawfile", n, path=name)
         return f"rawfile:{name}", targets.discretize(spec), None
@@ -120,12 +118,7 @@ def compile_one(
     t0 = time.perf_counter()
     rewrite = synth == SynthMode.OPTIMIZED2
     result = run_schedule(target_state, schedule, layers, trunc, rewrite_2cx=rewrite)
-    emit_mode = SynthMode.OPTIMIZED2 if rewrite else SynthMode.GENERIC3
-    primitive = gatesynth.synthesize_circuit(result.circuit, emit_mode)
-    if rewrite:
-        g_cnots, g_singles, _ = gatesynth.count_gates(result.circuit, SynthMode.GENERIC3)
-    else:  # the emitted circuit is already the generic synthesis
-        g_cnots, g_singles = primitive.two_qubit_count(), primitive.one_qubit_count()
+    primitive, (g_cnots, g_singles) = gatesynth.synthesize_circuit(result.circuit, synth)
     report = SynthesisReport(
         scheme=schedule.scheme,
         target=target_label,
@@ -161,11 +154,7 @@ def cmd_compile(args) -> int:
     rng = np.random.default_rng(args.seed)
     label, state, domain = resolve_target(args.target, args.n, rng)
     schedule = build_schedule(args.scheme, args.n, args)
-    trunc = (
-        TruncationMode(args.trunc)
-        if args.trunc
-        else default_truncation_mode(schedule.scheme)
-    )
+    trunc = _truncation(args, schedule)
     report, primitive = compile_one(
         state, label, schedule, args.layers, trunc, args.synth, args.seed, domain
     )
@@ -212,30 +201,38 @@ CSV_FIELDS = [
 ]
 
 
+def _parse_list(flag: str, text: str, item=str) -> list:
+    """Non-empty comma-separated values of ``flag``; errors name the flag."""
+    try:
+        values = [item(x) for x in text.split(",") if x]
+    except ValueError:
+        raise SystemExit(f"{flag} wants comma-separated integers, got {text!r}")
+    if not values:
+        raise SystemExit(f"{flag} needs at least one value")
+    return values
+
+
 def cmd_benchmark(args) -> int:
     if args.samples < 1:
         raise SystemExit(f"--samples must be >= 1, got {args.samples}")
+    target_names = _parse_list("--targets", args.targets)
+    scheme_names = _parse_list("--schemes", args.schemes)
+    n_list = _parse_list("--n-list", args.n_list, int)
+    layers_list = _parse_list("--layers-list", args.layers_list, int)
+    two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     plotdir = out / "plotdata"
     plotdir.mkdir(exist_ok=True)
-    target_names = [t for t in args.targets.split(",") if t]
-    scheme_names = [s for s in args.schemes.split(",") if s]
-    n_list = [int(x) for x in args.n_list.split(",")]
-    layers_list = [int(x) for x in args.layers_list.split(",")]
     rows = []
     for n in n_list:
         for tname in target_names:
             samples = args.samples if tname == "random" else 1
             for scheme_name in scheme_names:
                 schedule = build_schedule(scheme_name, n, args)
-                trunc = (
-                    TruncationMode(args.trunc)
-                    if args.trunc
-                    else default_truncation_mode(schedule.scheme)
-                )
+                trunc = _truncation(args, schedule)
                 for layers in layers_list:
-                    infids, reports = [], []
+                    reports = []
                     rng = np.random.default_rng(args.seed)
                     for _s in range(samples):
                         label, state, domain = resolve_target(tname, n, rng)
@@ -249,10 +246,8 @@ def cmd_benchmark(args) -> int:
                                 f"benchmark cell failed: target={tname} scheme={scheme_name} "
                                 f"n={n} layers={layers}: {exc}"
                             )
-                        infids.append(report.infidelity)
                         reports.append(report)
                     rep = reports[0]
-                    last_state, last_primitive = state, primitive
                     rows.append(
                         {
                             "target": tname,
@@ -261,13 +256,9 @@ def cmd_benchmark(args) -> int:
                             "layers": layers,
                             "truncation": trunc.value,
                             "u_depth": rep.u_depth,
-                            "infidelity": _fmt(float(np.mean(infids))),
-                            "cnot_2cx": rep.cnot_count
-                            if args.synth == SynthMode.OPTIMIZED2
-                            else "",
-                            "single_qubit_2cx": rep.single_qubit_count
-                            if args.synth == SynthMode.OPTIMIZED2
-                            else "",
+                            "infidelity": _fmt(float(np.mean([r.infidelity for r in reports]))),
+                            "cnot_2cx": rep.cnot_count if two_cx else "",
+                            "single_qubit_2cx": rep.single_qubit_count if two_cx else "",
                             "cnot_3cx": rep.cnot_count_generic,
                             "single_qubit_3cx": rep.single_qubit_count_generic,
                             "min_retained_weight": _fmt(min(rep.retained_weights)),
@@ -277,9 +268,9 @@ def cmd_benchmark(args) -> int:
                         }
                     )
                     if tname != "random" and args.plotdata:
-                        prepared = simulate(last_primitive)
+                        prepared = simulate(primitive)
                         fname = plotdir / f"{tname}_{scheme_name}_n{n}_L{layers}.csv"
-                        _write_plotdata(fname, last_state, prepared)
+                        _write_plotdata(fname, state, prepared)
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write(f"# impsprep benchmark results, schema v{CSV_SCHEMA_VERSION}\n")
@@ -350,7 +341,7 @@ def main(argv=None) -> int:
         p.add_argument("--graph", default=None, help="topology JSON for --scheme graph")
         p.add_argument("--trunc", choices=("layer", "round"), default=None,
                        help="truncation mode (default: per scheme convention)")
-        p.add_argument("--synth", choices=(SynthMode.OPTIMIZED2, SynthMode.GENERIC3, SynthMode.NONE),
+        p.add_argument("--synth", choices=(SynthMode.OPTIMIZED2, SynthMode.GENERIC3),
                        default=SynthMode.OPTIMIZED2)
 
     p_compile = sub.add_parser("compile", help="compile one target into circuit.qasm + report.json")

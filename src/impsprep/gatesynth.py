@@ -15,7 +15,9 @@ XX / YY / ZZ, and the two synthesis modes differ only in how they realize
 that middle factor. The two-CNOT mode needs one coefficient to vanish
 (mod pi/2), which holds for the class above. The generic three-CNOT baseline
 uses no CNOT when all three vanish and a fixed three-CNOT core otherwise
-(Vatan & Williams, quant-ph/0308006).
+(Vatan & Williams, quant-ph/0308006). ``synthesize_gate`` builds both from
+one KAK per gate, so one pass gives the emitted circuit and the generic
+counts it is compared with.
 
 Wire convention inside a 4x4 gate: wire 0 is the more significant bit (the
 ``a`` qubit of the pair), CNOTs are written (control, target).
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cossin
@@ -426,6 +428,25 @@ def _kak_layers(u: np.ndarray) -> tuple[list[Primitive], np.ndarray, list[Primit
     return [_u(0, ra), _u(1, rb)], omega[1:], [_u(0, la), _u(1, lb)]
 
 
+def _two_cnot_sequence(u: np.ndarray, kak) -> GateSequence:
+    right, omega, left = kak
+    try:
+        mid = _middle_sequence(omega)
+    except ValueError as exc:
+        raise ValueError(
+            "input is not two-CNOT realizable (no vanishing Pauli-string "
+            "coefficient); rewrite with build_u2cx or use synthesize_generic"
+        ) from exc
+    return _finish_sequence(right + mid + left, u, max_cnots=2)
+
+
+def _generic_sequence(u: np.ndarray, kak) -> GateSequence:
+    right, omega, left = kak
+    red, tail = _reduce_omega(omega)
+    mid = _three_cnot_core(*omega) if red.any() else tail
+    return _finish_sequence(right + mid + left, u, max_cnots=3)
+
+
 def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
     """Realize a two-CNOT-implementable 4x4 unitary with at most two CNOTs
     and at most eight single-qubit gates.
@@ -436,24 +457,13 @@ def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
     and single Pauli-string exponentials. Raises ValueError for gates that
     genuinely need a third CNOT.
     """
-    right, omega, left = _kak_layers(u2cx)
-    try:
-        mid = _middle_sequence(omega)
-    except ValueError as exc:
-        raise ValueError(
-            "input is not two-CNOT realizable (no vanishing Pauli-string "
-            "coefficient); rewrite with build_u2cx or use synthesize_generic"
-        ) from exc
-    return _finish_sequence(right + mid + left, u2cx, max_cnots=2)
+    return _two_cnot_sequence(u2cx, _kak_layers(u2cx))
 
 
 def synthesize_generic(u: np.ndarray) -> GateSequence:
     """Baseline synthesis of an arbitrary 4x4 unitary: no CNOT for a local
     gate, the fixed three-CNOT core otherwise."""
-    right, omega, left = _kak_layers(u)
-    red, tail = _reduce_omega(omega)
-    mid = _three_cnot_core(*omega) if red.any() else tail
-    return _finish_sequence(right + mid + left, u, max_cnots=3)
+    return _generic_sequence(u, _kak_layers(u))
 
 
 def _finish_sequence(gates: list[Primitive], source: np.ndarray, max_cnots: int) -> GateSequence:
@@ -478,57 +488,50 @@ def _finish_sequence(gates: list[Primitive], source: np.ndarray, max_cnots: int)
 class SynthMode:
     GENERIC3 = "3cx"
     OPTIMIZED2 = "2cx"
-    NONE = "none"
 
 
-def synthesize_gate(gate_matrix: np.ndarray, mode: str) -> GateSequence:
-    """Synthesize one preparation gate.
+def synthesize_gate(gate_matrix: np.ndarray, mode: str) -> tuple[GateSequence, GateSequence]:
+    """(emitted, generic) sequences of one preparation gate from one KAK;
+    in GENERIC3 mode both are the same object. In OPTIMIZED2 mode the matrix
+    must already be an equivalence-class representative (a circuit compiled
+    with ``rewrite_2cx=True``); its sequence is built, and fails, first."""
+    kak = _kak_layers(gate_matrix)
+    if mode != SynthMode.OPTIMIZED2:
+        generic = _generic_sequence(gate_matrix, kak)
+        return generic, generic
+    emitted = _two_cnot_sequence(gate_matrix, kak)
+    return emitted, _generic_sequence(gate_matrix, kak)
 
-    In OPTIMIZED2 mode the matrix must already be an equivalence-class
-    representative (a circuit compiled with ``rewrite_2cx=True``).
-    """
-    if mode == SynthMode.OPTIMIZED2:
-        return synthesize_two_cnot(gate_matrix)
-    return synthesize_generic(gate_matrix)
 
-
-def synthesize_circuit(circuit: Circuit, mode: str) -> Circuit:
+def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int, int]]:
     """Expand every two-qubit gate of ``circuit`` into primitives.
 
     Returns a circuit of OneQubitGate and CNOT-valued TwoQubitGate entries
-    that reproduces the input up to global phase.
+    that reproduces the input up to global phase, and the generic baseline's
+    (CNOT, single-qubit) counts from the same synthesis of each gate. A
+    OneQubitGate passes through and counts as one single-qubit gate.
     """
     out: list = []
+    g_cnots = g_singles = 0
     for g in circuit.gates:
         if isinstance(g, OneQubitGate):
             out.append(g)
+            g_singles += 1
             continue
-        seq = synthesize_gate(g.matrix, mode)
+        seq, generic = synthesize_gate(g.matrix, mode)
+        g_cnots += generic.cnot_count
+        g_singles += generic.single_qubit_count()
         wires = (g.a, g.b)
         for prim in seq.gates:
             if prim.kind == "cx":
                 out.append(TwoQubitGate(wires[prim.wires[0]], wires[prim.wires[1]], CNOT))
             else:
                 out.append(OneQubitGate(wires[prim.wires[0]], prim.matrix))
-    return Circuit(
-        n=circuit.n,
-        gates=out,
-        u_depth=circuit.u_depth,
-        scheme=circuit.scheme,
-        layers=circuit.layers,
-    )
+    return replace(circuit, gates=out), (g_cnots, g_singles)
 
 
 def count_gates(circuit: Circuit, mode: str) -> tuple[int, int, int]:
     """(cnot_total, single_qubit_total, u_depth) after synthesis of every
     two-qubit gate in the given mode."""
-    cnots = 0
-    singles = 0
-    for g in circuit.gates:
-        if isinstance(g, OneQubitGate):
-            singles += 1
-            continue
-        seq = synthesize_gate(g.matrix, mode)
-        cnots += seq.cnot_count
-        singles += seq.single_qubit_count()
-    return cnots, singles, circuit.u_depth
+    primitive, _ = synthesize_circuit(circuit, mode)
+    return primitive.two_qubit_count(), primitive.one_qubit_count(), circuit.u_depth

@@ -21,9 +21,13 @@ UNITARY_TOL = 1e-10
 _DEFAULT_MAX_QUBITS = 24
 
 
-def max_qubits() -> int:
-    """Qubit cap for dense vectors; override with IMPS_MAX_QUBITS."""
-    return int(os.environ.get("IMPS_MAX_QUBITS", _DEFAULT_MAX_QUBITS))
+def _check_qubit_count(n: int) -> None:
+    """Dense vectors hold 1 to IMPS_MAX_QUBITS (default 24) qubits."""
+    if n < 1:
+        raise ValueError(f"need at least one qubit, got {n}")
+    cap = int(os.environ.get("IMPS_MAX_QUBITS", _DEFAULT_MAX_QUBITS))
+    if n > cap:
+        raise ValueError(f"{n} qubits exceeds cap of {cap} (set IMPS_MAX_QUBITS to raise)")
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -83,19 +87,25 @@ def from_amplitudes(raw) -> StateVector:
     if not np.all(np.isfinite(amps)):
         raise ValueError("amplitudes contain non-finite values")
     n = length.bit_length() - 1
-    cap = max_qubits()
-    if n > cap:
-        raise ValueError(f"{n} qubits exceeds cap of {cap} (set IMPS_MAX_QUBITS to raise)")
+    _check_qubit_count(n)
     norm = np.linalg.norm(amps)
     if norm <= 0.0:
         raise ValueError("cannot normalize an all-zero amplitude vector")
     return StateVector(n=n, amps=_freeze(amps / norm))
 
 
+def random_state(n: int, rng: np.random.Generator) -> StateVector:
+    """Random amplitudes: 2^n standard-normal real parts, then 2^n imaginary
+    parts, drawn from ``rng`` in that order and normalized. The qubit count
+    is checked before anything is drawn."""
+    _check_qubit_count(n)
+    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return from_amplitudes(z)
+
+
 def basis_state(n: int, k: int) -> StateVector:
     """The computational basis state |k> on ``n`` qubits."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    _check_qubit_count(n)
     if not 0 <= k < 1 << n:
         raise ValueError(f"basis index {k} out of range for n = {n}")
     amps = np.zeros(1 << n, dtype=complex)
@@ -122,7 +132,7 @@ def extract_block(state: StateVector, a: int, b: int) -> BlockMatrix:
     _check_pair(state.n, a, b)
     t = state.amps.reshape([2] * state.n)
     t = np.moveaxis(t, (a, b), (0, 1))
-    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(t.reshape(4, -1).copy()))
+    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(np.array(t, order="C").reshape(4, -1)))
 
 
 def inverse_extract(block: BlockMatrix) -> StateVector:

@@ -17,7 +17,7 @@ import numpy as np
 from . import disentangler, gatesynth, schedules, statevec, targets
 from .circuits import simulate
 from .disentangler import TruncationMode, run_schedule
-from .statevec import TwoQubitGate
+from .statevec import TwoQubitGate, random_state
 
 
 @dataclass
@@ -33,11 +33,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_state(n: int, rng: np.random.Generator) -> statevec.StateVector:
-    z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return statevec.from_amplitudes(z)
 
 
 def _check_block_roundtrip(n_max: int, fuzz: int, rng, corrupt=False):
@@ -200,7 +195,7 @@ def _check_end_to_end(n_max: int, fuzz: int, rng, corrupt=False):
     target = random_state(n, rng)
     sched = schedules.htn_schedule(n)
     res = run_schedule(target, sched, 1, TruncationMode.PER_ROUND, rewrite_2cx=True)
-    prim = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
+    prim, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
     text = qasm.emit(prim, {"scheme": "htn"})
     parsed, _ = qasm.parse(text)
     prepared = simulate(parsed)

@@ -241,7 +241,7 @@ def test_criterion_10_end_to_end_qasm(tmp_path):
     assert EMITTED, "preparation criteria must run first"
     worst = 0.0
     for label, target, res in EMITTED:
-        prim = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
+        prim, _ = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
         path = tmp_path / f"{label}.qasm"
         path.write_text(qasm.emit(prim, {"label": label, "infidelity": res.final_infidelity}))
         parsed, header = qasm.parse(path.read_text())

@@ -104,24 +104,42 @@ class TestCompile:
         # chain(5) has 4 two-qubit gates: generic baseline counts 3 each
         assert report["cnot_count_generic"] == 12
 
-    @pytest.mark.parametrize("synth,calls", [("3cx", 7), ("none", 7), ("2cx", 14)])
+    @pytest.mark.parametrize("synth,calls", [("3cx", 7), ("2cx", 7)])
     def test_synthesizes_each_unitary_once_per_mode(self, tmp_path, monkeypatch, synth, calls):
-        # chain(8) has 7 unitaries; only 2cx needs a second, generic pass for the counts
-        original = gatesynth.synthesize_gate
-        seen = []
+        # chain(8) has 7 unitaries; one KAK per unitary gives both the
+        # emitted sequence and the generic counts
+        seen = {"synthesize_gate": 0, "_kak_layers": 0}
+        for name in seen:
+            original = getattr(gatesynth, name)
 
-        def counting(matrix, mode):
-            seen.append(mode)
-            return original(matrix, mode)
+            def counting(*args, _name=name, _original=original):
+                seen[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(gatesynth, "synthesize_gate", counting)
+            monkeypatch.setattr(gatesynth, name, counting)
         run_cli([
             "compile", "--target", "f1", "--scheme", "chain", "--n", "8",
             "--synth", synth, "--out", str(tmp_path),
         ])
-        assert len(seen) == calls
+        assert seen == {"synthesize_gate": calls, "_kak_layers": calls}
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count_generic"] == 21
+
+    def test_synth_none_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "chain", "--n", "4",
+                "--synth", "none", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+
+    def test_random_target_over_cap_fails_with_cap_message(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("IMPS_MAX_QUBITS", "6")
+        with pytest.raises(SystemExit, match="7 qubits exceeds cap of 6"):
+            run_cli([
+                "compile", "--target", "random", "--scheme", "chain", "--n", "7",
+                "--out", str(tmp_path),
+            ])
 
     @pytest.mark.parametrize("target,scheme,n", [
         ("f2", "htn", 16),  # two-CNOT route near degenerate KAK angles
@@ -210,6 +228,18 @@ class TestBenchmark:
                 "--n", "4", "--n-list", "4", "--schemes", "chain",
                 "--out", str(tmp_path),
             ])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-list", "x"), ("--layers-list", "1,y"), ("--n-list", ","),
+        ("--targets", ""), ("--schemes", ""), ("--layers-list", ""),
+    ])
+    def test_bad_list_flag_named(self, tmp_path, flag, value):
+        args = {"--targets": "f1", "--schemes": "chain", "--n-list": "4", "--layers-list": "1"}
+        args[flag] = value
+        with pytest.raises(SystemExit, match=flag):
+            run_cli(["benchmark", "--n", "4", "--out", str(tmp_path / "out")]
+                    + [x for kv in args.items() for x in kv])
+        assert not (tmp_path / "out").exists()
 
     def test_plotdata_emission(self, tmp_path):
         run_cli([

@@ -359,10 +359,31 @@ class TestSynthesizeCircuit:
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             ops.append(TwoQubitGate(a, b, haar_unitary(4, rng)))
         circ = Circuit(n=n, gates=ops, u_depth=4)
-        prim = synthesize_circuit(circ, SynthMode.GENERIC3)
+        prim, _ = synthesize_circuit(circ, SynthMode.GENERIC3)
         s1 = simulate(circ)
         s2 = simulate(prim)
         assert statevec.infidelity(s1, s2) < 1e-10
         for g in prim.gates:
             if isinstance(g, TwoQubitGate):
                 assert np.abs(g.matrix - gatesynth.CNOT).max() < 1e-12
+
+    def test_generic_counts_come_with_either_mode(self, rng):
+        # two class representatives around a pass-through single-qubit gate
+        ops = [
+            TwoQubitGate(0, 1, build_u2cx(haar_unitary(4, rng))),
+            OneQubitGate(2, haar_unitary(2, rng)),
+            TwoQubitGate(1, 2, build_u2cx(haar_unitary(4, rng))),
+        ]
+        circ = Circuit(n=3, gates=ops, u_depth=2)
+        prim, counts = synthesize_circuit(circ, SynthMode.OPTIMIZED2)
+        generic, generic_counts = synthesize_circuit(circ, SynthMode.GENERIC3)
+        assert prim.two_qubit_count() == 4 and generic.two_qubit_count() == 6
+        assert counts == generic_counts == (6, generic.one_qubit_count())
+        assert statevec.infidelity(simulate(prim), simulate(generic)) < 1e-10
+
+    def test_gate_sequences_per_mode(self, rng):
+        u = build_u2cx(haar_unitary(4, rng))
+        emitted, generic = gatesynth.synthesize_gate(u, SynthMode.OPTIMIZED2)
+        assert (emitted.cnot_count, generic.cnot_count) == (2, 3)
+        emitted, generic = gatesynth.synthesize_gate(u, SynthMode.GENERIC3)
+        assert emitted is generic and generic.cnot_count == 3

@@ -82,7 +82,7 @@ class TestEndToEnd:
         target = targets.discretize(targets.make_spec("f2", 6))
         sched = schedules.ttn_schedule(6)
         res = run_schedule(target, sched, 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        prim = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
+        prim, _ = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
         text = qasm.emit(prim, {"infidelity": res.final_infidelity})
         parsed, _ = qasm.parse(text)
         prepared = simulate(parsed)

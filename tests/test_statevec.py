@@ -52,6 +52,28 @@ class TestFromAmplitudes:
             assert abs(s.norm() - 1.0) < 1e-12
 
 
+class _NoDraws:
+    def normal(self, size=None):
+        raise AssertionError("sampled before the qubit count was checked")
+
+
+class TestRandomState:
+    @pytest.mark.parametrize("n,message", [
+        (5, "5 qubits exceeds cap of 4"), (0, "at least one qubit"), (-1, "at least one qubit"),
+    ])
+    def test_qubit_count_checked_before_any_draw(self, monkeypatch, n, message):
+        monkeypatch.setenv("IMPS_MAX_QUBITS", "4")
+        with pytest.raises(ValueError, match=message):
+            statevec.random_state(n, _NoDraws())
+
+    def test_real_parts_then_imaginary_parts(self):
+        s = statevec.random_state(3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        re = rng.normal(size=8)
+        z = re + 1j * rng.normal(size=8)
+        assert np.array_equal(s.amps, z / np.linalg.norm(z))
+
+
 class TestExtractBlock:
     def test_paper_worked_example(self, rng):
         # four qubits, pair (1, 3): row (1, 0) must hold the amplitudes with
@@ -85,6 +107,13 @@ class TestExtractBlock:
             for a, b in itertools.permutations(range(n), 2):
                 blk = statevec.extract_block(s, a, b)
                 assert np.array_equal(blk.rows, extract_block_bitloop(s.amps, n, a, b))
+
+    def test_rows_frozen_contiguous_and_not_aliasing_state(self, rng):
+        s = random_state(4, rng)
+        for a, b in itertools.permutations(range(4), 2):
+            rows = statevec.extract_block(s, a, b).rows
+            assert not rows.flags.writeable and rows.flags.c_contiguous
+            assert not np.shares_memory(rows, s.amps)
 
     def test_roundtrip_exact(self, rng):
         for n in range(2, 7):
