@@ -48,21 +48,10 @@ class Circuit:
     def one_qubit_count(self) -> int:
         return sum(1 for g in self.gates if isinstance(g, OneQubitGate))
 
-    def inverse(self) -> "Circuit":
-        inv: list[GateLike] = []
-        for g in reversed(self.gates):
-            if isinstance(g, TwoQubitGate):
-                inv.append(TwoQubitGate(g.a, g.b, g.matrix.conj().T))
-            else:
-                inv.append(OneQubitGate(g.wire, g.matrix.conj().T))
-        return Circuit(self.n, inv, self.u_depth, self.scheme, self.layers)
 
-
-def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run the circuit on |0...0> (or ``initial``) with the exact simulator."""
-    state = zero_state(circuit.n) if initial is None else initial
-    if state.n != circuit.n:
-        raise ValueError(f"initial state has {state.n} qubits, circuit needs {circuit.n}")
+def simulate(circuit: Circuit) -> StateVector:
+    """Run the circuit on |0...0> with the exact simulator."""
+    state = zero_state(circuit.n)
     for g in circuit.gates:
         if isinstance(g, TwoQubitGate):
             state = apply_two_qubit(state, g)

@@ -340,7 +340,8 @@ def main(argv=None) -> int:
         p.add_argument("--grid-cols", type=int, default=None)
         p.add_argument("--graph", default=None, help="topology JSON for --scheme graph")
         p.add_argument("--trunc", choices=("layer", "round"), default=None,
-                       help="truncation mode (default: per scheme convention)")
+                       help="truncation mode (default: per scheme convention); 'layer' "
+                       "rejects schedules that revisit a qubit within a layer (htn, hen, fig6)")
         p.add_argument("--synth", choices=(SynthMode.OPTIMIZED2, SynthMode.GENERIC3),
                        default=SynthMode.OPTIMIZED2)
 

@@ -5,23 +5,23 @@ the inverse left factor, concentrating the pair's weight on the rows where
 the source qubit is |0>. Running a schedule executes rounds of such steps
 and reverses them into a preparation circuit.
 
-``disentangle_step`` returns the step only. ``run_schedule`` applies the
-steps to raw amplitude arrays with the gate kernel of ``statevec``, which
-never writes its input, so states are shared instead of copied.
+``disentangle_step`` returns the step only. ``run_schedule`` keeps one
+state, the exact image of the target under all gates applied so far, and
+applies each step's gate to it once with the gate kernel of ``statevec``,
+which never writes its input, so no state is copied.
 
 Truncation conventions
 ----------------------
-The engine keeps two states: the *exact* image of the target under all
-gates applied so far, and a *working* state that is truncated (source qubit
-projected to |0> and renormalized) as the schedule demands.
-
-* PER_ROUND: the working state is the exact state at every round, so each
-  round's unitaries are computed from the true current amplitudes. Used by
-  the hypercube/slot-filled/grid schemes, whose rounds revisit
+* PER_ROUND: each round's unitaries are computed from the exact state. Used
+  by the hypercube/slot-filled/grid schemes, whose rounds revisit
   already-disentangled qubits to re-squeeze residual weight.
-* PER_LAYER: within a layer the working state stays truncated (for the chain
-  this reproduces the canonical sequential MPS sweep exactly) and is reset
-  to the exact state only at layer boundaries.
+* PER_LAYER: within a layer a disentangled source counts as |0> (for the
+  chain this reproduces the canonical sequential MPS sweep exactly). No
+  later round of the layer touches it, so that truncation commutes with the
+  layer's remaining gates, and steps read their block from the slice of the
+  exact state with the layer's earlier sources at |0>. Each layer starts
+  from the exact state. Schedules that revisit a source within a layer
+  (htn and hen at n >= 4, fig6) are rejected in this mode.
 
 Multiple layers repeat the schedule; later layers see the residual error of
 earlier ones. That usually raises the prepared fidelity but does not
@@ -38,16 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import Circuit, OneQubitGate, simulate
+from .circuits import Circuit, OneQubitGate
+from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
-from .statevec import (
-    StateVector,
-    TwoQubitGate,
-    _apply_gate_to_amps,
-    extract_block,
-    infidelity,
-    zero_state,
-)
+from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, extract_block
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
@@ -99,34 +93,32 @@ def _fix_svd_phases(u: np.ndarray) -> np.ndarray:
 
 
 def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 4x4 left factor and the (padded) four singular values."""
-    m = rows.shape[1]
-    if m >= 4:
-        u, s, _ = np.linalg.svd(rows, full_matrices=False)
-    else:
-        u, s, _ = np.linalg.svd(rows, full_matrices=True)
+    """Full 4x4 left factor and the four singular values, zero-padded and
+    scaled to unit sum of squares."""
+    u, s, _ = np.linalg.svd(rows, full_matrices=rows.shape[1] < 4)
     lam = np.zeros(4)
-    lam[: s.size] = s
+    lam[: s.size] = s / np.linalg.norm(s)
     return _fix_svd_phases(u), lam
 
 
-def disentangle_step(state: StateVector, a: int, b: int) -> DisentangleStep:
+def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> DisentangleStep:
     """SVD the (a, b) block and return the step that applies U^-1.
 
-    The step record holds unitary = U^-1 and retained_weight = l0^2 + l1^2;
-    the state itself is not transformed. Sign/phase conventions on U's
-    columns are fixed so the result is deterministic under degenerate
+    With ``fixed`` the block is read from the slice of ``state`` where those
+    qubits are |0>; the singular values are those of the renormalized block
+    either way. The step record holds unitary = U^-1 and retained_weight =
+    l0^2 + l1^2; the state itself is not transformed. Sign/phase conventions
+    on U's columns are fixed so the result is deterministic under degenerate
     singular values.
     """
-    block = extract_block(state, a, b)
+    block = extract_block(state, a, b, fixed)
     if not np.all(np.isfinite(block.rows)):
         raise ValueError("block matrix contains non-finite entries; SVD aborted")
     u, lam = _block_svd(block.rows)
-    retained = float(lam[0] ** 2 + lam[1] ** 2)
     return DisentangleStep(
         pair=(a, b),
         unitary=u.conj().T,
-        retained_weight=min(1.0, retained),
+        retained_weight=min(1.0, float(lam[0] ** 2 + lam[1] ** 2)),
         singular_values=lam,
     )
 
@@ -152,18 +144,9 @@ def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, f
     return StateVector(n=state.n, amps=t.reshape(-1)), float(discarded)
 
 
-def _apply_steps(state: StateVector, steps: list[DisentangleStep]) -> StateVector:
-    """``state`` with each step's unitary applied on its pair."""
-    amps = state.amps
-    for step in steps:
-        amps = _apply_gate_to_amps(amps, state.n, step.pair, step.unitary)
-    return StateVector(n=state.n, amps=amps)
-
-
-def _absorb_survivor(amps: np.ndarray, n: int, survivor: int) -> np.ndarray | None:
-    """2x2 rotation sending the survivor's residual superposition onto |0>."""
-    i1 = 1 << (n - 1 - survivor)
-    v0, v1 = amps[0], amps[i1]
+def _absorb_survivor(v0: complex, v1: complex) -> np.ndarray | None:
+    """2x2 rotation sending the survivor's residual superposition
+    v0|0> + v1|1> onto |0>."""
     nv = math.hypot(abs(v0), abs(v1))
     if nv < 1e-14:
         return None
@@ -171,6 +154,25 @@ def _absorb_survivor(amps: np.ndarray, n: int, survivor: int) -> np.ndarray | No
     if np.abs(r - np.eye(2)).max() < PHASE_TOL:
         return None
     return r
+
+
+def _held_qubits(schedule: Schedule, mode: TruncationMode) -> list[frozenset[int]]:
+    """Per round, the qubits held at |0> while its steps are computed: in
+    PER_LAYER mode the sources of the layer's earlier rounds, which no later
+    round of the layer may touch."""
+    held: list[frozenset[int]] = []
+    retired: frozenset[int] = frozenset()
+    for i, rnd in enumerate(schedule.rounds):
+        clash = retired.intersection(q for pair in rnd for q in pair)
+        if clash:
+            raise ValueError(
+                f"per-layer truncation: qubit {min(clash)} is disentangled before round {i} "
+                f"of the {schedule.scheme} schedule and used again in it; use per-round truncation"
+            )
+        held.append(retired)
+        if mode is TruncationMode.PER_LAYER:
+            retired = retired.union(a for a, _b in rnd)
+    return held
 
 
 def run_schedule(
@@ -183,8 +185,8 @@ def run_schedule(
     """Disentangle ``target`` by ``layers`` repetitions of ``schedule`` and
     return the reversed preparation circuit.
 
-    Within a round every step is computed from the same pre-round working
-    state (pairs are disjoint, so the gates commute); truncation follows
+    Within a round every step is computed from the same pre-round state
+    (pairs are disjoint, so the gates commute); truncation follows
     ``truncation_mode`` as described in the module docstring. With
     ``rewrite_2cx`` each SVD unitary is replaced by its two-CNOT-implementable
     equivalence-class representative before being applied; every step keeps
@@ -196,7 +198,8 @@ def run_schedule(
 
     The final single-qubit rotation aligning the survivor qubit with |0> is
     absorbed explicitly, so the emitted circuit prepares the target from
-    |0...0> up to global phase and the truncation error.
+    |0...0> up to global phase and the truncation error. Its fidelity is
+    the squared norm of the two amplitudes that rotation reads.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -206,38 +209,31 @@ def run_schedule(
     if rewrite_2cx:
         from .gatesynth import build_u2cx
 
-    # Steps are computed from ``work``; only PER_LAYER mode, which truncates
-    # it, applies the gates to it separately from ``exact``.
     n = target.n
-    per_layer = truncation_mode is TruncationMode.PER_LAYER
-    exact = target
+    held = _held_qubits(schedule, truncation_mode)
+    exact = target.amps
     steps: list[DisentangleStep] = []
     per_round_weights: list[float] = []
 
     for _layer in range(layers):
-        work = exact
-        for rnd in schedule.rounds:
+        for rnd, fixed in zip(schedule.rounds, held):
             round_steps = []
             for a, b in rnd:
-                step = disentangle_step(work, a, b)
+                step = disentangle_step(StateVector(n=n, amps=exact), a, b, fixed)
                 if rewrite_2cx:
                     step = replace(step, unitary=build_u2cx(step.unitary))
                 round_steps.append(step)
-            exact = _apply_steps(exact, round_steps)
-            if per_layer:
-                work = _apply_steps(work, round_steps)
-                for a, _b in rnd:
-                    work, _ = truncate_and_renormalize(work, a)
-            else:
-                work = exact
+            for step in round_steps:
+                exact = _apply_gate_to_amps(exact, n, step.pair, step.unitary)
             steps.extend(round_steps)
             per_round_weights.append(
                 float(np.prod([s.retained_weight for s in round_steps]))
             )
 
     survivor = schedule.survivor()
+    v0, v1 = exact[0], exact[1 << (n - 1 - survivor)]
     gates: list = []
-    rot = _absorb_survivor(exact.amps, n, survivor)
+    rot = _absorb_survivor(v0, v1)
     if rot is not None:
         gates.append(OneQubitGate(survivor, rot.conj().T))
     for step in reversed(steps):
@@ -251,8 +247,7 @@ def run_schedule(
         scheme=schedule.scheme,
         layers=layers,
     )
-    prepared = simulate(circuit, zero_state(n))
-    final = infidelity(prepared, target)
+    final = float(min(1.0, max(0.0, 1.0 - (abs(v0) ** 2 + abs(v1) ** 2))))
     report = {
         "scheme": schedule.scheme,
         "n": n,

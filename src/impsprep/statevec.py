@@ -62,13 +62,14 @@ class BlockMatrix:
 
     Row order is (0,0), (0,1), (1,0), (1,1); within a row the remaining
     qubits' bits run in ascending order, so flattening + inverse permuting
-    is an exact bijection with the source amplitudes.
+    is an exact bijection with the source amplitudes or, for a block
+    extracted with k qubits held at |0>, with that slice of them.
     """
 
     n: int
     a: int
     b: int
-    rows: np.ndarray = field(repr=False)  # shape (4, 2**(n-2))
+    rows: np.ndarray = field(repr=False)  # shape (4, 2**(n-2-k))
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.rows))
@@ -125,13 +126,17 @@ def _check_pair(n: int, a: int, b: int) -> None:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
 
 
-def extract_block(state: StateVector, a: int, b: int) -> BlockMatrix:
-    """Extract the 4 x 2^(n-2) block matrix of ``state`` on the pair (a, b)."""
+def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> BlockMatrix:
+    """Extract the 4 x 2^(n-2-k) block matrix of ``state`` on the pair (a, b)
+    with the k qubits in ``fixed`` held at |0>: a view, then one copy."""
     if state.n < 2:
         raise ValueError("block extraction needs n >= 2")
     _check_pair(state.n, a, b)
-    t = state.amps.reshape([2] * state.n)
-    t = np.moveaxis(t, (a, b), (0, 1))
+    if a in fixed or b in fixed:
+        raise ValueError(f"pair ({a}, {b}) overlaps the qubits held at |0>: {sorted(fixed)}")
+    t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
+    kept = [q for q in range(state.n) if q not in fixed]
+    t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
     return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(np.array(t, order="C").reshape(4, -1)))
 
 

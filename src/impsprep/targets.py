@@ -108,6 +108,7 @@ def make_spec(kind: str, n: int, domain=None, params=None, path=None) -> TargetS
 
 
 def grid_points(spec: TargetSpec) -> np.ndarray:
+    statevec._check_qubit_count(spec.n)
     lo, hi = spec.domain
     return np.linspace(lo, hi, 1 << spec.n)
 
@@ -135,12 +136,14 @@ def raw_samples(spec: TargetSpec) -> np.ndarray:
 
 
 def ghz_state(n: int) -> StateVector:
+    statevec._check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1.0
     return statevec.from_amplitudes(amps)
 
 
 def w_state(n: int) -> StateVector:
+    statevec._check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     for i in range(n):
         amps[1 << i] = 1.0

@@ -62,6 +62,41 @@ def apply_step(state, step):
     return statevec.apply_two_qubit(state, statevec.TwoQubitGate(a, b, step.unitary))
 
 
+def two_state_layer_reference(target, schedule):
+    """One layer of per-layer truncation with an explicit truncated copy.
+
+    Steps are computed from the full-width blocks of ``work`` and applied to
+    both ``work`` and ``exact``; each round's sources are then truncated out
+    of ``work``. The prepared state is rebuilt gate by gate from |0...0>.
+    Returns (infidelity, per-round weights).
+    """
+    from impsprep.disentangler import disentangle_step, truncate_and_renormalize
+
+    n = target.n
+    exact = work = target
+    steps, weights = [], []
+    for rnd in schedule.rounds:
+        round_steps = [disentangle_step(work, a, b) for a, b in rnd]
+        for step in round_steps:
+            exact = apply_step(exact, step)
+            work = apply_step(work, step)
+        for a, _b in rnd:
+            work, _ = truncate_and_renormalize(work, a)
+        steps += round_steps
+        weights.append(float(np.prod([s.retained_weight for s in round_steps])))
+    s = 1 << (n - 1 - schedule.survivor())
+    v = np.array([exact.amps[0], exact.amps[s]])
+    prepared = np.zeros(1 << n, dtype=complex)
+    prepared[[0, s]] = v / np.linalg.norm(v)
+    prepared = statevec.StateVector(n=n, amps=prepared)
+    for step in reversed(steps):
+        a, b = step.pair
+        prepared = statevec.apply_two_qubit(
+            prepared, statevec.TwoQubitGate(a, b, step.unitary.conj().T)
+        )
+    return statevec.infidelity(prepared, target), weights
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

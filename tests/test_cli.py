@@ -141,6 +141,35 @@ class TestCompile:
                 "--out", str(tmp_path),
             ])
 
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--target", "f1", "--scheme", "chain"],
+        ["compile", "--target", "ghz", "--scheme", "chain"],
+        ["rank", "--target", "f1"],
+    ])
+    def test_named_target_over_cap_fails_before_allocating(self, tmp_path, monkeypatch, argv):
+        # the cap message must come before any 2^n buffer: building one fails here
+        def refuse_states(fn, size):
+            def wrapper(*args, **kwargs):
+                assert size(*args) < 1 << 7, "a 2^n buffer was built before the qubit cap check"
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setenv("IMPS_MAX_QUBITS", "6")
+        np = targets.np
+        monkeypatch.setattr(np, "linspace", refuse_states(np.linspace, lambda lo, hi, num=50: num))
+        monkeypatch.setattr(np, "zeros", refuse_states(np.zeros, lambda shape, *a: np.prod(shape)))
+        out = ["--out", str(tmp_path)] if argv[0] == "compile" else []
+        with pytest.raises(SystemExit, match="7 qubits exceeds cap of 6"):
+            run_cli(argv + ["--n", "7"] + out)
+
+    def test_per_layer_truncation_on_revisiting_schedule_fails(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"qubit 1 is disentangled before round 1 .*htn"):
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "htn", "--n", "8",
+                "--trunc", "layer", "--out", str(tmp_path),
+            ])
+
     @pytest.mark.parametrize("target,scheme,n", [
         ("f2", "htn", 16),  # two-CNOT route near degenerate KAK angles
         ("g2", "htn", 16),  # generic count on a nearly local gate

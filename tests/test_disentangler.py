@@ -12,7 +12,13 @@ from impsprep.disentangler import (
     truncate_and_renormalize,
 )
 
-from conftest import apply_step, dense_two_qubit_operator, random_real_state, random_state
+from conftest import (
+    apply_step,
+    dense_two_qubit_operator,
+    random_real_state,
+    random_state,
+    two_state_layer_reference,
+)
 
 
 class TestDisentangleStep:
@@ -174,11 +180,58 @@ class TestRunSchedule:
         assert res.circuit.u_depth == 2 * sched.u_depth
         assert len(res.per_round_weights) == 2 * sched.u_depth
 
-    def test_self_consistency_with_fresh_simulation(self, rng):
+    @pytest.mark.parametrize("rewrite", [False, True], ids=["svd", "2cx"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
+    def test_self_consistency_with_fresh_simulation(self, rng, scheme, layers, rewrite):
+        # the closed-form infidelity equals that of the simulated circuit
         target = random_state(5, rng)
-        res = run_schedule(target, schedules.hen_schedule(5), 1, TruncationMode.PER_ROUND)
+        sched = getattr(schedules, f"{scheme}_schedule")(5)
+        mode = disentangler.default_truncation_mode(scheme)
+        res = run_schedule(target, sched, layers, mode, rewrite_2cx=rewrite)
         prepared = simulate(res.circuit)
-        assert abs(statevec.infidelity(prepared, target) - res.final_infidelity) < 1e-10
+        assert abs(statevec.infidelity(prepared, target) - res.final_infidelity) < 1e-12
+
+    @pytest.mark.parametrize("build,sizes", [
+        (schedules.chain_schedule, range(4, 9)),
+        (schedules.ttn_schedule, range(4, 9)),
+        (lambda n: schedules.grid_schedule(3, 4), [12]),
+        (lambda n: schedules.graph_contraction_schedule(schedules.TopologyGraph.from_edge_list(
+            7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (1, 4), (2, 6)])), [7]),
+    ], ids=["chain", "ttn", "grid3x4", "graph"])
+    def test_per_layer_slice_matches_two_state_reference(self, rng, build, sizes):
+        # reading steps from the exact state's slice equals carrying a
+        # truncated working copy through the layer
+        for n in sizes:
+            sched = build(n)
+            target = random_state(n, rng)
+            res = run_schedule(target, sched, 1, TruncationMode.PER_LAYER)
+            ref_infidelity, ref_weights = two_state_layer_reference(target, sched)
+            assert abs(res.final_infidelity - ref_infidelity) < 1e-12, n
+            assert np.abs(np.subtract(res.per_round_weights, ref_weights)).max() < 1e-12, n
+
+    @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
+    def test_each_gate_applied_once(self, rng, monkeypatch, scheme):
+        calls = []
+        kernel = disentangler._apply_gate_to_amps
+
+        def counting(*args):
+            calls.append(args[2])
+            return kernel(*args)
+
+        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", counting)
+        res = run_schedule(random_state(6, rng), getattr(schedules, f"{scheme}_schedule")(6),
+                           2, disentangler.default_truncation_mode(scheme))
+        assert calls == [step.pair for step in res.steps]
+
+    @pytest.mark.parametrize("sched,qubit,rnd", [
+        (schedules.htn_schedule(8), 1, 1),
+        (schedules.hen_schedule(8), 2, 1),
+        (schedules.fig6_schedule(), 0, 1),
+    ], ids=["htn", "hen", "fig6"])
+    def test_per_layer_rejects_a_revisited_qubit(self, rng, sched, qubit, rnd):
+        with pytest.raises(ValueError, match=rf"qubit {qubit} is disentangled before round {rnd} "):
+            run_schedule(random_state(sched.n, rng), sched, 1, TruncationMode.PER_LAYER)
 
     def test_matches_canonical_mps_reference(self, rng):
         # chain schedule with per-layer truncation == sequential canonical MPS
@@ -228,13 +281,6 @@ class TestRunSchedule:
         for w1, w2 in zip(plain.per_round_weights, rewritten.per_round_weights):
             assert abs(w1 - w2) < 1e-10
         assert rewritten.final_infidelity < 10 * plain.final_infidelity + 1e-9
-
-    def test_rewrite_2cx_self_consistency(self, rng):
-        target = random_state(5, rng)
-        res = run_schedule(target, schedules.hen_schedule(5), 1, TruncationMode.PER_ROUND,
-                           rewrite_2cx=True)
-        prepared = simulate(res.circuit)
-        assert abs(statevec.infidelity(prepared, target) - res.final_infidelity) < 1e-10
 
 
 class TestRankOneAndRankTwoExactness:

@@ -108,6 +108,19 @@ class TestExtractBlock:
                 blk = statevec.extract_block(s, a, b)
                 assert np.array_equal(blk.rows, extract_block_bitloop(s.amps, n, a, b))
 
+    def test_fixed_qubits_select_the_oracle_columns(self, rng):
+        n = 6
+        s = random_state(n, rng)
+        for a, b in itertools.permutations(range(n), 2):
+            rest = [q for q in range(n) if q not in (a, b)]
+            fixed = set(rest[::2])
+            keep = [c for c in range(1 << (n - 2))
+                    if not any(c >> (n - 3 - i) & 1 for i, q in enumerate(rest) if q in fixed)]
+            rows = statevec.extract_block(s, a, b, fixed).rows
+            assert np.array_equal(rows, extract_block_bitloop(s.amps, n, a, b)[:, keep])
+        with pytest.raises(ValueError, match="overlaps"):
+            statevec.extract_block(s, 0, 1, {1})
+
     def test_rows_frozen_contiguous_and_not_aliasing_state(self, rng):
         s = random_state(4, rng)
         for a, b in itertools.permutations(range(4), 2):
