@@ -1,9 +1,12 @@
 """The iterative SVD disentangling engine.
 
-Each step SVDs the 4 x 2^(n-2) amplitude block of a qubit pair and applies
-the inverse left factor, concentrating the pair's weight on the rows where
-the source qubit is |0>. Running a schedule executes rounds of such steps
-and reverses them into a preparation circuit.
+Each step takes the left singular vectors of the 4 x 2^(n-2) amplitude
+block of a qubit pair and applies the inverse left factor, concentrating
+the pair's weight on the rows where the source qubit is |0>. The factor is
+the eigenbasis of the block's 4x4 Gram matrix when its spectrum is well
+separated, and a plain SVD of the block otherwise (``_block_svd``). Running
+a schedule executes rounds of such steps and reverses them into a
+preparation circuit.
 
 ``disentangle_step`` returns the step only. ``run_schedule`` keeps one
 state, the exact image of the target under all gates applied so far, and
@@ -45,6 +48,11 @@ from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, extract_bl
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
+# Smallest gap between consecutive Gram eigenvalues, relative to the
+# largest, at which _block_svd uses eigh. Its eigenvector error is about
+# eps * w0 / gap, at most 2.2e-12 here: far inside 1e-10 even when forming
+# R R^H over 2^22 columns costs a few more digits.
+GRAM_GAP_TOL = 1e-4
 
 
 class TruncationMode(enum.Enum):
@@ -94,7 +102,27 @@ def _fix_svd_phases(u: np.ndarray) -> np.ndarray:
 
 def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 4x4 left factor and the four singular values, zero-padded and
-    scaled to unit sum of squares."""
+    scaled to unit sum of squares.
+
+    The left factor of the wide 4 x m block R is the eigenbasis of its 4x4
+    Gram matrix R R^H (Demmel et al., arXiv 0808.2664), and the singular
+    values are the square roots of its eigenvalues w0 >= ... >= w3.
+    Squaring halves the precision of that route, so the plain SVD is used
+    instead when R has fewer than 4 columns or when two consecutive values
+    of w0, ..., w3, 0 are closer than GRAM_GAP_TOL * w0. The trailing 0
+    stands for the rest of R^H R's spectrum; with it, rank-deficient and
+    degenerate blocks all take the SVD.
+    """
+    if rows.shape[1] >= 4:
+        gram = np.zeros((4, 4), dtype=complex)
+        for i in range(4):
+            for j in range(i + 1):  # eigh reads the lower triangle only
+                gram[i, j] = np.vdot(rows[j], rows[i])
+        w, v = np.linalg.eigh(gram)
+        w, v = w[::-1], v[:, ::-1]
+        if np.all(w - np.append(w[1:], 0.0) > GRAM_GAP_TOL * w[0]):
+            s = np.sqrt(w)
+            return _fix_svd_phases(v), s / np.linalg.norm(s)
     u, s, _ = np.linalg.svd(rows, full_matrices=rows.shape[1] < 4)
     lam = np.zeros(4)
     lam[: s.size] = s / np.linalg.norm(s)
@@ -102,9 +130,12 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> DisentangleStep:
-    """SVD the (a, b) block and return the step that applies U^-1.
+    """Factor the (a, b) block as U diag(l) V^H and return the step that
+    applies U^-1.
 
-    With ``fixed`` the block is read from the slice of ``state`` where those
+    U comes from ``_block_svd``: eigh of the 4x4 Gram matrix, or the plain
+    SVD for narrow, rank-deficient or (near-)degenerate blocks. With
+    ``fixed`` the block is read from the slice of ``state`` where those
     qubits are |0>; the singular values are those of the renormalized block
     either way. The step record holds unitary = U^-1 and retained_weight =
     l0^2 + l1^2; the state itself is not transformed. Sign/phase conventions

@@ -35,19 +35,28 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 def u3_angles(m: np.ndarray) -> tuple[float, float, float]:
-    """Angles with u3(theta, phi, lam) = m up to global phase."""
-    a00, a01, a10 = m[0, 0], m[0, 1], m[1, 0]
+    """Angles with u3(theta, phi, lam) = m up to global phase.
+
+    phi + lam fixes the phase of m[1, 1] relative to m[0, 0]. It is read from
+    the diagonal when the diagonal is the larger pair: the phase of a small
+    off-diagonal entry is mostly round-off (about eps / |m[1, 0]| radians),
+    which is harmless in the small entries it sets but not in m[1, 1].
+    """
+    a00, a01, a10, a11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     theta = 2.0 * math.atan2(abs(a10), abs(a00))
     if abs(a00) < 1e-12:  # theta = pi column
         phi = cmath.phase(a10)
         lam = cmath.phase(-a01)
     elif abs(a10) < 1e-12:  # theta = 0
         phi = 0.0
-        lam = cmath.phase(m[1, 1]) - cmath.phase(a00)
+        lam = cmath.phase(a11) - cmath.phase(a00)
     else:
         ref = cmath.phase(a00)
         phi = cmath.phase(a10) - ref
-        lam = cmath.phase(-a01) - ref
+        if abs(a00) >= abs(a10):
+            lam = cmath.phase(a11) - cmath.phase(a10)
+        else:
+            lam = cmath.phase(-a01) - ref
     return theta, phi, lam
 
 

@@ -11,6 +11,7 @@ buffer, so the engine shares arrays instead of copying them.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,15 +206,17 @@ def save_amplitudes(state: StateVector, path) -> None:
 
 
 def load_amplitudes(path) -> StateVector:
-    """Read the ``re im`` per-line format written by save_amplitudes."""
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 're im', got {line!r}")
-            values.append(complex(float(parts[0]), float(parts[1])))
-    return from_amplitudes(values)
+    """Read the ``re im`` per-line format written by save_amplitudes.
+
+    One numpy parse; the (N, 2) float rows are viewed as N complex values,
+    exactly complex(float(re), float(im)) per line. Blank lines are skipped.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty file: reported below
+            values = np.loadtxt(path, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if values.size == 0 or values.shape[1] != 2:
+        raise ValueError(f"{path}: expected one 're im' pair per line, got shape {values.shape}")
+    return from_amplitudes(values.view(complex).reshape(-1))

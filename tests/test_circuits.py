@@ -1,0 +1,132 @@
+"""The fused simulator against a dense operator oracle and against the
+gate-by-gate loop it replaced."""
+import numpy as np
+import pytest
+
+from impsprep import circuits, gatesynth, schedules, statevec, targets
+from impsprep.circuits import CNOT, Circuit, OneQubitGate, simulate
+from impsprep.disentangler import TruncationMode, run_schedule
+from impsprep.statevec import TwoQubitGate
+
+from conftest import dense_two_qubit_operator, haar_unitary
+
+
+def dense_circuit_operator(circuit):
+    """Reference 2^n x 2^n operator: a Kronecker product per single-qubit
+    gate, an enumerated embedding per two-qubit gate, multiplied in order."""
+    n = circuit.n
+    op = np.eye(1 << n, dtype=complex)
+    for g in circuit.gates:
+        if isinstance(g, OneQubitGate):
+            full = np.kron(np.kron(np.eye(1 << g.wire), g.matrix), np.eye(1 << (n - 1 - g.wire)))
+        else:
+            full = dense_two_qubit_operator(g.matrix, n, g.a, g.b)
+        op = full @ op
+    return op
+
+
+def gate_by_gate(circuit):
+    """The unfused simulation: one state pass per gate."""
+    state = statevec.zero_state(circuit.n)
+    for g in circuit.gates:
+        if isinstance(g, TwoQubitGate):
+            state = statevec.apply_two_qubit(state, g)
+        else:
+            state = statevec.apply_single_qubit(state, g.wire, g.matrix)
+    return state
+
+
+def random_circuit(n, length, rng):
+    """Gates drawn to exercise every fusion rule: u3 on any wire (idle or
+    in the open pair), cx in both orientations on the last pair, a jump to
+    another pair, and engine-level 4x4 unitaries."""
+    gates, pair = [], (0, 1)
+    for _ in range(length):
+        kind = rng.integers(5)
+        if kind == 0:
+            gates.append(OneQubitGate(int(rng.integers(n)), haar_unitary(2, rng)))
+        elif kind == 1:
+            gates.append(TwoQubitGate(*pair, CNOT))
+        elif kind == 2:
+            gates.append(TwoQubitGate(pair[1], pair[0], CNOT))
+        elif kind == 3:
+            pair = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append(TwoQubitGate(*pair, CNOT))
+        else:
+            pair = tuple(int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append(TwoQubitGate(*pair, haar_unitary(4, rng)))
+    return Circuit(n=n, gates=gates)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """State passes made by simulate, per kernel wrapper."""
+    seen = {"apply_two_qubit": 0, "apply_single_qubit": 0}
+    for name in seen:
+        original = getattr(circuits, name)
+
+        def counting(*args, _name=name, _original=original):
+            seen[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(circuits, name, counting)
+    return seen
+
+
+class TestFusedSimulate:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_dense_oracle_on_random_circuits(self, rng, n):
+        for _ in range(10):
+            circuit = random_circuit(n, 30, rng)
+            expected = dense_circuit_operator(circuit)[:, 0]
+            assert np.abs(simulate(circuit).amps - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("gates,two,single", [
+        # both orientations of cx on one pair, u3 on both wires: one pass
+        ([("u", 0), ("cx", 0, 1), ("u", 1), ("cx", 1, 0), ("u", 0), ("cx", 0, 1)], 1, 0),
+        # u3 on an idle wire waits for the next pair that touches it; one
+        # on a wire no later pair touches is applied alone at the end
+        ([("cx", 0, 1), ("u", 2), ("u", 2), ("cx", 1, 2), ("u", 0)], 2, 1),
+        # back-to-back different pairs, then trailing u3 on two idle wires
+        ([("cx", 0, 1), ("cx", 2, 3), ("cx", 1, 2), ("u", 0), ("u", 4), ("u", 4)], 3, 2),
+        # single-qubit gates only
+        ([("u", 3), ("u", 1), ("u", 3)], 0, 2),
+    ])
+    def test_pass_counts_and_oracle(self, rng, passes, gates, two, single):
+        built = [
+            OneQubitGate(g[1], haar_unitary(2, rng)) if g[0] == "u" else TwoQubitGate(g[1], g[2], CNOT)
+            for g in gates
+        ]
+        circuit = Circuit(n=5, gates=built)
+        prepared = simulate(circuit)
+        assert passes == {"apply_two_qubit": two, "apply_single_qubit": single}
+        expected = dense_circuit_operator(circuit)[:, 0]
+        assert np.abs(prepared.amps - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["chain", "htn"])
+    def test_engine_circuit_matches_gate_by_gate(self, rng, scheme):
+        target = statevec.random_state(6, rng)
+        sched = getattr(schedules, f"{scheme}_schedule")(6)
+        res = run_schedule(target, sched, 2, TruncationMode.PER_ROUND)
+        assert np.abs(simulate(res.circuit).amps - gate_by_gate(res.circuit).amps).max() < 1e-12
+
+    def test_synthesized_circuit_takes_one_pass_per_unitary(self, passes):
+        target = targets.discretize(targets.make_spec("f1", 8))
+        # as ``compile`` does it with the default two-CNOT synthesis
+        res = run_schedule(target, schedules.htn_schedule(8), 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
+        primitive, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
+        assert len(primitive.gates) > 4 * len(res.steps)
+        prepared = simulate(primitive)
+        assert 0 < passes["apply_two_qubit"] <= len(res.steps)
+        assert passes["apply_single_qubit"] == 0
+        reference = gate_by_gate(primitive)
+        assert np.abs(prepared.amps - reference.amps).max() < 1e-12
+
+    def test_checks_still_apply_to_fused_gates(self, rng):
+        bad = Circuit(n=3, gates=[OneQubitGate(0, 1.02 * np.eye(2)), TwoQubitGate(0, 1, CNOT)])
+        with pytest.raises(ValueError, match="not unitary"):
+            simulate(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            simulate(Circuit(n=3, gates=[TwoQubitGate(0, 3, CNOT)]))
+        with pytest.raises(ValueError, match="out of range"):
+            simulate(Circuit(n=3, gates=[OneQubitGate(5, np.eye(2))]))

@@ -1,9 +1,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from impsprep import cli, gatesynth, qasm, statevec, targets
+from impsprep import cli, disentangler, gatesynth, qasm, statevec, targets
 from impsprep.circuits import simulate
 
 
@@ -184,6 +185,31 @@ class TestCompile:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count"] <= 2 * report["cnot_count_generic"] / 3
 
+    def test_random_hen_blocks_take_the_gram_path(self, tmp_path, monkeypatch):
+        # random n=14 blocks are well separated: none of the 98 steps may
+        # fall back to the SVD of its 4 x 4096 block
+        steps, fallbacks = [], []
+        block_svd, plain_svd = disentangler._block_svd, np.linalg.svd
+
+        def counting_step(rows):
+            steps.append(rows.shape)
+            return block_svd(rows)
+
+        def counting_svd(a, *args, **kwargs):
+            if np.shape(a) == (4, 1 << 12):
+                fallbacks.append(np.shape(a))
+            return plain_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(disentangler, "_block_svd", counting_step)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rc = run_cli([
+            "compile", "--target", "random", "--n", "14", "--scheme", "hen",
+            "--layers", "2", "--out", str(tmp_path),
+        ])  # _revalidate raises SystemExit if the QASM does not re-simulate
+        assert rc == 0
+        assert steps == [(4, 1 << 12)] * 98
+        assert fallbacks == []
+
     def test_amps_file_target(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
         path = tmp_path / "target.amps"
@@ -296,6 +322,14 @@ class TestVerify:
         results = run_checks(level="quick", corrupt=True)
         failing = [r for r in results if not r.ok]
         assert any(r.name == "gate-synthesis" for r in failing)
+
+
+    def test_corruption_hook_fails_block_svd_check(self):
+        from impsprep.verify import run_checks
+
+        results = {r.name: r for r in run_checks(level="quick", corrupt=True)}
+        assert not results["block-svd"].ok
+        assert "kept subspace" in results["block-svd"].detail
 
 
 class TestRank:

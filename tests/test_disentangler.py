@@ -15,6 +15,7 @@ from impsprep.disentangler import (
 from conftest import (
     apply_step,
     dense_two_qubit_operator,
+    haar_unitary,
     random_real_state,
     random_state,
     two_state_layer_reference,
@@ -76,6 +77,98 @@ class TestDisentangleStep:
             step = disentangle_step(s, a, b)
             assert np.abs(step.unitary.imag).max() < 1e-12
             assert abs(np.linalg.det(step.unitary).real - 1.0) < 1e-10
+
+
+def svd_path(rows):
+    """The plain-SVD route of ``_block_svd``, the only route before the
+    Gram path: the reference for blocks that must not take the Gram path."""
+    u, s, _ = np.linalg.svd(rows, full_matrices=rows.shape[1] < 4)
+    lam = np.zeros(4)
+    lam[: s.size] = s / np.linalg.norm(s)
+    return disentangler._fix_svd_phases(u), lam
+
+
+def block_with_spectrum(w, width, rng, real):
+    """4 x width block whose Gram eigenvalues are ``w``, with random factors."""
+    if real:
+        u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(width, 4)))[0]
+    else:
+        u = haar_unitary(4, rng)
+        v = np.linalg.qr(rng.normal(size=(width, 4)) + 1j * rng.normal(size=(width, 4)))[0]
+    return (u * np.sqrt(w)) @ v.conj().T
+
+
+def kept_projector(u):
+    return u[:, :2] @ u[:, :2].conj().T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the np.linalg.svd calls made while the test runs."""
+    calls = []
+    plain = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return plain(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestBlockSvd:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("width", [4, 5, 64, 1 << 10, 1 << 14])
+    def test_gram_path_matches_svd_on_separated_spectra(self, rng, svd_calls, width, real):
+        rows = block_with_spectrum([0.4, 0.3, 0.2, 0.1], width, rng, real)
+        u, lam = disentangler._block_svd(rows)
+        assert svd_calls == []  # answered by the Gram path
+        u_ref, lam_ref = svd_path(rows)
+        assert np.abs(lam - lam_ref).max() < 1e-12
+        # columns agree once both carry the fixed phase
+        assert np.abs(u - u_ref).max() < 1e-10
+
+    @pytest.mark.parametrize("case", [
+        "rank1", "rank2", "rank3", "degenerate-kept", "degenerate-discarded",
+        "degenerate-boundary", "identity-rows", "width1", "width2", "width3",
+    ])
+    def test_rank_deficient_degenerate_and_narrow_blocks_take_the_svd(self, rng, svd_calls, case):
+        spectra = {
+            "rank1": [1.0, 0, 0, 0],
+            "rank2": [0.6, 0.4, 0, 0],
+            "rank3": [0.5, 0.3, 0.2, 0],
+            "degenerate-kept": [0.35, 0.35, 0.2, 0.1],
+            "degenerate-discarded": [0.4, 0.3, 0.15, 0.15],
+            "degenerate-boundary": [0.4, 0.25, 0.25, 0.1],
+        }
+        if case in spectra:
+            rows = block_with_spectrum(spectra[case], 64, rng, real=False)
+        elif case == "identity-rows":  # four orthogonal rows of equal norm
+            rows = np.eye(4, 16, dtype=complex) / 2
+        else:
+            width = int(case[-1])
+            rows = rng.normal(size=(4, width)) + 1j * rng.normal(size=(4, width))
+        u, lam = disentangler._block_svd(rows)
+        assert len(svd_calls) == 1
+        u_ref, lam_ref = svd_path(rows)
+        assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["kept", "boundary", "discarded"])
+    @pytest.mark.parametrize("gap", [10.0 ** -k for k in range(3, 13)])
+    def test_near_degenerate_spectra_keep_the_kept_subspace(self, rng, gap, where, real):
+        # two Gram eigenvalues gap * w0 apart, inside the kept pair, across
+        # the kept/discarded boundary or inside the discarded pair
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        w[where + 1] = w[where] - gap * w[0]
+        for width in (16, 1 << 12):
+            rows = block_with_spectrum(w, width, rng, real)
+            u, lam = disentangler._block_svd(rows)
+            u_ref, lam_ref = svd_path(rows)
+            assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < 1e-10
+            assert abs(lam[0] ** 2 + lam[1] ** 2 - lam_ref[0] ** 2 - lam_ref[1] ** 2) < 1e-12
+            assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
 
 class TestTruncate:

@@ -29,6 +29,22 @@ class TestU3:
             assert np.abs(rebuilt * (tr / abs(tr)) - u).max() < 1e-12
 
 
+    @pytest.mark.parametrize("s", [1e-3, 1e-8, 2e-12])
+    def test_small_off_diagonal_keeps_the_diagonal_phase(self, rng, s):
+        # a synthesized near-diagonal gate is unitary to round-off, so its
+        # small off-diagonal entries carry phase errors of eps / s; those
+        # phases must not set the phase of m[1, 1]
+        c = np.sqrt(1 - s * s)
+        for _ in range(20):
+            al, be, ga = rng.uniform(-np.pi, np.pi, size=3)
+            u = np.array([[c * np.exp(1j * al), -s * np.exp(1j * be)],
+                          [s * np.exp(1j * ga), c * np.exp(1j * (be + ga - al))]])
+            u[[0, 1], [1, 0]] += 2e-16 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+            rebuilt = qasm.u3_matrix(*qasm.u3_angles(u))
+            tr = np.trace(rebuilt.conj().T @ u) / 2
+            assert np.abs(rebuilt * (tr / abs(tr)) - u).max() < 1e-14
+
+
 class TestEmitParse:
     def build_circuit(self, rng):
         return Circuit(

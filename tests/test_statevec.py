@@ -296,3 +296,24 @@ class TestAmplitudeFiles:
         path.write_text("1 0\n0,5 0\n")
         with pytest.raises(ValueError):
             statevec.load_amplitudes(path)
+
+    def test_parse_is_bit_identical_to_float_loop(self, tmp_path, rng):
+        path = tmp_path / "state.amps"
+        statevec.save_amplitudes(random_state(10, rng), path)
+        with open(path, "a", encoding="ascii") as fh:  # signed zeros, subnormals, odd spacing
+            fh.write("\n-0 0\n0 -0\n  1e-320\t-4.9e-324 \n")
+            fh.writelines(f"{x:.17g} {y:.17g}\n" for x, y in rng.normal(size=(1024 - 3, 2)))
+        loop = []
+        for line in path.read_text().splitlines():
+            if line.strip():
+                re_, im_ = line.split()
+                loop.append(complex(float(re_), float(im_)))
+        expected = statevec.from_amplitudes(loop).amps
+        assert statevec.load_amplitudes(path).amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("body", ["1 0 3\n0 1 2\n", "1\n0\n", "1 0\n0 1 2\n", "", "\n\n"])
+    def test_anything_but_two_columns_names_the_path(self, tmp_path, body):
+        path = tmp_path / "bad.amps"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="bad.amps"):
+            statevec.load_amplitudes(path)
