@@ -6,6 +6,7 @@ Run:  python demos/05_two_cnot_synthesis.py
 import numpy as np
 
 from impsprep import (
+    OneQubitGate,
     build_u2cx,
     cosine_sine_decompose,
     count_gates,
@@ -48,7 +49,10 @@ seq = synthesize_two_cnot(gate)
 print(f"\nsynthesized with {seq.cnot_count} CNOTs and "
       f"{seq.single_qubit_count()} single-qubit gates:")
 for g in seq.gates:
-    print(f"  {g.kind} on wires {g.wires}")
+    if isinstance(g, OneQubitGate):
+        print(f"  single-qubit gate on wire {g.wire}")
+    else:
+        print(f"  CNOT with control {g.a}, target {g.b}")
 
 # The generic baseline factors the raw unitary with the same KAK and puts a
 # fixed three-CNOT core between the same kind of outer local gates.

@@ -2,7 +2,12 @@
 
 A Circuit is the *preparation* object: applying its gates in order to
 |0...0> approximates the compiled target. Gates are either bound 4x4
-unitaries (TwoQubitGate) or bound 2x2 unitaries (OneQubitGate).
+unitaries (TwoQubitGate) or bound 2x2 unitaries (OneQubitGate). The same
+two types carry synthesized sequences, whose wires are 0 and 1 of one 4x4.
+
+Wire convention inside a pair's 4x4: the first wire of the ordered pair is
+the more significant bit. ``embed`` is the one place that applies it, for
+the fused simulator and for rebuilding a synthesized sequence alike.
 
 ``simulate`` fuses before it applies, as qsim does (arXiv 2111.02396): each
 run of gates on one wire pair, with the single-qubit gates that reach it,
@@ -48,8 +53,6 @@ class Circuit:
     n: int
     gates: list[GateLike]
     u_depth: int = 0
-    scheme: str = ""
-    layers: int = 1
 
     def two_qubit_count(self) -> int:
         return sum(1 for g in self.gates if isinstance(g, TwoQubitGate))
@@ -58,14 +61,25 @@ class Circuit:
         return sum(1 for g in self.gates if isinstance(g, OneQubitGate))
 
 
+def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:
+    """The 4x4 of ``gate`` on the ordered wire pair ``pair``: a Kronecker
+    product with the identity for a single-qubit gate, the gate's own matrix
+    on the same pair and its SWAP conjugate on the reversed one."""
+    if isinstance(gate, OneQubitGate):
+        return np.kron(gate.matrix, _I2) if gate.wire == pair[0] else np.kron(_I2, gate.matrix)
+    if (gate.b, gate.a) == pair:
+        return SWAP @ gate.matrix @ SWAP
+    return gate.matrix
+
+
 def simulate(circuit: Circuit) -> StateVector:
     """Run the circuit on |0...0> with the exact simulator.
 
     One walk over the gates fuses them: a run of two-qubit gates on one
-    wire pair (either orientation; the reversed one is conjugated by SWAP)
-    is multiplied into one 4x4. A single-qubit gate on that pair joins it;
-    one on another wire waits, per wire, and folds into the next 4x4 that
-    touches its wire. Leftovers are applied on their own at the end. Every
+    wire pair (either orientation) is multiplied into one 4x4 through
+    ``embed``. A single-qubit gate on that pair joins it; one on another
+    wire waits, per wire, and folds into the next 4x4 that touches its
+    wire. Leftovers are applied on their own at the end. Every
     fused matrix still goes through the checked ``apply_two_qubit``.
     """
     state = zero_state(circuit.n)
@@ -74,16 +88,12 @@ def simulate(circuit: Circuit) -> StateVector:
     for g in circuit.gates:
         if isinstance(g, OneQubitGate):
             if pair is not None and g.wire in pair:
-                op = np.kron(g.matrix, _I2) if g.wire == pair[0] else np.kron(_I2, g.matrix)
-                fused = op @ fused
+                fused = embed(g, pair) @ fused
             else:
                 waiting[g.wire] = g.matrix @ waiting.get(g.wire, _I2)
             continue
-        if pair == (g.b, g.a):
-            fused = SWAP @ g.matrix @ SWAP @ fused
-            continue
-        if pair == (g.a, g.b):
-            fused = g.matrix @ fused
+        if pair in ((g.a, g.b), (g.b, g.a)):
+            fused = embed(g, pair) @ fused
             continue
         if pair is not None:
             state = apply_two_qubit(state, TwoQubitGate(*pair, fused))

@@ -82,7 +82,12 @@ def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
     if scheme == "graph":
         if args.graph is None:
             raise SystemExit("graph scheme needs --graph FILE.json")
-        g = schedules.topology_from_json(Path(args.graph).read_text())
+        try:
+            g = schedules.topology_from_json(Path(args.graph).read_text())
+        except OSError as exc:
+            raise SystemExit(f"--graph {args.graph}: cannot read: {exc.strerror or exc}")
+        except ValueError as exc:
+            raise SystemExit(f"--graph {args.graph}: {exc}")
         if g.n != n:
             raise SystemExit(f"graph has {g.n} vertices, --n was {n}")
         return schedules.graph_contraction_schedule(g)
@@ -217,7 +222,7 @@ def cmd_benchmark(args) -> int:
         raise SystemExit(f"--samples must be >= 1, got {args.samples}")
     target_names = _parse_list("--targets", args.targets)
     scheme_names = _parse_list("--schemes", args.schemes)
-    n_list = _parse_list("--n-list", args.n_list, int)
+    n_list = _parse_list("--n-list", str(args.n) if args.n_list is None else args.n_list, int)
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
@@ -248,6 +253,7 @@ def cmd_benchmark(args) -> int:
                             )
                         reports.append(report)
                     rep = reports[0]
+                    min_weight = min(min(r.retained_weights) for r in reports)
                     rows.append(
                         {
                             "target": tname,
@@ -261,7 +267,7 @@ def cmd_benchmark(args) -> int:
                             "single_qubit_2cx": rep.single_qubit_count if two_cx else "",
                             "cnot_3cx": rep.cnot_count_generic,
                             "single_qubit_3cx": rep.single_qubit_count_generic,
-                            "min_retained_weight": _fmt(min(rep.retained_weights)),
+                            "min_retained_weight": _fmt(min_weight),
                             "domain_lo": "" if domain is None else _fmt(domain[0]),
                             "domain_hi": "" if domain is None else _fmt(domain[1]),
                             "seed": args.seed,
@@ -312,6 +318,8 @@ def cmd_rank(args) -> int:
         kinds = args.ring.split(",")
         if len(kinds) != 2:
             raise SystemExit("--ring wants two comma-separated function kinds")
+        if (args.domain_lo is None) != (args.domain_hi is None):
+            raise SystemExit("--domain-lo and --domain-hi must be given together")
         domain = (args.domain_lo, args.domain_hi) if args.domain_lo is not None else (0.0, 1.0)
         f = targets.make_spec(kinds[0], args.n, domain=domain)
         g = targets.make_spec(kinds[1], args.n, domain=domain)
@@ -333,8 +341,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--n", type=int, required=True, help="qubit count")
+    def add_common(p, n_default=None, n_help="qubit count"):
+        p.add_argument("--n", type=int, required=n_default is None, default=n_default, help=n_help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--grid-rows", type=int, default=None)
         p.add_argument("--grid-cols", type=int, default=None)
@@ -355,10 +363,10 @@ def main(argv=None) -> int:
     p_compile.set_defaults(func=cmd_compile)
 
     p_bench = sub.add_parser("benchmark", help="sweep targets x schemes x sizes x layers")
-    add_common(p_bench)
+    add_common(p_bench, n_default=8, n_help="qubit count when --n-list is not given (default 8)")
     p_bench.add_argument("--targets", default="f1,f2,f3,g1,g2,g3")
     p_bench.add_argument("--schemes", default="chain,ttn,htn,hen")
-    p_bench.add_argument("--n-list", default="8")
+    p_bench.add_argument("--n-list", default=None, help="comma-separated qubit counts (default: --n)")
     p_bench.add_argument("--layers-list", default="1")
     p_bench.add_argument("--samples", type=int, default=10,
                          help="averaging count for --targets random")

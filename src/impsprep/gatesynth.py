@@ -19,8 +19,10 @@ uses no CNOT when all three vanish and a fixed three-CNOT core otherwise
 one KAK per gate, so one pass gives the emitted circuit and the generic
 counts it is compared with.
 
-Wire convention inside a 4x4 gate: wire 0 is the more significant bit (the
-``a`` qubit of the pair), CNOTs are written (control, target).
+Sequences are built from the circuit's own gate types: ``OneQubitGate`` and
+``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, which
+``synthesize_circuit`` relabels to the gate's pair (a, b). Wire 0 is the
+more significant bit, as ``circuits.embed`` places every gate.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuits import CNOT, Circuit, OneQubitGate
+from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed
 from .statevec import TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
@@ -64,10 +66,6 @@ GAMMA = np.array(
         [1, -1, 1, 1],
     ],
     dtype=float,
-)
-
-CNOT_10 = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
 )
 
 
@@ -196,51 +194,36 @@ def magic_kak_decompose(k: np.ndarray) -> KakAngles:
 # --- primitive gate sequences ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Primitive:
-    """Either a bound single-qubit unitary ('u', wire, matrix) or a CNOT
-    ('cx', control, target) on the gate's two abstract wires {0, 1}."""
-
-    kind: str
-    wires: tuple[int, ...]
-    matrix: np.ndarray | None = field(default=None, repr=False)
+def _u(wire: int, matrix: np.ndarray) -> OneQubitGate:
+    return OneQubitGate(wire, np.asarray(matrix, dtype=complex))
 
 
-def _u(wire: int, matrix: np.ndarray) -> Primitive:
-    return Primitive("u", (wire,), np.asarray(matrix, dtype=complex))
-
-
-def _cx(control: int, target: int) -> Primitive:
-    return Primitive("cx", (control, target))
+def _cx(control: int, target: int) -> TwoQubitGate:
+    return TwoQubitGate(control, target, CNOT)
 
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Primitive realization of a 4x4 unitary, exact up to global phase."""
+    """Single-qubit gates and CNOTs on wires 0 and 1 that realize a 4x4
+    unitary, exactly up to global phase."""
 
-    gates: tuple[Primitive, ...]
+    gates: tuple[GateLike, ...]
     cnot_count: int
-    source: np.ndarray = field(repr=False)
 
     def matrix(self) -> np.ndarray:
         out = np.eye(4, dtype=complex)
         for g in self.gates:
-            if g.kind == "cx":
-                out = (CNOT if g.wires == (0, 1) else CNOT_10) @ out
-            else:
-                m = g.matrix
-                full = np.kron(m, I2) if g.wires[0] == 0 else np.kron(I2, m)
-                out = full @ out
+            out = embed(g, (0, 1)) @ out
         return out
 
     def single_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "u")
+        return len(self.gates) - self.cnot_count
 
 
-def _merge_singles(gates: list[Primitive]) -> list[Primitive]:
+def _merge_singles(gates: list[GateLike]) -> list[GateLike]:
     """Fuse runs of single-qubit gates per wire; drop any that are the
     identity up to a phase (the phase only moves the global one)."""
-    merged: list[Primitive] = []
+    merged: list[GateLike] = []
     pending: dict[int, np.ndarray] = {}
 
     def flush(wires=(0, 1)):
@@ -250,12 +233,11 @@ def _merge_singles(gates: list[Primitive]) -> list[Primitive]:
                 merged.append(_u(w, m))
 
     for g in gates:
-        if g.kind == "cx":
+        if isinstance(g, TwoQubitGate):
             flush()
             merged.append(g)
         else:
-            w = g.wires[0]
-            pending[w] = g.matrix @ pending.get(w, I2)
+            pending[g.wire] = g.matrix @ pending.get(g.wire, I2)
     flush()
     return merged
 
@@ -280,7 +262,7 @@ def _ry(t: float) -> np.ndarray:
 _RX_CONJ = _exp_ix(math.pi / 4)  # maps Z -> Y under conjugation, fixes X
 
 
-def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, list[Primitive]]:
+def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, list[GateLike]]:
     """Split exp(i (w1 XX + w2 YY + w3 ZZ)), up to global phase, into reduced
     coefficients in (-pi/2, pi/2) and a local Pauli tail.
 
@@ -303,7 +285,7 @@ def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, list[Primitive]]:
     return red, []
 
 
-def _middle_sequence(omega: np.ndarray) -> list[Primitive]:
+def _middle_sequence(omega: np.ndarray) -> list[GateLike]:
     """<= 2 CNOT realization of exp(i (w1 XX + w2 YY + w3 ZZ)) requiring at
     least one coefficient to vanish mod pi/2.
 
@@ -336,7 +318,7 @@ def _middle_sequence(omega: np.ndarray) -> list[Primitive]:
     return gates
 
 
-def _three_cnot_core(a: float, b: float, c: float) -> list[Primitive]:
+def _three_cnot_core(a: float, b: float, c: float) -> list[GateLike]:
     """exp(i (a XX + b YY + c ZZ)) up to global phase with three CNOTs
     (Vatan & Williams, quant-ph/0308006)."""
     return [
@@ -414,7 +396,7 @@ def split_tensor_product(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray, comple
     return le, r, phase
 
 
-def _kak_layers(u: np.ndarray) -> tuple[list[Primitive], np.ndarray, list[Primitive]]:
+def _kak_layers(u: np.ndarray) -> tuple[list[GateLike], np.ndarray, list[GateLike]]:
     """The shared KAK of a 4x4 unitary as (right locals, XX/YY/ZZ
     coefficients, left locals): u = left exp(i omega . PP) right up to
     global phase."""
@@ -466,20 +448,20 @@ def synthesize_generic(u: np.ndarray) -> GateSequence:
     return _generic_sequence(u, _kak_layers(u))
 
 
-def _finish_sequence(gates: list[Primitive], source: np.ndarray, max_cnots: int) -> GateSequence:
+def _finish_sequence(gates: list[GateLike], source: np.ndarray, max_cnots: int) -> GateSequence:
     merged = _merge_singles(gates)
-    ncx = sum(1 for g in merged if g.kind == "cx")
+    ncx = sum(1 for g in merged if isinstance(g, TwoQubitGate))
     if ncx > max_cnots:
         raise ValueError(f"synthesis produced {ncx} CNOTs, budget {max_cnots}")
     nsingle = len(merged) - ncx
     if nsingle > 8:
         raise ValueError(f"synthesis produced {nsingle} single-qubit gates, budget 8")
-    seq = GateSequence(gates=tuple(merged), cnot_count=ncx, source=np.asarray(source, dtype=complex))
+    seq = GateSequence(gates=tuple(merged), cnot_count=ncx)
     rebuilt = seq.matrix()
-    tr = np.trace(rebuilt.conj().T @ seq.source) / 4.0
+    tr = np.trace(rebuilt.conj().T @ source) / 4.0
     if abs(tr) < 1e-12:
         raise ValueError("synthesis reconstruction failed (orthogonal result)")
-    err = np.abs(rebuilt * (tr / abs(tr)) - seq.source).max()
+    err = np.abs(rebuilt * (tr / abs(tr)) - source).max()
     if err > RECON_TOL:
         raise ValueError(f"synthesis reconstruction failed: deviation {err:.3e}")
     return seq
@@ -523,10 +505,10 @@ def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int,
         g_singles += generic.single_qubit_count()
         wires = (g.a, g.b)
         for prim in seq.gates:
-            if prim.kind == "cx":
-                out.append(TwoQubitGate(wires[prim.wires[0]], wires[prim.wires[1]], CNOT))
+            if isinstance(prim, OneQubitGate):
+                out.append(replace(prim, wire=wires[prim.wire]))
             else:
-                out.append(OneQubitGate(wires[prim.wires[0]], prim.matrix))
+                out.append(replace(prim, a=wires[prim.a], b=wires[prim.b]))
     return replace(circuit, gates=out), (g_cnots, g_singles)
 
 

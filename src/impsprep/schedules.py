@@ -280,4 +280,7 @@ def schedule_from_json(text: str) -> Schedule:
 
 def topology_from_json(text: str) -> TopologyGraph:
     payload = json.loads(text)
+    for key in ("n", "edges"):
+        if not isinstance(payload, dict) or key not in payload:
+            raise ValueError(f"topology JSON has no {key!r} key")
     return TopologyGraph.from_edge_list(int(payload["n"]), payload["edges"])

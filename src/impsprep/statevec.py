@@ -215,6 +215,8 @@ def load_amplitudes(path) -> StateVector:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # empty file: reported below
             values = np.loadtxt(path, dtype=float, comments=None, ndmin=2)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read amplitudes ({type(exc).__name__})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if values.size == 0 or values.shape[1] != 2:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impsprep import circuits, gatesynth, schedules, statevec, targets
-from impsprep.circuits import CNOT, Circuit, OneQubitGate, simulate
+from impsprep.circuits import CNOT, Circuit, OneQubitGate, embed, simulate
 from impsprep.disentangler import TruncationMode, run_schedule
 from impsprep.statevec import TwoQubitGate
 
@@ -71,6 +71,25 @@ def passes(monkeypatch):
 
         monkeypatch.setattr(circuits, name, counting)
     return seen
+
+
+class TestEmbed:
+    """A gate's 4x4 on an ordered pair, read back onto the pair's wires,
+    is the gate's own dense operator."""
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (0, 2), (2, 1)])
+    def test_matches_dense_oracle(self, rng, pair):
+        a, b = pair
+        gates = [
+            OneQubitGate(a, haar_unitary(2, rng)),
+            OneQubitGate(b, haar_unitary(2, rng)),
+            TwoQubitGate(a, b, haar_unitary(4, rng)),
+            TwoQubitGate(b, a, haar_unitary(4, rng)),
+            TwoQubitGate(b, a, CNOT),
+        ]
+        for g in gates:
+            expected = dense_circuit_operator(Circuit(n=3, gates=[g]))
+            assert np.abs(dense_two_qubit_operator(embed(g, pair), 3, a, b) - expected).max() < 1e-12
 
 
 class TestFusedSimulate:

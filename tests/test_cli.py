@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from impsprep import cli, disentangler, gatesynth, qasm, statevec, targets
+from impsprep import cli, disentangler, gatesynth, qasm, schedules, statevec, targets
 from impsprep.circuits import simulate
 
 
@@ -269,10 +270,8 @@ class TestBenchmark:
             "--n-list", "5", "--layers-list", "1", "--samples", "1",
             "--n", "5", "--out", str(tmp_path),
         ])
-        import csv as csvmod
-
         lines = (tmp_path / "results.csv").read_text().splitlines()
-        row = next(csvmod.DictReader(lines[1:]))
+        row = next(csv.DictReader(lines[1:]))
         assert int(row["cnot_2cx"]) * 3 == int(row["cnot_3cx"]) * 2
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
@@ -295,6 +294,34 @@ class TestBenchmark:
             run_cli(["benchmark", "--n", "4", "--out", str(tmp_path / "out")]
                     + [x for kv in args.items() for x in kv])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,n", [(["--n", "6"], 6), ([], 8), (["--n", "6", "--n-list", "5"], 5)])
+    def test_n_is_the_default_n_list(self, tmp_path, argv, n):
+        run_cli(["benchmark", "--targets", "f1", "--schemes", "chain", "--out", str(tmp_path)] + argv)
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        rows = list(csv.DictReader(lines[1:]))
+        assert [row["n"] for row in rows] == [str(n)]
+
+    def test_min_retained_weight_over_every_sample(self, tmp_path):
+        # seed 1: the smallest weight is in sample 1, so reading sample 0 fails
+        run_cli([
+            "benchmark", "--targets", "random", "--schemes", "chain", "--n-list", "6",
+            "--layers-list", "2", "--samples", "3", "--seed", "1", "--out", str(tmp_path),
+        ])
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        row = next(csv.DictReader(lines[1:]))
+        schedule = schedules.chain_schedule(6)
+        rng = np.random.default_rng(1)
+        per_sample = []
+        for _ in range(3):
+            state = statevec.random_state(6, rng)
+            report, _ = cli.compile_one(
+                state, "random", schedule, 2, disentangler.TruncationMode.PER_LAYER,
+                gatesynth.SynthMode.OPTIMIZED2, 1, None,
+            )
+            per_sample.append(min(report.retained_weights))
+        assert row["min_retained_weight"] == cli._fmt(min(per_sample))
+        assert min(per_sample) < per_sample[0]
 
     def test_plotdata_emission(self, tmp_path):
         run_cli([
@@ -344,3 +371,32 @@ class TestRank:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["additive_ok"] and payload["multiplicative_ok"]
+
+
+class TestBadInputs:
+    """Unreadable or incomplete inputs end in a message naming the file or
+    flag, not in a traceback."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["compile", "--target", "missing.amps", "--scheme", "chain", "--n", "4"], "missing.amps"),
+        (["rank", "--target", "missing.amps", "--n", "4"], "missing.amps"),
+        (["compile", "--target", "f1", "--scheme", "graph", "--n", "3", "--graph", "missing.json"],
+         "--graph missing.json"),
+        (["rank", "--ring", "cos,linear", "--n", "6", "--domain-lo", "0"], "--domain-lo and --domain-hi"),
+        (["rank", "--ring", "cos,linear", "--n", "6", "--domain-hi", "2"], "--domain-lo and --domain-hi"),
+    ])
+    def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv + (["--out", "out"] if argv[0] == "compile" else []))
+        assert isinstance(info.value.code, str) and named in info.value.code
+
+    @pytest.mark.parametrize("payload,key", [({"n": 3}, "edges"), ({"edges": []}, "n"), (3, "n")])
+    def test_graph_file_without_a_key(self, tmp_path, payload, key):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match=f"--graph .*topo.json: topology JSON has no '{key}' key"):
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "graph", "--n", "3",
+                "--graph", str(topo), "--out", str(tmp_path),
+            ])

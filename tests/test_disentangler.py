@@ -375,6 +375,17 @@ class TestRunSchedule:
             assert abs(w1 - w2) < 1e-10
         assert rewritten.final_infidelity < 10 * plain.final_infidelity + 1e-9
 
+    @pytest.mark.parametrize("scheme", ["chain", "ttn"])
+    @pytest.mark.parametrize("kind", ["f1", "f2", "f3", "g1", "g2", "g3"])
+    def test_rewrite_2cx_keeps_one_per_layer_infidelity(self, kind, scheme):
+        # one PER_LAYER layer: the rewrite moves the infidelity by round-off
+        # only; per round or over more layers it moves it either way
+        target = targets.discretize(targets.make_spec(kind, 10))
+        sched = getattr(schedules, f"{scheme}_schedule")(10)
+        plain = run_schedule(target, sched, 1, TruncationMode.PER_LAYER)
+        rewritten = run_schedule(target, sched, 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
+        assert abs(rewritten.final_infidelity - plain.final_infidelity) < 1e-12
+
 
 class TestRankOneAndRankTwoExactness:
     @pytest.mark.parametrize("kind", ["ghz", "w", "cos", "linear"])

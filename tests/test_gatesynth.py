@@ -211,7 +211,7 @@ class TestSynthesizeTwoCnot:
         assert seq.cnot_count == 0
         assert seq.single_qubit_count() == 1
         gate = seq.gates[0]
-        assert gate.wires == (0,)
+        assert gate.wire == 0
         phase = gate.matrix[0, 0]
         assert np.abs(gate.matrix - phase * Z).max() < 1e-9
         self.assert_reconstructs(seq, ZI)
