@@ -1,9 +1,13 @@
 """Command-line front end: compile targets to circuits, run scheme
 benchmarks, self-verify, and inspect Schmidt ranks.
 
-Outputs are deterministic for a fixed configuration and seed; wall-clock
-times appear only in report.json, never in hashed artifacts (circuit.qasm,
-results.csv).
+Every ``--target`` value goes through ``targets.resolve``; the scheme names
+are ``schedules.SCHEMES`` plus grid, fig6 and graph, which take their shape
+from flags. Outputs are deterministic for a fixed configuration and seed;
+the one wall-clock time is report.json's ``wall_time``, from target
+resolution through the re-simulation check, never in hashed artifacts
+(circuit.qasm, results.csv). ``--out`` is created only when a file is
+written to it.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .verify import run_checks
 
 CSV_SCHEMA_VERSION = 1
 
-SCHEME_CHOICES = ("chain", "ttn", "htn", "hen", "grid", "fig6", "graph")
+SCHEME_CHOICES = (*schedules.SCHEMES, "grid", "fig6", "graph")
 
 
 @dataclass
@@ -60,14 +64,8 @@ def _fmt(x: float) -> str:
 
 
 def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
-    if scheme == "chain":
-        return schedules.chain_schedule(n)
-    if scheme == "ttn":
-        return schedules.ttn_schedule(n)
-    if scheme == "htn":
-        return schedules.htn_schedule(n)
-    if scheme == "hen":
-        return schedules.hen_schedule(n)
+    if scheme in schedules.SCHEMES:
+        return schedules.SCHEMES[scheme](n)
     if scheme == "fig6":
         if n != 12:
             raise SystemExit("fig6 scheme is fixed at n = 12")
@@ -91,23 +89,12 @@ def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
         if g.n != n:
             raise SystemExit(f"graph has {g.n} vertices, --n was {n}")
         return schedules.graph_contraction_schedule(g)
-    raise SystemExit(f"unknown scheme {scheme!r}")
+    raise SystemExit(f"unknown scheme {scheme!r}; known: {', '.join(SCHEME_CHOICES)}")
 
 
 def _truncation(args, schedule: schedules.Schedule) -> TruncationMode:
     """``--trunc`` if given, else the scheme's convention."""
     return TruncationMode(args.trunc) if args.trunc else default_truncation_mode(schedule.scheme)
-
-
-def resolve_target(name: str, n: int, rng) -> tuple[str, statevec.StateVector, tuple | None]:
-    name = name.strip()
-    if name == "random":
-        return "random", statevec.random_state(n, rng), None
-    if name.endswith(".amps") or "/" in name:
-        spec = targets.make_spec("rawfile", n, path=name)
-        return f"rawfile:{name}", targets.discretize(spec), None
-    spec = targets.make_spec(name, n)
-    return spec.label(), targets.discretize(spec), spec.domain
 
 
 def compile_one(
@@ -120,7 +107,6 @@ def compile_one(
     seed: int,
     domain,
 ) -> tuple[SynthesisReport, Circuit]:
-    t0 = time.perf_counter()
     rewrite = synth == SynthMode.OPTIMIZED2
     result = run_schedule(target_state, schedule, layers, trunc, rewrite_2cx=rewrite)
     primitive, (g_cnots, g_singles) = gatesynth.synthesize_circuit(result.circuit, synth)
@@ -140,7 +126,6 @@ def compile_one(
         seed=seed,
         domain=domain,
         retained_weights=[float(w) for w in result.per_round_weights],
-        wall_time=time.perf_counter() - t0,
     )
     return report, primitive
 
@@ -156,8 +141,9 @@ def _revalidate(qasm_path: Path, target_state, reported_infidelity: float) -> No
 
 
 def cmd_compile(args) -> int:
+    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
-    label, state, domain = resolve_target(args.target, args.n, rng)
+    label, state, domain = targets.resolve(args.target, args.n, rng)
     schedule = build_schedule(args.scheme, args.n, args)
     trunc = _truncation(args, schedule)
     report, primitive = compile_one(
@@ -178,6 +164,7 @@ def cmd_compile(args) -> int:
     qasm_path = out / "circuit.qasm"
     qasm_path.write_text(qasm.emit(primitive, header))
     _revalidate(qasm_path, state, report.infidelity)
+    report.wall_time = time.perf_counter() - t0
     (out / "report.json").write_text(report.to_json() + "\n")
     print(
         f"{report.scheme} n={report.n} layers={report.layers} "
@@ -226,9 +213,6 @@ def cmd_benchmark(args) -> int:
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    plotdir = out / "plotdata"
-    plotdir.mkdir(exist_ok=True)
     rows = []
     for n in n_list:
         for tname in target_names:
@@ -240,7 +224,7 @@ def cmd_benchmark(args) -> int:
                     reports = []
                     rng = np.random.default_rng(args.seed)
                     for _s in range(samples):
-                        label, state, domain = resolve_target(tname, n, rng)
+                        label, state, domain = targets.resolve(tname, n, rng)
                         try:
                             report, primitive = compile_one(
                                 state, label, schedule, layers, trunc,
@@ -275,9 +259,10 @@ def cmd_benchmark(args) -> int:
                     )
                     if tname != "random" and args.plotdata:
                         prepared = simulate(primitive)
-                        fname = plotdir / f"{tname}_{scheme_name}_n{n}_L{layers}.csv"
+                        fname = out / "plotdata" / f"{tname}_{scheme_name}_n{n}_L{layers}.csv"
                         _write_plotdata(fname, state, prepared)
     csv_path = out / "results.csv"
+    out.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:
         fh.write(f"# impsprep benchmark results, schema v{CSV_SCHEMA_VERSION}\n")
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
@@ -289,6 +274,7 @@ def cmd_benchmark(args) -> int:
 
 def _write_plotdata(path: Path, target_state, prepared_state) -> None:
     # align the prepared state's global phase with the target before plotting
+    path.parent.mkdir(parents=True, exist_ok=True)
     overlap = np.vdot(prepared_state.amps, target_state.amps)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     aligned = prepared_state.amps * phase
@@ -327,7 +313,7 @@ def cmd_rank(args) -> int:
         print(json.dumps(asdict(rep), indent=2))
         return 0 if rep.additive_ok and rep.multiplicative_ok else 1
     rng = np.random.default_rng(args.seed)
-    label, state, _ = resolve_target(args.target, args.n, rng)
+    label, state, _ = targets.resolve(args.target, args.n, rng)
     profile = targets.mps_rank(state, tol=args.tol)
     print(f"target {label}: chi = {profile.chi}")
     print("bond dims:", " ".join(str(d) for d in profile.bond_dims))
@@ -347,7 +333,7 @@ def main(argv=None) -> int:
         p.add_argument("--grid-rows", type=int, default=None)
         p.add_argument("--grid-cols", type=int, default=None)
         p.add_argument("--graph", default=None, help="topology JSON for --scheme graph")
-        p.add_argument("--trunc", choices=("layer", "round"), default=None,
+        p.add_argument("--trunc", choices=[m.value for m in TruncationMode], default=None,
                        help="truncation mode (default: per scheme convention); 'layer' "
                        "rejects schedules that revisit a qubit within a layer (htn, hen, fig6)")
         p.add_argument("--synth", choices=(SynthMode.OPTIMIZED2, SynthMode.GENERIC3),
@@ -355,8 +341,7 @@ def main(argv=None) -> int:
 
     p_compile = sub.add_parser("compile", help="compile one target into circuit.qasm + report.json")
     add_common(p_compile)
-    p_compile.add_argument("--target", required=True,
-                           help="f1..f3, g1..g3, ghz, w, exp, cos, linear, random, or an .amps file")
+    p_compile.add_argument("--target", required=True, help=targets.TARGET_VALUES)
     p_compile.add_argument("--scheme", choices=SCHEME_CHOICES, required=True)
     p_compile.add_argument("--layers", type=int, default=1)
     p_compile.add_argument("--out", default=".")

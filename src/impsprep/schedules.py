@@ -8,6 +8,7 @@ Pairs within a round are disjoint, so one round costs one U-depth.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 Pair = tuple[int, int]
@@ -63,8 +64,15 @@ class TopologyGraph:
 
     @staticmethod
     def from_edge_list(n: int, edges) -> "TopologyGraph":
+        if not _is_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(edges, (list, tuple)):
+            raise ValueError(f"edges must be a list of [u, v] pairs, got {edges!r}")
         es = set()
-        for u, v in edges:
+        for edge in edges:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_int, edge))):
+                raise ValueError(f"edge {edge!r} is not a pair of integers")
+            u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -90,6 +98,10 @@ class TopologyGraph:
                     frontier.append(w)
         if len(seen) != self.n:
             raise ValueError("graph is not connected")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _require_n(n: int) -> None:
@@ -153,6 +165,10 @@ def hen_schedule(n: int) -> Schedule:
         rnd = tuple((i, i + 1) for i in range(t, n - 1, 2))
         rounds.append(rnd)
     return Schedule(n=n, rounds=tuple(rounds), scheme="hen")
+
+
+# The schemes fixed by n alone, by name.
+SCHEMES = {"chain": chain_schedule, "ttn": ttn_schedule, "htn": htn_schedule, "hen": hen_schedule}
 
 
 def grid_schedule(rows: int, cols: int) -> Schedule:
@@ -283,4 +299,4 @@ def topology_from_json(text: str) -> TopologyGraph:
     for key in ("n", "edges"):
         if not isinstance(payload, dict) or key not in payload:
             raise ValueError(f"topology JSON has no {key!r} key")
-    return TopologyGraph.from_edge_list(int(payload["n"]), payload["edges"])
+    return TopologyGraph.from_edge_list(payload["n"], payload["edges"])

@@ -1,6 +1,11 @@
 """Target amplitude vectors: the benchmark function/distribution catalog,
 special entangled states, and Schmidt-rank (bond dimension) estimation.
 
+``resolve`` is the one code path from a ``--target`` value to a state. The
+value is ``random`` (a seeded draw), an amplitude file (a ``.amps`` suffix
+or a slash), or a kind: a function of x in ``KINDS``, with its default
+domain and parameters, or an entangled state in ``STATES``.
+
 Function targets are sampled at 2^n uniformly spaced points including both
 endpoints, normalized directly as amplitudes (no square-root density
 encoding). Default domains: f1-f3 on [0, 1], the Gaussian on [-5, 5], the
@@ -45,38 +50,30 @@ def _cauchy(x):
     return 1.0 / (math.pi * (x**2 + 1.0))
 
 
-_FUNCTIONS = {
-    "f1": (_f1, (0.0, 1.0)),
-    "f2": (_f2, (0.0, 1.0)),
-    "f3": (_f3, (0.0, 1.0)),
-    "g1": (_gauss, (-5.0, 5.0)),
-    "g2": (_lognormal, (0.01, 8.0)),
-    "g3": (_cauchy, (-8.0, 8.0)),
-}
-
-_DEFAULT_PARAMS = {
-    "exp": (1.0, 1.0),
+# Every function kind: (f(x, *params), default domain, default params).
+KINDS = {
+    "f1": (_f1, (0.0, 1.0), ()),
+    "f2": (_f2, (0.0, 1.0), ()),
+    "f3": (_f3, (0.0, 1.0), ()),
+    "g1": (_gauss, (-5.0, 5.0), ()),
+    "g2": (_lognormal, (0.01, 8.0), ()),
+    "g3": (_cauchy, (-8.0, 8.0), ()),
+    "exp": (lambda x, a, b: a * np.exp(b * x), (0.0, 1.0), (1.0, 1.0)),
     # a nonzero offset c raises the Schmidt rank of a*cos(b x) + c to 3,
     # losing single-layer exactness; the rank-2 default keeps c = 0
-    "cos": (1.0, 6.0, 0.0),
-    "linear": (1.0, 0.1),
+    "cos": (lambda x, a, b, c: a * np.cos(b * x) + c, (0.0, 1.0), (1.0, 6.0, 0.0)),
+    "linear": (lambda x, a, b: a * x + b, (0.0, 1.0), (1.0, 0.1)),
 }
-
-FUNCTION_KINDS = tuple(_FUNCTIONS) + ("exp", "cos", "linear")
-STATE_KINDS = ("ghz", "w")
-ALL_KINDS = FUNCTION_KINDS + STATE_KINDS + ("rawfile",)
 
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """What to prepare: a named function on a domain, a special state, or a
-    raw amplitude file."""
+    """What to prepare: a named function on a domain, or a special state."""
 
     kind: str
     n: int
     domain: tuple[float, float] = (0.0, 1.0)
     params: tuple[float, ...] = ()
-    path: str | None = None
 
     def label(self) -> str:
         if self.params:
@@ -84,27 +81,22 @@ class TargetSpec:
         return self.kind
 
 
-def make_spec(kind: str, n: int, domain=None, params=None, path=None) -> TargetSpec:
+def make_spec(kind: str, n: int, domain=None, params=None) -> TargetSpec:
     kind = kind.lower()
-    if kind not in ALL_KINDS:
-        raise ValueError(f"unknown target kind {kind!r}; known: {', '.join(ALL_KINDS)}")
+    if kind not in KINDS and kind not in STATES:
+        raise ValueError(f"unknown target kind {kind!r}; known: {', '.join([*KINDS, *STATES])}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind in _FUNCTIONS:
-        dom = tuple(domain) if domain is not None else _FUNCTIONS[kind][1]
-    elif kind in _DEFAULT_PARAMS:
-        dom = tuple(domain) if domain is not None else (0.0, 1.0)
-    else:
-        dom = (0.0, 1.0)
-    if kind in ("exp", "cos", "linear"):
-        pars = tuple(params) if params is not None else _DEFAULT_PARAMS[kind]
-    else:
-        pars = ()
-    if dom[0] >= dom[1] and kind in FUNCTION_KINDS:
+    if kind in STATES:
+        return TargetSpec(kind=kind, n=n)
+    _, default_domain, default_params = KINDS[kind]
+    dom = tuple(domain) if domain is not None else default_domain
+    pars = tuple(params) if params is not None else default_params
+    if len(pars) != len(default_params):
+        raise ValueError(f"{kind} takes {len(default_params)} params, got {len(pars)}")
+    if dom[0] >= dom[1]:
         raise ValueError(f"empty domain {dom}")
-    if kind == "rawfile" and path is None:
-        raise ValueError("rawfile target needs a path")
-    return TargetSpec(kind=kind, n=n, domain=dom, params=pars, path=path)
+    return TargetSpec(kind=kind, n=n, domain=dom, params=pars)
 
 
 def grid_points(spec: TargetSpec) -> np.ndarray:
@@ -115,21 +107,11 @@ def grid_points(spec: TargetSpec) -> np.ndarray:
 
 def raw_samples(spec: TargetSpec) -> np.ndarray:
     """Unnormalized function values on the grid (function kinds only)."""
-    x = grid_points(spec)
-    if spec.kind in _FUNCTIONS:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = _FUNCTIONS[spec.kind][0](x)
-    elif spec.kind == "exp":
-        a, b = spec.params
-        vals = a * np.exp(b * x)
-    elif spec.kind == "cos":
-        a, b, c = spec.params
-        vals = a * np.cos(b * x) + c
-    elif spec.kind == "linear":
-        a, b = spec.params
-        vals = a * x + b
-    else:
+    if spec.kind not in KINDS:
         raise ValueError(f"{spec.kind} is not a function target")
+    x = grid_points(spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = KINDS[spec.kind][0](x, *spec.params)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{spec.label()} is non-finite on {spec.domain}")
     return vals.astype(complex)
@@ -150,21 +132,42 @@ def w_state(n: int) -> StateVector:
     return statevec.from_amplitudes(amps)
 
 
+STATES = {"ghz": ghz_state, "w": w_state}
+
+# What ``--target`` accepts, in the words of its help and its error message.
+TARGET_VALUES = f"{', '.join([*KINDS, *STATES])}, random, or an amplitude file (*.amps or a path with /)"
+
+
 def discretize(spec: TargetSpec) -> StateVector:
     """Evaluate the spec into a unit-norm StateVector (deterministic)."""
-    if spec.kind == "ghz":
-        return ghz_state(spec.n)
-    if spec.kind == "w":
-        return w_state(spec.n)
-    if spec.kind == "rawfile":
-        state = statevec.load_amplitudes(spec.path)
-        if state.n != spec.n:
-            raise ValueError(f"{spec.path} holds {state.n} qubits, spec wants {spec.n}")
-        return state
+    if spec.kind in STATES:
+        return STATES[spec.kind](spec.n)
     vals = raw_samples(spec)
     if np.abs(vals).max() == 0.0:
         raise ValueError(f"{spec.label()} is identically zero on {spec.domain}")
     return statevec.from_amplitudes(vals)
+
+
+def resolve(name: str, n: int, rng) -> tuple[str, StateVector, tuple | None]:
+    """(label, unit-norm state, domain) of one ``--target`` value.
+
+    ``random`` draws a state from ``rng``; a name ending in ``.amps`` or
+    containing a slash is an amplitude file that must hold ``n`` qubits; any
+    other name is a kind of ``make_spec``. Only catalog kinds have a domain.
+    """
+    name = name.strip()
+    if name.endswith(".amps") or "/" in name:
+        state = statevec.load_amplitudes(name)
+        if state.n != n:
+            raise ValueError(f"{name} holds {state.n} qubits, --n was {n}")
+        return f"rawfile:{name}", state, None
+    kind = name.lower()
+    if kind == "random":
+        return "random", statevec.random_state(n, rng), None
+    if kind not in KINDS and kind not in STATES:
+        raise ValueError(f"unknown target {name!r}; known: {TARGET_VALUES}")
+    spec = make_spec(kind, n)
+    return spec.label(), discretize(spec), spec.domain
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,9 @@ def verify_ring_bounds(f: TargetSpec, g: TargetSpec, tol: float = RANK_TOL) -> R
 
 
 def catalog(n: int) -> list[TargetSpec]:
-    """The six benchmark functions plus the GHZ and W states at size n."""
-    specs = [make_spec(kind, n) for kind in _FUNCTIONS]
-    specs.append(make_spec("ghz", n))
-    specs.append(make_spec("w", n))
-    return specs
+    """The six parameter-free benchmark functions plus the GHZ and W states at size n."""
+    kinds = [kind for kind, (_f, _dom, params) in KINDS.items() if not params]
+    return [make_spec(kind, n) for kind in kinds + list(STATES)]
 
 
 def catalog_json(n: int) -> str:

@@ -68,12 +68,7 @@ def _check_gate_inverse(n_max: int, fuzz: int, rng, corrupt=False):
 
 def _check_schedule_structure(n_max: int, fuzz: int, rng, corrupt=False):
     for n in range(2, 65):
-        gens = {
-            "chain": schedules.chain_schedule(n),
-            "ttn": schedules.ttn_schedule(n),
-            "htn": schedules.htn_schedule(n),
-            "hen": schedules.hen_schedule(n),
-        }
+        gens = {name: make(n) for name, make in schedules.SCHEMES.items()}
         for name, sched in gens.items():
             sched.validate()
             distinct = set(sched.sources())

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -221,6 +223,20 @@ class TestCompile:
         ])
         assert (tmp_path / "report.json").exists()
 
+    def test_wall_time_covers_the_revalidation(self, tmp_path, monkeypatch):
+        revalidate = cli._revalidate
+
+        def slow_revalidate(*args):
+            time.sleep(0.2)
+            return revalidate(*args)
+
+        monkeypatch.setattr(cli, "_revalidate", slow_revalidate)
+        run_cli([
+            "compile", "--target", "f1", "--scheme", "chain", "--n", "4",
+            "--out", str(tmp_path),
+        ])
+        assert json.loads((tmp_path / "report.json").read_text())["wall_time"] >= 0.2
+
 
 class TestBenchmark:
     def test_row_count_and_schema(self, tmp_path):
@@ -234,6 +250,7 @@ class TestBenchmark:
         header = lines[1].split(",")
         assert header[:4] == ["target", "scheme", "n", "layers"]
         assert len(lines) == 2 + 2 * 2 * 2  # comment + header + rows
+        assert not (tmp_path / "plotdata").exists()
 
     def test_sweep_with_near_local_gates_completes(self, tmp_path):
         run_cli([
@@ -374,8 +391,8 @@ class TestRank:
 
 
 class TestBadInputs:
-    """Unreadable or incomplete inputs end in a message naming the file or
-    flag, not in a traceback."""
+    """Unreadable, incomplete or inconsistent inputs end in a message naming
+    the file, flag or value, not in a traceback, and write nothing."""
 
     @pytest.mark.parametrize("argv,named", [
         (["compile", "--target", "missing.amps", "--scheme", "chain", "--n", "4"], "missing.amps"),
@@ -384,12 +401,21 @@ class TestBadInputs:
          "--graph missing.json"),
         (["rank", "--ring", "cos,linear", "--n", "6", "--domain-lo", "0"], "--domain-lo and --domain-hi"),
         (["rank", "--ring", "cos,linear", "--n", "6", "--domain-hi", "2"], "--domain-lo and --domain-hi"),
+        (["rank", "--ring", "cos", "--n", "6"], "--ring wants two"),
+        (["compile", "--target", "f1", "--scheme", "fig6", "--n", "8"], "fig6 scheme is fixed at n = 12"),
+        (["compile", "--target", "f1", "--scheme", "grid", "--n", "10", "--grid-rows", "3", "--grid-cols", "4"],
+         "grid 3x4 has 12 qubits, --n was 10"),
+        (["compile", "--target", "f1", "--scheme", "graph", "--n", "4"], "graph scheme needs --graph"),
+        (["compile", "--target", "Nope", "--scheme", "chain", "--n", "4"], "unknown target 'Nope'"),
+        (["benchmark", "--targets", "f1", "--schemes", "nope", "--n", "4"], "unknown scheme 'nope'"),
+        (["benchmark", "--targets", "nope", "--schemes", "chain", "--n", "4"], "unknown target 'nope'"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as info:
-            run_cli(argv + (["--out", "out"] if argv[0] == "compile" else []))
+            run_cli(argv + (["--out", "out"] if argv[0] != "rank" else []))
         assert isinstance(info.value.code, str) and named in info.value.code
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload,key", [({"n": 3}, "edges"), ({"edges": []}, "n"), (3, "n")])
     def test_graph_file_without_a_key(self, tmp_path, payload, key):
@@ -400,3 +426,43 @@ class TestBadInputs:
                 "compile", "--target", "f1", "--scheme", "graph", "--n", "3",
                 "--graph", str(topo), "--out", str(tmp_path),
             ])
+
+    @pytest.mark.parametrize("payload,n,named", [
+        ({"n": 3, "edges": 5}, 3, "edges must be a list of [u, v] pairs, got 5"),
+        ({"n": None, "edges": [[0, 1], [1, 2]]}, 3, "n must be an integer, got None"),
+        ({"n": 3, "edges": [[0, 1], [1, "a"]]}, 3, "edge [1, 'a'] is not a pair of integers"),
+        ({"n": 3, "edges": [[0]]}, 3, "edge [0] is not a pair of integers"),
+        ({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}, 3, "graph has 5 vertices, --n was 3"),
+    ])
+    def test_graph_file_with_a_bad_shape(self, tmp_path, payload, n, named):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match=re.escape(named)):
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "graph", "--n", str(n),
+                "--graph", str(topo), "--out", str(tmp_path / "out"),
+            ])
+        assert not (tmp_path / "out").exists()
+
+    def test_revalidation_deviation_writes_no_report(self, tmp_path, monkeypatch):
+        emit = qasm.emit
+        monkeypatch.setattr(qasm, "emit", lambda *args: emit(*args) + "u3(0.5,0,0) q[0];\n")
+        with pytest.raises(SystemExit, match="self-check failed: re-simulated .*circuit.qasm deviates"):
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "chain", "--n", "4",
+                "--out", str(tmp_path),
+            ])
+        assert not (tmp_path / "report.json").exists()
+
+    def test_failed_benchmark_cell_writes_no_results(self, tmp_path, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("no synthesis")
+
+        monkeypatch.setattr(gatesynth, "synthesize_gate", failing)
+        with pytest.raises(SystemExit, match="benchmark cell failed: target=f1 scheme=chain n=4 layers=1: "
+                                             "no synthesis"):
+            run_cli([
+                "benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert not (tmp_path / "out" / "results.csv").exists()

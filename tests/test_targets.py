@@ -76,12 +76,35 @@ class TestDiscretize:
         state = statevec.from_amplitudes(rng.normal(size=8))
         path = tmp_path / "t.amps"
         statevec.save_amplitudes(state, path)
-        loaded = discretize(make_spec("rawfile", 3, path=str(path)))
+        label, loaded, domain = targets.resolve(str(path), 3, None)
         assert np.abs(loaded.amps - state.amps).max() < 1e-15
+        assert label == f"rawfile:{path}" and domain is None
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_spec("nope", 4)
+
+
+class TestResolve:
+    @pytest.mark.parametrize("name", [*targets.KINDS, *targets.STATES, "random", "Random", " F1 "])
+    def test_every_listed_name_resolves(self, name, rng):
+        label, state, domain = targets.resolve(name, 4, rng)
+        assert state.n == 4 and abs(state.norm() - 1.0) < 1e-12
+        assert (domain is None) == (name.lower() == "random")
+
+    def test_unknown_name_lists_what_target_accepts(self):
+        with pytest.raises(ValueError) as info:
+            targets.resolve("rawfile", 4, None)
+        assert str(info.value) == f"unknown target 'rawfile'; known: {targets.TARGET_VALUES}"
+        assert "rawfile" not in targets.TARGET_VALUES
+        for name in [*targets.KINDS, *targets.STATES, "random", ".amps"]:
+            assert name in targets.TARGET_VALUES
+
+    def test_file_with_another_qubit_count_is_named(self, tmp_path, rng):
+        path = tmp_path / "t.amps"
+        statevec.save_amplitudes(statevec.random_state(3, rng), path)
+        with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n was 4"):
+            targets.resolve(str(path), 4, rng)
 
 
 class TestMpsRank:
