@@ -213,18 +213,23 @@ def cmd_benchmark(args) -> int:
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
+    # every schedule, and each size's targets, exist before that size's first
+    # cell, so a bad name stops the sweep before it writes anything
+    built = {n: [(name, build_schedule(name, n, args)) for name in scheme_names] for n in n_list}
     rows = []
     for n in n_list:
+        resolved = []
         for tname in target_names:
-            samples = args.samples if tname == "random" else 1
-            for scheme_name in scheme_names:
-                schedule = build_schedule(scheme_name, n, args)
+            # one fresh generator per (n, target): every cell sees the same samples
+            rng = np.random.default_rng(args.seed)
+            count = args.samples if tname == "random" else 1
+            resolved.append((tname, [targets.resolve(tname, n, rng) for _ in range(count)]))
+        for tname, samples in resolved:
+            for scheme_name, schedule in built[n]:
                 trunc = _truncation(args, schedule)
                 for layers in layers_list:
                     reports = []
-                    rng = np.random.default_rng(args.seed)
-                    for _s in range(samples):
-                        label, state, domain = targets.resolve(tname, n, rng)
+                    for label, state, domain in samples:
                         try:
                             report, primitive = compile_one(
                                 state, label, schedule, layers, trunc,
@@ -273,9 +278,10 @@ def cmd_benchmark(args) -> int:
 
 
 def _write_plotdata(path: Path, target_state, prepared_state) -> None:
-    # align the prepared state's global phase with the target before plotting
+    # align the prepared state's global phase with the target before plotting;
+    # numpy's sum, unlike a BLAS dot, gives the same bytes at any thread count
     path.parent.mkdir(parents=True, exist_ok=True)
-    overlap = np.vdot(prepared_state.amps, target_state.amps)
+    overlap = np.sum(prepared_state.amps.conj() * target_state.amps)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     aligned = prepared_state.amps * phase
     with open(path, "w", newline="") as fh:

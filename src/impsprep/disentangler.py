@@ -2,11 +2,11 @@
 
 Each step takes the left singular vectors of the 4 x 2^(n-2) amplitude
 block of a qubit pair and applies the inverse left factor, concentrating
-the pair's weight on the rows where the source qubit is |0>. The factor is
-the eigenbasis of the block's 4x4 Gram matrix when its spectrum is well
-separated, and a plain SVD of the block otherwise (``_block_svd``). Running
-a schedule executes rounds of such steps and reverses them into a
-preparation circuit.
+the pair's weight on the rows where the source qubit is |0>. Every block's
+factor is the eigenbasis of its 4x4 Gram matrix, with one canonical basis
+for each cluster of equal eigenvalues (``_block_svd``); no wide SVD is
+taken. Running a schedule executes rounds of such steps and reverses them
+into a preparation circuit.
 
 ``disentangle_step`` returns the step only. ``run_schedule`` keeps one
 state, the exact image of the target under all gates applied so far, and
@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .circuits import Circuit, OneQubitGate
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
@@ -48,11 +49,14 @@ from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, extract_bl
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
-# Smallest gap between consecutive Gram eigenvalues, relative to the
-# largest, at which _block_svd uses eigh. Its eigenvector error is about
-# eps * w0 / gap, at most 2.2e-12 here: far inside 1e-10 even when forming
-# R R^H over 2^22 columns costs a few more digits.
-GRAM_GAP_TOL = 1e-4
+# Consecutive Gram eigenvalues closer than CLUSTER_TOL * w0, or chained that
+# close to 0, are equal up to round-off (the Gram matrix's own reaches about
+# 10 eps w0 at 2^20 columns); a true eigenvalue below it that joins the null
+# cluster loses at most its own weight.
+CLUSTER_TOL = 1e-12
+# Any value below 1/2 still yields a full basis of every cluster; each vector
+# then moves at most 1 / BASIS_TOL times as far as its cluster's span.
+BASIS_TOL = 0.1
 
 
 class TruncationMode(enum.Enum):
@@ -78,68 +82,70 @@ class PreparationResult:
     steps: list[DisentangleStep]
 
 
-def _fix_svd_phases(u: np.ndarray) -> np.ndarray:
-    """Canonicalize the left SVD factor within its equivalence class.
-
-    The first nonzero entry of each left-singular vector is made real
-    positive (reproducible circuits under degenerate singular values) and the
-    last column is rescaled so det(U) = 1. Both moves multiply U^-1 from the
-    left by a block-diagonal unitary, which later SVDs absorb; the det fix
-    keeps real inputs special orthogonal, hence two-CNOT implementable
-    without any rewrite.
-    """
-    u = u.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        idx = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        if idx.size:
-            lead = col[idx[0]]
-            u[:, j] = col * (abs(lead) / lead)
-    u[:, 3] = u[:, 3] * np.linalg.det(u).conjugate()
-    return u
+def _canonical_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of ``v``'s columns that depends on the
+    span only: e0, ..., e3 projected onto it and orthonormalized in order,
+    skipping residuals shorter than BASIS_TOL. For one column this fixes
+    its phase: its first entry above BASIS_TOL becomes real positive."""
+    basis, found = np.zeros((4, v.shape[1]), dtype=complex), 0
+    for i, col in enumerate((v @ v.conj().T).T):  # the projection of e_i
+        r = col - basis[:, :found] @ basis[i, :found].conj()
+        norm = math.sqrt(np.vdot(r, r).real)
+        if norm > BASIS_TOL:
+            basis[:, found] = r / norm
+            found += 1
+            if found == basis.shape[1]:
+                break
+    return basis
 
 
 def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 4x4 left factor and the four singular values, zero-padded and
-    scaled to unit sum of squares.
+    """Full 4x4 left factor and the four singular values, scaled to unit sum
+    of squares.
 
-    The left factor of the wide 4 x m block R is the eigenbasis of its 4x4
-    Gram matrix R R^H (Demmel et al., arXiv 0808.2664), and the singular
-    values are the square roots of its eigenvalues w0 >= ... >= w3.
-    Squaring halves the precision of that route, so the plain SVD is used
-    instead when R has fewer than 4 columns or when two consecutive values
-    of w0, ..., w3, 0 are closer than GRAM_GAP_TOL * w0. The trailing 0
-    stands for the rest of R^H R's spectrum; with it, rank-deficient and
-    degenerate blocks all take the SVD.
+    The left factor of the 4 x m block R is the eigenbasis of its 4x4 Gram
+    matrix R R^H (Demmel et al., arXiv 0808.2664), whose eigenvalues
+    w0 >= ... >= w3 are the squared singular values; blocks with m < 4
+    need no special case. Eigenvalues within CLUSTER_TOL * w0 of their
+    neighbours form a cluster, and each cluster gets a canonical basis
+    (``_canonical_basis``), so U depends on the block, not on how round-off
+    mixes equal eigenvalues. A cluster never spans the kept pair (0, 1) and
+    the discarded pair (2, 3), except the round-off cluster chained to 0:
+    every split of the null space keeps the same weight. The kept subspace
+    is then within 10 eps w0 / (w1 - w2) of the exact one. Column 3 is
+    rescaled so det U = 1, which keeps real blocks special orthogonal, hence
+    two-CNOT implementable without any rewrite. The singular values of the
+    round-off cluster are reported as 0; it holds every one below
+    sqrt(eps) * s0.
     """
-    if rows.shape[1] >= 4:
-        gram = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(i + 1):  # eigh reads the lower triangle only
-                gram[i, j] = np.vdot(rows[j], rows[i])
-        w, v = np.linalg.eigh(gram)
-        w, v = w[::-1], v[:, ::-1]
-        if np.all(w - np.append(w[1:], 0.0) > GRAM_GAP_TOL * w[0]):
-            s = np.sqrt(w)
-            return _fix_svd_phases(v), s / np.linalg.norm(s)
-    u, s, _ = np.linalg.svd(rows, full_matrices=rows.shape[1] < 4)
-    lam = np.zeros(4)
-    lam[: s.size] = s / np.linalg.norm(s)
-    return _fix_svd_phases(u), lam
+    # conj(R R^H) in the lower triangle; unlike a sum of dot products, its
+    # bytes do not depend on the BLAS thread count
+    gram = zherk(1.0, rows.T, trans=2, lower=1)
+    w, v = np.linalg.eigh(gram)
+    w, v = w[::-1], v[:, ::-1].conj()
+    tol = CLUSTER_TOL * w[0]
+    gaps = w - np.append(w[1:], 0.0)
+    null = 4  # the round-off cluster is w[null:]
+    while null > 0 and gaps[null - 1] <= tol:
+        null -= 1
+    cuts = [0, *(i for i in (1, 2, 3) if gaps[i - 1] > tol or (i == 2 and null > 1)), 4]
+    u = np.column_stack([_canonical_basis(v[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
+    u[:, 3] *= np.linalg.det(u).conjugate()
+    s = np.append(np.sqrt(w[:null]), np.zeros(4 - null))
+    return u, s / np.linalg.norm(s)
 
 
 def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> DisentangleStep:
     """Factor the (a, b) block as U diag(l) V^H and return the step that
     applies U^-1.
 
-    U comes from ``_block_svd``: eigh of the 4x4 Gram matrix, or the plain
-    SVD for narrow, rank-deficient or (near-)degenerate blocks. With
-    ``fixed`` the block is read from the slice of ``state`` where those
-    qubits are |0>; the singular values are those of the renormalized block
-    either way. The step record holds unitary = U^-1 and retained_weight =
-    l0^2 + l1^2; the state itself is not transformed. Sign/phase conventions
-    on U's columns are fixed so the result is deterministic under degenerate
-    singular values.
+    U comes from ``_block_svd``, the eigenbasis of the block's 4x4 Gram
+    matrix for every block, with canonical bases for its clusters of equal
+    eigenvalues, so the result is deterministic under degenerate singular
+    values. With ``fixed`` the block is read from the slice of ``state``
+    where those qubits are |0>; the singular values are those of the
+    renormalized block either way. The step record holds unitary = U^-1 and
+    retained_weight = l0^2 + l1^2; the state itself is not transformed.
     """
     block = extract_block(state, a, b, fixed)
     if not np.all(np.isfinite(block.rows)):

@@ -72,9 +72,6 @@ class BlockMatrix:
     b: int
     rows: np.ndarray = field(repr=False)  # shape (4, 2**(n-2-k))
 
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.rows))
-
 
 def from_amplitudes(raw) -> StateVector:
     """Build a normalized StateVector from any complex sequence.
@@ -90,7 +87,9 @@ def from_amplitudes(raw) -> StateVector:
         raise ValueError("amplitudes contain non-finite values")
     n = length.bit_length() - 1
     _check_qubit_count(n)
-    norm = np.linalg.norm(amps)
+    # numpy's pairwise sum, not a BLAS dot: the bytes of the normalized
+    # state then do not depend on the BLAS thread count
+    norm = np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
     if norm <= 0.0:
         raise ValueError("cannot normalize an all-zero amplitude vector")
     return StateVector(n=n, amps=_freeze(amps / norm))

@@ -14,7 +14,6 @@ report since plotted infidelities depend on them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -243,18 +242,3 @@ def catalog(n: int) -> list[TargetSpec]:
     """The six parameter-free benchmark functions plus the GHZ and W states at size n."""
     kinds = [kind for kind, (_f, _dom, params) in KINDS.items() if not params]
     return [make_spec(kind, n) for kind in kinds + list(STATES)]
-
-
-def catalog_json(n: int) -> str:
-    return json.dumps(
-        [
-            {
-                "kind": s.kind,
-                "n": s.n,
-                "domain": list(s.domain),
-                "params": list(s.params),
-            }
-            for s in catalog(n)
-        ],
-        indent=2,
-    )

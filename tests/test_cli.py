@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,22 @@ class TestCompile:
         qa = (tmp_path / "a" / "circuit.qasm").read_bytes()
         qb = (tmp_path / "b" / "circuit.qasm").read_bytes()
         assert qa == qb
+
+    @pytest.mark.parametrize("argv,artifact", [
+        (["compile", "--target", "random", "--n", "14", "--scheme", "chain", "--layers", "2",
+          "--seed", "3"], "circuit.qasm"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "16", "--plotdata"],
+         "plotdata/f1_chain_n16_L1.csv"),
+    ], ids=["compile", "plotdata"])
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, argv, artifact):
+        # dense states at n = 14 and 16 reach the threaded BLAS paths
+        src = Path(cli.__file__).resolve().parents[1]
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            subprocess.run([sys.executable, "-m", "impsprep.cli", *argv, "--out", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        assert (tmp_path / "1" / artifact).read_bytes() == (tmp_path / "2" / artifact).read_bytes()
 
     def test_grid_scheme_needs_dimensions(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -188,30 +208,30 @@ class TestCompile:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count"] <= 2 * report["cnot_count_generic"] / 3
 
-    def test_random_hen_blocks_take_the_gram_path(self, tmp_path, monkeypatch):
-        # random n=14 blocks are well separated: none of the 98 steps may
-        # fall back to the SVD of its 4 x 4096 block
-        steps, fallbacks = [], []
+    @pytest.mark.parametrize("target,n,steps", [("f1", 12, 72), ("random", 14, 98)])
+    def test_block_factors_take_no_wide_svd(self, tmp_path, monkeypatch, target, n, steps):
+        # every step factors its 4 x 2^(n-2) block through the 4x4 Gram
+        # matrix, also the rank-deficient blocks of the function targets
+        blocks, svds = [], []
         block_svd, plain_svd = disentangler._block_svd, np.linalg.svd
 
         def counting_step(rows):
-            steps.append(rows.shape)
+            blocks.append(rows.shape)
             return block_svd(rows)
 
         def counting_svd(a, *args, **kwargs):
-            if np.shape(a) == (4, 1 << 12):
-                fallbacks.append(np.shape(a))
+            svds.append(np.shape(a))
             return plain_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(disentangler, "_block_svd", counting_step)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         rc = run_cli([
-            "compile", "--target", "random", "--n", "14", "--scheme", "hen",
+            "compile", "--target", target, "--n", str(n), "--scheme", "hen",
             "--layers", "2", "--out", str(tmp_path),
         ])  # _revalidate raises SystemExit if the QASM does not re-simulate
         assert rc == 0
-        assert steps == [(4, 1 << 12)] * 98
-        assert fallbacks == []
+        assert blocks == [(4, 1 << (n - 2))] * steps
+        assert svds == []
 
     def test_amps_file_target(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
@@ -319,6 +339,24 @@ class TestBenchmark:
         rows = list(csv.DictReader(lines[1:]))
         assert [row["n"] for row in rows] == [str(n)]
 
+    def test_each_target_resolved_once(self, tmp_path, monkeypatch):
+        # 4 cells per target: f1 is discretized once, and the 3 random samples
+        # are drawn once, not again for every cell
+        calls = []
+        for module, name in ((statevec, "random_state"), (targets, "discretize")):
+            def counting(*args, _f=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        run_cli([
+            "benchmark", "--targets", "f1,random", "--samples", "3", "--schemes", "chain,htn",
+            "--layers-list", "1,2", "--n", "6", "--out", str(tmp_path),
+        ])
+        assert sorted(calls) == ["discretize"] + ["random_state"] * 3
+        lines = (tmp_path / "results.csv").read_text().splitlines()
+        assert len(lines) == 2 + 8
+
     def test_min_retained_weight_over_every_sample(self, tmp_path):
         # seed 1: the smallest weight is in sample 1, so reading sample 0 fails
         run_cli([
@@ -409,6 +447,10 @@ class TestBadInputs:
         (["compile", "--target", "Nope", "--scheme", "chain", "--n", "4"], "unknown target 'Nope'"),
         (["benchmark", "--targets", "f1", "--schemes", "nope", "--n", "4"], "unknown scheme 'nope'"),
         (["benchmark", "--targets", "nope", "--schemes", "chain", "--n", "4"], "unknown target 'nope'"),
+        (["benchmark", "--targets", "f1,nope", "--schemes", "chain", "--n", "4", "--plotdata"],
+         "unknown target 'nope'"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain,fig6", "--n", "4", "--plotdata"],
+         "fig6 scheme is fixed at n = 12"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)

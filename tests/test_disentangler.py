@@ -79,96 +79,148 @@ class TestDisentangleStep:
             assert abs(np.linalg.det(step.unitary).real - 1.0) < 1e-10
 
 
-def svd_path(rows):
-    """The plain-SVD route of ``_block_svd``, the only route before the
-    Gram path: the reference for blocks that must not take the Gram path."""
-    u, s, _ = np.linalg.svd(rows, full_matrices=rows.shape[1] < 4)
-    lam = np.zeros(4)
-    lam[: s.size] = s / np.linalg.norm(s)
-    return disentangler._fix_svd_phases(u), lam
+EPS = np.finfo(float).eps
 
 
 def block_with_spectrum(w, width, rng, real):
-    """4 x width block whose Gram eigenvalues are ``w``, with random factors."""
+    """(u, R): a 4 x width block R = u diag(sqrt(w)) V^H with random unitary
+    factors, so u's columns are its exact left singular vectors."""
     if real:
         u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
         v = np.linalg.qr(rng.normal(size=(width, 4)))[0]
     else:
         u = haar_unitary(4, rng)
         v = np.linalg.qr(rng.normal(size=(width, 4)) + 1j * rng.normal(size=(width, 4)))[0]
-    return (u * np.sqrt(w)) @ v.conj().T
+    return u, (u * np.sqrt(w)) @ v.conj().T
+
+
+def low_rank_block(rank, width, rng):
+    """A random complex 4 x width block of the given rank, also for width < 4."""
+    left = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    return left @ (rng.normal(size=(rank, width)) + 1j * rng.normal(size=(rank, width)))
 
 
 def kept_projector(u):
     return u[:, :2] @ u[:, :2].conj().T
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Shapes of the np.linalg.svd calls made while the test runs."""
-    calls = []
-    plain = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return plain(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+def assert_special_unitary(u):
+    assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+    assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
 
-class TestBlockSvd:
+class TestBlockFactor:
+    """Properties of ``_block_svd`` against the block's own construction."""
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("width", [4, 5, 64, 1 << 10, 1 << 14])
-    def test_gram_path_matches_svd_on_separated_spectra(self, rng, svd_calls, width, real):
-        rows = block_with_spectrum([0.4, 0.3, 0.2, 0.1], width, rng, real)
+    def test_separated_spectra_give_the_singular_vectors(self, rng, width, real):
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        u_ref, rows = block_with_spectrum(w, width, rng, real)
         u, lam = disentangler._block_svd(rows)
-        assert svd_calls == []  # answered by the Gram path
-        u_ref, lam_ref = svd_path(rows)
-        assert np.abs(lam - lam_ref).max() < 1e-12
-        # columns agree once both carry the fixed phase
-        assert np.abs(u - u_ref).max() < 1e-10
-
-    @pytest.mark.parametrize("case", [
-        "rank1", "rank2", "rank3", "degenerate-kept", "degenerate-discarded",
-        "degenerate-boundary", "identity-rows", "width1", "width2", "width3",
-    ])
-    def test_rank_deficient_degenerate_and_narrow_blocks_take_the_svd(self, rng, svd_calls, case):
-        spectra = {
-            "rank1": [1.0, 0, 0, 0],
-            "rank2": [0.6, 0.4, 0, 0],
-            "rank3": [0.5, 0.3, 0.2, 0],
-            "degenerate-kept": [0.35, 0.35, 0.2, 0.1],
-            "degenerate-discarded": [0.4, 0.3, 0.15, 0.15],
-            "degenerate-boundary": [0.4, 0.25, 0.25, 0.1],
-        }
-        if case in spectra:
-            rows = block_with_spectrum(spectra[case], 64, rng, real=False)
-        elif case == "identity-rows":  # four orthogonal rows of equal norm
-            rows = np.eye(4, 16, dtype=complex) / 2
-        else:
-            width = int(case[-1])
-            rows = rng.normal(size=(4, width)) + 1j * rng.normal(size=(4, width))
-        u, lam = disentangler._block_svd(rows)
-        assert len(svd_calls) == 1
-        u_ref, lam_ref = svd_path(rows)
-        assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
+        assert np.abs(lam - np.sqrt(w)).max() < 1e-12
+        # each column is the exact singular vector up to its phase
+        assert np.abs(np.abs(u_ref.conj().T @ u) - np.eye(4)).max() < 1e-12
+        assert_special_unitary(u)
+        if real:
+            assert np.abs(u.imag).max() < 1e-12
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("where", [0, 1, 2], ids=["kept", "boundary", "discarded"])
     @pytest.mark.parametrize("gap", [10.0 ** -k for k in range(3, 13)])
     def test_near_degenerate_spectra_keep_the_kept_subspace(self, rng, gap, where, real):
         # two Gram eigenvalues gap * w0 apart, inside the kept pair, across
-        # the kept/discarded boundary or inside the discarded pair
+        # the kept/discarded boundary or inside the discarded pair; the kept
+        # subspace is determined to eps * w0 / (w1 - w2)
         w = np.array([0.4, 0.3, 0.2, 0.1])
         w[where + 1] = w[where] - gap * w[0]
+        bound = 10 * EPS * w[0] / (w[1] - w[2])
         for width in (16, 1 << 12):
-            rows = block_with_spectrum(w, width, rng, real)
+            u_ref, rows = block_with_spectrum(w, width, rng, real)
             u, lam = disentangler._block_svd(rows)
-            u_ref, lam_ref = svd_path(rows)
-            assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < 1e-10
-            assert abs(lam[0] ** 2 + lam[1] ** 2 - lam_ref[0] ** 2 - lam_ref[1] ** 2) < 1e-12
-            assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+            assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < bound
+            assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
+            assert_special_unitary(u)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3, 64, 1 << 12])
+    def test_rank_deficient_blocks_report_zero_singular_values(self, rng, rank, width):
+        rows = low_rank_block(rank, width, rng)
+        u, lam = disentangler._block_svd(rows)
+        s = np.linalg.svd(rows, compute_uv=False)
+        s = np.pad(s, (0, 4 - s.size)) / np.linalg.norm(s)
+        kept = min(rank, width)
+        assert np.abs(lam[:kept] - s[:kept]).max() < 1e-12
+        assert np.all(lam[kept:] == 0.0)
+        assert_special_unitary(u)
+        # the kept columns hold all the weight the block has in its top two
+        moved = u.conj().T @ rows
+        total = np.linalg.norm(rows) ** 2
+        assert abs(np.linalg.norm(moved[:2]) ** 2 / total - (s[0] ** 2 + s[1] ** 2)) < 1e-12
+
+    def test_round_off_singular_values_are_zero(self, rng):
+        # Gram eigenvalues within CLUSTER_TOL * w0 of 0 are round-off; this
+        # includes every singular value below sqrt(eps) * s0
+        for tiny, kept in ((1e-4, True), (1e-5, True), (1e-7, False), (1e-9, False), (0.0, False)):
+            w = np.array([1.0, 0.5, tiny ** 2, 0.0])
+            _u_ref, rows = block_with_spectrum(w, 64, rng, False)
+            _u, lam = disentangler._block_svd(rows)
+            assert lam[3] == 0.0
+            if kept:
+                assert abs(lam[2] / np.sqrt(w[2] / w.sum()) - 1.0) < 1e-4
+            else:
+                assert lam[2] == 0.0
+
+    @pytest.mark.parametrize("w1", [1e-8, 1e-10, 1e-11])
+    def test_small_second_singular_value_stays_kept(self, rng, w1):
+        # a rank-2 block whose second Gram eigenvalue is far below w0 but
+        # above round-off: all its weight stays in the kept pair
+        _u_ref, rows = block_with_spectrum([1.0, w1, 0.0, 0.0], 1 << 12, rng, False)
+        u, lam = disentangler._block_svd(rows)
+        moved = u.conj().T @ rows
+        assert np.linalg.norm(moved[2:]) ** 2 / np.linalg.norm(rows) ** 2 < 1e-14
+        assert lam[1] > 0.0 and np.all(lam[2:] == 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("width", [2, 64, 1 << 12])
+    def test_null_space_is_stable_under_round_off(self, rng, rank, width):
+        # the columns beyond the rank span the null space; round-off-level
+        # changes of the block must not pick another basis of it
+        rows = low_rank_block(rank, width, rng)
+        u, _ = disentangler._block_svd(rows)
+        for _ in range(5):
+            noisy = rows * (1.0 + 1e-15 * rng.normal(size=rows.shape))
+            assert np.abs(disentangler._block_svd(noisy)[0] - u).max() < 1e-12
+
+    @pytest.mark.parametrize("case", ["boundary", "identity-rows"])
+    def test_degenerate_boundary_keeps_the_weight(self, rng, case):
+        # equal eigenvalues across the boundary: any split keeps the same weight
+        if case == "boundary":
+            w = np.array([0.4, 0.25, 0.25, 0.1])
+            u_ref, rows = block_with_spectrum(w, 64, rng, False)
+            outside = u_ref[:, 3:].conj().T  # the kept pair never reaches w3's vector
+        else:
+            w, rows, outside = np.full(4, 0.25), np.eye(4, 16, dtype=complex) / 2, np.zeros((0, 4))
+        u, lam = disentangler._block_svd(rows)
+        assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
+        assert np.abs(outside @ u[:, :2]).max(initial=0.0) < 1e-12
+        assert_special_unitary(u)
+
+    @pytest.mark.parametrize("w", [
+        [0.35, 0.35, 0.2, 0.1], [0.4, 0.3, 0.15, 0.15], [0.35, 0.35, 0.15, 0.15],
+    ], ids=["kept", "discarded", "both"])
+    def test_degenerate_clusters_get_one_basis(self, rng, w):
+        # mixing the left singular vectors of equal singular values leaves
+        # R R^H, and so U, as it is
+        u_ref, rows = block_with_spectrum(np.array(w), 64, rng, False)
+        u, lam = disentangler._block_svd(rows)
+        mix = np.eye(4, dtype=complex)
+        for lo in (0, 2):
+            if w[lo] == w[lo + 1]:
+                mix[lo:lo + 2, lo:lo + 2] = haar_unitary(2, rng)
+        mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
+        assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
+        assert np.abs(lam - np.sqrt(w)).max() < 1e-12
 
 
 class TestTruncate:

@@ -142,10 +142,6 @@ class TestExtractBlock:
             ba = statevec.extract_block(s, b, a)
             assert np.array_equal(ba.rows, ab.rows[[0, 2, 1, 3]])
 
-    def test_frobenius_norm_matches_state(self, rng):
-        s = random_state(4, rng)
-        assert abs(statevec.extract_block(s, 1, 2).frobenius_norm() - 1.0) < 1e-12
-
     def test_identical_indices_rejected(self, rng):
         s = random_state(3, rng)
         with pytest.raises(ValueError):

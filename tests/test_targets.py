@@ -198,13 +198,6 @@ class TestCatalog:
             state = discretize(spec)
             assert abs(state.norm() - 1.0) < 1e-12
 
-    def test_json_export(self):
-        import json
-
-        payload = json.loads(targets.catalog_json(6))
-        assert len(payload) == 8
-        assert payload[0]["n"] == 6
-
     def test_default_domains_recorded(self):
         domains = {s.kind: s.domain for s in catalog(8)}
         assert domains["f1"] == (0.0, 1.0)
