@@ -2,17 +2,18 @@
 
 Run:  python demos/02_schedules_and_depth.py
 """
+import json
+
 from impsprep import (
-    TopologyGraph,
     chain_schedule,
     fig6_schedule,
     graph_contraction_schedule,
     grid_schedule,
     hen_schedule,
     htn_schedule,
-    schedule_to_json,
     ttn_schedule,
 )
+from impsprep.schedules import topology_from_json
 
 print("scheme     n   U-depth   gates   (chain depth = n-1, trees = ceil(log2 n))")
 for n in (8, 12, 16, 32, 64):
@@ -46,8 +47,11 @@ for i, rnd in enumerate(grid.rounds):
 print(f"\nfixed 12-qubit grid scheme: U-depth {fig6_schedule().u_depth} per layer")
 
 # Any connected coupling graph works: rounds are maximal matchings of the
-# progressively contracted graph.
-ring = TopologyGraph.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
-sched = graph_contraction_schedule(ring)
-print(f"\n6-qubit ring contraction: U-depth {sched.u_depth}")
-print(schedule_to_json(sched))
+# progressively contracted graph. The graph is given as the topology JSON
+# that `impsprep compile --scheme graph --graph FILE.json` reads.
+text = json.dumps({"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)]})
+print(f"\ntopology JSON: {text}")
+sched = graph_contraction_schedule(topology_from_json(text))
+print(f"6-qubit ring contraction: U-depth {sched.u_depth}")
+for i, rnd in enumerate(sched.rounds):
+    print(f"  round {i}: {rnd}")

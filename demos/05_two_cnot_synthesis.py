@@ -8,17 +8,15 @@ import numpy as np
 from impsprep import (
     OneQubitGate,
     build_u2cx,
-    cosine_sine_decompose,
     count_gates,
     disentangle_step,
     from_amplitudes,
-    magic_kak_decompose,
     run_schedule,
     synthesize_generic,
     synthesize_two_cnot,
     ttn_schedule,
 )
-from impsprep.gatesynth import SynthMode
+from impsprep.gatesynth import GAMMA, SynthMode, _general_magic_kak
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 rng = np.random.default_rng(1)
@@ -29,21 +27,25 @@ step = disentangle_step(state, 1, 3)
 u_inv = step.unitary
 
 # Its cosine-sine decomposition splits it into block-diagonal factors around
-# a real middle; cancelling the outer factors against the inner ones yields
-# the two-CNOT representative of its equivalence class.
-dec = cosine_sine_decompose(u_inv)
-print("CSD cosines:", dec.cosines, " sines:", dec.sines)
+# a real middle [[C, S], [S, -C]]; build_u2cx cancels the outer factors
+# against the inner ones, which yields the two-CNOT representative of its
+# equivalence class. The cosines C survive the rewrite: they are the
+# singular values of u_inv's top-left 2x2 and the eigenvalues of the
+# representative's.
 gate = build_u2cx(u_inv)
+print("CSD cosines:", np.linalg.svd(u_inv[:2, :2], compute_uv=False))
+print("representative's top-left eigenvalues:", np.linalg.eigvalsh(gate[:2, :2])[::-1])
 print("representative is Hermitian:", np.abs(gate - gate.conj().T).max() < 1e-12)
 print("eigenvalues:", np.round(np.sort(np.linalg.eigvals(gate).real), 6))
 
-# One magic-basis KAK serves both synthesis modes. For the representative its
-# angles pair up as (a, -a, b, -b) and the Pauli-string coefficients have
-# omega_0 = 0 with one of the other three vanishing, which is exactly the
-# two-CNOT condition.
-angles = magic_kak_decompose(gate)
-print("\ntheta:", angles.theta)
-print("omega:", angles.omega)
+# One magic-basis KAK, the one synthesis runs on every gate, serves both
+# synthesis modes. For the representative its angles pair up as
+# (a, -a, b, -b) and the Pauli-string coefficients have omega_0 = 0 with one
+# of the other three vanishing (mod pi), which is exactly the two-CNOT
+# condition.
+_p, theta, _q = _general_magic_kak(gate)
+print("\ntheta:", theta)
+print("omega:", GAMMA.T @ theta / 4.0)
 
 seq = synthesize_two_cnot(gate)
 print(f"\nsynthesized with {seq.cnot_count} CNOTs and "

@@ -18,14 +18,10 @@ from .disentangler import (
     truncate_and_renormalize,
 )
 from .gatesynth import (
-    CSDecomposition,
     GateSequence,
-    KakAngles,
     SynthMode,
     build_u2cx,
-    cosine_sine_decompose,
     count_gates,
-    magic_kak_decompose,
     synthesize_circuit,
     synthesize_generic,
     synthesize_two_cnot,
@@ -39,8 +35,6 @@ from .schedules import (
     grid_schedule,
     hen_schedule,
     htn_schedule,
-    schedule_from_json,
-    schedule_to_json,
     ttn_schedule,
 )
 from .statevec import (
@@ -62,7 +56,6 @@ from .targets import (
     RankProfile,
     RingBoundReport,
     TargetSpec,
-    catalog,
     discretize,
     make_spec,
     mps_rank,

@@ -211,6 +211,8 @@ def cmd_benchmark(args) -> int:
     scheme_names = _parse_list("--schemes", args.schemes)
     n_list = _parse_list("--n-list", str(args.n) if args.n_list is None else args.n_list, int)
     layers_list = _parse_list("--layers-list", args.layers_list, int)
+    if min(layers_list) < 1:
+        raise SystemExit(f"--layers-list values must be >= 1, got {args.layers_list!r}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
     # every schedule, and each size's targets, exist before that size's first

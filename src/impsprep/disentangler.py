@@ -149,7 +149,7 @@ def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> D
     """
     block = extract_block(state, a, b, fixed)
     if not np.all(np.isfinite(block.rows)):
-        raise ValueError("block matrix contains non-finite entries; SVD aborted")
+        raise ValueError(f"block matrix of pair ({a}, {b}) contains non-finite entries")
     u, lam = _block_svd(block.rows)
     return DisentangleStep(
         pair=(a, b),

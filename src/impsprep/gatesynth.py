@@ -1,23 +1,24 @@
 """Two-qubit gate synthesis.
 
-The disentangling unitaries produced by the block SVD are only determined up
-to a block-diagonal factor diag(U1, U2): any member of that equivalence class
-keeps the same weight in the top two amplitude rows. ``build_u2cx`` picks the
-representative obtained by cancelling the outer factors of a (modified)
-cosine-sine decomposition; that representative is a Hermitian involution with
-eigenvalues (1, 1, -1, -1) and can always be realized with two CNOTs.
+The disentangling unitaries produced by the block factor are only
+determined up to a block-diagonal factor diag(U1, U2): any member of that
+equivalence class keeps the same weight in the top two amplitude rows.
+``build_u2cx`` picks the representative from one cosine-sine decomposition
+(CSD) of the unitary by cancelling its outer factors; that representative
+is a Hermitian involution with eigenvalues (1, 1, -1, -1) and can always be
+realized with two CNOTs.
 
-Every 4x4 unitary goes through one real-orthogonal KAK factorization in the
-magic basis: M^dag u M = P exp(i Theta) Q^T up to global phase, with P, Q in
-SO(4), which makes M P M^dag and M Q^T M^dag local gates. The diagonal
-angles map linearly (via the fixed sign matrix GAMMA) onto coefficients of
-XX / YY / ZZ, and the two synthesis modes differ only in how they realize
-that middle factor. The two-CNOT mode needs one coefficient to vanish
-(mod pi/2), which holds for the class above. The generic three-CNOT baseline
-uses no CNOT when all three vanish and a fixed three-CNOT core otherwise
-(Vatan & Williams, quant-ph/0308006). ``synthesize_gate`` builds both from
-one KAK per gate, so one pass gives the emitted circuit and the generic
-counts it is compared with.
+Every 4x4 unitary then goes through one real-orthogonal KAK factorization
+in the magic basis, ``_general_magic_kak``: M^dag u M = P exp(i Theta) Q^T
+up to global phase, with P, Q in SO(4), which makes M P M^dag and
+M Q^T M^dag local gates. The diagonal angles map linearly (via the fixed
+sign matrix GAMMA) onto coefficients of XX / YY / ZZ, and the two synthesis
+modes differ only in how they realize that middle factor. The two-CNOT mode
+needs one coefficient to vanish (mod pi/2), which holds for the class above.
+The generic three-CNOT baseline uses no CNOT when all three vanish and a
+fixed three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
+``synthesize_gate`` builds both from one KAK per gate, so one pass gives the
+emitted circuit and the generic counts it is compared with.
 
 Sequences are built from the circuit's own gate types: ``OneQubitGate`` and
 ``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, which
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cossin
@@ -37,7 +38,6 @@ from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed
 from .statevec import TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
-CLASS_TOL = 1e-8
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -69,126 +69,34 @@ GAMMA = np.array(
 )
 
 
-@dataclass(frozen=True)
-class CSDecomposition:
-    """u = blockdiag(left_top, left_bottom) @ [[C, S], [S, -C]] @ blockdiag(right_top, right_bottom)."""
+def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
+    """The two-CNOT representative of the equivalence class of ``u_inv``.
 
-    left_top: np.ndarray = field(repr=False)
-    left_bottom: np.ndarray = field(repr=False)
-    right_top: np.ndarray = field(repr=False)
-    right_bottom: np.ndarray = field(repr=False)
-    cosines: np.ndarray  # descending, in [0, 1]
-    sines: np.ndarray
-
-    def middle(self) -> np.ndarray:
-        c, s = np.diag(self.cosines), np.diag(self.sines)
-        return np.block([[c, s], [s, -c]])
-
-    def reassemble(self) -> np.ndarray:
-        z = np.zeros((2, 2))
-        left = np.block([[self.left_top, z], [z, self.left_bottom]])
-        right = np.block([[self.right_top, z], [z, self.right_bottom]])
-        return left @ self.middle() @ right
-
-
-def cosine_sine_decompose(u: np.ndarray) -> CSDecomposition:
-    """Modified cosine-sine decomposition of a 4x4 unitary.
-
-    LAPACK's simultaneous CS decomposition is used underneath (a naive
-    SVD-of-one-block construction loses the coupling between blocks when a
-    cosine approaches 1); its standard middle factor [[C, -S], [S, C]] is
-    converted by negating the lower-right factor.
+    One cosine-sine decomposition (LAPACK's, which keeps the coupling
+    between blocks when a cosine approaches 1) gives u_inv = L M R with
+    block-diagonal L and R around the real middle M = [[C, S], [S, -C]];
+    LAPACK's own middle [[C, -S], [S, C]] becomes M by negating the
+    lower-right factor of R. The outer factor L is replaced by R^dag, so the
+    result R^dag M R equals D @ u_inv for a block-diagonal unitary D, and
+    applying it in a disentangling step preserves the retained weight. It is
+    Hermitian with eigenvalues (1, 1, -1, -1).
     """
-    u = require_unitary(u, what="CSD input")
+    u = require_unitary(u_inv, what="CSD input")
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     (q1, q2), theta, (v1h, v2h) = cossin(u, p=2, q=2, separate=True)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    dec = CSDecomposition(
-        left_top=q1,
-        left_bottom=q2,
-        right_top=v1h,
-        right_bottom=-v2h,
-        cosines=np.clip(c, 0.0, 1.0),
-        sines=np.clip(s, 0.0, 1.0),
-    )
-    err = np.abs(dec.reassemble() - u).max()
+    cosines = np.clip(np.cos(theta), 0.0, 1.0)  # descending, in [0, 1]
+    c, s = np.diag(cosines), np.diag(np.clip(np.sin(theta), 0.0, 1.0))
+    middle = np.block([[c, s], [s, -c]])
+    z = np.zeros((2, 2))
+    right = np.block([[v1h, z], [z, -v2h]])
+    err = np.abs(np.block([[q1, z], [z, q2]]) @ middle @ right - u).max()
     if err > RECON_TOL:
         raise ValueError(f"CSD reassembly failed: deviation {err:.3e}")
-    if dec.cosines[0] < dec.cosines[1] - 1e-12:
+    if cosines[0] < cosines[1] - 1e-12:
         raise ValueError("CSD cosines not sorted descending")
-    return dec
-
-
-def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
-    """Replace the outer CSD factors of ``u_inv`` by the inverses of the inner
-    ones, yielding the two-CNOT representative of its equivalence class.
-
-    The result equals D @ u_inv for a block-diagonal unitary D, so applying it
-    in a disentangling step preserves the retained weight; it is Hermitian
-    with eigenvalues (1, 1, -1, -1).
-    """
-    dec = cosine_sine_decompose(u_inv)
-    z = np.zeros((2, 2))
-    left = np.block(
-        [[dec.right_top.conj().T, z], [z, dec.right_bottom.conj().T]]
-    )
-    right = np.block([[dec.right_top, z], [z, dec.right_bottom]])
-    return left @ dec.middle() @ right
-
-
-@dataclass(frozen=True)
-class KakAngles:
-    """Real-orthogonal KAK data: M P exp(i diag(theta)) Q^T M^dag = k."""
-
-    theta: np.ndarray
-    omega: np.ndarray
-    p: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-
-    def reconstruct(self) -> np.ndarray:
-        core = self.p @ np.diag(np.exp(1j * self.theta)) @ self.q.T
-        return MAGIC @ core @ MAGIC.conj().T
-
-
-def _check_class_member(k: np.ndarray) -> np.ndarray:
-    k = require_unitary(k, what="KAK input")
-    if k.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {k.shape}")
-    eig = np.sort(np.linalg.eigvals(k).real)
-    if np.abs(np.sort(np.linalg.eigvals(k)).imag).max() > CLASS_TOL or np.abs(
-        eig - np.array([-1.0, -1.0, 1.0, 1.0])
-    ).max() > CLASS_TOL:
-        raise ValueError(
-            "matrix is not in the U (Z x I) U^dag class (eigenvalues not {1, 1, -1, -1})"
-        )
-    return k
-
-
-def magic_kak_decompose(k: np.ndarray) -> KakAngles:
-    """Factor a Hermitian involution k as M P exp(i Theta) Q^T M^dag.
-
-    This is the KAK that synthesis uses; det k = 1, so it holds exactly, not
-    only up to a global phase. P, Q are special orthogonal and theta lies in
-    (-pi, pi]. theta sums to a multiple of 2 pi, so omega_0 is a multiple of
-    pi/2; when it is an odd one (exactly local members such as Z x I give
-    theta = pi/2 four times), two angles of the same sign are moved by pi
-    towards zero and their Q columns negated, which leaves exp(i Theta) Q^T
-    and det Q unchanged and makes omega_0 a multiple of pi.
-    """
-    k = _check_class_member(k)
-    p, theta, q = _general_magic_kak(k)
-    if abs(math.remainder(theta.sum() / 4.0, math.pi)) > math.pi / 4:
-        pos = theta > 0
-        idx = np.flatnonzero(pos if pos.sum() >= 2 else ~pos)[:2]
-        theta[idx] += np.where(pos[idx], -math.pi, math.pi)
-        q[:, idx] *= -1.0
-    angles = KakAngles(theta=theta, omega=GAMMA.T @ theta / 4.0, p=p, q=q)
-    err = np.abs(angles.reconstruct() - k).max()
-    if err > RECON_TOL:
-        raise ValueError(f"KAK reconstruction failed: deviation {err:.3e}")
-    return angles
+    left = np.block([[v1h.conj().T, z], [z, (-v2h).conj().T]])
+    return left @ middle @ right
 
 
 # --- primitive gate sequences ------------------------------------------------

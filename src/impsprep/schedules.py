@@ -4,6 +4,7 @@ the fixed 12-qubit grid scheme, and a generic graph-contraction scheduler.
 A schedule is an ordered list of rounds; each round is a tuple of directed
 pairs ``(a, b)`` meaning "qubit a is disentangled, weight flows to b".
 Pairs within a round are disjoint, so one round costs one U-depth.
+``topology_from_json`` reads the coupling graph of the graph scheme.
 """
 from __future__ import annotations
 
@@ -275,23 +276,6 @@ def graph_contraction_schedule(g: TopologyGraph) -> Schedule:
                     adj[w].add(dst)
                     adj[dst].add(w)
     return Schedule(n=g.n, rounds=tuple(rounds), scheme="graph")
-
-
-def schedule_to_json(schedule: Schedule) -> str:
-    payload = {
-        "scheme": schedule.scheme,
-        "n": schedule.n,
-        "rounds": [[[a, b] for a, b in rnd] for rnd in schedule.rounds],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def schedule_from_json(text: str) -> Schedule:
-    payload = json.loads(text)
-    rounds = tuple(tuple((int(a), int(b)) for a, b in rnd) for rnd in payload["rounds"])
-    sched = Schedule(n=int(payload["n"]), rounds=rounds, scheme=str(payload["scheme"]))
-    sched.validate()
-    return sched
 
 
 def topology_from_json(text: str) -> TopologyGraph:

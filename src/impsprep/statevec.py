@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 _DEFAULT_MAX_QUBITS = 24
@@ -209,6 +208,7 @@ def load_amplitudes(path) -> StateVector:
 
     One numpy parse; the (N, 2) float rows are viewed as N complex values,
     exactly complex(float(re), float(im)) per line. Blank lines are skipped.
+    Every error, about the file or about its amplitudes, names the file.
     """
     try:
         with warnings.catch_warnings():
@@ -220,4 +220,7 @@ def load_amplitudes(path) -> StateVector:
         raise ValueError(f"{path}: {exc}") from None
     if values.size == 0 or values.shape[1] != 2:
         raise ValueError(f"{path}: expected one 're im' pair per line, got shape {values.shape}")
-    return from_amplitudes(values.view(complex).reshape(-1))
+    try:
+        return from_amplitudes(values.view(complex).reshape(-1))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -152,7 +152,7 @@ def resolve(name: str, n: int, rng) -> tuple[str, StateVector, tuple | None]:
 
     ``random`` draws a state from ``rng``; a name ending in ``.amps`` or
     containing a slash is an amplitude file that must hold ``n`` qubits; any
-    other name is a kind of ``make_spec``. Only catalog kinds have a domain.
+    other name is a kind of ``make_spec``. Only function kinds have a domain.
     """
     name = name.strip()
     if name.endswith(".amps") or "/" in name:
@@ -237,8 +237,3 @@ def verify_ring_bounds(f: TargetSpec, g: TargetSpec, tol: float = RANK_TOL) -> R
         details={"f": f.label(), "g": g.label(), "n": f.n, "tol": tol},
     )
 
-
-def catalog(n: int) -> list[TargetSpec]:
-    """The six parameter-free benchmark functions plus the GHZ and W states at size n."""
-    kinds = [kind for kind, (_f, _dom, params) in KINDS.items() if not params]
-    return [make_spec(kind, n) for kind in kinds + list(STATES)]

@@ -32,6 +32,13 @@ def test_compare(tmp_path, capsys, name, body, rc, line):
     assert line.format(b=b) in capsys.readouterr().out.splitlines()
 
 
+def test_cells_cover_every_scheme_the_cli_accepts():
+    from impsprep import cli
+
+    schemes = {argv[argv.index("--scheme") + 1] for _, argv in artifacts.cells() if "--scheme" in argv}
+    assert schemes == set(cli.SCHEME_CHOICES)
+
+
 def test_compare_rejects_a_missing_tree(tmp_path):
     with pytest.raises(SystemExit, match="not a directory"):
         artifacts.main(["compare", str(_tree(tmp_path / "a")), str(tmp_path / "missing")])

@@ -451,12 +451,32 @@ class TestBadInputs:
          "unknown target 'nope'"),
         (["benchmark", "--targets", "f1", "--schemes", "chain,fig6", "--n", "4", "--plotdata"],
          "fig6 scheme is fixed at n = 12"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--layers-list", "1,0",
+          "--plotdata"], "--layers-list values must be >= 1, got '1,0'"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as info:
             run_cli(argv + (["--out", "out"] if argv[0] != "rank" else []))
         assert isinstance(info.value.code, str) and named in info.value.code
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body,reason", [
+        ("nan 0\n1 0\n0 0\n0 0\n", "amplitudes contain non-finite values"),
+        ("0 0\n0 0\n0 0\n0 0\n", "cannot normalize an all-zero amplitude vector"),
+        ("1 0\n1 0\n1 0\n", "amplitude length 3 is not a power of two >= 2"),
+    ], ids=["nan", "zero", "length3"])
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--target", "bad.amps", "--scheme", "chain", "--n", "2", "--out", "out"],
+        ["rank", "--target", "bad.amps", "--n", "2"],
+        ["benchmark", "--targets", "bad.amps", "--schemes", "chain", "--n", "2", "--out", "out"],
+    ], ids=["compile", "rank", "benchmark"])
+    def test_amplitude_file_content_names_the_file(self, tmp_path, monkeypatch, body, reason, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.amps").write_text(body)
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == f"error: bad.amps: {reason}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload,key", [({"n": 3}, "edges"), ({"edges": []}, "n"), (3, "n")])

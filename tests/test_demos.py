@@ -17,3 +17,10 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    """The README's library quick start runs as written."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quick start", "exec"), {})

@@ -7,10 +7,9 @@ from impsprep.gatesynth import (
     GAMMA,
     MAGIC,
     SynthMode,
+    _general_magic_kak,
     build_u2cx,
-    cosine_sine_decompose,
     count_gates,
-    magic_kak_decompose,
     synthesize_circuit,
     synthesize_generic,
     synthesize_two_cnot,
@@ -48,42 +47,45 @@ def assemble(ap, bp, a, b, c, s):
     return np.block([[ap, z], [z, bp]]) @ mid @ np.block([[a, z], [z, b]])
 
 
-class TestCosineSine:
-    def test_identity_input(self):
-        dec = cosine_sine_decompose(np.eye(4))
-        assert np.allclose(dec.cosines, [1.0, 1.0])
-        assert np.allclose(dec.sines, [0.0, 0.0])
-        assert np.abs(dec.reassemble() - np.eye(4)).max() < 1e-12
+class TestBuildU2cx:
+    @staticmethod
+    def assert_representative(u, tol=1e-9):
+        """K = build_u2cx(u) is a Hermitian involution, D = K u^dag is
+        block-diagonal, and the eigenvalues of K's top-left 2x2 are u's CSD
+        cosines, the singular values of u's top-left 2x2. Returns K."""
+        k = build_u2cx(u)
+        assert np.abs(k - k.conj().T).max() < tol
+        assert np.abs(k @ k - np.eye(4)).max() < tol
+        d = k @ u.conj().T
+        assert max(np.abs(d[:2, 2:]).max(), np.abs(d[2:, :2]).max()) < tol
+        cosines = np.linalg.svd(u[:2, :2], compute_uv=False)
+        assert np.abs(np.linalg.eigvalsh(k[:2, :2])[::-1] - cosines).max() < tol
+        return k
+
+    def test_identity_gives_class_member(self):
+        g = self.assert_representative(np.eye(4))
+        eig = np.sort(np.linalg.eigvals(g).real)
+        assert np.allclose(eig, [-1, -1, 1, 1], atol=1e-9)
 
     def test_block_diagonal_input(self, rng):
         u1, u2 = haar_unitary(2, rng), haar_unitary(2, rng)
         z = np.zeros((2, 2))
-        u = np.block([[u1, z], [z, u2]])
-        dec = cosine_sine_decompose(u)
-        assert np.allclose(dec.sines, 0.0, atol=1e-10)
-        assert np.abs(dec.reassemble() - u).max() < 1e-9
+        self.assert_representative(np.block([[u1, z], [z, u2]]))
 
-    def test_random_reassembly_and_structure(self, rng):
+    def test_random_inputs(self, rng):
         for _ in range(50):
-            u = haar_unitary(4, rng)
-            dec = cosine_sine_decompose(u)
-            assert np.abs(dec.reassemble() - u).max() < 1e-9
-            assert dec.cosines[0] >= dec.cosines[1] - 1e-12
-            c2s2 = dec.cosines**2 + dec.sines**2
-            assert np.abs(c2s2 - 1.0).max() < 1e-10
-            for m in (dec.left_top, dec.left_bottom, dec.right_top, dec.right_bottom):
-                assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-9
+            self.assert_representative(haar_unitary(4, rng))
 
     def test_agrees_with_naive_construction_when_well_conditioned(self, rng):
         checked = 0
         while checked < 20:
             u = haar_unitary(4, rng)
-            dec = cosine_sine_decompose(u)
-            if dec.sines[1] < 0.1 or dec.cosines[0] > 0.99:
-                continue  # oracle divides by s; skip its weak spots
             ap, bp, a, b, c, s = naive_csd_oracle(u)
-            assert np.allclose(np.sort(c), np.sort(dec.cosines), atol=1e-9)
+            if s.min() < 0.1 or c.max() > 0.99:
+                continue  # oracle divides by s; skip its weak spots
             assert np.abs(assemble(ap, bp, a, b, c, s) - u).max() < 1e-8
+            k = self.assert_representative(u)
+            assert np.allclose(np.linalg.eigvalsh(k[:2, :2]), np.sort(c), atol=1e-9)
             checked += 1
 
     def test_near_degenerate_cosine_stays_accurate(self, rng):
@@ -97,34 +99,11 @@ class TestCosineSine:
         )
         l1, l2, r1, r2 = (haar_unitary(2, rng) for _ in range(4))
         u = np.block([[l1, z], [z, l2]]) @ mid @ np.block([[r1, z], [z, r2]])
-        dec = cosine_sine_decompose(u)
-        assert np.abs(dec.reassemble() - u).max() < 1e-9
+        self.assert_representative(u)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_sine_decompose(np.eye(4) * 1.5)
-
-
-class TestBuildU2cx:
-    def test_identity_gives_class_member(self):
-        g = build_u2cx(np.eye(4))
-        eig = np.sort(np.linalg.eigvals(g).real)
-        assert np.allclose(eig, [-1, -1, 1, 1], atol=1e-9)
-
-    def test_equivalence_class_property(self, rng):
-        # result = D @ input with D block-diagonal unitary
-        for _ in range(20):
-            u = haar_unitary(4, rng)
-            g = build_u2cx(u)
-            d = g @ u.conj().T
-            assert np.abs(d[:2, 2:]).max() < 1e-9
-            assert np.abs(d[2:, :2]).max() < 1e-9
-            assert np.abs(d @ d.conj().T - np.eye(4)).max() < 1e-9
-
-    def test_hermitian_involution(self, rng):
-        g = build_u2cx(haar_unitary(4, rng))
-        assert np.abs(g - g.conj().T).max() < 1e-9
-        assert np.abs(g @ g - np.eye(4)).max() < 1e-9
+        with pytest.raises(ValueError, match="CSD input is not unitary"):
+            build_u2cx(np.eye(4) * 1.5)
 
     def test_preserves_retained_weight_on_disentangling_instances(self, rng):
         for _ in range(50):
@@ -144,34 +123,26 @@ class TestBuildU2cx:
         assert np.abs(g.imag).max() < 1e-9
 
 
-class TestMagicKak:
-    def test_z_tensor_i(self):
-        angles = magic_kak_decompose(ZI)
-        assert np.abs(angles.reconstruct() - ZI).max() < 1e-12
-        # angles are pairwise opposite
-        assert np.abs(np.sort(angles.theta) + np.sort(angles.theta)[::-1]).max() < 1e-9
-
-    def test_x_tensor_i(self):
-        k = np.kron(X, I2)
-        angles = magic_kak_decompose(k)
-        assert np.abs(angles.reconstruct() - k).max() < 1e-9
-
+class TestGeneralMagicKak:
     def test_fuzz_class_members(self, rng):
         for _ in range(100):
             k = random_class_member(rng)
-            angles = magic_kak_decompose(k)
-            assert np.abs(angles.reconstruct() - k).max() < 1e-9
+            p, theta, q = _general_magic_kak(k)
+            rebuilt = MAGIC @ p @ np.diag(np.exp(1j * theta)) @ q.T @ MAGIC.conj().T
+            tr = np.trace(rebuilt.conj().T @ k) / 4.0
+            assert np.abs(rebuilt * (tr / abs(tr)) - k).max() < 1e-9
             # negation closure as a multiset mod 2 pi
-            fwd = np.sort(np.angle(np.exp(1j * angles.theta)))
-            bwd = np.sort(np.angle(np.exp(-1j * angles.theta)))
+            fwd = np.sort(np.angle(np.exp(1j * theta)))
+            bwd = np.sort(np.angle(np.exp(-1j * theta)))
             assert np.abs(np.exp(1j * fwd) - np.exp(1j * bwd)).max() < 1e-9
             # omega pattern: w0 = 0 and at least one of w1..w3 = 0 (mod pi)
             def mod_pi(v):
                 return min(abs(np.angle(np.exp(1j * v))), abs(np.angle(np.exp(1j * (v + np.pi)))))
-            assert mod_pi(angles.omega[0]) < 1e-9
-            assert min(mod_pi(w) for w in angles.omega[1:]) < 1e-9
-            assert abs(np.linalg.det(angles.p) - 1.0) < 1e-10
-            assert abs(np.linalg.det(angles.q) - 1.0) < 1e-10
+            omega = GAMMA.T @ theta / 4.0
+            assert mod_pi(omega[0]) < 1e-9
+            assert min(mod_pi(w) for w in omega[1:]) < 1e-9
+            assert abs(np.linalg.det(p) - 1.0) < 1e-10
+            assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
     def test_gamma_is_the_pauli_string_transform(self, rng):
         # M exp(i diag(GAMMA w)) M^dag == exp(i (w0 II + w1 XX + w2 YY + w3 ZZ))
@@ -185,17 +156,6 @@ class TestMagicKak:
             rhs = expm(1j * sum(wi * p for wi, p in zip(w, paulis)))
             assert np.abs(lhs - rhs).max() < 1e-12
         assert np.allclose(np.linalg.inv(GAMMA), GAMMA.T / 4)
-
-    def test_non_class_member_rejected(self, rng):
-        with pytest.raises(ValueError):
-            magic_kak_decompose(haar_unitary(4, rng))
-
-    def test_deterministic(self, rng):
-        k = random_class_member(rng)
-        a1 = magic_kak_decompose(k)
-        a2 = magic_kak_decompose(k)
-        assert np.array_equal(a1.p, a2.p)
-        assert np.array_equal(a1.theta, a2.theta)
 
 
 class TestSynthesizeTwoCnot:
@@ -215,6 +175,19 @@ class TestSynthesizeTwoCnot:
         phase = gate.matrix[0, 0]
         assert np.abs(gate.matrix - phase * Z).max() < 1e-9
         self.assert_reconstructs(seq, ZI)
+
+    def test_x_tensor_i(self):
+        k = np.kron(X, I2)
+        seq = synthesize_two_cnot(k)
+        assert seq.cnot_count == 0
+        self.assert_reconstructs(seq, k)
+
+    def test_deterministic(self, rng):
+        k = random_class_member(rng)
+        a, b = synthesize_two_cnot(k), synthesize_two_cnot(k)
+        assert len(a.gates) == len(b.gates)
+        assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(a.gates, b.gates))
+        assert np.array_equal(a.matrix(), b.matrix())
 
     def test_single_pauli_string_exponential(self):
         from scipy.linalg import expm

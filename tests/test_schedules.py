@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -13,8 +12,6 @@ from impsprep.schedules import (
     grid_schedule,
     hen_schedule,
     htn_schedule,
-    schedule_from_json,
-    schedule_to_json,
     topology_from_json,
     ttn_schedule,
 )
@@ -260,14 +257,6 @@ class TestScheduleInvariants:
 
 
 class TestSerialization:
-    def test_schedule_json_roundtrip(self):
-        s = htn_schedule(6)
-        text = schedule_to_json(s)
-        payload = json.loads(text)
-        assert payload["scheme"] == "htn" and payload["n"] == 6
-        back = schedule_from_json(text)
-        assert back == s
-
     def test_topology_json(self):
         g = topology_from_json('{"n": 3, "edges": [[0, 1], [1, 2]]}')
         assert g.n == 3

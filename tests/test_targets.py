@@ -5,7 +5,8 @@ import pytest
 
 from impsprep import statevec, targets
 from impsprep.targets import (
-    catalog,
+    KINDS,
+    STATES,
     discretize,
     make_spec,
     mps_rank,
@@ -189,17 +190,16 @@ class TestRingBounds:
 
 class TestCatalog:
     def test_contains_the_benchmarks_and_special_states(self):
-        kinds = {s.kind for s in catalog(8)}
-        assert {"f1", "f2", "f3", "g1", "g2", "g3", "ghz", "w"} <= kinds
+        assert {"f1", "f2", "f3", "g1", "g2", "g3", "ghz", "w"} <= {*KINDS, *STATES}
 
     @pytest.mark.parametrize("n", [6, 8, 10, 12])
     def test_every_entry_discretizes(self, n):
-        for spec in catalog(n):
-            state = discretize(spec)
+        for kind in [*KINDS, *STATES]:
+            state = discretize(make_spec(kind, n))
             assert abs(state.norm() - 1.0) < 1e-12
 
     def test_default_domains_recorded(self):
-        domains = {s.kind: s.domain for s in catalog(8)}
+        domains = {kind: make_spec(kind, 8).domain for kind in KINDS}
         assert domains["f1"] == (0.0, 1.0)
         assert domains["g1"] == (-5.0, 5.0)
         assert domains["g2"][0] > 0.0

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -32,6 +33,14 @@ FUNCTIONS = ("f1", "f2", "f3", "g1", "g2", "g3")
 SCHEMES = ("chain", "ttn", "htn", "hen")
 # (file under OUT, qubits, seed) of the seeded random amplitude inputs
 AMPS = {"large": ("inputs/large.amps", 18, 18), "small": ("inputs/small.amps", 10, 10)}
+RING = "inputs/ring12.json"  # a 12-qubit ring topology for --scheme graph
+# the schemes that take their shape from flags, and chain with the other truncation
+SHAPED = {
+    "grid": ("grid", "--grid-rows", "3", "--grid-cols", "4"),
+    "fig6": ("fig6",),
+    "graph": ("graph", "--graph", RING),
+    "chain_round": ("chain", "--trunc", "round"),
+}
 WALL_TIME = re.compile(rb'^ *"wall_time": [^\n]*\n', re.M)
 
 
@@ -46,6 +55,8 @@ def cells():
             for s in SCHEMES:
                 for layers in (1, 2):
                     yield f"grid/{synth}/{t}_{s}_L{layers}", _compile(t, s, 12, layers) + ["--synth", synth]
+            for name, (s, *flags) in SHAPED.items():
+                yield f"shaped/{synth}/{t}_{name}_L2", _compile(t, s, 12, 2) + flags + ["--synth", synth]
     for s in ("chain", "htn", "hen"):
         yield f"large/{s}", _compile(AMPS["large"][0], s, 18, 2)
     for s in SCHEMES:
@@ -76,6 +87,7 @@ def write(out: Path) -> int:
             z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             Path(path).parent.mkdir(parents=True, exist_ok=True)
             np.savetxt(path, np.column_stack([z.real, z.imag]), fmt="%.17g")
+        Path(RING).write_text(json.dumps({"n": 12, "edges": [[i, (i + 1) % 12] for i in range(12)]}) + "\n")
         for cell, argv in cells():
             Path(cell).mkdir(parents=True)
             if argv[0] != "rank":
