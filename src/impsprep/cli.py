@@ -142,6 +142,8 @@ def _revalidate(qasm_path: Path, target_state, reported_infidelity: float) -> No
 
 def cmd_compile(args) -> int:
     t0 = time.perf_counter()
+    if args.layers < 1:
+        raise SystemExit(f"--layers must be >= 1, got {args.layers}")
     rng = np.random.default_rng(args.seed)
     label, state, domain = targets.resolve(args.target, args.n, rng)
     schedule = build_schedule(args.scheme, args.n, args)
@@ -209,10 +211,18 @@ def cmd_benchmark(args) -> int:
         raise SystemExit(f"--samples must be >= 1, got {args.samples}")
     target_names = _parse_list("--targets", args.targets)
     scheme_names = _parse_list("--schemes", args.schemes)
-    n_list = _parse_list("--n-list", str(args.n) if args.n_list is None else args.n_list, int)
+    n_text = str(args.n) if args.n_list is None else args.n_list
+    n_list = _parse_list("--n-list", n_text, int)
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     if min(layers_list) < 1:
         raise SystemExit(f"--layers-list values must be >= 1, got {args.layers_list!r}")
+    if min(n_list) < 2:
+        raise SystemExit(f"--n-list values must be >= 2, got {n_text!r}")
+    for n in n_list:
+        try:
+            statevec._check_qubit_count(n)
+        except ValueError as exc:
+            raise SystemExit(f"--n-list: {exc}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = Path(args.out)
     # every schedule, and each size's targets, exist before that size's first

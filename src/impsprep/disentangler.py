@@ -8,10 +8,13 @@ for each cluster of equal eigenvalues (``_block_svd``); no wide SVD is
 taken. Running a schedule executes rounds of such steps and reverses them
 into a preparation circuit.
 
-``disentangle_step`` returns the step only. ``run_schedule`` keeps one
-state, the exact image of the target under all gates applied so far, and
-applies each step's gate to it once with the gate kernel of ``statevec``,
-which never writes its input, so no state is copied.
+``disentangle_step`` returns the step only. ``run_schedule`` owns one
+state, a copy of the target that becomes the exact image of the target
+under all gates applied so far, and applies each step's gate to it once,
+in place, with the gate kernel of ``statevec``. It allocates the kernel's
+two work buffers once per call; each step reads its block into the first
+of them, since no gate is in flight then, so the engine holds three state
+sizes however many steps it runs. The target itself is never written.
 
 Truncation conventions
 ----------------------
@@ -45,7 +48,7 @@ from scipy.linalg.blas import zherk
 from .circuits import Circuit, OneQubitGate
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
-from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, extract_block
+from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
@@ -135,7 +138,7 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, s / np.linalg.norm(s)
 
 
-def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> DisentangleStep:
+def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset(), out=None) -> DisentangleStep:
     """Factor the (a, b) block as U diag(l) V^H and return the step that
     applies U^-1.
 
@@ -145,9 +148,10 @@ def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset()) -> D
     values. With ``fixed`` the block is read from the slice of ``state``
     where those qubits are |0>; the singular values are those of the
     renormalized block either way. The step record holds unitary = U^-1 and
-    retained_weight = l0^2 + l1^2; the state itself is not transformed.
+    retained_weight = l0^2 + l1^2; the state itself is not transformed. The
+    block is read into ``out`` when it is given (see ``extract_block``).
     """
-    block = extract_block(state, a, b, fixed)
+    block = extract_block(state, a, b, fixed, out)
     if not np.all(np.isfinite(block.rows)):
         raise ValueError(f"block matrix of pair ({a}, {b}) contains non-finite entries")
     u, lam = _block_svd(block.rows)
@@ -251,7 +255,9 @@ def run_schedule(
 
     n = target.n
     held = _held_qubits(schedule, truncation_mode)
-    exact = target.amps
+    exact = target.amps.copy()
+    state = StateVector(n=n, amps=exact)
+    work = _work_buffers(n)
     steps: list[DisentangleStep] = []
     per_round_weights: list[float] = []
 
@@ -259,12 +265,12 @@ def run_schedule(
         for rnd, fixed in zip(schedule.rounds, held):
             round_steps = []
             for a, b in rnd:
-                step = disentangle_step(StateVector(n=n, amps=exact), a, b, fixed)
+                step = disentangle_step(state, a, b, fixed, work[0])
                 if rewrite_2cx:
                     step = replace(step, unitary=build_u2cx(step.unitary))
                 round_steps.append(step)
             for step in round_steps:
-                exact = _apply_gate_to_amps(exact, n, step.pair, step.unitary)
+                _apply_gate_to_amps(exact, n, step.pair, step.unitary, *work)
             steps.extend(round_steps)
             per_round_weights.append(
                 float(np.prod([s.retained_weight for s in round_steps]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cossin
 
-from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed
+from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
 from .statevec import TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
@@ -294,11 +294,11 @@ def split_tensor_product(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray, comple
     if abs(det_r) < 0.1:
         raise ValueError("matrix is not a tensor product of single-qubit gates")
     r /= np.sqrt(det_r)
-    tmp = u4 @ np.kron(I2, r.conj().T)
+    tmp = u4 @ kron2(I2, r.conj().T)
     le = tmp[::2, ::2]
     det_l = le[0, 0] * le[1, 1] - le[0, 1] * le[1, 0]
     le /= np.sqrt(det_l)
-    phase = np.trace(np.kron(le, r).conj().T @ u4) / 4.0
+    phase = np.trace(kron2(le, r).conj().T @ u4) / 4.0
     if abs(abs(phase) - 1.0) > 1e-9:
         raise ValueError("tensor-product split failed")
     return le, r, phase

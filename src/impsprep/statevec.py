@@ -4,9 +4,14 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate to amplitudes; it only reads its input and returns a fresh
-buffer, so the engine shares arrays instead of copying them.
-``apply_two_qubit`` and ``apply_single_qubit`` are its checked wrappers.
+every gate to amplitudes. It updates an amplitude array that its caller
+owns, in place, through two state-size work buffers that the caller
+allocates once (``_work_buffers``) and reuses for every pass: a state-size
+array is above the allocator's mmap threshold, so a fresh one per pass is
+mapped, zero-filled page by page and unmapped again. The engine and the
+simulator each own one state and one pair of work buffers per call;
+``apply_two_qubit`` and ``apply_single_qubit`` are the checked value-semantic
+wrappers, which copy their input and allocate their own buffers.
 """
 from __future__ import annotations
 
@@ -125,9 +130,14 @@ def _check_pair(n: int, a: int, b: int) -> None:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
 
 
-def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> BlockMatrix:
+def extract_block(state: StateVector, a: int, b: int, fixed=frozenset(), out=None) -> BlockMatrix:
     """Extract the 4 x 2^(n-2-k) block matrix of ``state`` on the pair (a, b)
-    with the k qubits in ``fixed`` held at |0>: a view, then one copy."""
+    with the k qubits in ``fixed`` held at |0>: a view, then one copy.
+
+    The copy goes to a fresh array, or to the front of the flat complex
+    array ``out``; the block's rows are then a view of ``out`` and hold the
+    block only until the caller writes ``out`` again.
+    """
     if state.n < 2:
         raise ValueError("block extraction needs n >= 2")
     _check_pair(state.n, a, b)
@@ -136,7 +146,9 @@ def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> Bloc
     t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
     kept = [q for q in range(state.n) if q not in fixed]
     t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
-    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(np.array(t, order="C").reshape(4, -1)))
+    rows = np.empty(t.shape, dtype=complex) if out is None else out[: t.size].reshape(t.shape)
+    np.copyto(rows, t)
+    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(rows.reshape(4, -1)))
 
 
 def inverse_extract(block: BlockMatrix) -> StateVector:
@@ -157,32 +169,63 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix
     return m
 
 
-def _apply_gate_to_amps(amps: np.ndarray, n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
-    """Apply the 2^k x 2^k ``matrix`` to the k = 1 or 2 ``wires`` of ``amps``.
+def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two work buffers for an ``n``-qubit state.
+
+    They are two state-size arrays, not one (2, 2^n) array: freeing a
+    double-size block raises glibc's dynamic mmap threshold above the state
+    size, so state-size arrays allocated after it come from the heap, whose
+    freed pages can stay resident and raise the peak RSS.
+    """
+    return np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+
+
+def _apply_gate_to_amps(
+    amps: np.ndarray, n: int, wires: tuple[int, ...], matrix: np.ndarray,
+    gathered: np.ndarray, product: np.ndarray,
+) -> None:
+    """Apply the 2^k x 2^k ``matrix`` to the k = 1 or 2 ``wires`` of ``amps``,
+    in place.
 
     The first wire is the most significant bit of the matrix's own basis.
-    ``amps`` is only read; the result is one fresh buffer.
+    The state's moved view is gathered into the contiguous (2^k, 2^(n-k))
+    work buffer ``gathered``, multiplied into ``product`` and scattered back
+    into ``amps``; both buffers are state-size complex arrays that are
+    overwritten.
     """
     front = tuple(range(len(wires)))
-    t = np.moveaxis(amps.reshape([2] * n), wires, front).reshape(1 << len(wires), -1)
-    t = matrix @ t
-    return np.moveaxis(t.reshape([2] * n), front, wires).reshape(-1)
+    moved = np.moveaxis(amps.reshape([2] * n), wires, front)
+    wide = (1 << len(wires), -1)
+    np.copyto(gathered.reshape(moved.shape), moved)
+    np.matmul(matrix, gathered.reshape(wide), out=product.reshape(wide))
+    np.copyto(moved, product.reshape(moved.shape))
+
+
+def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a checked unitary on one wire or an ordered pair of
+    distinct wires of an ``n``-qubit state."""
+    matrix = require_unitary(matrix, what=("single-qubit gate", "two-qubit gate")[len(wires) - 1])
+    if len(wires) == 2:
+        _check_pair(n, *wires)
+    elif not 0 <= wires[0] < n:
+        raise ValueError(f"qubit index {wires[0]} out of range for n = {n}")
+    return matrix
+
+
+def _apply_checked(state: StateVector, wires: tuple[int, ...], matrix: np.ndarray) -> StateVector:
+    matrix = _check_gate(state.n, wires, matrix)
+    amps = state.amps.copy()
+    _apply_gate_to_amps(amps, state.n, wires, matrix, *_work_buffers(state.n))
+    return StateVector(n=state.n, amps=_freeze(amps))
 
 
 def apply_two_qubit(state: StateVector, gate: TwoQubitGate) -> StateVector:
     """Apply a two-qubit gate: left-multiplies the (a, b) block matrix."""
-    matrix = require_unitary(gate.matrix, what="two-qubit gate")
-    _check_pair(state.n, gate.a, gate.b)
-    amps = _apply_gate_to_amps(state.amps, state.n, (gate.a, gate.b), matrix)
-    return StateVector(n=state.n, amps=_freeze(amps))
+    return _apply_checked(state, (gate.a, gate.b), gate.matrix)
 
 
 def apply_single_qubit(state: StateVector, wire: int, matrix: np.ndarray) -> StateVector:
-    matrix = require_unitary(matrix, what="single-qubit gate")
-    if not 0 <= wire < state.n:
-        raise ValueError(f"qubit index {wire} out of range for n = {state.n}")
-    amps = _apply_gate_to_amps(state.amps, state.n, (wire,), matrix)
-    return StateVector(n=state.n, amps=_freeze(amps))
+    return _apply_checked(state, (wire,), matrix)
 
 
 def fidelity(phi: StateVector, psi: StateVector) -> float:

@@ -60,16 +60,15 @@ def random_circuit(n, length, rng):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """State passes made by simulate, per kernel wrapper."""
-    seen = {"apply_two_qubit": 0, "apply_single_qubit": 0}
-    for name in seen:
-        original = getattr(circuits, name)
+    """State passes made by simulate's gate kernel, by the number of wires."""
+    seen = {"two": 0, "single": 0}
+    kernel = circuits._apply_gate_to_amps
 
-        def counting(*args, _name=name, _original=original):
-            seen[_name] += 1
-            return _original(*args)
+    def counting(*args):
+        seen["two" if len(args[2]) == 2 else "single"] += 1
+        return kernel(*args)
 
-        monkeypatch.setattr(circuits, name, counting)
+    monkeypatch.setattr(circuits, "_apply_gate_to_amps", counting)
     return seen
 
 
@@ -118,7 +117,7 @@ class TestFusedSimulate:
         ]
         circuit = Circuit(n=5, gates=built)
         prepared = simulate(circuit)
-        assert passes == {"apply_two_qubit": two, "apply_single_qubit": single}
+        assert passes == {"two": two, "single": single}
         expected = dense_circuit_operator(circuit)[:, 0]
         assert np.abs(prepared.amps - expected).max() < 1e-12
 
@@ -136,8 +135,8 @@ class TestFusedSimulate:
         primitive, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
         assert len(primitive.gates) > 4 * len(res.steps)
         prepared = simulate(primitive)
-        assert 0 < passes["apply_two_qubit"] <= len(res.steps)
-        assert passes["apply_single_qubit"] == 0
+        assert 0 < passes["two"] <= len(res.steps)
+        assert passes["single"] == 0
         reference = gate_by_gate(primitive)
         assert np.abs(prepared.amps - reference.amps).max() < 1e-12
 

@@ -453,6 +453,12 @@ class TestBadInputs:
          "fig6 scheme is fixed at n = 12"),
         (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--layers-list", "1,0",
           "--plotdata"], "--layers-list values must be >= 1, got '1,0'"),
+        (["compile", "--target", "f1", "--scheme", "chain", "--n", "4", "--layers", "0"],
+         "--layers must be >= 1, got 0"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain", "--n-list", "4,30", "--plotdata"],
+         "--n-list: 30 qubits exceeds cap of 24"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain", "--n-list", "4,1", "--plotdata"],
+         "--n-list values must be >= 2, got '4,1'"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from impsprep import disentangler, schedules, statevec, targets
+from impsprep import circuits, disentangler, schedules, statevec, targets
 from impsprep.circuits import simulate
 from impsprep.disentangler import (
     TruncationMode,
@@ -368,6 +369,44 @@ class TestRunSchedule:
         res = run_schedule(random_state(6, rng), getattr(schedules, f"{scheme}_schedule")(6),
                            2, disentangler.default_truncation_mode(scheme))
         assert calls == [step.pair for step in res.steps]
+
+    def test_target_untouched_and_simulated_state_frozen(self, rng):
+        target = random_state(6, rng)
+        before = target.amps.tobytes()
+        res = run_schedule(target, schedules.hen_schedule(6), 2, TruncationMode.PER_ROUND)
+        assert target.amps.tobytes() == before and not target.amps.flags.writeable
+        assert not simulate(res.circuit).amps.flags.writeable
+
+    def test_one_state_buffer_per_call(self, rng, monkeypatch):
+        # every pass of one run_schedule, and of one simulate, updates the
+        # same state through the same two work buffers
+        buffers = []
+        for module in (disentangler, circuits):
+            kernel = module._apply_gate_to_amps
+
+            def recording(*args, _kernel=kernel):
+                buffers.append(tuple(args[i].ctypes.data for i in (0, 4, 5)))
+                return _kernel(*args)
+
+            monkeypatch.setattr(module, "_apply_gate_to_amps", recording)
+        res = run_schedule(random_state(6, rng), schedules.hen_schedule(6), 2, TruncationMode.PER_ROUND)
+        assert len(buffers) == len(res.steps) and len(set(buffers)) == 1
+        buffers.clear()
+        simulate(res.circuit)
+        assert len(buffers) > 1 and len(set(buffers)) == 1
+
+    def test_peak_memory_is_three_state_sizes(self, rng):
+        # the owned state and the two work buffers; each block is read into
+        # the first work buffer
+        n = 16
+        target = random_state(n, rng)
+        tracemalloc.start()
+        try:
+            run_schedule(target, schedules.hen_schedule(n), 2, TruncationMode.PER_ROUND)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * target.amps.nbytes
 
     @pytest.mark.parametrize("sched,qubit,rnd", [
         (schedules.htn_schedule(8), 1, 1),

@@ -128,6 +128,15 @@ class TestExtractBlock:
             assert not rows.flags.writeable and rows.flags.c_contiguous
             assert not np.shares_memory(rows, s.amps)
 
+    def test_into_a_work_buffer(self, rng):
+        s = random_state(5, rng)
+        out = np.empty(1 << 5, dtype=complex)
+        for fixed in (set(), {4}):
+            for a, b in itertools.permutations(range(4), 2):
+                rows = statevec.extract_block(s, a, b, fixed, out).rows
+                assert np.array_equal(rows, statevec.extract_block(s, a, b, fixed).rows)
+                assert np.shares_memory(rows, out) and not rows.flags.writeable
+
     def test_roundtrip_exact(self, rng):
         for n in range(2, 7):
             s = random_state(n, rng)
@@ -246,6 +255,25 @@ class TestApplySingleQubit:
         s = random_state(3, rng)
         with pytest.raises(ValueError):
             statevec.apply_single_qubit(s, 1, np.eye(2) * 1.01)
+
+
+def fresh_array_gate(amps, n, wires, matrix):
+    """The kernel's arithmetic on fresh arrays: gather, ``@``, scatter."""
+    front = tuple(range(len(wires)))
+    t = np.moveaxis(amps.reshape([2] * n), wires, front).reshape(1 << len(wires), -1)
+    return np.moveaxis((matrix @ t).reshape([2] * n), front, wires).reshape(-1)
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_in_place_equals_fresh_array_reference(self, rng, n):
+        amps = random_state(n, rng).amps.copy()
+        work = statevec._work_buffers(n)
+        for wires in [*itertools.permutations(range(n), 2), *((w,) for w in range(n))]:
+            matrix = haar_unitary(1 << len(wires), rng)
+            expected = fresh_array_gate(amps, n, wires, matrix)
+            statevec._apply_gate_to_amps(amps, n, wires, matrix, *work)
+            assert np.array_equal(amps, expected), wires
 
 
 class TestInfidelity:
