@@ -11,10 +11,10 @@ the fused simulator and for rebuilding a synthesized sequence alike.
 
 ``simulate`` fuses before it applies, as qsim does (arXiv 2111.02396): each
 run of gates on one wire pair, with the single-qubit gates that reach it,
-becomes one 4x4, so a synthesized circuit costs one state pass per
-disentangling unitary instead of one per primitive gate. It owns the one
-state it updates and the kernel's two work buffers, allocated once per call
-(see ``statevec``), and returns the state frozen.
+becomes one 4x4, and two consecutive 4x4s on disjoint pairs share a state
+pass, not one pass per primitive gate. It owns the one state it updates
+and the kernel's two work buffers, allocated once per call (see
+``statevec``), and returns the state frozen.
 """
 from __future__ import annotations
 
@@ -67,9 +67,10 @@ class Circuit:
 
 
 def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 4x4 Kronecker product of two 2x2 matrices, entry for entry the
+    """The Kronecker product of two square matrices, entry for entry the
     products ``np.kron`` forms, at a fraction of its call overhead."""
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
+    dim = len(x) * len(y)
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(dim, dim)
 
 
 def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:
@@ -90,18 +91,29 @@ def simulate(circuit: Circuit) -> StateVector:
     wire pair (either orientation) is multiplied into one 4x4 through
     ``embed``. A single-qubit gate on that pair joins it; one on another
     wire waits, per wire, and folds into the next 4x4 that touches its
-    wire. Leftovers are applied on their own at the end. Every fused
-    matrix and every leftover is checked as ``apply_two_qubit`` and
-    ``apply_single_qubit`` check their gates, then applied in place.
+    wire. A fused 4x4 waits for the next one: on disjoint wires the two
+    share a pass as their Kronecker product. Leftovers are applied on their
+    own at the end. Every fused matrix and every leftover is checked as
+    ``apply_two_qubit`` and ``apply_single_qubit`` check their gates.
     """
     n = circuit.n
     _check_qubit_count(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     work = _work_buffers(n)
+    held = []  # the last fused (pair, 4x4), checked, while it waits
 
     def apply(wires: tuple[int, ...], matrix: np.ndarray) -> None:
-        _apply_gate_to_amps(amps, n, wires, _check_gate(n, wires, matrix), *work)
+        matrix = _check_gate(n, wires, matrix)
+        if held and len(wires) == 2 and not set(held[0][0]) & set(wires):
+            pair, first = held.pop()
+            wires, matrix = pair + wires, kron2(first, matrix)
+        elif held:
+            _apply_gate_to_amps(amps, n, *held.pop(), *work)
+        if len(wires) == 2:
+            held.append((wires, matrix))
+        else:
+            _apply_gate_to_amps(amps, n, wires, matrix, *work)
 
     waiting: dict[int, np.ndarray] = {}
     pair, fused = None, None
@@ -123,4 +135,6 @@ def simulate(circuit: Circuit) -> StateVector:
         apply(pair, fused)
     for wire, matrix in waiting.items():
         apply((wire,), matrix)
+    if held:
+        _apply_gate_to_amps(amps, n, *held.pop(), *work)
     return StateVector(n=n, amps=_freeze(amps))

@@ -4,17 +4,19 @@ Each step takes the left singular vectors of the 4 x 2^(n-2) amplitude
 block of a qubit pair and applies the inverse left factor, concentrating
 the pair's weight on the rows where the source qubit is |0>. Every block's
 factor is the eigenbasis of its 4x4 Gram matrix, with one canonical basis
-for each cluster of equal eigenvalues (``_block_svd``); no wide SVD is
+for each cluster of equal eigenvalues (``_factor_gram``); no wide SVD is
 taken. Running a schedule executes rounds of such steps and reverses them
 into a preparation circuit.
 
 ``disentangle_step`` returns the step only. ``run_schedule`` owns one
-state, a copy of the target that becomes the exact image of the target
-under all gates applied so far, and applies each step's gate to it once,
-in place, with the gate kernel of ``statevec``. It allocates the kernel's
-two work buffers once per call; each step reads its block into the first
-of them, since no gate is in flight then, so the engine holds three state
-sizes however many steps it runs. The target itself is never written.
+state, the exact image of the target under all gates applied so far, and
+the kernel's two work buffers: three state sizes however many steps it
+runs. It takes each round's pairs two at a time, and one ``statevec``
+kernel pass per group gathers their wires, reads both Gram matrices from
+one 16x16 Gram of the gathered block and applies the Kronecker product of
+the two gates. A gate on one pair leaves a disjoint pair's reduced state
+as it was, so these Gram matrices equal the pre-round state's (or its held
+slice's) up to round-off; a lone pair's pass is one step's arithmetic.
 
 Truncation conventions
 ----------------------
@@ -41,11 +43,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 
 import numpy as np
 from scipy.linalg.blas import zherk
 
-from .circuits import Circuit, OneQubitGate
+from .circuits import Circuit, OneQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
 from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
@@ -102,9 +105,15 @@ def _canonical_basis(v: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """conj(R R^H) of the C-contiguous rows R in the lower triangle; unlike a
+    sum of dot products, its bytes do not depend on the BLAS thread count."""
+    return zherk(1.0, rows.T, trans=2, lower=1)
+
+
+def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 4x4 left factor and the four singular values, scaled to unit sum
-    of squares.
+    of squares, of the block whose ``_gram`` (lower triangle) is ``gram``.
 
     The left factor of the 4 x m block R is the eigenbasis of its 4x4 Gram
     matrix R R^H (Demmel et al., arXiv 0808.2664), whose eigenvalues
@@ -121,9 +130,6 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     round-off cluster are reported as 0; it holds every one below
     sqrt(eps) * s0.
     """
-    # conj(R R^H) in the lower triangle; unlike a sum of dot products, its
-    # bytes do not depend on the BLAS thread count
-    gram = zherk(1.0, rows.T, trans=2, lower=1)
     w, v = np.linalg.eigh(gram)
     w, v = w[::-1], v[:, ::-1].conj()
     tol = CLUSTER_TOL * w[0]
@@ -138,29 +144,50 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, s / np.linalg.norm(s)
 
 
-def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset(), out=None) -> DisentangleStep:
+def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factor of every step, ``_factor_gram``, of the 4 x m ``rows``."""
+    return _factor_gram(_gram(rows))
+
+
+def _pair_grams(block: np.ndarray, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray) -> list:
+    """The Gram matrix of each pair of ``wires`` (one or two pairs) from the
+    gathered (2^k, 2^(n-k)) ``block``, read from its slice with the qubits
+    ``fixed`` at |0>, which is copied into the state-size ``spare``. Two
+    pairs' Gram matrices are the partial traces of the block's 16x16 one."""
+    if fixed:
+        rest = [q for q in range(n) if q not in wires]
+        t = block.reshape([len(block)] + [2] * len(rest))
+        t = t[(slice(None), *(0 if q in fixed else slice(None) for q in rest))]
+        block = spare[: t.size].reshape(len(block), -1)
+        np.copyto(block.reshape(t.shape), t)
+    gram = _gram(block)
+    if len(wires) == 2:
+        return [gram]
+    t = gram.reshape(4, 4, 4, 4)
+    return [np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)]
+
+
+def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset(), gram=None) -> DisentangleStep:
     """Factor the (a, b) block as U diag(l) V^H and return the step that
     applies U^-1.
 
-    U comes from ``_block_svd``, the eigenbasis of the block's 4x4 Gram
-    matrix for every block, with canonical bases for its clusters of equal
-    eigenvalues, so the result is deterministic under degenerate singular
-    values. With ``fixed`` the block is read from the slice of ``state``
-    where those qubits are |0>; the singular values are those of the
-    renormalized block either way. The step record holds unitary = U^-1 and
-    retained_weight = l0^2 + l1^2; the state itself is not transformed. The
-    block is read into ``out`` when it is given (see ``extract_block``).
+    U comes from ``_factor_gram``, the eigenbasis of the block's 4x4 Gram
+    matrix, with canonical bases for its clusters of equal eigenvalues, so
+    the result is deterministic under degenerate singular values. With
+    ``fixed`` the block is read from the slice of ``state`` where those
+    qubits are |0>; the singular values are those of the renormalized block
+    either way; a ``gram`` the caller read from that block stands in for
+    it. A non-finite block entry makes its row's diagonal Gram entry
+    non-finite. The step record holds unitary = U^-1 and retained_weight =
+    l0^2 + l1^2; the state itself is not transformed.
     """
-    block = extract_block(state, a, b, fixed, out)
-    if not np.all(np.isfinite(block.rows)):
+    if gram is None:
+        gram = _gram(extract_block(state, a, b, fixed).rows)
+    if not np.all(np.isfinite(gram.diagonal())):
         raise ValueError(f"block matrix of pair ({a}, {b}) contains non-finite entries")
-    u, lam = _block_svd(block.rows)
-    return DisentangleStep(
-        pair=(a, b),
-        unitary=u.conj().T,
-        retained_weight=min(1.0, float(lam[0] ** 2 + lam[1] ** 2)),
-        singular_values=lam,
-    )
+    u, lam = _factor_gram(gram)
+    retained = min(1.0, float(lam[0] ** 2 + lam[1] ** 2))
+    return DisentangleStep(pair=(a, b), unitary=u.conj().T, retained_weight=retained, singular_values=lam)
 
 
 def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, float]:
@@ -216,17 +243,14 @@ def _held_qubits(schedule: Schedule, mode: TruncationMode) -> list[frozenset[int
 
 
 def run_schedule(
-    target: StateVector,
-    schedule: Schedule,
-    layers: int = 1,
-    truncation_mode: TruncationMode = TruncationMode.PER_ROUND,
-    rewrite_2cx: bool = False,
+    target: StateVector, schedule: Schedule, layers: int = 1,
+    truncation_mode: TruncationMode = TruncationMode.PER_ROUND, rewrite_2cx: bool = False,
 ) -> PreparationResult:
     """Disentangle ``target`` by ``layers`` repetitions of ``schedule`` and
     return the reversed preparation circuit.
 
-    Within a round every step is computed from the same pre-round state
-    (pairs are disjoint, so the gates commute); truncation follows
+    A round's pairs are disjoint and taken two to a state pass (see the
+    module docstring); truncation follows
     ``truncation_mode`` as described in the module docstring. With
     ``rewrite_2cx`` each SVD unitary is replaced by its two-CNOT-implementable
     equivalence-class representative before being applied; every step keeps
@@ -236,9 +260,7 @@ def run_schedule(
     agree to round-off only for one layer with PER_LAYER truncation (chain,
     ttn), where no later step reads a discarded half. With PER_ROUND
     truncation or more layers, later steps read it too, with the
-    replacement's factor on it, and the infidelity differs either way: f2
-    htn n = 12, one layer, gives 1.52e-2 against 9.20e-3 without the
-    rewrite.
+    replacement's factor on it, and the infidelity differs either way.
 
     The final single-qubit rotation aligning the survivor qubit with |0> is
     absorbed explicitly, so the emitted circuit prepares the target from
@@ -261,20 +283,20 @@ def run_schedule(
     steps: list[DisentangleStep] = []
     per_round_weights: list[float] = []
 
+    def factor(group, fixed, block: np.ndarray) -> np.ndarray:
+        # the kernel calls this between its gather and its multiply
+        for (a, b), gram in zip(group, _pair_grams(block, n, sum(group, ()), fixed, work[1])):
+            step = disentangle_step(state, a, b, fixed, gram)
+            steps.append(replace(step, unitary=build_u2cx(step.unitary)) if rewrite_2cx else step)
+        return reduce(kron2, [step.unitary for step in steps[-len(group):]])
+
     for _layer in range(layers):
         for rnd, fixed in zip(schedule.rounds, held):
-            round_steps = []
-            for a, b in rnd:
-                step = disentangle_step(state, a, b, fixed, work[0])
-                if rewrite_2cx:
-                    step = replace(step, unitary=build_u2cx(step.unitary))
-                round_steps.append(step)
-            for step in round_steps:
-                _apply_gate_to_amps(exact, n, step.pair, step.unitary, *work)
-            steps.extend(round_steps)
-            per_round_weights.append(
-                float(np.prod([s.retained_weight for s in round_steps]))
-            )
+            first = len(steps)
+            for i in range(0, len(rnd), 2):
+                group = rnd[i:i + 2]
+                _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed), *work)
+            per_round_weights.append(float(np.prod([s.retained_weight for s in steps[first:]])))
 
     survivor = schedule.survivor()
     v0, v1 = exact[0], exact[1 << (n - 1 - survivor)]
@@ -282,17 +304,11 @@ def run_schedule(
     rot = _absorb_survivor(v0, v1)
     if rot is not None:
         gates.append(OneQubitGate(survivor, rot.conj().T))
-    for step in reversed(steps):
-        a, b = step.pair
-        gates.append(TwoQubitGate(a, b, step.unitary.conj().T))
+    gates += [TwoQubitGate(*step.pair, step.unitary.conj().T) for step in reversed(steps)]
 
     final = float(min(1.0, max(0.0, 1.0 - (abs(v0) ** 2 + abs(v1) ** 2))))
-    return PreparationResult(
-        circuit=Circuit(n=n, gates=gates, u_depth=layers * schedule.u_depth),
-        final_infidelity=final,
-        per_round_weights=per_round_weights,
-        steps=steps,
-    )
+    circuit = Circuit(n=n, gates=gates, u_depth=layers * schedule.u_depth)
+    return PreparationResult(circuit, final, per_round_weights, steps)
 
 
 def default_truncation_mode(scheme: str) -> TruncationMode:

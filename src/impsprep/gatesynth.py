@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cossin
+from scipy.linalg import get_lapack_funcs
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
 from .statevec import TwoQubitGate, require_unitary
@@ -56,6 +56,11 @@ MAGIC = np.array(
     ]
 ) / math.sqrt(2)
 
+# LAPACK's complex CSD with the arguments and workspace sizes ``cossin`` uses
+_UNCSD, _uncsd_lwork = get_lapack_funcs(("uncsd", "uncsd_lwork"), (np.zeros((2, 2), dtype=complex),))
+_lwork, _lrwork, _ = _uncsd_lwork(m=4, p=2, q=2)
+_UNCSD_ARGS = {"trans": False, "signs": False, "lwork": int(_lwork.real), "lrwork": int(_lrwork)}
+
 # Fixed sign matrix linking diagonal phase angles Theta to Pauli-string
 # coefficients Omega: Theta = GAMMA @ Omega, GAMMA^-1 = GAMMA^T / 4.
 GAMMA = np.array(
@@ -69,12 +74,18 @@ GAMMA = np.array(
 )
 
 
+def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.zeros((4, 4), dtype=complex)
+    out[:2, :2], out[2:, 2:] = x, y
+    return out
+
+
 def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
     """The two-CNOT representative of the equivalence class of ``u_inv``.
 
-    One cosine-sine decomposition (LAPACK's, which keeps the coupling
-    between blocks when a cosine approaches 1) gives u_inv = L M R with
-    block-diagonal L and R around the real middle M = [[C, S], [S, -C]];
+    One cosine-sine decomposition (LAPACK's ``zuncsd``, which keeps the
+    coupling between blocks when a cosine approaches 1) gives u_inv = L M R
+    with block-diagonal L and R around the real middle M = [[C, S], [S, -C]];
     LAPACK's own middle [[C, -S], [S, C]] becomes M by negating the
     lower-right factor of R. The outer factor L is replaced by R^dag, so the
     result R^dag M R equals D @ u_inv for a block-diagonal unitary D, and
@@ -84,19 +95,20 @@ def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
     u = require_unitary(u_inv, what="CSD input")
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    (q1, q2), theta, (v1h, v2h) = cossin(u, p=2, q=2, separate=True)
+    *_, theta, q1, q2, v1h, v2h, info = _UNCSD(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:], **_UNCSD_ARGS)
+    if info != 0:
+        raise ValueError(f"CSD failed: zuncsd info {info}")
     cosines = np.clip(np.cos(theta), 0.0, 1.0)  # descending, in [0, 1]
     c, s = np.diag(cosines), np.diag(np.clip(np.sin(theta), 0.0, 1.0))
-    middle = np.block([[c, s], [s, -c]])
-    z = np.zeros((2, 2))
-    right = np.block([[v1h, z], [z, -v2h]])
-    err = np.abs(np.block([[q1, z], [z, q2]]) @ middle @ right - u).max()
-    if err > RECON_TOL:
+    middle = np.empty((4, 4))
+    middle[:2, :2], middle[:2, 2:], middle[2:, :2], middle[2:, 2:] = c, s, s, -c
+    right = _block_diag(v1h, -v2h)
+    err = np.abs(_block_diag(q1, q2) @ middle @ right - u).max()
+    if not err <= RECON_TOL:
         raise ValueError(f"CSD reassembly failed: deviation {err:.3e}")
     if cosines[0] < cosines[1] - 1e-12:
         raise ValueError("CSD cosines not sorted descending")
-    left = np.block([[v1h.conj().T, z], [z, (-v2h).conj().T]])
-    return left @ middle @ right
+    return _block_diag(v1h.conj().T, (-v2h).conj().T) @ middle @ right
 
 
 # --- primitive gate sequences ------------------------------------------------
@@ -137,7 +149,7 @@ def _merge_singles(gates: list[GateLike]) -> list[GateLike]:
     def flush(wires=(0, 1)):
         for w in wires:
             m = pending.pop(w, None)
-            if m is not None and np.abs(m - m[0, 0] * I2).max() > 1e-12:
+            if m is not None and (abs(m[0, 1]) > 1e-12 or abs(m[1, 0]) > 1e-12 or abs(m[1, 1] - m[0, 0]) > 1e-12):
                 merged.append(_u(w, m))
 
     for g in gates:
@@ -257,7 +269,8 @@ def _ai_kak(u: np.ndarray):
     """
     delta = u @ u.T
     d2, o1 = _real_imag_split_eigh(delta, math.pi)
-    if not np.allclose(np.diag(np.diag(d2)), d2, atol=1e-7):
+    off = d2 - np.diag(np.diag(d2))
+    if not np.all(np.abs(off) <= 1e-7 + 1e-5 * np.abs(off)):  # np.allclose's test, atol=1e-7
         _, o1 = _real_imag_split_eigh(delta, 10.0)
     o1[:, 0] = np.linalg.det(o1) * o1[:, 0]
     rows = o1.T @ u
@@ -414,9 +427,9 @@ def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int,
         wires = (g.a, g.b)
         for prim in seq.gates:
             if isinstance(prim, OneQubitGate):
-                out.append(replace(prim, wire=wires[prim.wire]))
+                out.append(OneQubitGate(wires[prim.wire], prim.matrix))
             else:
-                out.append(replace(prim, a=wires[prim.a], b=wires[prim.b]))
+                out.append(TwoQubitGate(wires[prim.a], wires[prim.b], prim.matrix))
     return replace(circuit, gates=out), (g_cnots, g_singles)
 
 

@@ -4,14 +4,15 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate to amplitudes. It updates an amplitude array that its caller
-owns, in place, through two state-size work buffers that the caller
-allocates once (``_work_buffers``) and reuses for every pass: a state-size
-array is above the allocator's mmap threshold, so a fresh one per pass is
-mapped, zero-filled page by page and unmapped again. The engine and the
-simulator each own one state and one pair of work buffers per call;
-``apply_two_qubit`` and ``apply_single_qubit`` are the checked value-semantic
-wrappers, which copy their input and allocate their own buffers.
+every gate on 1, 2 or 4 wires (two pairs' gates in one pass), given as a
+matrix or as a function of the gathered block that returns it, in place,
+to an amplitude array its caller owns, through two state-size work
+buffers that the caller allocates once (``_work_buffers``) and reuses for
+every pass: a state-size array is above the allocator's mmap threshold, so
+a fresh one per pass is mapped, zero-filled page by page and unmapped
+again. The engine and the simulator each own one state and one pair of
+work buffers per call; ``apply_two_qubit`` and ``apply_single_qubit`` are
+the checked value-semantic wrappers.
 """
 from __future__ import annotations
 
@@ -130,14 +131,9 @@ def _check_pair(n: int, a: int, b: int) -> None:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
 
 
-def extract_block(state: StateVector, a: int, b: int, fixed=frozenset(), out=None) -> BlockMatrix:
+def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> BlockMatrix:
     """Extract the 4 x 2^(n-2-k) block matrix of ``state`` on the pair (a, b)
-    with the k qubits in ``fixed`` held at |0>: a view, then one copy.
-
-    The copy goes to a fresh array, or to the front of the flat complex
-    array ``out``; the block's rows are then a view of ``out`` and hold the
-    block only until the caller writes ``out`` again.
-    """
+    with the k qubits in ``fixed`` held at |0>: a view, then one copy."""
     if state.n < 2:
         raise ValueError("block extraction needs n >= 2")
     _check_pair(state.n, a, b)
@@ -146,9 +142,7 @@ def extract_block(state: StateVector, a: int, b: int, fixed=frozenset(), out=Non
     t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
     kept = [q for q in range(state.n) if q not in fixed]
     t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
-    rows = np.empty(t.shape, dtype=complex) if out is None else out[: t.size].reshape(t.shape)
-    np.copyto(rows, t)
-    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(rows.reshape(4, -1)))
+    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(np.array(t, order="C").reshape(4, -1)))
 
 
 def inverse_extract(block: BlockMatrix) -> StateVector:
@@ -181,22 +175,25 @@ def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_gate_to_amps(
-    amps: np.ndarray, n: int, wires: tuple[int, ...], matrix: np.ndarray,
+    amps: np.ndarray, n: int, wires: tuple[int, ...], matrix,
     gathered: np.ndarray, product: np.ndarray,
 ) -> None:
-    """Apply the 2^k x 2^k ``matrix`` to the k = 1 or 2 ``wires`` of ``amps``,
-    in place.
+    """Apply the 2^k x 2^k ``matrix`` to the k = 1, 2 or 4 ``wires`` of
+    ``amps``, in place; the first wire is the most significant bit of the
+    matrix's own basis.
 
-    The first wire is the most significant bit of the matrix's own basis.
     The state's moved view is gathered into the contiguous (2^k, 2^(n-k))
     work buffer ``gathered``, multiplied into ``product`` and scattered back
-    into ``amps``; both buffers are state-size complex arrays that are
-    overwritten.
+    into ``amps``; both state-size buffers are overwritten. A function in
+    place of ``matrix`` is called with the gathered block, which it may not
+    write, before the multiply; it may use ``product`` as scratch.
     """
     front = tuple(range(len(wires)))
     moved = np.moveaxis(amps.reshape([2] * n), wires, front)
     wide = (1 << len(wires), -1)
     np.copyto(gathered.reshape(moved.shape), moved)
+    if callable(matrix):
+        matrix = matrix(gathered.reshape(wide))
     np.matmul(matrix, gathered.reshape(wide), out=product.reshape(wide))
     np.copyto(moved, product.reshape(moved.shape))
 

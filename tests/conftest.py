@@ -97,6 +97,33 @@ def two_state_layer_reference(target, schedule):
     return statevec.infidelity(prepared, target), weights
 
 
+def one_pair_per_pass_engine(target, schedule, layers, mode, rewrite_2cx=False):
+    """The engine with one gate per state pass: every step of a round is
+    factored from the pre-round state (its slice with the round's held
+    qubits at |0>), then each is applied on its own.
+
+    Returns the steps and the closed-form infidelity, as ``run_schedule``
+    reads it.
+    """
+    from dataclasses import replace
+
+    from impsprep import disentangler
+    from impsprep.gatesynth import build_u2cx
+
+    state, steps = target, []
+    held = disentangler._held_qubits(schedule, mode)
+    for _ in range(layers):
+        for rnd, fixed in zip(schedule.rounds, held):
+            round_steps = [disentangler.disentangle_step(state, a, b, fixed) for a, b in rnd]
+            if rewrite_2cx:
+                round_steps = [replace(s, unitary=build_u2cx(s.unitary)) for s in round_steps]
+            for step in round_steps:
+                state = apply_step(state, step)
+            steps += round_steps
+    kept = abs(state.amps[0]) ** 2 + abs(state.amps[1 << (target.n - 1 - schedule.survivor())]) ** 2
+    return steps, 1.0 - kept
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

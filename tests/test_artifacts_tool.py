@@ -1,6 +1,7 @@
 """``tools/artifacts.py compare``: two artifact trees are equal when every
 file matches byte for byte, except the wall_time line of report.json."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,38 @@ def test_cells_cover_every_scheme_the_cli_accepts():
 def test_compare_rejects_a_missing_tree(tmp_path):
     with pytest.raises(SystemExit, match="not a directory"):
         artifacts.main(["compare", str(_tree(tmp_path / "a")), str(tmp_path / "missing")])
+
+
+def _drift_tree(root: Path, changes: dict) -> Path:
+    """A report.json, its circuit.qasm and a results.csv, with ``changes``
+    to the report's fields, the QASM text or the CSV row."""
+    changes = dict(changes)
+    qasm = changes.pop("qasm", "cx q[0],q[1];\n")
+    rows = changes.pop("rows", ("2.5e-4", "10"))
+    report = {"cnot_count": 10, "infidelity": 2.5e-4, "single_qubit_count": 30, "u_depth": 3, "wall_time": 0.5}
+    (root / "cell").mkdir(parents=True)
+    (root / "cell" / "report.json").write_text(json.dumps(report | changes, indent=2, sort_keys=True) + "\n")
+    (root / "cell" / "circuit.qasm").write_text(qasm)
+    (root / "sweep").mkdir()
+    (root / "sweep" / "results.csv").write_text("# schema\ninfidelity,cnot_2cx\n%s,%s\n" % rows)
+    return root
+
+
+@pytest.mark.parametrize("before,after,rc,line", [
+    # round-off: within 1e-9 relative, and within 1e-14 absolute on an exact target
+    ({}, {"infidelity": 2.5e-4 * (1 + 1e-10), "wall_time": 9.0}, 0, None),
+    ({"infidelity": 0.0}, {"infidelity": 2.2e-16}, 0, None),
+    ({}, {"infidelity": 2.6e-4}, 1, "violation: cell/report.json: infidelity 0.00025 vs 0.00026"),
+    ({}, {"cnot_count": 12}, 1, "violation: cell/report.json: cnot_count 10 != 12"),
+    ({}, {"u_depth": 4}, 1, "violation: cell/report.json: u_depth 3 != 4"),
+    ({}, {"single_qubit_count": 31, "qasm": "cx q[1],q[0];\n"}, 0,
+     "single-qubit: cell/report.json: single_qubit_count 30 -> 31"),
+    ({}, {"qasm": "cx q[1],q[0];\n"}, 0, "text only: cell/circuit.qasm"),
+    ({}, {"rows": ("2.5e-4", "11")}, 1, "violation: sweep/results.csv row 1: cnot_2cx 10 != 11"),
+], ids=["round-off", "exact", "infidelity", "cnots", "depth", "singles", "qasm", "csv"])
+def test_drift(tmp_path, capsys, before, after, rc, line):
+    a, b = (_drift_tree(tmp_path / side, changes) for side, changes in (("a", before), ("b", after)))
+    assert artifacts.main(["drift", str(a), str(b)]) == rc
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith(f"3 files in both trees: {rc} violations")
+    assert line is None or any(x.startswith(line) for x in out), out

@@ -60,12 +60,20 @@ def random_circuit(n, length, rng):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """State passes made by simulate's gate kernel, by the number of wires."""
-    seen = {"two": 0, "single": 0}
+    """State passes made by simulate's gate kernel: how many, and the wire
+    pairs and single wires they cover. Every pass carries one or two pairs
+    or one single wire."""
+    seen = {"passes": 0, "pairs": [], "single": 0}
     kernel = circuits._apply_gate_to_amps
 
     def counting(*args):
-        seen["two" if len(args[2]) == 2 else "single"] += 1
+        wires = args[2]
+        assert len(wires) in (1, 2, 4)
+        seen["passes"] += 1
+        if len(wires) == 1:
+            seen["single"] += 1
+        else:
+            seen["pairs"] += [wires[i:i + 2] for i in range(0, len(wires), 2)]
         return kernel(*args)
 
     monkeypatch.setattr(circuits, "_apply_gate_to_amps", counting)
@@ -99,25 +107,29 @@ class TestFusedSimulate:
             expected = dense_circuit_operator(circuit)[:, 0]
             assert np.abs(simulate(circuit).amps - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("gates,two,single", [
+    @pytest.mark.parametrize("gates,pairs,total,single", [
         # both orientations of cx on one pair, u3 on both wires: one pass
-        ([("u", 0), ("cx", 0, 1), ("u", 1), ("cx", 1, 0), ("u", 0), ("cx", 0, 1)], 1, 0),
+        ([("u", 0), ("cx", 0, 1), ("u", 1), ("cx", 1, 0), ("u", 0), ("cx", 0, 1)], [(0, 1)], 1, 0),
         # u3 on an idle wire waits for the next pair that touches it; one
         # on a wire no later pair touches is applied alone at the end
-        ([("cx", 0, 1), ("u", 2), ("u", 2), ("cx", 1, 2), ("u", 0)], 2, 1),
-        # back-to-back different pairs, then trailing u3 on two idle wires
-        ([("cx", 0, 1), ("cx", 2, 3), ("cx", 1, 2), ("u", 0), ("u", 4), ("u", 4)], 3, 2),
+        ([("cx", 0, 1), ("u", 2), ("u", 2), ("cx", 1, 2), ("u", 0)], [(0, 1), (1, 2)], 3, 1),
+        # disjoint back-to-back pairs share a pass, then trailing u3 on two
+        # idle wires
+        ([("cx", 0, 1), ("cx", 2, 3), ("cx", 1, 2), ("u", 0), ("u", 4), ("u", 4)],
+         [(0, 1), (2, 3), (1, 2)], 4, 2),
+        # a pair waits for a disjoint partner across interleaved u3
+        ([("cx", 3, 4), ("u", 0), ("cx", 1, 0), ("u", 4), ("cx", 2, 3)], [(3, 4), (1, 0), (2, 3)], 3, 1),
         # single-qubit gates only
-        ([("u", 3), ("u", 1), ("u", 3)], 0, 2),
+        ([("u", 3), ("u", 1), ("u", 3)], [], 2, 2),
     ])
-    def test_pass_counts_and_oracle(self, rng, passes, gates, two, single):
+    def test_pass_counts_and_oracle(self, rng, passes, gates, pairs, total, single):
         built = [
             OneQubitGate(g[1], haar_unitary(2, rng)) if g[0] == "u" else TwoQubitGate(g[1], g[2], CNOT)
             for g in gates
         ]
         circuit = Circuit(n=5, gates=built)
         prepared = simulate(circuit)
-        assert passes == {"two": two, "single": single}
+        assert passes == {"passes": total, "pairs": pairs, "single": single}
         expected = dense_circuit_operator(circuit)[:, 0]
         assert np.abs(prepared.amps - expected).max() < 1e-12
 
@@ -128,14 +140,16 @@ class TestFusedSimulate:
         res = run_schedule(target, sched, 2, TruncationMode.PER_ROUND)
         assert np.abs(simulate(res.circuit).amps - gate_by_gate(res.circuit).amps).max() < 1e-12
 
-    def test_synthesized_circuit_takes_one_pass_per_unitary(self, passes):
+    def test_synthesized_circuit_covers_each_unitary_once(self, passes):
         target = targets.discretize(targets.make_spec("f1", 8))
         # as ``compile`` does it with the default two-CNOT synthesis
         res = run_schedule(target, schedules.htn_schedule(8), 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
         primitive, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
         assert len(primitive.gates) > 4 * len(res.steps)
         prepared = simulate(primitive)
-        assert 0 < passes["two"] <= len(res.steps)
+        # each unitary's pair is covered once, two disjoint pairs to a pass
+        assert passes["pairs"] == [step.pair for step in reversed(res.steps)]
+        assert passes["passes"] < len(res.steps)
         assert passes["single"] == 0
         reference = gate_by_gate(primitive)
         assert np.abs(prepared.amps - reference.amps).max() < 1e-12

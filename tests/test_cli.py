@@ -210,27 +210,27 @@ class TestCompile:
 
     @pytest.mark.parametrize("target,n,steps", [("f1", 12, 72), ("random", 14, 98)])
     def test_block_factors_take_no_wide_svd(self, tmp_path, monkeypatch, target, n, steps):
-        # every step factors its 4 x 2^(n-2) block through the 4x4 Gram
-        # matrix, also the rank-deficient blocks of the function targets
-        blocks, svds = [], []
-        block_svd, plain_svd = disentangler._block_svd, np.linalg.svd
+        # every step factors its block through one 4x4 Gram matrix, also the
+        # rank-deficient blocks of the function targets
+        grams, svds = [], []
+        factor_gram, plain_svd = disentangler._factor_gram, np.linalg.svd
 
-        def counting_step(rows):
-            blocks.append(rows.shape)
-            return block_svd(rows)
+        def counting_factor(gram):
+            grams.append(gram.shape)
+            return factor_gram(gram)
 
         def counting_svd(a, *args, **kwargs):
             svds.append(np.shape(a))
             return plain_svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(disentangler, "_block_svd", counting_step)
+        monkeypatch.setattr(disentangler, "_factor_gram", counting_factor)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         rc = run_cli([
             "compile", "--target", target, "--n", str(n), "--scheme", "hen",
             "--layers", "2", "--out", str(tmp_path),
         ])  # _revalidate raises SystemExit if the QASM does not re-simulate
         assert rc == 0
-        assert blocks == [(4, 1 << (n - 2))] * steps
+        assert grams == [(4, 4)] * steps
         assert svds == []
 
     def test_amps_file_target(self, tmp_path, rng):

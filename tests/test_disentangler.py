@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from impsprep import circuits, disentangler, schedules, statevec, targets
+from impsprep import circuits, disentangler, gatesynth, schedules, statevec, targets
 from impsprep.circuits import simulate
 from impsprep.disentangler import (
     TruncationMode,
@@ -17,6 +17,7 @@ from conftest import (
     apply_step,
     dense_two_qubit_operator,
     haar_unitary,
+    one_pair_per_pass_engine,
     random_real_state,
     random_state,
     two_state_layer_reference,
@@ -70,6 +71,23 @@ class TestDisentangleStep:
             blk = statevec.extract_block(post, a, b)
             bottom = np.linalg.norm(blk.rows[2:]) ** 2
             assert abs(bottom - (1.0 - step.retained_weight)) < 1e-10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+    def test_non_finite_block_names_its_pair(self, rng, bad):
+        # the check reads the 4x4 Gram matrix, whose diagonal a non-finite
+        # block entry makes non-finite; the engine hands in that Gram matrix
+        amps = random_state(5, rng).amps.copy()
+        amps[0b01101] = bad
+        state = statevec.StateVector(n=5, amps=amps)
+        with pytest.raises(ValueError, match=r"pair \(3, 1\) contains non-finite entries"):
+            disentangle_step(state, 3, 1)
+        gram = np.eye(4, dtype=complex)
+        gram[2, 2] = bad
+        with pytest.raises(ValueError, match=r"pair \(0, 4\) contains non-finite entries"):
+            disentangle_step(state, 0, 4, gram=gram)
+        # every amplitude is in every pair's block: the round's first pair
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) contains non-finite entries"):
+            run_schedule(state, schedules.hen_schedule(5), 1, TruncationMode.PER_ROUND)
 
     def test_real_states_give_special_orthogonal_gates(self, rng):
         for _ in range(10):
@@ -358,17 +376,52 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_each_gate_applied_once(self, rng, monkeypatch, scheme):
+        # the kernel's passes cover the steps' pairs in order, one or two
+        # pairs to a pass
         calls = []
         kernel = disentangler._apply_gate_to_amps
 
-        def counting(*args):
+        def recording(*args):
             calls.append(args[2])
             return kernel(*args)
 
-        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", counting)
+        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", recording)
         res = run_schedule(random_state(6, rng), getattr(schedules, f"{scheme}_schedule")(6),
                            2, disentangler.default_truncation_mode(scheme))
-        assert calls == [step.pair for step in res.steps]
+        assert all(len(wires) in (2, 4) for wires in calls)
+        assert [q for wires in calls for q in wires] == [q for step in res.steps for q in step.pair]
+
+    @pytest.mark.parametrize("build,sizes,modes", [
+        (schedules.chain_schedule, range(4, 11), (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
+        (schedules.ttn_schedule, range(4, 11), (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
+        (schedules.htn_schedule, range(4, 11), (TruncationMode.PER_ROUND,)),
+        (schedules.hen_schedule, range(4, 11), (TruncationMode.PER_ROUND,)),
+        (lambda n: schedules.grid_schedule(2, n // 2), range(4, 11, 2),
+         (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
+        (lambda n: schedules.fig6_schedule(), [12], (TruncationMode.PER_ROUND,)),
+    ], ids=["chain", "ttn", "htn", "hen", "grid", "fig6"])
+    @pytest.mark.parametrize("rewrite", [False, True], ids=["3cx", "2cx"])
+    def test_grouped_passes_match_one_pair_per_pass(self, build, sizes, modes, rewrite):
+        # two disjoint pairs share a pass: a gate on one pair leaves the
+        # other's Gram matrix unchanged up to round-off. The paper's targets:
+        # on random ones at n = 10, hen L = 2, the infidelity (0.94) moves by
+        # 4e-13 when the target moves by 1e-16, so round-off alone nears 1e-12
+        synth = gatesynth.SynthMode.OPTIMIZED2 if rewrite else gatesynth.SynthMode.GENERIC3
+        for n in sizes:
+            sched = build(n)
+            target = targets.discretize(targets.make_spec(("f1", "f2", "f3", "g1", "g2", "g3")[n % 6], sched.n))
+            for mode in modes:
+                for layers in (1, 2):
+                    res = run_schedule(target, sched, layers, mode, rewrite_2cx=rewrite)
+                    ref_steps, ref_infidelity = one_pair_per_pass_engine(target, sched, layers, mode, rewrite)
+                    where = (n, mode, layers)
+                    assert [s.pair for s in res.steps] == [s.pair for s in ref_steps], where
+                    assert abs(res.final_infidelity - ref_infidelity) < 1e-12, where
+                    ref_circuit = circuits.Circuit(n=sched.n, gates=[
+                        statevec.TwoQubitGate(*s.pair, s.unitary.conj().T) for s in ref_steps])
+                    counts = [gatesynth.synthesize_circuit(c, synth)[0].two_qubit_count()
+                              for c in (res.circuit, ref_circuit)]
+                    assert counts[0] == counts[1], where
 
     def test_target_untouched_and_simulated_state_frozen(self, rng):
         target = random_state(6, rng)
@@ -379,7 +432,8 @@ class TestRunSchedule:
 
     def test_one_state_buffer_per_call(self, rng, monkeypatch):
         # every pass of one run_schedule, and of one simulate, updates the
-        # same state through the same two work buffers
+        # same state through the same two work buffers, however many passes
+        # they make
         buffers = []
         for module in (disentangler, circuits):
             kernel = module._apply_gate_to_amps
@@ -390,19 +444,24 @@ class TestRunSchedule:
 
             monkeypatch.setattr(module, "_apply_gate_to_amps", recording)
         res = run_schedule(random_state(6, rng), schedules.hen_schedule(6), 2, TruncationMode.PER_ROUND)
-        assert len(buffers) == len(res.steps) and len(set(buffers)) == 1
+        assert len(buffers) > 1 and len(set(buffers)) == 1
         buffers.clear()
         simulate(res.circuit)
         assert len(buffers) > 1 and len(set(buffers)) == 1
 
-    def test_peak_memory_is_three_state_sizes(self, rng):
-        # the owned state and the two work buffers; each block is read into
-        # the first work buffer
+    @pytest.mark.parametrize("scheme,mode", [
+        ("hen", TruncationMode.PER_ROUND),
+        ("chain", TruncationMode.PER_LAYER),
+        ("ttn", TruncationMode.PER_LAYER),
+    ])
+    def test_peak_memory_is_three_state_sizes(self, rng, scheme, mode):
+        # the owned state and the two work buffers; a held slice is copied
+        # into the second work buffer, which is free until the multiply
         n = 16
         target = random_state(n, rng)
         tracemalloc.start()
         try:
-            run_schedule(target, schedules.hen_schedule(n), 2, TruncationMode.PER_ROUND)
+            run_schedule(target, getattr(schedules, f"{scheme}_schedule")(n), 2, mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

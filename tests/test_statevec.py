@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from impsprep import statevec
+from impsprep.circuits import kron2
 from impsprep.statevec import TwoQubitGate
 
 from conftest import (
@@ -127,15 +128,6 @@ class TestExtractBlock:
             rows = statevec.extract_block(s, a, b).rows
             assert not rows.flags.writeable and rows.flags.c_contiguous
             assert not np.shares_memory(rows, s.amps)
-
-    def test_into_a_work_buffer(self, rng):
-        s = random_state(5, rng)
-        out = np.empty(1 << 5, dtype=complex)
-        for fixed in (set(), {4}):
-            for a, b in itertools.permutations(range(4), 2):
-                rows = statevec.extract_block(s, a, b, fixed, out).rows
-                assert np.array_equal(rows, statevec.extract_block(s, a, b, fixed).rows)
-                assert np.shares_memory(rows, out) and not rows.flags.writeable
 
     def test_roundtrip_exact(self, rng):
         for n in range(2, 7):
@@ -274,6 +266,36 @@ class TestGateKernel:
             expected = fresh_array_gate(amps, n, wires, matrix)
             statevec._apply_gate_to_amps(amps, n, wires, matrix, *work)
             assert np.array_equal(amps, expected), wires
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_four_wire_pass_equals_two_pair_passes(self, rng, n):
+        # the Kronecker product of two pairs' gates in one pass
+        work = statevec._work_buffers(n)
+        for _ in range(6):
+            wires = tuple(int(q) for q in rng.permutation(n)[:4])
+            first, second = haar_unitary(4, rng), haar_unitary(4, rng)
+            amps = random_state(n, rng).amps.copy()
+            expected = fresh_array_gate(fresh_array_gate(amps, n, wires[:2], first), n, wires[2:], second)
+            statevec._apply_gate_to_amps(amps, n, wires, kron2(first, second), *work)
+            assert np.abs(amps - expected).max() < 1e-13, wires
+
+    def test_matrix_from_the_gathered_block(self, rng):
+        # a function in place of the matrix sees the gathered block, wires
+        # in front, and returns the matrix to apply
+        n, wires = 5, (3, 0)
+        amps = random_state(n, rng).amps.copy()
+        matrix = haar_unitary(4, rng)
+        seen = []
+
+        def factor(block):
+            seen.append(block.copy())
+            return matrix
+
+        expected = fresh_array_gate(amps, n, wires, matrix)
+        gathered = np.moveaxis(amps.reshape([2] * n), wires, (0, 1)).reshape(4, -1)
+        statevec._apply_gate_to_amps(amps, n, wires, factor, *statevec._work_buffers(n))
+        assert len(seen) == 1 and np.array_equal(seen[0], gathered)
+        assert np.array_equal(amps, expected)
 
 
 class TestInfidelity:

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/artifacts.py write OUT
     python tools/artifacts.py compare A B
+    python tools/artifacts.py drift A B
 
 ``write`` runs every cell of ``cells()`` through ``impsprep.cli.main`` in a
 new directory OUT, with ``impsprep`` imported from wherever ``PYTHONPATH``
@@ -14,12 +15,18 @@ thread count is whatever the environment sets (``OPENBLAS_NUM_THREADS``).
 
 ``compare`` lists every file that differs between two trees or exists in
 only one of them, ignoring the ``wall_time`` line of each report.json, and
-exits 1 on any difference. Nothing here is timed.
+exits 1 on any difference. ``drift`` compares the trees numerically, for a
+change that may move results by round-off: CNOT counts and ``u_depth`` must
+be equal, and infidelities (and retained weights) must agree within
+``REL_TOL`` relative or ``EXACT_TOL`` absolute. It lists single-qubit count
+changes and files that differ only as text (``circuit.qasm``, printed
+output, plot data), and exits 1 on a violation. Nothing here is timed.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -42,6 +49,11 @@ SHAPED = {
     "chain_round": ("chain", "--trunc", "round"),
 }
 WALL_TIME = re.compile(rb'^ *"wall_time": [^\n]*\n', re.M)
+# drift: relative tolerance on float results, and the absolute one that
+# covers exact targets, whose infidelities are round-off
+REL_TOL, EXACT_TOL = 1e-9, 1e-14
+FLOATS = {"infidelity", "retained_weights", "min_retained_weight"}
+SINGLES = {"single_qubit_count", "single_qubit_count_generic", "single_qubit_2cx", "single_qubit_3cx"}
 
 
 def _compile(target: str, scheme: str, n: int, layers: int) -> list:
@@ -130,17 +142,81 @@ def compare(a: Path, b: Path) -> int:
     return 1 if problems else 0
 
 
+def _records(path: Path) -> list:
+    """The report.json object or the results.csv rows of ``path``."""
+    if path.name == "report.json":
+        return [json.loads(path.read_text())]
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def _drift(name: str, key: str, x, y, out: dict) -> None:
+    """Sort one field's change into ``out``: violations, single-qubit count
+    changes and the largest relative float drift."""
+    if key == "wall_time" or x == y:
+        return
+    if key in SINGLES:
+        out["singles"].append(f"{name}: {key} {x} -> {y}")
+        return
+    if key not in FLOATS:
+        out["violations"].append(f"{name}: {key} {x} != {y}")
+        return
+    x, y = (x, y) if isinstance(x, list) else ([x], [y])
+    if not isinstance(y, list) or len(x) != len(y):
+        out["violations"].append(f"{name}: {key} {x} != {y}")
+        return
+    for u, v in zip(map(float, x), map(float, y)):
+        gap = abs(u - v)
+        if gap <= EXACT_TOL:
+            continue
+        rel = gap / max(abs(u), abs(v))
+        if rel > out["worst"][0]:
+            out["worst"] = (rel, f"{name}: {key}")
+        if not rel <= REL_TOL:  # NaN too
+            out["violations"].append(f"{name}: {key} {u!r} vs {v!r} (relative {rel:.1e})")
+
+
+def drift(a: Path, b: Path) -> int:
+    in_a, in_b = _files(a), _files(b)
+    out = {"violations": [f"only in {a}: {f}" for f in sorted(in_a - in_b)]
+           + [f"only in {b}: {f}" for f in sorted(in_b - in_a)],
+           "singles": [], "text": [], "worst": (0.0, "")}
+    both = sorted(in_a & in_b)
+    for f in both:
+        if _content(a / f) == _content(b / f):
+            continue
+        if Path(f).name not in ("report.json", "results.csv"):
+            (out["violations"] if Path(f).name == "exit.txt" else out["text"]).append(f)
+            continue
+        rows_a, rows_b = _records(a / f), _records(b / f)
+        if len(rows_a) != len(rows_b) or any(r.keys() != s.keys() for r, s in zip(rows_a, rows_b)):
+            out["violations"].append(f"{f}: different rows or fields")
+            continue
+        for i, (r, s) in enumerate(zip(rows_a, rows_b)):
+            for key in r:
+                _drift(f if f.endswith(".json") else f"{f} row {i + 1}", key, r[key], s[key], out)
+    for kind, label in (("violations", "violation"), ("singles", "single-qubit"), ("text", "text only")):
+        for line in out[kind]:
+            print(f"{label}: {line}")
+    print(f"{len(both)} files in both trees: {len(out['violations'])} violations, "
+          f"{len(out['singles'])} single-qubit count changes, {len(out['text'])} text-only differences; "
+          f"largest relative drift {out['worst'][0]:.1e} {out['worst'][1]}".rstrip())
+    return 1 if out["violations"] else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("write", help="run every cell into a new directory").add_argument("out", type=Path)
-    p_compare = sub.add_parser("compare", help="list the files that differ between two trees")
-    p_compare.add_argument("a", type=Path)
-    p_compare.add_argument("b", type=Path)
+    for name, text in (("compare", "list the files that differ between two trees"),
+                       ("drift", "check that two trees agree up to round-off")):
+        p_two = sub.add_parser(name, help=text)
+        p_two.add_argument("a", type=Path)
+        p_two.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out.resolve())
-    return compare(args.a, args.b)
+    return (compare if args.command == "compare" else drift)(args.a, args.b)
 
 
 if __name__ == "__main__":
