@@ -43,7 +43,7 @@ print("eigenvalues:", np.round(np.sort(np.linalg.eigvals(gate).real), 6))
 # (a, -a, b, -b) and the Pauli-string coefficients have omega_0 = 0 with one
 # of the other three vanishing (mod pi), which is exactly the two-CNOT
 # condition.
-_p, theta, _q = _general_magic_kak(gate)
+_p, theta, _q, _ = _general_magic_kak(gate)
 print("\ntheta:", theta)
 print("omega:", GAMMA.T @ theta / 4.0)
 

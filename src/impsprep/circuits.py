@@ -67,10 +67,12 @@ class Circuit:
 
 
 def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two square matrices, entry for entry the
-    products ``np.kron`` forms, at a fraction of its call overhead."""
-    dim = len(x) * len(y)
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(dim, dim)
+    """The Kronecker product of two square matrices, or of two stacks of
+    them over leading axes, entry for entry the products ``np.kron`` forms,
+    at a fraction of its call overhead."""
+    dim = x.shape[-1] * y.shape[-1]
+    prod = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], dim, dim)
 
 
 def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:

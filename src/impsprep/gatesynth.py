@@ -17,8 +17,10 @@ modes differ only in how they realize that middle factor. The two-CNOT mode
 needs one coefficient to vanish (mod pi/2), which holds for the class above.
 The generic three-CNOT baseline uses no CNOT when all three vanish and a
 fixed three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
-``synthesize_gate`` builds both from one KAK per gate, so one pass gives the
-emitted circuit and the generic counts it is compared with.
+``synthesize_circuit`` stacks a circuit's two-qubit matrices into one
+(G, 4, 4) batch for one ``synthesize_gate`` call: one KAK per gate, as
+array code over the stack, gives the emitted sequences and the generic
+counts, each gate's bit for bit as it gets them alone.
 
 Sequences are built from the circuit's own gate types: ``OneQubitGate`` and
 ``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, which
@@ -27,7 +29,6 @@ more significant bit, as ``circuits.embed`` places every gate.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -35,7 +36,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
-from .statevec import TwoQubitGate, require_unitary
+from .statevec import UNITARY_TOL, TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
 
@@ -112,14 +113,14 @@ def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
 
 
 # --- primitive gate sequences ------------------------------------------------
+# Below, a batch of gates is one (G, 4, 4) array and a per-gate branch a mask;
+# each gate gets the operations, in the order, that it gets alone. ``_det2``
+# and ``_abs`` spell out numpy's scalar complex product and modulus, which
+# its array ones (a fused multiply-add, another hypot) do not reproduce.
 
-
-def _u(wire: int, matrix: np.ndarray) -> OneQubitGate:
-    return OneQubitGate(wire, np.asarray(matrix, dtype=complex))
-
-
-def _cx(control: int, target: int) -> TwoQubitGate:
-    return TwoQubitGate(control, target, CNOT)
+CX01 = TwoQubitGate(0, 1, CNOT)
+CX10 = TwoQubitGate(1, 0, CNOT)
+I4 = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -140,214 +141,281 @@ class GateSequence:
         return len(self.gates) - self.cnot_count
 
 
-def _merge_singles(gates: list[GateLike]) -> list[GateLike]:
-    """Fuse runs of single-qubit gates per wire; drop any that are the
-    identity up to a phase (the phase only moves the global one)."""
-    merged: list[GateLike] = []
-    pending: dict[int, np.ndarray] = {}
+class GateSynthesisError(ValueError):
+    """A failed synthesis check of gate ``index`` of its batch."""
 
-    def flush(wires=(0, 1)):
-        for w in wires:
-            m = pending.pop(w, None)
-            if m is not None and (abs(m[0, 1]) > 1e-12 or abs(m[1, 0]) > 1e-12 or abs(m[1, 1] - m[0, 0]) > 1e-12):
-                merged.append(_u(w, m))
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
-    for g in gates:
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| as numpy's scalar ``abs`` computes it."""
+    return np.hypot(z.real, z.imag)
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of stacked 2x2 matrices, each product rounded as numpy's
+    scalar complex product rounds it."""
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    out = np.empty(a.shape, dtype=complex)
+    out.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    out.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return out
+
+
+def _merge_singles(items: list) -> list:
+    """Fuse runs of single-qubit gates per wire for every gate of a batch.
+
+    ``items`` are (gate, present) pairs, single-qubit gates holding stacked
+    matrices and ``present`` masking the gates that have the item; an absent
+    item multiplies nothing into its run. A present CNOT ends the runs. Each
+    run becomes a slot (gate, keep), kept unless it is the identity up to a
+    phase (the phase only moves the global one)."""
+    slots: list = []
+    pending = [I2, I2]
+
+    def flush(at):
+        for w in (0, 1):
+            m = pending[w]
+            moved = (_abs(m[..., 0, 1]) > 1e-12) | (_abs(m[..., 1, 0]) > 1e-12)
+            moved |= _abs(m[..., 1, 1] - m[..., 0, 0]) > 1e-12
+            slots.append((OneQubitGate(w, m), at & moved))
+            pending[w] = np.where(at[..., None, None], I2, m)
+
+    for g, present in items:
         if isinstance(g, TwoQubitGate):
-            flush()
-            merged.append(g)
+            flush(present)
+            slots.append((g, present))
         else:
-            pending[g.wire] = g.matrix @ pending.get(g.wire, I2)
-    flush()
-    return merged
+            run = pending[g.wire]
+            pending[g.wire] = np.where(present[..., None, None], g.matrix @ run, run)
+    flush(np.ones_like(items[0][1]))
+    return slots
 
 
-def _exp_ix(a: float) -> np.ndarray:
-    return math.cos(a) * I2 + 1j * math.sin(a) * PAULI_X
+def _exp_ix(a: np.ndarray) -> np.ndarray:
+    return np.cos(a)[..., None, None] * I2 + (1j * np.sin(a))[..., None, None] * PAULI_X
 
 
-def _exp_iz(a: float) -> np.ndarray:
-    return np.diag([cmath.exp(1j * a), cmath.exp(-1j * a)])
+def _rz(t) -> np.ndarray:
+    out = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(-1j * t / 2), np.exp(1j * t / 2)
+    return out
 
 
-def _rz(t: float) -> np.ndarray:
-    return np.diag([cmath.exp(-1j * t / 2), cmath.exp(1j * t / 2)])
+def _ry(t: np.ndarray) -> np.ndarray:
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
 
 
-def _ry(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+_RX_CONJ = _exp_ix(np.array([math.pi / 4]))[0]  # maps Z -> Y under conjugation, fixes X
 
 
-_RX_CONJ = _exp_ix(math.pi / 4)  # maps Z -> Y under conjugation, fixes X
-
-
-def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, list[GateLike]]:
+def _reduce_omega(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split exp(i (w1 XX + w2 YY + w3 ZZ)), up to global phase, into reduced
-    coefficients in (-pi/2, pi/2) and a local Pauli tail.
+    coefficients in (-pi/2, pi/2) and a local Pauli tail P x P, with the mask
+    of the rows whose P is not the identity.
 
     A multiple of pi only flips the global sign, and a coefficient of pi/2
     (mod pi) contributes exp(i pi/2 PP) = i P x P; both commute with the
     rest. Coefficients within 1e-10 of those values become exactly 0; the
     test is linear in the nonlocal angle.
     """
-    red = np.empty(3)
-    for i, w in enumerate(omega):
-        red[i] = w - round(w / math.pi) * math.pi
-    tail = [I2, I2]
+    red = omega - np.round(omega / math.pi) * math.pi
+    tail = I2
     for i, pauli in enumerate((PAULI_X, PAULI_Y, PAULI_Z)):
-        if abs(abs(red[i]) - math.pi / 2) < 1e-10:
-            tail = [pauli @ tail[0], pauli @ tail[1]]
-            red[i] = 0.0
+        hit = np.abs(np.abs(red[..., i]) - math.pi / 2) < 1e-10
+        tail = np.where(hit[..., None, None], pauli @ tail, tail)
+        red[..., i][hit] = 0.0
     red[np.abs(red) <= 1e-10] = 0.0
-    if np.abs(tail[0] - I2).max() > 1e-12:
-        return red, [_u(0, tail[0]), _u(1, tail[1])]
-    return red, []
+    return red, tail, np.abs(tail - I2).max(axis=(-2, -1)) > 1e-12
 
 
-def _middle_sequence(omega: np.ndarray) -> list[GateLike]:
-    """<= 2 CNOT realization of exp(i (w1 XX + w2 YY + w3 ZZ)) requiring at
-    least one coefficient to vanish mod pi/2.
+def _middle_sequence(red: np.ndarray) -> tuple[list, np.ndarray]:
+    """<= 2 CNOT realization of exp(i (w1 XX + w2 YY + w3 ZZ)) from reduced
+    coefficients, as items for ``_merge_singles``, and the mask of the rows
+    where none vanishes, which need a third CNOT.
 
     Uses CX (e^{iaX} x e^{icZ}) CX = exp(i (a XX + c ZZ)) plus single-qubit
-    conjugations rotating the missing axis onto Y.
-    """
-    red, gates = _reduce_omega(omega)
-    live = [i for i in range(3) if red[i] != 0.0]
-    if len(live) > 2:
-        raise ValueError(f"no vanishing coefficient in {omega}; not two-CNOT realizable")
-    if live:
-        if 1 not in live:  # XX and ZZ: direct sandwich
-            conj = None
-            inner = (red[0], red[2])
-        elif 2 not in live:  # XX and YY: rotate Z -> Y
-            conj = _RX_CONJ
-            inner = (red[0], red[1])
-        else:  # YY and ZZ: rotate X -> Y
-            conj = S_GATE
-            inner = (red[1], red[2])
-        core = [
-            _cx(0, 1),
-            _u(0, _exp_ix(inner[0])),
-            _u(1, _exp_iz(inner[1])),
-            _cx(0, 1),
-        ]
-        if conj is not None:
-            core = [_u(0, conj.conj().T), _u(1, conj.conj().T)] + core + [_u(0, conj), _u(1, conj)]
-        gates = core + gates
-    return gates
+    conjugations rotating the missing axis onto Y (Z for XX and YY, X for YY
+    and ZZ)."""
+    live = red != 0.0
+    core = live.any(axis=-1)
+    xy = live[..., 1] & ~live[..., 2]
+    yz = live[..., 1] & live[..., 2]
+    conj = np.where(xy[..., None, None], _RX_CONJ, S_GATE)
+    inner = (np.where(yz, red[..., 1], red[..., 0]), np.where(xy, red[..., 1], red[..., 2]))
+    sandwich = [CX01, OneQubitGate(0, _exp_ix(inner[0])), OneQubitGate(1, _rz(-2 * inner[1])), CX01]
+    items = [(OneQubitGate(w, conj.conj().mT), live[..., 1]) for w in (0, 1)] + [(g, core) for g in sandwich]
+    return items + [(OneQubitGate(w, conj), live[..., 1]) for w in (0, 1)], live.all(axis=-1)
 
 
-def _three_cnot_core(a: float, b: float, c: float) -> list[GateLike]:
+def _three_cnot_core(omega: np.ndarray) -> list[GateLike]:
     """exp(i (a XX + b YY + c ZZ)) up to global phase with three CNOTs
-    (Vatan & Williams, quant-ph/0308006)."""
-    return [
-        _u(1, _rz(-math.pi / 2)),
-        _cx(1, 0),
-        _u(0, _rz(math.pi / 2 - 2 * c)),
-        _u(1, _ry(2 * a - math.pi / 2)),
-        _cx(0, 1),
-        _u(1, _ry(math.pi / 2 - 2 * b)),
-        _cx(1, 0),
-        _u(0, _rz(math.pi / 2)),
-    ]
+    (Vatan & Williams, quant-ph/0308006), for stacked (a, b, c)."""
+    a, b, c = omega[..., 0], omega[..., 1], omega[..., 2]
+    return [OneQubitGate(1, _rz(-math.pi / 2)), CX10, OneQubitGate(0, _rz(math.pi / 2 - 2 * c)),
+            OneQubitGate(1, _ry(2 * a - math.pi / 2)), CX01, OneQubitGate(1, _ry(math.pi / 2 - 2 * b)),
+            CX10, OneQubitGate(0, _rz(math.pi / 2))]
 
 
 def _real_imag_split_eigh(a: np.ndarray, factor: float):
     _, basis = np.linalg.eigh(a.real / factor + factor * a.imag)
-    return basis.T @ a @ basis, basis
+    return basis.mT @ a @ basis, basis
 
 
 def _ai_kak(u: np.ndarray):
-    """u = o1 @ d @ o2 with o1, o2 in SO(4) and d diagonal unitary.
+    """u = o1 @ diag(phases) @ o2 with o1, o2 in SO(4) for each matrix of a
+    stack, and the mask of those whose o2 is not real.
 
-    o1 is a real eigenbasis of the symmetric unitary u u^T. Each row of
-    o1^T u is then a unit phase times a real unit row; the phase is read off
-    the row itself (row . row = phase^2), which stays stable under degenerate
-    eigenvalues of u u^T, where taking square roots of the eigenvalues would
-    pick inconsistent branches near the negative real axis.
+    o1 is a real eigenbasis of the symmetric unitary u u^T: that of Re/pi +
+    pi Im, or of Re/10 + 10 Im where a repeated eigenvalue of the first mixed
+    eigenvectors of u u^T. Each row of o1^T u is then a unit phase times a
+    real unit row; the phase is read off the row itself (row . row =
+    phase^2), which stays stable under degenerate eigenvalues of u u^T, where
+    square roots of the eigenvalues would pick inconsistent branches.
     """
-    delta = u @ u.T
+    delta = u @ u.mT
     d2, o1 = _real_imag_split_eigh(delta, math.pi)
-    off = d2 - np.diag(np.diag(d2))
-    if not np.all(np.abs(off) <= 1e-7 + 1e-5 * np.abs(off)):  # np.allclose's test, atol=1e-7
-        _, o1 = _real_imag_split_eigh(delta, 10.0)
-    o1[:, 0] = np.linalg.det(o1) * o1[:, 0]
-    rows = o1.T @ u
-    phases = np.sqrt(np.sum(rows * rows, axis=1))  # unit modulus, any branch
-    o2 = (rows.T / phases).T
-    if np.abs(o2.imag).max() > 1e-8:
-        raise ValueError("orthogonal factor is not real; eigenbasis split failed")
+    off = np.where(np.eye(4, dtype=bool), 0.0, np.abs(d2))
+    mixed = ~np.all(off <= 1e-7 + 1e-5 * off, axis=(-2, -1))  # np.allclose's test, atol=1e-7
+    if mixed.any():
+        o1[mixed] = _real_imag_split_eigh(delta[mixed], 10.0)[1]
+    o1[..., :, 0] *= np.linalg.det(o1)[..., None]
+    rows = o1.mT @ u
+    phases = np.sqrt(np.sum(rows * rows, axis=-1))  # unit modulus, any branch
+    o2 = rows / phases[..., :, None]
+    complex_o2 = np.abs(o2.imag).max(axis=(-2, -1)) > 1e-8
     o2 = o2.real.copy()
-    d = np.diag(phases)
     det_o2 = np.linalg.det(o2)
-    o2[0] = det_o2 * o2[0]
-    d[0, 0] = det_o2 * d[0, 0]
-    return o1, d, o2
+    o2[..., 0, :] *= det_o2[..., None]
+    phases[..., 0] = det_o2 * phases[..., 0]
+    return o1, phases, o2, complex_o2
 
 
-def _general_magic_kak(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KAK of an arbitrary 4x4 unitary in the magic basis: returns (p, theta, q)
-    with M p exp(i theta) q^T M^dag = u up to global phase, p and q in SO(4)
-    and theta in (-pi, pi] summing to a multiple of 2 pi."""
-    u_su = u / np.linalg.det(u) ** 0.25
-    w = MAGIC.conj().T @ u_su @ MAGIC
-    o1, d, o2 = _ai_kak(w)
-    theta = np.angle(np.diag(d))
-    return o1, theta, o2.T
+def _general_magic_kak(u: np.ndarray):
+    """KAK of arbitrary 4x4 unitaries in the magic basis: returns
+    (p, theta, q, failed) with M p exp(i theta) q^T M^dag = u up to global
+    phase, p and q in SO(4) and theta in (-pi, pi] summing to a multiple of
+    2 pi, and the mask of matrices whose real factor could not be split."""
+    u_su = u / (np.linalg.det(u) ** 0.25)[..., None, None]
+    o1, phases, o2, failed = _ai_kak(MAGIC.conj().T @ u_su @ MAGIC)
+    return o1, np.angle(phases), o2.mT, failed
 
 
-def split_tensor_product(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Split u4 = phase * (A x B) with A, B special unitary."""
-    r = u4[:2, :2].copy()
-    det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
-        r = u4[2:, :2].copy()
-        det_r = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    if abs(det_r) < 0.1:
-        raise ValueError("matrix is not a tensor product of single-qubit gates")
-    r /= np.sqrt(det_r)
-    tmp = u4 @ kron2(I2, r.conj().T)
-    le = tmp[::2, ::2]
-    det_l = le[0, 0] * le[1, 1] - le[0, 1] * le[1, 0]
-    le /= np.sqrt(det_l)
-    phase = np.trace(kron2(le, r).conj().T @ u4) / 4.0
-    if abs(abs(phase) - 1.0) > 1e-9:
-        raise ValueError("tensor-product split failed")
-    return le, r, phase
+def split_tensor_product(u4: np.ndarray):
+    """Split u4 = phase * (A x B) with A, B special unitary, for each matrix
+    of a stack: returns A, B and the masks of the matrices that are not
+    tensor products and of those whose split missed."""
+    upper, lower = u4[..., :2, :2], u4[..., 2:, :2]
+    det_upper = _det2(upper)
+    use_lower = _abs(det_upper) < 0.1
+    r = np.where(use_lower[..., None, None], lower, upper)
+    det_r = np.where(use_lower, _det2(lower), det_upper)
+    not_product = _abs(det_r) < 0.1
+    r = r / np.sqrt(det_r)[..., None, None]
+    le = (u4 @ kron2(I2, r.conj().mT))[..., ::2, ::2]
+    le = le / np.sqrt(_det2(le))[..., None, None]
+    phase = np.trace(kron2(le, r).conj().mT @ u4, axis1=-2, axis2=-1) / 4.0
+    return le, r, not_product, np.abs(_abs(phase) - 1.0) > 1e-9
 
 
-def _kak_layers(u: np.ndarray) -> tuple[list[GateLike], np.ndarray, list[GateLike]]:
-    """The shared KAK of a 4x4 unitary as (right locals, XX/YY/ZZ
-    coefficients, left locals): u = left exp(i omega . PP) right up to
-    global phase."""
-    u = require_unitary(u, what="synthesis input")
-    if u.shape != (4, 4):
+def _kak_layers(u: np.ndarray):
+    """The shared KAK of stacked 4x4 unitaries as (right locals, XX/YY/ZZ
+    coefficients, left locals, checks): u = left exp(i omega . PP) right up
+    to global phase, with checks as (failed mask, message) pairs."""
+    p, theta, q, complex_q = _general_magic_kak(u)
+    la, lb, *left_failed = split_tensor_product(MAGIC @ p @ MAGIC.conj().T)
+    ra, rb, *right_failed = split_tensor_product(MAGIC @ q.mT @ MAGIC.conj().T)
+    omega = (GAMMA.T @ theta[..., None])[..., 0] / 4.0
+    checks = [(complex_q, "orthogonal factor is not real; eigenbasis split failed")]
+    for not_product, missed in (left_failed, right_failed):
+        checks += [(not_product, "matrix is not a tensor product of single-qubit gates"),
+                   (missed, "tensor-product split failed")]
+    return (ra, rb), omega[..., 1:], (la, lb), checks
+
+
+def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
+    """Merge a batch's items into slots and check every gate's sequence: the
+    CNOT and single-qubit budgets, then its matrix against ``source`` up to
+    global phase. Returns the slots, the CNOT counts and the checks."""
+    slots = _merge_singles(items)
+    ncx = sum(keep for g, keep in slots if isinstance(g, TwoQubitGate))
+    nsingle = sum(keep for g, keep in slots if isinstance(g, OneQubitGate))
+    rebuilt = I4
+    for g, keep in slots:
+        rebuilt = np.where(keep[..., None, None], embed(g, (0, 1)) @ rebuilt, rebuilt)
+    tr = np.trace(rebuilt.conj().mT @ source, axis1=-2, axis2=-1) / 4.0
+    err = np.abs(rebuilt * (tr / _abs(tr))[..., None, None] - source).max(axis=(-2, -1))
+    return slots, ncx, [
+        (ncx > max_cnots, lambda k: f"synthesis produced {ncx[k]} CNOTs, budget {max_cnots}"),
+        (nsingle > 8, lambda k: f"synthesis produced {nsingle[k]} single-qubit gates, budget 8"),
+        (_abs(tr) < 1e-12, "synthesis reconstruction failed (orthogonal result)"),
+        (err > RECON_TOL, lambda k: f"synthesis reconstruction failed: deviation {err[k]:.3e}"),
+    ]
+
+
+def _gate_sequences(slots: list, ncx: np.ndarray) -> list[GateSequence]:
+    """Each gate's kept slots, in order, as its own sequence."""
+    kept = np.array([keep for _, keep in slots]).T.tolist()
+    return [GateSequence(tuple(g if isinstance(g, TwoQubitGate) else OneQubitGate(g.wire, g.matrix[k])
+                               for (g, _), keep in zip(slots, row) if keep), count)
+            for k, (row, count) in enumerate(zip(kept, ncx.tolist()))]
+
+
+class SynthMode:
+    GENERIC3 = "3cx"
+    OPTIMIZED2 = "2cx"
+
+
+def synthesize_gate(gate_matrix: np.ndarray, mode: str):
+    """(emitted, generic) sequences of a preparation gate from one KAK; in
+    GENERIC3 mode both are the same object. In OPTIMIZED2 mode the matrix
+    must already be an equivalence-class representative (a circuit compiled
+    with ``rewrite_2cx=True``); its sequence is checked, and fails, first.
+
+    A (G, 4, 4) stack is one batch and gives a list of G pairs. A failed
+    check raises GateSynthesisError for the first gate in the batch that
+    fails any, with that gate's first failed check.
+    """
+    u = np.asarray(gate_matrix, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    p, theta, q = _general_magic_kak(u)
-    la, lb, _ = split_tensor_product(MAGIC @ p @ MAGIC.conj().T)
-    ra, rb, _ = split_tensor_product(MAGIC @ q.T @ MAGIC.conj().T)
-    omega = GAMMA.T @ theta / 4.0
-    return [_u(0, ra), _u(1, rb)], omega[1:], [_u(0, la), _u(1, lb)]
-
-
-def _two_cnot_sequence(u: np.ndarray, kak) -> GateSequence:
-    right, omega, left = kak
-    try:
-        mid = _middle_sequence(omega)
-    except ValueError as exc:
-        raise ValueError(
-            "input is not two-CNOT realizable (no vanishing Pauli-string "
-            "coefficient); rewrite with build_u2cx or use synthesize_generic"
-        ) from exc
-    return _finish_sequence(right + mid + left, u, max_cnots=2)
-
-
-def _generic_sequence(u: np.ndarray, kak) -> GateSequence:
-    right, omega, left = kak
-    red, tail = _reduce_omega(omega)
-    mid = _three_cnot_core(*omega) if red.any() else tail
-    return _finish_sequence(right + mid + left, u, max_cnots=3)
+    batch = u.reshape(-1, 4, 4)
+    deviation = np.abs(batch @ batch.conj().mT - I4).max(axis=(-2, -1))
+    not_unitary = ~(deviation <= UNITARY_TOL)
+    checks = [(not_unitary, lambda k: f"synthesis input is not unitary "
+                                      f"(deviation {deviation[k]:.3e} > {UNITARY_TOL:.1e})")]
+    batch = np.where(not_unitary[:, None, None], I4, batch)  # failed input stays out of LAPACK
+    everyone = np.ones(len(batch), dtype=bool)
+    with np.errstate(all="ignore"):  # a gate that failed a check runs on as garbage
+        (ra, rb), omega, (la, lb), kak_checks = _kak_layers(batch)
+        checks += kak_checks
+        right = [(OneQubitGate(0, ra), everyone), (OneQubitGate(1, rb), everyone)]
+        left = [(OneQubitGate(0, la), everyone), (OneQubitGate(1, lb), everyone)]
+        red, pauli, has_tail = _reduce_omega(omega)
+        tail = [OneQubitGate(0, pauli), OneQubitGate(1, pauli)]
+        if mode == SynthMode.OPTIMIZED2:
+            middle, unrealizable = _middle_sequence(red)
+            checks.append((unrealizable, "input is not two-CNOT realizable (no vanishing Pauli-string "
+                                         "coefficient); rewrite with build_u2cx or use synthesize_generic"))
+            middle += [(g, has_tail) for g in tail]
+            emitted, emitted_cnots, emitted_checks = _finish_sequence(right + middle + left, batch, 2)
+            checks += emitted_checks
+        core = red.any(axis=-1)
+        middle = [(g, core) for g in _three_cnot_core(omega)] + [(g, has_tail & ~core) for g in tail]
+        generic, generic_cnots, generic_checks = _finish_sequence(right + middle + left, batch, 3)
+        checks += generic_checks
+    failed = np.array([bad for bad, _ in checks])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        message = checks[int(failed[:, k].argmax())][1]
+        raise GateSynthesisError(message(k) if callable(message) else message, k)
+    generic = _gate_sequences(generic, generic_cnots)
+    emitted = _gate_sequences(emitted, emitted_cnots) if mode == SynthMode.OPTIMIZED2 else generic
+    pairs = list(zip(emitted, generic))
+    return pairs[0] if u.ndim == 2 else pairs
 
 
 def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
@@ -360,60 +428,33 @@ def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
     and single Pauli-string exponentials. Raises ValueError for gates that
     genuinely need a third CNOT.
     """
-    return _two_cnot_sequence(u2cx, _kak_layers(u2cx))
+    return synthesize_gate(u2cx, SynthMode.OPTIMIZED2)[0]
 
 
 def synthesize_generic(u: np.ndarray) -> GateSequence:
     """Baseline synthesis of an arbitrary 4x4 unitary: no CNOT for a local
     gate, the fixed three-CNOT core otherwise."""
-    return _generic_sequence(u, _kak_layers(u))
-
-
-def _finish_sequence(gates: list[GateLike], source: np.ndarray, max_cnots: int) -> GateSequence:
-    merged = _merge_singles(gates)
-    ncx = sum(1 for g in merged if isinstance(g, TwoQubitGate))
-    if ncx > max_cnots:
-        raise ValueError(f"synthesis produced {ncx} CNOTs, budget {max_cnots}")
-    nsingle = len(merged) - ncx
-    if nsingle > 8:
-        raise ValueError(f"synthesis produced {nsingle} single-qubit gates, budget 8")
-    seq = GateSequence(gates=tuple(merged), cnot_count=ncx)
-    rebuilt = seq.matrix()
-    tr = np.trace(rebuilt.conj().T @ source) / 4.0
-    if abs(tr) < 1e-12:
-        raise ValueError("synthesis reconstruction failed (orthogonal result)")
-    err = np.abs(rebuilt * (tr / abs(tr)) - source).max()
-    if err > RECON_TOL:
-        raise ValueError(f"synthesis reconstruction failed: deviation {err:.3e}")
-    return seq
-
-
-class SynthMode:
-    GENERIC3 = "3cx"
-    OPTIMIZED2 = "2cx"
-
-
-def synthesize_gate(gate_matrix: np.ndarray, mode: str) -> tuple[GateSequence, GateSequence]:
-    """(emitted, generic) sequences of one preparation gate from one KAK;
-    in GENERIC3 mode both are the same object. In OPTIMIZED2 mode the matrix
-    must already be an equivalence-class representative (a circuit compiled
-    with ``rewrite_2cx=True``); its sequence is built, and fails, first."""
-    kak = _kak_layers(gate_matrix)
-    if mode != SynthMode.OPTIMIZED2:
-        generic = _generic_sequence(gate_matrix, kak)
-        return generic, generic
-    emitted = _two_cnot_sequence(gate_matrix, kak)
-    return emitted, _generic_sequence(gate_matrix, kak)
+    return synthesize_gate(u, SynthMode.GENERIC3)[0]
 
 
 def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int, int]]:
-    """Expand every two-qubit gate of ``circuit`` into primitives.
+    """Expand every two-qubit gate of ``circuit`` into primitives, all of
+    them in one ``synthesize_gate`` batch.
 
     Returns a circuit of OneQubitGate and CNOT-valued TwoQubitGate entries
     that reproduces the input up to global phase, and the generic baseline's
     (CNOT, single-qubit) counts from the same synthesis of each gate. A
-    OneQubitGate passes through and counts as one single-qubit gate.
+    OneQubitGate passes through and counts as one single-qubit gate. A
+    failed check raises ValueError prefixed by ``gate {k} on ({a}, {b}): ``
+    for the first gate k, in circuit order, that fails one.
     """
+    places = [k for k, g in enumerate(circuit.gates) if isinstance(g, TwoQubitGate)]
+    try:
+        batch = np.array([circuit.gates[k].matrix for k in places]).reshape(-1, 4, 4)
+        sequences = iter(synthesize_gate(batch, mode))
+    except GateSynthesisError as exc:
+        g = circuit.gates[places[exc.index]]
+        raise ValueError(f"gate {places[exc.index]} on ({g.a}, {g.b}): {exc}") from exc
     out: list = []
     g_cnots = g_singles = 0
     for g in circuit.gates:
@@ -421,15 +462,12 @@ def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int,
             out.append(g)
             g_singles += 1
             continue
-        seq, generic = synthesize_gate(g.matrix, mode)
+        seq, generic = next(sequences)
         g_cnots += generic.cnot_count
         g_singles += generic.single_qubit_count()
         wires = (g.a, g.b)
-        for prim in seq.gates:
-            if isinstance(prim, OneQubitGate):
-                out.append(OneQubitGate(wires[prim.wire], prim.matrix))
-            else:
-                out.append(TwoQubitGate(wires[prim.a], wires[prim.b], prim.matrix))
+        out += [OneQubitGate(wires[p.wire], p.matrix) if isinstance(p, OneQubitGate)
+                else TwoQubitGate(wires[p.a], wires[p.b], p.matrix) for p in seq.gates]
     return replace(circuit, gates=out), (g_cnots, g_singles)
 
 

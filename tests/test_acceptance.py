@@ -134,7 +134,7 @@ def test_criterion_4_kak_invariants(disentangling_instances):
     ok = True
     for state, a, b, step in disentangling_instances:
         # the KAK that synthesis runs on every gate
-        _p, theta, _q = _general_magic_kak(build_u2cx(step.unitary))
+        _p, theta, _q, _ = _general_magic_kak(build_u2cx(step.unitary))
         omega = GAMMA.T @ theta / 4.0
         fwd = np.sort(np.angle(np.exp(1j * theta)))
         bwd = np.sort(np.angle(np.exp(-1j * theta)))

@@ -130,14 +130,15 @@ class TestCompile:
 
     @pytest.mark.parametrize("synth,calls", [("3cx", 7), ("2cx", 7)])
     def test_synthesizes_each_unitary_once_per_mode(self, tmp_path, monkeypatch, synth, calls):
-        # chain(8) has 7 unitaries; one KAK per unitary gives both the
-        # emitted sequence and the generic counts
-        seen = {"synthesize_gate": 0, "_kak_layers": 0}
+        # chain(8) has 7 unitaries; one synthesize_gate batch holds them all,
+        # and one KAK over that batch (one per unitary) gives both the
+        # emitted sequences and the generic counts
+        seen = {"synthesize_gate": [], "_kak_layers": []}
         for name in seen:
             original = getattr(gatesynth, name)
 
             def counting(*args, _name=name, _original=original):
-                seen[_name] += 1
+                seen[_name].append(len(args[0]))
                 return _original(*args)
 
             monkeypatch.setattr(gatesynth, name, counting)
@@ -145,7 +146,7 @@ class TestCompile:
             "compile", "--target", "f1", "--scheme", "chain", "--n", "8",
             "--synth", synth, "--out", str(tmp_path),
         ])
-        assert seen == {"synthesize_gate": calls, "_kak_layers": calls}
+        assert seen == {"synthesize_gate": [calls], "_kak_layers": [calls]}
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count_generic"] == 21
 
@@ -534,3 +535,27 @@ class TestBadInputs:
                 "--out", str(tmp_path / "out"),
             ])
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_benchmark_abort_names_the_failing_gate(self, tmp_path, monkeypatch):
+        # gate 2 of the compiled 2cx circuit becomes a generic unitary, which
+        # no two-CNOT sequence realizes
+        compiled = []
+
+        def with_generic_gate(*args, **kwargs):
+            result = disentangler.run_schedule(*args, **kwargs)
+            g = result.circuit.gates[2]
+            u = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0]
+            result.circuit.gates[2] = statevec.TwoQubitGate(g.a, g.b, u)
+            compiled.append((g.a, g.b))
+            return result
+
+        monkeypatch.setattr(cli, "run_schedule", with_generic_gate)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4",
+                "--out", str(tmp_path / "out"),
+            ])
+        a, b = compiled[0]
+        assert str(exc.value.code).startswith(
+            f"benchmark cell failed: target=f1 scheme=chain n=4 layers=1: gate 2 on ({a}, {b}): "
+            "input is not two-CNOT realizable")

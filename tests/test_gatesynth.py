@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from impsprep import gatesynth, statevec
-from impsprep.disentangler import disentangle_step
+from impsprep import gatesynth, schedules, statevec, targets
+from impsprep.disentangler import default_truncation_mode, disentangle_step, run_schedule
 from impsprep.gatesynth import (
     GAMMA,
     MAGIC,
@@ -127,7 +129,7 @@ class TestGeneralMagicKak:
     def test_fuzz_class_members(self, rng):
         for _ in range(100):
             k = random_class_member(rng)
-            p, theta, q = _general_magic_kak(k)
+            p, theta, q, _ = _general_magic_kak(k)
             rebuilt = MAGIC @ p @ np.diag(np.exp(1j * theta)) @ q.T @ MAGIC.conj().T
             tr = np.trace(rebuilt.conj().T @ k) / 4.0
             assert np.abs(rebuilt * (tr / abs(tr)) - k).max() < 1e-9
@@ -360,3 +362,115 @@ class TestSynthesizeCircuit:
         assert (emitted.cnot_count, generic.cnot_count) == (2, 3)
         emitted, generic = gatesynth.synthesize_gate(u, SynthMode.GENERIC3)
         assert emitted is generic and generic.cnot_count == 3
+
+
+def same_sequence(a, b):
+    """Gate types, wires and matrices equal bit for bit (signed zeros too,
+    which move the u3 angles of an emitted gate by 2 pi)."""
+    def key(g):
+        wires = (g.wire,) if isinstance(g, OneQubitGate) else (g.a, g.b)
+        return type(g), wires, g.matrix.shape, g.matrix.tobytes()
+
+    return a.cnot_count == b.cnot_count and [key(g) for g in a.gates] == [key(g) for g in b.gates]
+
+
+def assert_batch_independent(matrices, mode):
+    """Each gate's sequences from the whole batch equal those from the gate
+    alone and from the reversed batch."""
+    whole = gatesynth.synthesize_gate(matrices, mode)
+    reversed_batch = gatesynth.synthesize_gate(matrices[::-1], mode)[::-1]
+    for k, (pair, back) in enumerate(zip(whole, reversed_batch)):
+        alone = gatesynth.synthesize_gate(matrices[k], mode)
+        for a, b, c in zip(pair, alone, back):
+            assert same_sequence(a, b) and same_sequence(a, c), (mode, k)
+
+
+class TestSynthesisBatch:
+    @pytest.mark.parametrize("synth", [SynthMode.GENERIC3, SynthMode.OPTIMIZED2])
+    def test_function_grid_gates_do_not_depend_on_their_batch(self, synth):
+        # the 48 function-grid circuits at n=8: exact targets, whose gates
+        # hold exact zeros
+        n, checked = 8, 0
+        for name in ("f1", "f2", "f3", "g1", "g2", "g3"):
+            target = targets.discretize(targets.make_spec(name, n))
+            for scheme, build in schedules.SCHEMES.items():
+                for layers in (1, 2):
+                    res = run_schedule(target, build(n), layers, default_truncation_mode(scheme),
+                                       rewrite_2cx=synth == SynthMode.OPTIMIZED2)
+                    matrices = np.array([g.matrix for g in res.circuit.gates if isinstance(g, TwoQubitGate)])
+                    assert_batch_independent(matrices, synth)
+                    checked += len(matrices)
+        assert checked > 48
+
+    def test_haar_gates_do_not_depend_on_their_batch(self, rng):
+        assert_batch_independent(np.array([haar_unitary(4, rng) for _ in range(30)]), SynthMode.GENERIC3)
+        members = np.array([build_u2cx(haar_unitary(4, rng)) for _ in range(30)])
+        assert_batch_independent(members, SynthMode.OPTIMIZED2)
+
+    def test_determinant_and_modulus_round_as_numpy_scalars(self, rng):
+        # the single-gate code formed these from numpy scalars; numpy's array
+        # complex product (a fused multiply-add) and modulus round otherwise
+        m = np.array([haar_unitary(2, rng) for _ in range(60)])
+        m[::3, 0, 1] = complex(-0.0, 0.0)
+        m[1::3, 1, 0] = complex(0.0, -0.0)
+        ref = np.array([x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0] for x in m])
+        assert gatesynth._det2(m).tobytes() == ref.tobytes()
+        z = m.reshape(-1)
+        assert gatesynth._abs(z).tobytes() == np.array([abs(x) for x in z]).tobytes()
+
+    def test_degenerate_real_part_takes_the_factor_10_eigenbasis(self, monkeypatch):
+        # u u^T in the magic basis has four distinct eigenvalues exp(i phi),
+        # but Re/pi + pi Im maps two of them, placed symmetrically about the
+        # peak of cos(phi)/pi + pi sin(phi), onto one repeated eigenvalue
+        rng = np.random.default_rng(11)
+
+        def special_orthogonal():
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            q[:, 0] *= np.linalg.det(q)
+            return q
+
+        peak = np.pi / 2 - np.arctan2(1 / np.pi, np.pi)
+        phi = np.array([peak - 0.6, peak + 0.6, 0.7, -2 * peak - 0.7])
+        w = special_orthogonal() @ np.diag(np.exp(0.5j * phi)) @ special_orthogonal()
+        u = MAGIC @ w @ MAGIC.conj().T
+        factors = []
+        split = gatesynth._real_imag_split_eigh
+
+        def recording(a, factor):
+            factors.append((factor, len(a)))
+            return split(a, factor)
+
+        monkeypatch.setattr(gatesynth, "_real_imag_split_eigh", recording)
+        seq = synthesize_generic(u)
+        assert factors == [(np.pi, 1), (10.0, 1)]
+        TestSynthesizeTwoCnot.assert_reconstructs(seq, u, tol=gatesynth.RECON_TOL)
+        rng_gates = np.random.default_rng(12)
+        batch = np.array([haar_unitary(4, rng_gates) for _ in range(5)])
+        batch[3] = u
+        factors.clear()
+        emitted, _ = gatesynth.synthesize_gate(batch, SynthMode.GENERIC3)[3]
+        assert factors == [(np.pi, 5), (10.0, 1)]
+        assert same_sequence(emitted, seq)
+
+
+class TestSynthesisFailures:
+    PAIRS = [(0, 1), (2, 3), (3, 1), (0, 2)]
+
+    def circuit(self, rng, replaced):
+        gates = [TwoQubitGate(a, b, build_u2cx(haar_unitary(4, rng))) for a, b in self.PAIRS]
+        for k, matrix in replaced.items():
+            gates[k] = TwoQubitGate(*self.PAIRS[k], matrix)
+        return Circuit(n=4, gates=gates, u_depth=len(gates))
+
+    def test_names_the_first_failing_gate_in_circuit_order(self, rng):
+        # gate 3 fails an earlier check than gate 2, but gate 2 comes first
+        circ = self.circuit(rng, {2: haar_unitary(4, rng), 3: 1.02 * haar_unitary(4, rng)})
+        with pytest.raises(ValueError, match=re.escape(
+                "gate 2 on (3, 1): input is not two-CNOT realizable (no vanishing Pauli-string coefficient)")):
+            synthesize_circuit(circ, SynthMode.OPTIMIZED2)
+
+    def test_non_unitary_gate_named_with_its_deviation(self, rng):
+        circ = self.circuit(rng, {1: 1.02 * haar_unitary(4, rng), 2: haar_unitary(4, rng)})
+        with pytest.raises(ValueError, match=r"^gate 1 on \(2, 3\): synthesis input is not unitary "
+                                             r"\(deviation 4\.040e-02 > 1\.0e-10\)$"):
+            synthesize_circuit(circ, SynthMode.OPTIMIZED2)
