@@ -13,8 +13,9 @@ the fused simulator and for rebuilding a synthesized sequence alike.
 run of gates on one wire pair, with the single-qubit gates that reach it,
 becomes one 4x4, and two consecutive 4x4s on disjoint pairs share a state
 pass, not one pass per primitive gate. It owns the one state it updates
-and the kernel's two work buffers, allocated once per call (see
-``statevec``), and returns the state frozen.
+and the kernel's two chunk-size work buffers, allocated once per call;
+every pass goes through the state chunk by chunk (see ``statevec``). It
+returns the state frozen.
 """
 from __future__ import annotations
 

@@ -10,13 +10,15 @@ into a preparation circuit.
 
 ``disentangle_step`` returns the step only. ``run_schedule`` owns one
 state, the exact image of the target under all gates applied so far, and
-the kernel's two work buffers: three state sizes however many steps it
-runs. It takes each round's pairs two at a time, and one ``statevec``
-kernel pass per group gathers their wires, reads both Gram matrices from
-one 16x16 Gram of the gathered block and applies the Kronecker product of
-the two gates. A gate on one pair leaves a disjoint pair's reduced state
-as it was, so these Gram matrices equal the pre-round state's (or its held
-slice's) up to round-off; a lone pair's pass is one step's arithmetic.
+the kernel's two chunk-size work buffers: one state size and two chunks
+however many steps it runs. It takes each round's pairs two at a time, and
+one ``statevec`` kernel pass per group sums one 16x16 Gram over the
+chunks it gathers in a read sweep (skipping those outside a held slice),
+reads both Gram matrices from it and applies the Kronecker product of the
+two gates in an apply sweep. A gate on one pair leaves a disjoint pair's
+reduced state as it was, so these Gram matrices equal the pre-round
+state's (or its held slice's) up to round-off; a lone pair's pass is one
+step's arithmetic.
 
 Truncation conventions
 ----------------------
@@ -149,18 +151,26 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _factor_gram(_gram(rows))
 
 
-def _pair_grams(block: np.ndarray, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray) -> list:
-    """The Gram matrix of each pair of ``wires`` (one or two pairs) from the
-    gathered (2^k, 2^(n-k)) ``block``, read from its slice with the qubits
-    ``fixed`` at |0>, which is copied into the state-size ``spare``. Two
-    pairs' Gram matrices are the partial traces of the block's 16x16 one."""
-    if fixed:
-        rest = [q for q in range(n) if q not in wires]
-        t = block.reshape([len(block)] + [2] * len(rest))
-        t = t[(slice(None), *(0 if q in fixed else slice(None) for q in rest))]
-        block = spare[: t.size].reshape(len(block), -1)
-        np.copyto(block.reshape(t.shape), t)
-    gram = _gram(block)
+def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray) -> list:
+    """The Gram matrix of each pair of ``wires`` (one or two pairs), summed
+    in chunk order over the kernel's ``(bits, gather)`` ``chunks`` and read
+    from the slice with the qubits ``fixed`` at |0>: a chunk that holds one
+    of them at 1 is not gathered, and a gathered block's own slice is copied
+    into the chunk-size ``spare``. Two pairs' Gram matrices are the partial
+    traces of the 16x16 one."""
+    rest = [q for q in range(n) if q not in wires]
+    gram = None
+    for bits, gather in chunks:
+        if any(bit and q in fixed for q, bit in zip(rest, bits)):
+            continue
+        block, free = gather(), rest[len(bits):]
+        if fixed.intersection(free):
+            t = block.reshape([len(block)] + [2] * len(free))
+            t = t[(slice(None), *(0 if q in fixed else slice(None) for q in free))]
+            block = spare[: t.size].reshape(len(block), -1)
+            np.copyto(block.reshape(t.shape), t)
+        part = _gram(block)
+        gram = part if gram is None else gram + part
     if len(wires) == 2:
         return [gram]
     t = gram.reshape(4, 4, 4, 4)
@@ -283,9 +293,9 @@ def run_schedule(
     steps: list[DisentangleStep] = []
     per_round_weights: list[float] = []
 
-    def factor(group, fixed, block: np.ndarray) -> np.ndarray:
-        # the kernel calls this between its gather and its multiply
-        for (a, b), gram in zip(group, _pair_grams(block, n, sum(group, ()), fixed, work[1])):
+    def factor(group, fixed, chunks) -> np.ndarray:
+        # the kernel calls this with its read sweep, before its apply sweep
+        for (a, b), gram in zip(group, _pair_grams(chunks, n, sum(group, ()), fixed, work[1])):
             step = disentangle_step(state, a, b, fixed, gram)
             steps.append(replace(step, unitary=build_u2cx(step.unitary)) if rewrite_2cx else step)
         return reduce(kron2, [step.unitary for step in steps[-len(group):]])

@@ -5,24 +5,30 @@ so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
 every gate on 1, 2 or 4 wires (two pairs' gates in one pass), given as a
-matrix or as a function of the gathered block that returns it, in place,
-to an amplitude array its caller owns, through two state-size work
-buffers that the caller allocates once (``_work_buffers``) and reuses for
-every pass: a state-size array is above the allocator's mmap threshold, so
-a fresh one per pass is mapped, zero-filled page by page and unmapped
-again. The engine and the simulator each own one state and one pair of
-work buffers per call; ``apply_two_qubit`` and ``apply_single_qubit`` are
-the checked value-semantic wrappers.
+matrix or as a function of the gathered blocks that returns it, in place,
+to an amplitude array its caller owns. It works chunk by chunk, as qsim
+blocks for the cache (arXiv 2111.02396): each chunk of at most ``CHUNK``
+amplitudes holds the state's most significant non-gate qubits fixed and
+goes through two chunk-size work buffers that the caller allocates once
+(``_work_buffers``) and reuses for every pass. A state of up to ``CHUNK``
+amplitudes is one chunk. The engine and the simulator each own one state
+and one pair of work buffers per call; ``apply_two_qubit`` and
+``apply_single_qubit`` are the checked value-semantic wrappers.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 UNITARY_TOL = 1e-10
+# amplitudes per kernel chunk (1 MiB); at least 16, so that a chunk holds
+# every value of four gate wires
+CHUNK = 1 << 16
 
 _DEFAULT_MAX_QUBITS = 24
 
@@ -164,14 +170,10 @@ def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix
 
 
 def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's two work buffers for an ``n``-qubit state.
-
-    They are two state-size arrays, not one (2, 2^n) array: freeing a
-    double-size block raises glibc's dynamic mmap threshold above the state
-    size, so state-size arrays allocated after it come from the heap, whose
-    freed pages can stay resident and raise the peak RSS.
-    """
-    return np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+    """The kernel's two work buffers for an ``n``-qubit state: one chunk
+    each, ``min(2^n, CHUNK)`` amplitudes."""
+    size = min(1 << n, CHUNK)
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
 def _apply_gate_to_amps(
@@ -182,20 +184,43 @@ def _apply_gate_to_amps(
     ``amps``, in place; the first wire is the most significant bit of the
     matrix's own basis.
 
-    The state's moved view is gathered into the contiguous (2^k, 2^(n-k))
-    work buffer ``gathered``, multiplied into ``product`` and scattered back
-    into ``amps``; both state-size buffers are overwritten. A function in
-    place of ``matrix`` is called with the gathered block, which it may not
-    write, before the multiply; it may use ``product`` as scratch.
+    Each chunk fixes the ``lead`` most significant non-gate qubits, the
+    fewest that leave at most ``CHUNK`` amplitudes, at the values ``bits``,
+    the last one fastest. Its moved view is gathered into the contiguous
+    (2^k, 2^(n-k-lead)) work buffer ``gathered``, whose columns run over the
+    remaining non-gate qubits in ascending order, multiplied into
+    ``product`` and scattered back into ``amps``; both chunk-size buffers
+    are overwritten. A function in place of ``matrix`` is first called with
+    an iterator over every chunk's ``(bits, gather)``, in that order;
+    ``gather()`` gathers the chunk and returns its block, which the function
+    may not write. It may skip chunks and use ``product`` as scratch, and
+    returns the matrix. The apply sweep starts from the chunk gathered last,
+    which it does not gather again: a one-chunk pass gathers once.
     """
-    front = tuple(range(len(wires)))
-    moved = np.moveaxis(amps.reshape([2] * n), wires, front)
-    wide = (1 << len(wires), -1)
-    np.copyto(gathered.reshape(moved.shape), moved)
+    k = len(wires)
+    lead = max(0, n + 1 - CHUNK.bit_length())
+    heads = itertools.islice((q for q in range(n) if q not in wires), lead)
+    moved = np.moveaxis(amps.reshape([2] * n), (*heads, *wires), range(lead + k))
+    index = list(itertools.product((0, 1), repeat=lead))
+    view, scatter = gathered.reshape(moved.shape[lead:]), product.reshape(moved.shape[lead:])
+    wide = (1 << k, -1)
+    block, out = gathered.reshape(wide), product.reshape(wide)
+    resident = None  # the chunk that ``gathered`` holds
+
+    def gather(i: int) -> np.ndarray:
+        nonlocal resident
+        np.copyto(view, moved[index[i]])
+        resident = i
+        return block
+
     if callable(matrix):
-        matrix = matrix(gathered.reshape(wide))
-    np.matmul(matrix, gathered.reshape(wide), out=product.reshape(wide))
-    np.copyto(moved, product.reshape(moved.shape))
+        matrix = matrix((bits, partial(gather, i)) for i, bits in enumerate(index))
+    start = resident or 0
+    for i in (*range(start, len(index)), *range(start)):
+        if i != resident:
+            gather(i)
+        np.matmul(matrix, block, out=out)
+        np.copyto(moved[index[i]], scatter)
 
 
 def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:

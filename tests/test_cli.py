@@ -209,6 +209,25 @@ class TestCompile:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count"] <= 2 * report["cnot_count_generic"] / 3
 
+    def test_function_grid_compiles_at_n12(self, tmp_path):
+        # every cell of the paper's function grid (f1-g3 x 4 schemes x L = 1,
+        # 2) compiles in 2cx mode at n = 12, where the CLI re-validates the
+        # emitted QASM, and exits 0
+        failed = []
+        for target in ("f1", "f2", "f3", "g1", "g2", "g3"):
+            for scheme in ("chain", "ttn", "htn", "hen"):
+                for layers in ("1", "2"):
+                    out = tmp_path / f"{target}-{scheme}-{layers}"
+                    argv = ["compile", "--target", target, "--scheme", scheme, "--n", "12",
+                            "--layers", layers, "--synth", "2cx", "--out", str(out)]
+                    try:
+                        rc = run_cli(argv)
+                    except SystemExit as exc:
+                        rc = exc.code
+                    if rc != 0:
+                        failed.append((target, scheme, layers, rc))
+        assert failed == []
+
     @pytest.mark.parametrize("target,n,steps", [("f1", 12, 72), ("random", 14, 98)])
     def test_block_factors_take_no_wide_svd(self, tmp_path, monkeypatch, target, n, steps):
         # every step factors its block through one 4x4 Gram matrix, also the

@@ -467,6 +467,56 @@ class TestRunSchedule:
             tracemalloc.stop()
         assert peak <= 3.3 * target.amps.nbytes
 
+    @pytest.mark.parametrize("scheme,mode", [
+        ("hen", TruncationMode.PER_ROUND),
+        ("chain", TruncationMode.PER_LAYER),
+    ])
+    def test_peak_memory_is_one_state_size_and_two_chunks(self, rng, scheme, mode):
+        # above one chunk (n = 18: 4 chunks of 1 MiB) the work buffers are
+        # two chunks, not two state sizes: the engine holds its owned state
+        # and them (1.5 state sizes), and so does simulate
+        n = 18
+        target = random_state(n, rng)
+        tracemalloc.start()
+        try:
+            res = run_schedule(target, getattr(schedules, f"{scheme}_schedule")(n), 2, mode)
+            engine = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            simulate(res.circuit)
+            simulator = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine <= 2.3 * target.amps.nbytes
+        assert simulator <= 2.3 * target.amps.nbytes
+
+    @pytest.mark.parametrize("scheme,mode", [
+        ("chain", TruncationMode.PER_LAYER),
+        ("ttn", TruncationMode.PER_LAYER),
+        ("htn", TruncationMode.PER_ROUND),
+        ("hen", TruncationMode.PER_ROUND),
+    ])
+    def test_chunked_passes_match_one_chunk(self, rng, monkeypatch, scheme, mode):
+        # 16 chunks of 2^6 amplitudes: the Gram matrices are summed over the
+        # chunks (skipping those that hold a held qubit at 1), which moves
+        # them by round-off only. A step unitary's columns move by that
+        # round-off over the step's smallest gap of squared singular values;
+        # on hen at L = 2 a 1e-16 change of the target alone moves the
+        # unitaries by 1e-11, so they are compared scaled by that gap
+        n = 10
+        target, sched = random_state(n, rng), getattr(schedules, f"{scheme}_schedule")(n)
+        ref = run_schedule(target, sched, 2, mode)
+        whole = simulate(ref.circuit).amps
+        monkeypatch.setattr(statevec, "CHUNK", 1 << 6)
+        res = run_schedule(target, sched, 2, mode)
+        assert abs(res.final_infidelity - ref.final_infidelity) < 1e-12
+        assert np.abs(np.subtract(res.per_round_weights, ref.per_round_weights)).max() < 1e-12
+        assert [s.pair for s in res.steps] == [s.pair for s in ref.steps]
+        for step, want in zip(res.steps, ref.steps):
+            gap = np.abs(np.diff(want.singular_values ** 2)).min()
+            assert np.abs(step.unitary - want.unitary).max() * gap < 1e-11, step.pair
+        # the simulator's chunked passes are bit for bit the one-chunk ones
+        assert np.array_equal(simulate(ref.circuit).amps, whole)
+
     @pytest.mark.parametrize("sched,qubit,rnd", [
         (schedules.htn_schedule(8), 1, 1),
         (schedules.hen_schedule(8), 2, 1),

@@ -279,23 +279,47 @@ class TestGateKernel:
             statevec._apply_gate_to_amps(amps, n, wires, kron2(first, second), *work)
             assert np.abs(amps - expected).max() < 1e-13, wires
 
-    def test_matrix_from_the_gathered_block(self, rng):
-        # a function in place of the matrix sees the gathered block, wires
-        # in front, and returns the matrix to apply
-        n, wires = 5, (3, 0)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_chunked_pass_equals_fresh_array_reference(self, rng, monkeypatch, k):
+        # 16 chunks of 2^6 amplitudes: each chunk's product is the same
+        # arithmetic as the whole state's, bit for bit
+        monkeypatch.setattr(statevec, "CHUNK", 1 << 6)
+        n = 10
         amps = random_state(n, rng).amps.copy()
+        work = statevec._work_buffers(n)
+        assert all(len(buffer) == 1 << 6 for buffer in work)
+        for _ in range(12):
+            wires = tuple(int(q) for q in rng.permutation(n)[:k])
+            matrix = haar_unitary(1 << k, rng)
+            expected = fresh_array_gate(amps, n, wires, matrix)
+            statevec._apply_gate_to_amps(amps, n, wires, matrix, *work)
+            assert np.array_equal(amps, expected), wires
+
+    @pytest.mark.parametrize("chunk,lead", [(statevec.CHUNK, 0), (1 << 6, 2)], ids=["one", "four"])
+    def test_matrix_from_the_gathered_block(self, rng, monkeypatch, chunk, lead):
+        # a function in place of the matrix sees every chunk's gathered
+        # block, wires in front, with the ``lead`` most significant other
+        # qubits at ``bits`` (the whole block for one chunk), and returns
+        # the matrix to apply; one that gathers only some chunks, or none,
+        # gets the same pass
+        monkeypatch.setattr(statevec, "CHUNK", chunk)
+        n, wires = 8, (5, 1)
         matrix = haar_unitary(4, rng)
-        seen = []
+        for keep in (lambda bits: True, lambda bits: bits[-1:] != (1,), lambda bits: False):
+            amps = random_state(n, rng).amps.copy()
+            seen = []
 
-        def factor(block):
-            seen.append(block.copy())
-            return matrix
+            def factor(chunks):
+                seen.extend((bits, gather().copy()) for bits, gather in chunks if keep(bits))
+                return matrix
 
-        expected = fresh_array_gate(amps, n, wires, matrix)
-        gathered = np.moveaxis(amps.reshape([2] * n), wires, (0, 1)).reshape(4, -1)
-        statevec._apply_gate_to_amps(amps, n, wires, factor, *statevec._work_buffers(n))
-        assert len(seen) == 1 and np.array_equal(seen[0], gathered)
-        assert np.array_equal(amps, expected)
+            expected = fresh_array_gate(amps, n, wires, matrix)
+            whole = np.moveaxis(amps.reshape([2] * n), wires, (0, 1)).reshape([4] + [2] * lead + [-1])
+            statevec._apply_gate_to_amps(amps, n, wires, factor, *statevec._work_buffers(n))
+            assert [bits for bits, _block in seen] == [b for b in np.ndindex(*[2] * lead) if keep(b)]
+            for bits, block in seen:
+                assert np.array_equal(block, whole[(slice(None), *bits)]), bits
+            assert np.array_equal(amps, expected)
 
 
 class TestInfidelity:
