@@ -8,6 +8,15 @@ the one wall-clock time is report.json's ``wall_time``, from target
 resolution through the re-simulation check, never in hashed artifacts
 (circuit.qasm, results.csv). ``--out`` is created only when a file is
 written to it.
+
+``compile_one`` compiles a cell's samples as one stack: one
+``run_schedule`` and one ``synthesize_circuit`` batch. ``compile`` passes
+its one target; ``benchmark`` passes all of a cell's samples while one
+state fits in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and
+above that one at a time, where the kernel's passes dominate. Every sample
+gets the circuit it gets alone, so the rows do not depend on the stack. A
+failed cell names its sample, then the step's layer, round and pair or the
+gate's index and wires.
 """
 from __future__ import annotations
 
@@ -98,36 +107,40 @@ def _truncation(args, schedule: schedules.Schedule) -> TruncationMode:
 
 
 def compile_one(
-    target_state: statevec.StateVector,
-    target_label: str,
+    samples: list,
     schedule: schedules.Schedule,
     layers: int,
     trunc: TruncationMode,
     synth: str,
     seed: int,
-    domain,
-) -> tuple[SynthesisReport, Circuit]:
+) -> list[tuple[SynthesisReport, Circuit]]:
+    """Compile the ``(label, state, domain)`` ``samples`` of one cell as one
+    stack: one ``run_schedule`` and one ``synthesize_circuit`` batch for all
+    of them. Returns each sample's report and primitive circuit, in order."""
     rewrite = synth == SynthMode.OPTIMIZED2
-    result = run_schedule(target_state, schedule, layers, trunc, rewrite_2cx=rewrite)
-    primitive, (g_cnots, g_singles) = gatesynth.synthesize_circuit(result.circuit, synth)
-    report = SynthesisReport(
-        scheme=schedule.scheme,
-        target=target_label,
-        n=schedule.n,
-        layers=layers,
-        u_depth=result.circuit.u_depth,
-        infidelity=result.final_infidelity,
-        cnot_count=primitive.two_qubit_count(),
-        single_qubit_count=primitive.one_qubit_count(),
-        cnot_count_generic=g_cnots,
-        single_qubit_count_generic=g_singles,
-        truncation=trunc.value,
-        synth=synth,
-        seed=seed,
-        domain=domain,
-        retained_weights=[float(w) for w in result.per_round_weights],
-    )
-    return report, primitive
+    results = run_schedule([state for _, state, _ in samples], schedule, layers, trunc, rewrite_2cx=rewrite)
+    synthesized = gatesynth.synthesize_circuit([result.circuit for result in results], synth)
+    compiled = []
+    for (label, _, domain), result, (primitive, (g_cnots, g_singles)) in zip(samples, results, synthesized):
+        report = SynthesisReport(
+            scheme=schedule.scheme,
+            target=label,
+            n=schedule.n,
+            layers=layers,
+            u_depth=result.circuit.u_depth,
+            infidelity=result.final_infidelity,
+            cnot_count=primitive.two_qubit_count(),
+            single_qubit_count=primitive.one_qubit_count(),
+            cnot_count_generic=g_cnots,
+            single_qubit_count_generic=g_singles,
+            truncation=trunc.value,
+            synth=synth,
+            seed=seed,
+            domain=domain,
+            retained_weights=[float(w) for w in result.per_round_weights],
+        )
+        compiled.append((report, primitive))
+    return compiled
 
 
 def _revalidate(qasm_path: Path, target_state, reported_infidelity: float) -> None:
@@ -145,12 +158,10 @@ def cmd_compile(args) -> int:
     if args.layers < 1:
         raise SystemExit(f"--layers must be >= 1, got {args.layers}")
     rng = np.random.default_rng(args.seed)
-    label, state, domain = targets.resolve(args.target, args.n, rng)
+    sample = targets.resolve(args.target, args.n, rng)
     schedule = build_schedule(args.scheme, args.n, args)
     trunc = _truncation(args, schedule)
-    report, primitive = compile_one(
-        state, label, schedule, args.layers, trunc, args.synth, args.seed, domain
-    )
+    ((report, primitive),) = compile_one([sample], schedule, args.layers, trunc, args.synth, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = {
@@ -165,7 +176,7 @@ def cmd_compile(args) -> int:
     }
     qasm_path = out / "circuit.qasm"
     qasm_path.write_text(qasm.emit(primitive, header))
-    _revalidate(qasm_path, state, report.infidelity)
+    _revalidate(qasm_path, sample[1], report.infidelity)
     report.wall_time = time.perf_counter() - t0
     (out / "report.json").write_text(report.to_json() + "\n")
     print(
@@ -236,23 +247,25 @@ def cmd_benchmark(args) -> int:
             rng = np.random.default_rng(args.seed)
             count = args.samples if tname == "random" else 1
             resolved.append((tname, [targets.resolve(tname, n, rng) for _ in range(count)]))
+        # a cell's samples are one stack while a state fits in one kernel
+        # chunk; above that the kernel dominates, and they go one at a time
+        stack = args.samples if 1 << n <= statevec.CHUNK else 1
         for tname, samples in resolved:
             for scheme_name, schedule in built[n]:
                 trunc = _truncation(args, schedule)
                 for layers in layers_list:
-                    reports = []
-                    for label, state, domain in samples:
+                    compiled = []
+                    for i in range(0, len(samples), stack):
                         try:
-                            report, primitive = compile_one(
-                                state, label, schedule, layers, trunc,
-                                args.synth, args.seed, domain,
-                            )
+                            compiled += compile_one(samples[i:i + stack], schedule, layers, trunc,
+                                                    args.synth, args.seed)
                         except Exception as exc:
+                            where = f"sample {i}: " if stack == 1 < len(samples) else ""
                             raise SystemExit(
                                 f"benchmark cell failed: target={tname} scheme={scheme_name} "
-                                f"n={n} layers={layers}: {exc}"
+                                f"n={n} layers={layers}: {where}{exc}"
                             )
-                        reports.append(report)
+                    reports = [report for report, _ in compiled]
                     rep = reports[0]
                     min_weight = min(min(r.retained_weights) for r in reports)
                     rows.append(
@@ -269,15 +282,15 @@ def cmd_benchmark(args) -> int:
                             "cnot_3cx": rep.cnot_count_generic,
                             "single_qubit_3cx": rep.single_qubit_count_generic,
                             "min_retained_weight": _fmt(min_weight),
-                            "domain_lo": "" if domain is None else _fmt(domain[0]),
-                            "domain_hi": "" if domain is None else _fmt(domain[1]),
+                            "domain_lo": "" if rep.domain is None else _fmt(rep.domain[0]),
+                            "domain_hi": "" if rep.domain is None else _fmt(rep.domain[1]),
                             "seed": args.seed,
                         }
                     )
                     if tname != "random" and args.plotdata:
-                        prepared = simulate(primitive)
+                        ((_, state, _),), ((_, primitive),) = samples, compiled
                         fname = out / "plotdata" / f"{tname}_{scheme_name}_n{n}_L{layers}.csv"
-                        _write_plotdata(fname, state, prepared)
+                        _write_plotdata(fname, state, simulate(primitive))
     csv_path = out / "results.csv"
     out.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as fh:

@@ -8,17 +8,22 @@ for each cluster of equal eigenvalues (``_factor_gram``); no wide SVD is
 taken. Running a schedule executes rounds of such steps and reverses them
 into a preparation circuit.
 
-``disentangle_step`` returns the step only. ``run_schedule`` owns one
-state, the exact image of the target under all gates applied so far, and
-the kernel's two chunk-size work buffers: one state size and two chunks
-however many steps it runs. It takes each round's pairs two at a time, and
-one ``statevec`` kernel pass per group sums one 16x16 Gram over the
-chunks it gathers in a read sweep (skipping those outside a held slice),
-reads both Gram matrices from it and applies the Kronecker product of the
-two gates in an apply sweep. A gate on one pair leaves a disjoint pair's
-reduced state as it was, so these Gram matrices equal the pre-round
-state's (or its held slice's) up to round-off; a lone pair's pass is one
-step's arithmetic.
+``disentangle_step`` returns the step only. ``run_schedule`` disentangles
+a stack of S same-size targets at once, one benchmark cell's samples, and
+owns one (S, 2^n) array, the exact image of every target under all gates
+applied so far, and the kernel's two chunk-size work buffers: S state sizes
+and two chunks however many steps it runs. It takes each round's pairs two
+at a time, and one ``statevec`` kernel pass per group sums each sample's
+16x16 Gram over the chunks it gathers in a read sweep (skipping those
+outside a held slice), reads both pairs' Gram matrices from it, factors
+all of them (samples x pairs) in one stacked ``disentangle_step``, rewrites
+them in one stacked ``build_u2cx`` and applies each sample's Kronecker
+product of the two gates in an apply sweep. A gate on one pair leaves a
+disjoint pair's reduced state as it was, so these Gram matrices equal the
+pre-round state's (or its held slice's) up to round-off; a lone pair's pass
+is one step's arithmetic. Every matrix of a stack gets the bits it gets
+alone, so a target's circuit does not depend on the stack it is compiled
+in.
 
 Truncation conventions
 ----------------------
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
@@ -53,7 +58,7 @@ from scipy.linalg.blas import zherk
 from .circuits import Circuit, OneQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
-from .statevec import StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
+from .statevec import StackError, StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
@@ -90,20 +95,31 @@ class PreparationResult:
     steps: list[DisentangleStep]
 
 
-def _canonical_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the span of ``v``'s columns that depends on the
-    span only: e0, ..., e3 projected onto it and orthonormalized in order,
-    skipping residuals shorter than BASIS_TOL. For one column this fixes
-    its phase: its first entry above BASIS_TOL becomes real positive."""
-    basis, found = np.zeros((4, v.shape[1]), dtype=complex), 0
-    for i, col in enumerate((v @ v.conj().T).T):  # the projection of e_i
-        r = col - basis[:, :found] @ basis[i, :found].conj()
-        norm = math.sqrt(np.vdot(r, r).real)
-        if norm > BASIS_TOL:
-            basis[:, found] = r / norm
-            found += 1
-            if found == basis.shape[1]:
-                break
+def _norms(r: np.ndarray) -> np.ndarray:
+    """sqrt(vdot(x, x).real) of every vector x along the last axis, each
+    as ``np.vdot`` forms it alone."""
+    return np.sqrt((r.conj()[..., None, :] @ r[..., :, None])[..., 0, 0].real)
+
+
+def _canonical_bases(v: np.ndarray) -> np.ndarray:
+    """For each (4, k) matrix of the stack ``v``, an orthonormal basis of
+    the span of its columns that depends on the span only: e0, ..., e3
+    projected onto it and orthonormalized in order, skipping residuals
+    shorter than BASIS_TOL. For one column this fixes its phase: its first
+    entry above BASIS_TOL becomes real positive. Basis vector f is the first
+    residual past vector f - 1 that is long enough, so each comes from the
+    residuals of all four projections at once, each formed as it is alone."""
+    count, _, k = v.shape
+    rows = (v @ v.conj().mT).mT  # row i: the projection of e_i
+    basis = np.zeros(v.shape, dtype=complex)
+    at, usable = np.arange(count), True
+    for f in range(k):
+        # row i less the vectors so far times their conjugated entries i
+        r = rows - (basis[:, None, :, :f] @ basis[:, :, :f, None].conj())[..., 0] if f else rows
+        norm = _norms(r)
+        pick = ((norm > BASIS_TOL) & usable).argmax(axis=1)
+        basis[:, :, f] = r[at, pick] / norm[at, pick, None]
+        usable = np.arange(4) > pick[:, None]  # the rows past this vector's
     return basis
 
 
@@ -115,14 +131,15 @@ def _gram(rows: np.ndarray) -> np.ndarray:
 
 def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 4x4 left factor and the four singular values, scaled to unit sum
-    of squares, of the block whose ``_gram`` (lower triangle) is ``gram``.
+    of squares, of the block whose ``_gram`` (lower triangle) is ``gram``,
+    for each matrix of a (..., 4, 4) stack; each gets the bits it gets alone.
 
     The left factor of the 4 x m block R is the eigenbasis of its 4x4 Gram
     matrix R R^H (Demmel et al., arXiv 0808.2664), whose eigenvalues
     w0 >= ... >= w3 are the squared singular values; blocks with m < 4
     need no special case. Eigenvalues within CLUSTER_TOL * w0 of their
     neighbours form a cluster, and each cluster gets a canonical basis
-    (``_canonical_basis``), so U depends on the block, not on how round-off
+    (``_canonical_bases``), so U depends on the block, not on how round-off
     mixes equal eigenvalues. A cluster never spans the kept pair (0, 1) and
     the discarded pair (2, 3), except the round-off cluster chained to 0:
     every split of the null space keeps the same weight. The kept subspace
@@ -130,20 +147,33 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rescaled so det U = 1, which keeps real blocks special orthogonal, hence
     two-CNOT implementable without any rewrite. The singular values of the
     round-off cluster are reported as 0; it holds every one below
-    sqrt(eps) * s0.
+    sqrt(eps) * s0. The clusters are masks over the stack: every column
+    first gets the basis of a one-column cluster, and the clusters of each
+    larger size are one stack for ``_canonical_bases``.
     """
-    w, v = np.linalg.eigh(gram)
-    w, v = w[::-1], v[:, ::-1].conj()
-    tol = CLUSTER_TOL * w[0]
-    gaps = w - np.append(w[1:], 0.0)
-    null = 4  # the round-off cluster is w[null:]
-    while null > 0 and gaps[null - 1] <= tol:
-        null -= 1
-    cuts = [0, *(i for i in (1, 2, 3) if gaps[i - 1] > tol or (i == 2 and null > 1)), 4]
-    u = np.column_stack([_canonical_basis(v[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
-    u[:, 3] *= np.linalg.det(u).conjugate()
-    s = np.append(np.sqrt(w[:null]), np.zeros(4 - null))
-    return u, s / np.linalg.norm(s)
+    shape = gram.shape[:-2]
+    w, v = np.linalg.eigh(gram.reshape(-1, 4, 4))
+    w, v = w[:, ::-1], v[:, :, ::-1].conj()
+    gaps = w.copy()  # w_i - w_(i+1), and w3 - 0
+    gaps[:, :3] -= w[:, 1:]
+    small = gaps <= CLUSTER_TOL * w[:, :1]
+    null = 4 - np.logical_and.accumulate(small[:, ::-1], axis=1).sum(axis=1)  # round-off cluster: w[null:]
+    start = np.ones(w.shape, dtype=bool)  # column j opens a cluster
+    start[:, 1:] = ~small[:, :3]
+    start[:, 2] |= null > 1
+    # every column as its own cluster, then the clusters of 2 to 4 columns
+    u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
+    if not start.all():
+        label = np.cumsum(start, axis=1)
+        size = (label[:, :, None] == label[:, None, :]).sum(axis=2)  # of each column's cluster
+        for k in sorted(set(size[start].tolist()) - {1}):
+            mat, col = np.nonzero(start & (size == k))
+            at = (mat[:, None], slice(None), col[:, None] + np.arange(k))
+            u[at] = _canonical_bases(v[at].mT).mT
+    u[:, :, 3] *= np.linalg.det(u).conjugate()[:, None]
+    s = np.sqrt(np.where(np.arange(4) < null[:, None], w, 0.0))
+    s /= np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0])  # as np.linalg.norm forms it
+    return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 
 
 def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,33 +181,36 @@ def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _factor_gram(_gram(rows))
 
 
-def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray) -> list:
-    """The Gram matrix of each pair of ``wires`` (one or two pairs), summed
-    in chunk order over the kernel's ``(bits, gather)`` ``chunks`` and read
-    from the slice with the qubits ``fixed`` at |0>: a chunk that holds one
-    of them at 1 is not gathered, and a gathered block's own slice is copied
-    into the chunk-size ``spare``. Two pairs' Gram matrices are the partial
-    traces of the 16x16 one."""
+def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray, count: int) -> np.ndarray:
+    """The Gram matrix of each pair of ``wires`` (one or two pairs) in each
+    of ``count`` samples, as a (count, pairs, 4, 4) stack. Each is summed in
+    chunk order over the kernel's ``(samples, bits, gather)`` ``chunks`` and
+    read from the slice with the qubits ``fixed`` at |0>: a chunk that holds
+    one of them at 1 is not gathered, and a gathered block's own slice is
+    copied into the chunk-size ``spare``. Two pairs' Gram matrices are the
+    partial traces of the 16x16 one."""
     rest = [q for q in range(n) if q not in wires]
-    gram = None
-    for bits, gather in chunks:
+    grams = [None] * count
+    for samples, bits, gather in chunks:
         if any(bit and q in fixed for q, bit in zip(rest, bits)):
             continue
-        block, free = gather(), rest[len(bits):]
+        blocks, free = gather(), rest[len(bits):]
         if fixed.intersection(free):
-            t = block.reshape([len(block)] + [2] * len(free))
-            t = t[(slice(None), *(0 if q in fixed else slice(None) for q in free))]
-            block = spare[: t.size].reshape(len(block), -1)
-            np.copyto(block.reshape(t.shape), t)
-        part = _gram(block)
-        gram = part if gram is None else gram + part
+            t = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
+            t = t[(slice(None), slice(None), *(0 if q in fixed else slice(None) for q in free))]
+            blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
+            np.copyto(blocks.reshape(t.shape), t)
+        for i, block in zip(samples, blocks):
+            part = _gram(block)
+            grams[i] = part if grams[i] is None else grams[i] + part
+    gram = np.array(grams)
     if len(wires) == 2:
-        return [gram]
-    t = gram.reshape(4, 4, 4, 4)
-    return [np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)]
+        return gram[:, None]
+    t = gram.reshape(-1, 4, 4, 4, 4)
+    return np.stack([np.trace(t, axis1=2, axis2=4), np.trace(t, axis1=1, axis2=3)], axis=1)
 
 
-def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset(), gram=None) -> DisentangleStep:
+def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None) -> DisentangleStep:
     """Factor the (a, b) block as U diag(l) V^H and return the step that
     applies U^-1.
 
@@ -188,16 +221,29 @@ def disentangle_step(state: StateVector, a: int, b: int, fixed=frozenset(), gram
     qubits are |0>; the singular values are those of the renormalized block
     either way; a ``gram`` the caller read from that block stands in for
     it. A non-finite block entry makes its row's diagonal Gram entry
-    non-finite. The step record holds unitary = U^-1 and retained_weight =
-    l0^2 + l1^2; the state itself is not transformed.
+    non-finite, and raises StackError. The step record holds unitary =
+    U^-1 and retained_weight = l0^2 + l1^2; the state itself is not
+    transformed.
+
+    ``gram`` may also be a (..., P, 4, 4) stack of the blocks of P disjoint
+    pairs, with ``a`` and ``b`` the P-tuples of their first and second
+    qubits: one stacked factor gives every matrix's step, each with the bits
+    it gets alone, and the step's unitary, singular values and retained
+    weights keep the stack's leading axes.
     """
     if gram is None:
         gram = _gram(extract_block(state, a, b, fixed).rows)
-    if not np.all(np.isfinite(gram.diagonal())):
-        raise ValueError(f"block matrix of pair ({a}, {b}) contains non-finite entries")
+    finite = np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
+    if not finite.all():
+        k = int(finite.all(axis=1).argmin())
+        pairs = list(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+        a_k, b_k = pairs[k % len(pairs)]
+        raise StackError(f"block matrix of pair ({a_k}, {b_k}) contains non-finite entries", k)
     u, lam = _factor_gram(gram)
-    retained = min(1.0, float(lam[0] ** 2 + lam[1] ** 2))
-    return DisentangleStep(pair=(a, b), unitary=u.conj().T, retained_weight=retained, singular_values=lam)
+    # Python floats: numpy's array square rounds unlike its scalar power
+    weights = [min(1.0, s0 ** 2 + s1 ** 2) for s0, s1, *_ in lam.reshape(-1, 4).tolist()]
+    retained = weights[0] if lam.ndim == 1 else np.reshape(weights, lam.shape[:-1])
+    return DisentangleStep(pair=(a, b), unitary=u.conj().mT, retained_weight=retained, singular_values=lam)
 
 
 def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, float]:
@@ -253,72 +299,95 @@ def _held_qubits(schedule: Schedule, mode: TruncationMode) -> list[frozenset[int
 
 
 def run_schedule(
-    target: StateVector, schedule: Schedule, layers: int = 1,
+    targets, schedule: Schedule, layers: int = 1,
     truncation_mode: TruncationMode = TruncationMode.PER_ROUND, rewrite_2cx: bool = False,
-) -> PreparationResult:
-    """Disentangle ``target`` by ``layers`` repetitions of ``schedule`` and
-    return the reversed preparation circuit.
+):
+    """Disentangle ``targets``, one state or a sequence of same-size states,
+    by ``layers`` repetitions of ``schedule`` and return the reversed
+    preparation circuit: a PreparationResult for one state, a list of them
+    for a sequence.
 
-    A round's pairs are disjoint and taken two to a state pass (see the
-    module docstring); truncation follows
-    ``truncation_mode`` as described in the module docstring. With
-    ``rewrite_2cx`` each SVD unitary is replaced by its two-CNOT-implementable
-    equivalence-class representative before being applied; every step keeps
-    the same retained weight (the replacement only mixes amplitudes within
-    the kept and discarded halves), downstream steps absorb the difference,
-    and exact targets stay exact. On inexact targets the two compilations
-    agree to round-off only for one layer with PER_LAYER truncation (chain,
-    ttn), where no later step reads a discarded half. With PER_ROUND
-    truncation or more layers, later steps read it too, with the
-    replacement's factor on it, and the infidelity differs either way.
+    A sequence is one stack, and a round's pairs are disjoint and taken two
+    to a state pass (see the module docstring); each target's result is the
+    one it gets alone, bit for bit. Truncation follows ``truncation_mode``
+    as described in the module docstring. With ``rewrite_2cx`` each SVD
+    unitary is replaced by its two-CNOT-implementable equivalence-class
+    representative before being applied; every step keeps the same retained
+    weight (the replacement only mixes amplitudes within the kept and
+    discarded halves), downstream steps absorb the difference, and exact
+    targets stay exact. On inexact targets the two compilations agree to
+    round-off only for one layer with PER_LAYER truncation (chain, ttn),
+    where no later step reads a discarded half. With PER_ROUND truncation
+    or more layers, later steps read it too, with the replacement's factor
+    on it, and the infidelity differs either way.
 
     The final single-qubit rotation aligning the survivor qubit with |0> is
     absorbed explicitly, so the emitted circuit prepares the target from
     |0...0> up to global phase and the truncation error. Its fidelity is
     the squared norm of the two amplitudes that rotation reads.
+
+    A failed check of a step (a non-finite block, the CSD, a unitarity
+    check) raises ValueError prefixed by where it happened: ``layer {l}
+    round {r} pair ({a}, {b}): ``, counted from 0, after ``sample {i}: `` in
+    a stack of more than one target.
     """
+    stack = [targets] if isinstance(targets, StateVector) else list(targets)
     if layers < 1:
         raise ValueError("layers must be >= 1")
+    if not stack:
+        raise ValueError("need at least one target")
     schedule.validate()
-    if schedule.n != target.n:
-        raise ValueError(f"schedule is for n = {schedule.n}, target has n = {target.n}")
+    n = schedule.n
+    for target in stack:
+        if target.n != n:
+            raise ValueError(f"schedule is for n = {schedule.n}, target has n = {target.n}")
     if rewrite_2cx:
         from .gatesynth import build_u2cx
 
-    n = target.n
     held = _held_qubits(schedule, truncation_mode)
-    exact = target.amps.copy()
-    state = StateVector(n=n, amps=exact)
-    work = _work_buffers(n)
-    steps: list[DisentangleStep] = []
-    per_round_weights: list[float] = []
+    exact = np.array([target.amps for target in stack])
+    count = len(exact)
+    work = _work_buffers(n, count)
+    steps: list[list[DisentangleStep]] = [[] for _ in stack]
+    per_round_weights: list[list[float]] = [[] for _ in stack]
 
-    def factor(group, fixed, chunks) -> np.ndarray:
+    def factor(group, fixed, where, chunks) -> np.ndarray:
         # the kernel calls this with its read sweep, before its apply sweep
-        for (a, b), gram in zip(group, _pair_grams(chunks, n, sum(group, ()), fixed, work[1])):
-            step = disentangle_step(state, a, b, fixed, gram)
-            steps.append(replace(step, unitary=build_u2cx(step.unitary)) if rewrite_2cx else step)
-        return reduce(kron2, [step.unitary for step in steps[-len(group):]])
+        grams = _pair_grams(chunks, n, sum(group, ()), fixed, work[1], count)
+        try:
+            step = disentangle_step(None, *zip(*group), fixed, grams)
+            unitary = build_u2cx(step.unitary) if rewrite_2cx else step.unitary
+        except StackError as exc:
+            i, p = divmod(exc.index, len(group))
+            raise ValueError(f"{f'sample {i}: ' * (count > 1)}{where} pair {group[p]}: {exc}") from exc
+        weights = step.retained_weight.tolist()
+        for i, sample_steps in enumerate(steps):
+            sample_steps += [DisentangleStep(pair, unitary[i, p], weights[i][p], step.singular_values[i, p])
+                             for p, pair in enumerate(group)]
+        return reduce(kron2, unitary.swapaxes(0, 1))
 
-    for _layer in range(layers):
-        for rnd, fixed in zip(schedule.rounds, held):
-            first = len(steps)
+    for layer in range(layers):
+        for r, (rnd, fixed) in enumerate(zip(schedule.rounds, held)):
+            first, where = len(steps[0]), f"layer {layer} round {r}"
             for i in range(0, len(rnd), 2):
                 group = rnd[i:i + 2]
-                _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed), *work)
-            per_round_weights.append(float(np.prod([s.retained_weight for s in steps[first:]])))
+                _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed, where), *work)
+            for sample_steps, weights in zip(steps, per_round_weights):
+                weights.append(float(np.prod([s.retained_weight for s in sample_steps[first:]])))
 
     survivor = schedule.survivor()
-    v0, v1 = exact[0], exact[1 << (n - 1 - survivor)]
-    gates: list = []
-    rot = _absorb_survivor(v0, v1)
-    if rot is not None:
-        gates.append(OneQubitGate(survivor, rot.conj().T))
-    gates += [TwoQubitGate(*step.pair, step.unitary.conj().T) for step in reversed(steps)]
-
-    final = float(min(1.0, max(0.0, 1.0 - (abs(v0) ** 2 + abs(v1) ** 2))))
-    circuit = Circuit(n=n, gates=gates, u_depth=layers * schedule.u_depth)
-    return PreparationResult(circuit, final, per_round_weights, steps)
+    results = []
+    for amps, sample_steps, weights in zip(exact, steps, per_round_weights):
+        v0, v1 = amps[0], amps[1 << (n - 1 - survivor)]
+        gates: list = []
+        rot = _absorb_survivor(v0, v1)
+        if rot is not None:
+            gates.append(OneQubitGate(survivor, rot.conj().T))
+        gates += [TwoQubitGate(*step.pair, step.unitary.conj().T) for step in reversed(sample_steps)]
+        final = float(min(1.0, max(0.0, 1.0 - (abs(v0) ** 2 + abs(v1) ** 2))))
+        circuit = Circuit(n=n, gates=gates, u_depth=layers * schedule.u_depth)
+        results.append(PreparationResult(circuit, final, weights, sample_steps))
+    return results[0] if isinstance(targets, StateVector) else results
 
 
 def default_truncation_mode(scheme: str) -> TruncationMode:

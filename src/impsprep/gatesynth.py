@@ -17,26 +17,31 @@ modes differ only in how they realize that middle factor. The two-CNOT mode
 needs one coefficient to vanish (mod pi/2), which holds for the class above.
 The generic three-CNOT baseline uses no CNOT when all three vanish and a
 fixed three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
-``synthesize_circuit`` stacks a circuit's two-qubit matrices into one
-(G, 4, 4) batch for one ``synthesize_gate`` call: one KAK per gate, as
-array code over the stack, gives the emitted sequences and the generic
-counts, each gate's bit for bit as it gets them alone.
+``synthesize_circuit`` stacks the two-qubit matrices of one circuit, or of
+several (a benchmark cell's samples), into one (G, 4, 4) batch for one
+``synthesize_gate`` call: one KAK per gate, as array code over the stack,
+gives the emitted sequences and the generic counts, each gate's bit for bit
+as it gets them alone.
 
-Sequences are built from the circuit's own gate types: ``OneQubitGate`` and
-``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, which
-``synthesize_circuit`` relabels to the gate's pair (a, b). Wire 0 is the
-more significant bit, as ``circuits.embed`` places every gate.
+Sequences use the circuit's own gate types: ``OneQubitGate`` and
+``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, where
+wire 0 is the more significant bit, as ``circuits.embed`` places every
+gate. A ``GateSequence`` reads its counts from the batch's arrays and forms
+its primitives only when they are read: ``synthesize_circuit`` forms each
+emitted primitive once, on its gate's pair (a, b), and never forms the
+generic baseline's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
-from .statevec import UNITARY_TOL, TwoQubitGate, require_unitary
+from .statevec import UNITARY_TOL, StackError, TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
 
@@ -75,14 +80,30 @@ GAMMA = np.array(
 )
 
 
+# flat 4x4 positions of C, S, S and -C in the CSD middle [[C, S], [S, -C]]
+_MIDDLE = [0, 5, 2, 7, 8, 13, 10, 15]
+
+
 def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2], out[2:, 2:] = x, y
+    out = np.zeros((*x.shape[:-2], 4, 4), dtype=complex)
+    out[..., :2, :2], out[..., 2:, 2:] = x, y
     return out
 
 
+def _raise_first_failure(checks: list) -> None:
+    """Raise StackError for the first matrix of a stack that fails any of
+    the (failed mask, message) ``checks``, with its first failed check's
+    message; a callable message is called with the matrix's index."""
+    failed = np.array([bad for bad, _ in checks])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        message = checks[int(failed[:, k].argmax())][1]
+        raise StackError(message(k) if callable(message) else message, k)
+
+
 def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
-    """The two-CNOT representative of the equivalence class of ``u_inv``.
+    """The two-CNOT representative of the equivalence class of ``u_inv``,
+    for a 4x4 unitary or each of a (..., 4, 4) stack of them.
 
     One cosine-sine decomposition (LAPACK's ``zuncsd``, which keeps the
     coupling between blocks when a cosine approaches 1) gives u_inv = L M R
@@ -92,24 +113,33 @@ def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
     result R^dag M R equals D @ u_inv for a block-diagonal unitary D, and
     applying it in a disentangling step preserves the retained weight. It is
     Hermitian with eigenvalues (1, 1, -1, -1).
+
+    The stack takes one ``zuncsd`` per matrix and array code for the rest,
+    which gives each matrix the bits it gets alone. A failed check raises
+    StackError for the first matrix that fails one.
     """
     u = require_unitary(u_inv, what="CSD input")
-    if u.shape != (4, 4):
+    if u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    *_, theta, q1, q2, v1h, v2h, info = _UNCSD(u[:2, :2], u[:2, 2:], u[2:, :2], u[2:, 2:], **_UNCSD_ARGS)
-    if info != 0:
-        raise ValueError(f"CSD failed: zuncsd info {info}")
-    cosines = np.clip(np.cos(theta), 0.0, 1.0)  # descending, in [0, 1]
-    c, s = np.diag(cosines), np.diag(np.clip(np.sin(theta), 0.0, 1.0))
-    middle = np.empty((4, 4))
-    middle[:2, :2], middle[:2, 2:], middle[2:, :2], middle[2:, 2:] = c, s, s, -c
+    batch = u.reshape(-1, 4, 4)
+    parts = [_UNCSD(m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:], **_UNCSD_ARGS)[-6:] for m in batch]
+    theta, q1, q2, v1h, v2h, info = (np.array(part) for part in zip(*parts))
+    cosines = np.cos(theta).clip(0.0, 1.0)  # descending, in [0, 1]
+    sines = np.sin(theta).clip(0.0, 1.0)
+    middle = np.zeros(batch.shape, dtype=complex)  # complex, as the real one is cast to multiply
+    middle.reshape(-1, 16)[:, _MIDDLE] = np.concatenate([cosines, sines, sines, -cosines], axis=1)
     right = _block_diag(v1h, -v2h)
-    err = np.abs(_block_diag(q1, q2) @ middle @ right - u).max()
-    if not err <= RECON_TOL:
-        raise ValueError(f"CSD reassembly failed: deviation {err:.3e}")
-    if cosines[0] < cosines[1] - 1e-12:
-        raise ValueError("CSD cosines not sorted descending")
-    return _block_diag(v1h.conj().T, (-v2h).conj().T) @ middle @ right
+    deviation = np.abs(_block_diag(q1, q2) @ middle @ right - batch)
+    out = _block_diag(v1h.conj().mT, (-v2h).conj().mT) @ middle @ right
+    unsorted = cosines[:, 0] < cosines[:, 1] - 1e-12
+    if info.any() or not deviation.max(initial=0.0) <= RECON_TOL or unsorted.any():
+        err = deviation.max(axis=(-2, -1))
+        _raise_first_failure([
+            (info != 0, lambda k: f"CSD failed: zuncsd info {info[k]}"),
+            (~(err <= RECON_TOL), lambda k: f"CSD reassembly failed: deviation {err[k]:.3e}"),
+            (unsorted, "CSD cosines not sorted descending"),
+        ])
+    return out.reshape(u.shape)
 
 
 # --- primitive gate sequences ------------------------------------------------
@@ -123,13 +153,27 @@ CX10 = TwoQubitGate(1, 0, CNOT)
 I4 = np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
 class GateSequence:
-    """Single-qubit gates and CNOTs on wires 0 and 1 that realize a 4x4
-    unitary, exactly up to global phase."""
+    """Single-qubit gates and CNOTs that realize a 4x4 unitary, exactly up
+    to global phase: gate ``index`` of a synthesis batch, read from the
+    batch's ``slots`` (gate, stacked matrices) where ``kept`` is true. Its
+    counts come from the batch's arrays; its primitives are formed when
+    read, on wires 0 and 1 (``gates``) or on any wire pair (``on``)."""
 
-    gates: tuple[GateLike, ...]
-    cnot_count: int
+    def __init__(self, slots: list, kept: list, index: int, cnot_count: int, single_count: int):
+        self._slots, self._kept, self._index = slots, kept, index
+        self.cnot_count = cnot_count
+        self._single_count = single_count
+
+    def on(self, wires: tuple[int, int]) -> list[GateLike]:
+        """The primitives with wires 0 and 1 of the 4x4 on ``wires``."""
+        k = self._index
+        return [TwoQubitGate(wires[g.a], wires[g.b], g.matrix) if isinstance(g, TwoQubitGate)
+                else OneQubitGate(wires[g.wire], g.matrix[k]) for g, keep in zip(self._slots, self._kept) if keep]
+
+    @cached_property
+    def gates(self) -> tuple[GateLike, ...]:
+        return tuple(self.on((0, 1)))
 
     def matrix(self) -> np.ndarray:
         out = np.eye(4, dtype=complex)
@@ -138,15 +182,7 @@ class GateSequence:
         return out
 
     def single_qubit_count(self) -> int:
-        return len(self.gates) - self.cnot_count
-
-
-class GateSynthesisError(ValueError):
-    """A failed synthesis check of gate ``index`` of its batch."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
+        return self._single_count
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -339,7 +375,8 @@ def _kak_layers(u: np.ndarray):
 def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
     """Merge a batch's items into slots and check every gate's sequence: the
     CNOT and single-qubit budgets, then its matrix against ``source`` up to
-    global phase. Returns the slots, the CNOT counts and the checks."""
+    global phase. Returns the slots, the CNOT and single-qubit counts and
+    the checks."""
     slots = _merge_singles(items)
     ncx = sum(keep for g, keep in slots if isinstance(g, TwoQubitGate))
     nsingle = sum(keep for g, keep in slots if isinstance(g, OneQubitGate))
@@ -348,7 +385,7 @@ def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
         rebuilt = np.where(keep[..., None, None], embed(g, (0, 1)) @ rebuilt, rebuilt)
     tr = np.trace(rebuilt.conj().mT @ source, axis1=-2, axis2=-1) / 4.0
     err = np.abs(rebuilt * (tr / _abs(tr))[..., None, None] - source).max(axis=(-2, -1))
-    return slots, ncx, [
+    return slots, ncx, nsingle, [
         (ncx > max_cnots, lambda k: f"synthesis produced {ncx[k]} CNOTs, budget {max_cnots}"),
         (nsingle > 8, lambda k: f"synthesis produced {nsingle[k]} single-qubit gates, budget 8"),
         (_abs(tr) < 1e-12, "synthesis reconstruction failed (orthogonal result)"),
@@ -356,12 +393,12 @@ def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
     ]
 
 
-def _gate_sequences(slots: list, ncx: np.ndarray) -> list[GateSequence]:
+def _gate_sequences(slots: list, ncx: np.ndarray, nsingle: np.ndarray) -> list[GateSequence]:
     """Each gate's kept slots, in order, as its own sequence."""
+    gates = [g for g, _ in slots]
     kept = np.array([keep for _, keep in slots]).T.tolist()
-    return [GateSequence(tuple(g if isinstance(g, TwoQubitGate) else OneQubitGate(g.wire, g.matrix[k])
-                               for (g, _), keep in zip(slots, row) if keep), count)
-            for k, (row, count) in enumerate(zip(kept, ncx.tolist()))]
+    return [GateSequence(gates, row, k, cnots, singles)
+            for k, (row, cnots, singles) in enumerate(zip(kept, ncx.tolist(), nsingle.tolist()))]
 
 
 class SynthMode:
@@ -376,8 +413,8 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
     with ``rewrite_2cx=True``); its sequence is checked, and fails, first.
 
     A (G, 4, 4) stack is one batch and gives a list of G pairs. A failed
-    check raises GateSynthesisError for the first gate in the batch that
-    fails any, with that gate's first failed check.
+    check raises StackError for the first gate in the batch that fails any,
+    with that gate's first failed check.
     """
     u = np.asarray(gate_matrix, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
@@ -401,19 +438,20 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
             checks.append((unrealizable, "input is not two-CNOT realizable (no vanishing Pauli-string "
                                          "coefficient); rewrite with build_u2cx or use synthesize_generic"))
             middle += [(g, has_tail) for g in tail]
-            emitted, emitted_cnots, emitted_checks = _finish_sequence(right + middle + left, batch, 2)
+            emitted, emitted_cnots, emitted_singles, emitted_checks = _finish_sequence(
+                right + middle + left, batch, 2)
             checks += emitted_checks
         core = red.any(axis=-1)
         middle = [(g, core) for g in _three_cnot_core(omega)] + [(g, has_tail & ~core) for g in tail]
-        generic, generic_cnots, generic_checks = _finish_sequence(right + middle + left, batch, 3)
+        generic, generic_cnots, generic_singles, generic_checks = _finish_sequence(
+            right + middle + left, batch, 3)
         checks += generic_checks
-    failed = np.array([bad for bad, _ in checks])
-    if failed.any():
-        k = int(failed.any(axis=0).argmax())
-        message = checks[int(failed[:, k].argmax())][1]
-        raise GateSynthesisError(message(k) if callable(message) else message, k)
-    generic = _gate_sequences(generic, generic_cnots)
-    emitted = _gate_sequences(emitted, emitted_cnots) if mode == SynthMode.OPTIMIZED2 else generic
+    _raise_first_failure(checks)
+    generic = _gate_sequences(generic, generic_cnots, generic_singles)
+    if mode == SynthMode.OPTIMIZED2:
+        emitted = _gate_sequences(emitted, emitted_cnots, emitted_singles)
+    else:
+        emitted = generic
     pairs = list(zip(emitted, generic))
     return pairs[0] if u.ndim == 2 else pairs
 
@@ -437,38 +475,47 @@ def synthesize_generic(u: np.ndarray) -> GateSequence:
     return synthesize_gate(u, SynthMode.GENERIC3)[0]
 
 
-def synthesize_circuit(circuit: Circuit, mode: str) -> tuple[Circuit, tuple[int, int]]:
-    """Expand every two-qubit gate of ``circuit`` into primitives, all of
-    them in one ``synthesize_gate`` batch.
+def synthesize_circuit(circuits, mode: str):
+    """Expand every two-qubit gate of ``circuits``, one circuit or a
+    sequence of them, into primitives, all of them in one
+    ``synthesize_gate`` batch.
 
-    Returns a circuit of OneQubitGate and CNOT-valued TwoQubitGate entries
-    that reproduces the input up to global phase, and the generic baseline's
-    (CNOT, single-qubit) counts from the same synthesis of each gate. A
-    OneQubitGate passes through and counts as one single-qubit gate. A
-    failed check raises ValueError prefixed by ``gate {k} on ({a}, {b}): ``
-    for the first gate k, in circuit order, that fails one.
+    Returns, per circuit, a circuit of OneQubitGate and CNOT-valued
+    TwoQubitGate entries that reproduces it up to global phase, and the
+    generic baseline's (CNOT, single-qubit) counts from the same synthesis
+    of each gate: one such pair for one circuit, a list for a sequence.
+    Each primitive is formed once, on its gate's wires; the generic counts
+    are read from the batch's arrays. A OneQubitGate passes through and
+    counts as one single-qubit gate. A failed check raises ValueError
+    prefixed by ``gate {k} on ({a}, {b}): `` for the first gate k, in
+    circuit order, that fails one, after ``circuit {c}: `` in a sequence of
+    more than one circuit.
     """
-    places = [k for k, g in enumerate(circuit.gates) if isinstance(g, TwoQubitGate)]
+    batch = [circuits] if isinstance(circuits, Circuit) else list(circuits)
+    places = [(c, k) for c, circuit in enumerate(batch)
+              for k, g in enumerate(circuit.gates) if isinstance(g, TwoQubitGate)]
     try:
-        batch = np.array([circuit.gates[k].matrix for k in places]).reshape(-1, 4, 4)
-        sequences = iter(synthesize_gate(batch, mode))
-    except GateSynthesisError as exc:
-        g = circuit.gates[places[exc.index]]
-        raise ValueError(f"gate {places[exc.index]} on ({g.a}, {g.b}): {exc}") from exc
-    out: list = []
-    g_cnots = g_singles = 0
-    for g in circuit.gates:
-        if isinstance(g, OneQubitGate):
-            out.append(g)
-            g_singles += 1
-            continue
-        seq, generic = next(sequences)
-        g_cnots += generic.cnot_count
-        g_singles += generic.single_qubit_count()
-        wires = (g.a, g.b)
-        out += [OneQubitGate(wires[p.wire], p.matrix) if isinstance(p, OneQubitGate)
-                else TwoQubitGate(wires[p.a], wires[p.b], p.matrix) for p in seq.gates]
-    return replace(circuit, gates=out), (g_cnots, g_singles)
+        matrices = np.array([batch[c].gates[k].matrix for c, k in places]).reshape(-1, 4, 4)
+        sequences = iter(synthesize_gate(matrices, mode))
+    except StackError as exc:
+        c, k = places[exc.index]
+        g = batch[c].gates[k]
+        raise ValueError(f"{f'circuit {c}: ' * (len(batch) > 1)}gate {k} on ({g.a}, {g.b}): {exc}") from exc
+    out = []
+    for circuit in batch:
+        gates: list = []
+        g_cnots = g_singles = 0
+        for g in circuit.gates:
+            if isinstance(g, OneQubitGate):
+                gates.append(g)
+                g_singles += 1
+                continue
+            seq, generic = next(sequences)
+            g_cnots += generic.cnot_count
+            g_singles += generic.single_qubit_count()
+            gates += seq.on((g.a, g.b))
+        out.append((replace(circuit, gates=gates), (g_cnots, g_singles)))
+    return out[0] if isinstance(circuits, Circuit) else out
 
 
 def count_gates(circuit: Circuit, mode: str) -> tuple[int, int, int]:

@@ -4,16 +4,19 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate on 1, 2 or 4 wires (two pairs' gates in one pass), given as a
-matrix or as a function of the gathered blocks that returns it, in place,
-to an amplitude array its caller owns. It works chunk by chunk, as qsim
-blocks for the cache (arXiv 2111.02396): each chunk of at most ``CHUNK``
-amplitudes holds the state's most significant non-gate qubits fixed and
-goes through two chunk-size work buffers that the caller allocates once
-(``_work_buffers``) and reuses for every pass. A state of up to ``CHUNK``
-amplitudes is one chunk. The engine and the simulator each own one state
-and one pair of work buffers per call; ``apply_two_qubit`` and
-``apply_single_qubit`` are the checked value-semantic wrappers.
+every gate on 1, 2 or 4 wires (two pairs' gates in one pass), in place, to
+a stack of S same-size amplitude vectors its caller owns, one matrix per
+sample, given as a stack of matrices or as a function of the gathered
+blocks that returns it. It works chunk by chunk, as qsim blocks for the
+cache (arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
+``CHUNK >> n`` whole samples when a sample fits in one (n <= 16), else
+one sample's amplitudes with its most significant non-gate qubits fixed.
+Each chunk goes through two chunk-size work buffers that the caller
+allocates once (``_work_buffers``) and reuses for every pass, and is one
+gather, one stacked ``matmul`` and one scatter. The engine and the
+simulator each own one stack (the simulator's of one state) and one pair
+of work buffers per call; ``apply_two_qubit`` and ``apply_single_qubit``
+are the checked value-semantic wrappers.
 """
 from __future__ import annotations
 
@@ -158,21 +161,35 @@ def inverse_extract(block: BlockMatrix) -> StateVector:
     return StateVector(n=block.n, amps=_freeze(t.reshape(-1).copy()))
 
 
+class StackError(ValueError):
+    """A failed check of matrix ``index`` of a stack, counted over its
+    leading axes in C order (0 for a lone matrix)."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
+    """``m``, a square matrix or a stack of them, as a complex array; a
+    matrix that is not unitary within ``tol`` raises StackError, the first
+    in the stack that fails."""
     m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    if m.shape != (dim, dim):
+    dim = m.shape[-1]
+    if m.ndim < 2 or m.shape[-2] != dim:
         raise ValueError(f"{what} is not square: {m.shape}")
-    err = np.abs(m @ m.conj().T - np.eye(dim)).max()
-    if err > tol:
-        raise ValueError(f"{what} is not unitary (deviation {err:.3e} > {tol:.1e})")
+    deviation = np.abs(m @ m.conj().mT - np.eye(dim))
+    if not deviation.max(initial=0.0) <= tol:
+        err = deviation.max(axis=(-2, -1)).reshape(-1)
+        k = int((~(err <= tol)).argmax())
+        raise StackError(f"{what} is not unitary (deviation {err[k]:.3e} > {tol:.1e})", k)
     return m
 
 
-def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's two work buffers for an ``n``-qubit state: one chunk
-    each, ``min(2^n, CHUNK)`` amplitudes."""
-    size = min(1 << n, CHUNK)
+def _work_buffers(n: int, samples: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's two work buffers for a stack of ``samples`` ``n``-qubit
+    states: one chunk each, ``min(samples * 2^n, CHUNK)`` amplitudes."""
+    size = min(samples << n, CHUNK)
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
@@ -180,47 +197,64 @@ def _apply_gate_to_amps(
     amps: np.ndarray, n: int, wires: tuple[int, ...], matrix,
     gathered: np.ndarray, product: np.ndarray,
 ) -> None:
-    """Apply the 2^k x 2^k ``matrix`` to the k = 1, 2 or 4 ``wires`` of
-    ``amps``, in place; the first wire is the most significant bit of the
-    matrix's own basis.
+    """Apply a 2^k x 2^k matrix to the k = 1, 2 or 4 ``wires`` of each
+    sample of the (S, 2^n) stack ``amps`` (a 2^n vector is one sample), in
+    place; the first wire is the most significant bit of the matrix's own
+    basis. ``matrix`` is the (S, 2^k, 2^k) stack of one matrix per sample
+    (one 2^k x 2^k matrix for one sample).
 
-    Each chunk fixes the ``lead`` most significant non-gate qubits, the
-    fewest that leave at most ``CHUNK`` amplitudes, at the values ``bits``,
-    the last one fastest. Its moved view is gathered into the contiguous
-    (2^k, 2^(n-k-lead)) work buffer ``gathered``, whose columns run over the
-    remaining non-gate qubits in ascending order, multiplied into
-    ``product`` and scattered back into ``amps``; both chunk-size buffers
-    are overwritten. A function in place of ``matrix`` is first called with
-    an iterator over every chunk's ``(bits, gather)``, in that order;
-    ``gather()`` gathers the chunk and returns its block, which the function
-    may not write. It may skip chunks and use ``product`` as scratch, and
-    returns the matrix. The apply sweep starts from the chunk gathered last,
-    which it does not gather again: a one-chunk pass gathers once.
+    A chunk holds ``CHUNK >> n`` whole samples (the last one the rest) or,
+    when one sample has more than ``CHUNK`` amplitudes, one sample with its
+    ``lead`` most significant non-gate qubits, the fewest that leave
+    ``CHUNK`` amplitudes, at the values ``bits``, the last one fastest;
+    chunks run sample by sample. Its moved
+    view is gathered into the contiguous (s, 2^k, m) work buffer
+    ``gathered``, whose columns run over the remaining non-gate qubits in
+    ascending order, multiplied by its samples' matrices into ``product``
+    and scattered back into ``amps``; both chunk-size buffers are
+    overwritten. A function in place of ``matrix`` is first called with an
+    iterator over every chunk's ``(samples, bits, gather)``, in that order,
+    where ``samples`` is the range of its samples; ``gather()`` gathers the
+    chunk and returns its block, which the function may not write. It may
+    skip chunks and use ``product`` as scratch, and returns the stack of
+    matrices. The apply sweep starts from the chunk gathered last, which it
+    does not gather again: a one-chunk pass gathers once.
     """
     k = len(wires)
+    amps = amps.reshape(-1, 1 << n)
+    count = len(amps)
     lead = max(0, n + 1 - CHUNK.bit_length())
+    per = max(1, CHUNK >> n)
     heads = itertools.islice((q for q in range(n) if q not in wires), lead)
-    moved = np.moveaxis(amps.reshape([2] * n), (*heads, *wires), range(lead + k))
-    index = list(itertools.product((0, 1), repeat=lead))
-    view, scatter = gathered.reshape(moved.shape[lead:]), product.reshape(moved.shape[lead:])
-    wide = (1 << k, -1)
-    block, out = gathered.reshape(wide), product.reshape(wide)
+    moved = np.moveaxis(amps.reshape([count] + [2] * n), [1 + q for q in (*heads, *wires)], range(1, 1 + lead + k))
+    index = [(slice(lo, min(lo + per, count)), bits)
+             for lo in range(0, count, per) for bits in itertools.product((0, 1), repeat=lead)]
+    parts = [moved[(samples, *bits)] for samples, bits in index]
+    views = {}  # per sample count: both work buffers in a chunk's moved shape and as (s, 2^k, m) blocks
+    for part in parts:
+        if len(part) not in views:
+            size = part.size
+            views[len(part)] = [(b[:size].reshape(part.shape), b[:size].reshape(len(part), 1 << k, -1))
+                                for b in (gathered, product)]
     resident = None  # the chunk that ``gathered`` holds
 
     def gather(i: int) -> np.ndarray:
         nonlocal resident
-        np.copyto(view, moved[index[i]])
+        (view, block), _ = views[len(parts[i])]
+        np.copyto(view, parts[i])
         resident = i
         return block
 
     if callable(matrix):
-        matrix = matrix((bits, partial(gather, i)) for i, bits in enumerate(index))
+        matrix = matrix((range(count)[samples], bits, partial(gather, i)) for i, (samples, bits) in enumerate(index))
+    matrix = np.reshape(matrix, (count, 1 << k, 1 << k))
     start = resident or 0
     for i in (*range(start, len(index)), *range(start)):
         if i != resident:
             gather(i)
-        np.matmul(matrix, block, out=out)
-        np.copyto(moved[index[i]], scatter)
+        (_, block), (scatter, out) = views[len(parts[i])]
+        np.matmul(matrix[index[i][0]], block, out=out)
+        np.copyto(parts[i], scatter)
 
 
 def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:

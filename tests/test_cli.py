@@ -231,7 +231,8 @@ class TestCompile:
     @pytest.mark.parametrize("target,n,steps", [("f1", 12, 72), ("random", 14, 98)])
     def test_block_factors_take_no_wide_svd(self, tmp_path, monkeypatch, target, n, steps):
         # every step factors its block through one 4x4 Gram matrix, also the
-        # rank-deficient blocks of the function targets
+        # rank-deficient blocks of the function targets; a pass factors its
+        # one or two pairs' matrices as one stack
         grams, svds = [], []
         factor_gram, plain_svd = disentangler._factor_gram, np.linalg.svd
 
@@ -250,7 +251,8 @@ class TestCompile:
             "--layers", "2", "--out", str(tmp_path),
         ])  # _revalidate raises SystemExit if the QASM does not re-simulate
         assert rc == 0
-        assert grams == [(4, 4)] * steps
+        assert {shape[-2:] for shape in grams} == {(4, 4)}
+        assert sum(int(np.prod(shape[:-2])) for shape in grams) == steps
         assert svds == []
 
     def test_amps_file_target(self, tmp_path, rng):
@@ -390,9 +392,9 @@ class TestBenchmark:
         per_sample = []
         for _ in range(3):
             state = statevec.random_state(6, rng)
-            report, _ = cli.compile_one(
-                state, "random", schedule, 2, disentangler.TruncationMode.PER_LAYER,
-                gatesynth.SynthMode.OPTIMIZED2, 1, None,
+            ((report, _),) = cli.compile_one(
+                [("random", state, None)], schedule, 2, disentangler.TruncationMode.PER_LAYER,
+                gatesynth.SynthMode.OPTIMIZED2, 1,
             )
             per_sample.append(min(report.retained_weights))
         assert row["min_retained_weight"] == cli._fmt(min(per_sample))
@@ -555,18 +557,45 @@ class TestBadInputs:
             ])
         assert not (tmp_path / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize("chunk,fail_at", [(statevec.CHUNK, 3 * (5 + 2) + 3), (1 << 5, 2 * 10 + 5 + 2 + 1)],
+                             ids=["stacked", "one-at-a-time"])
+    def test_benchmark_abort_names_the_failing_sample_and_step(self, tmp_path, monkeypatch, chunk, fail_at):
+        # the CSD of sample 2 of 3 fails in layer 1, round 2 of the cell.
+        # Stacked, each pass of chain(6) factors one pair of three samples;
+        # with 2^6 amplitudes above one chunk the samples go one at a time,
+        # 10 passes each
+        calls = []
+        uncsd = gatesynth._UNCSD
+
+        def failing(*args, **kwargs):
+            out = uncsd(*args, **kwargs)
+            calls.append(None)
+            return (*out[:-1], 7) if len(calls) == fail_at else out
+
+        monkeypatch.setattr(gatesynth, "_UNCSD", failing)
+        monkeypatch.setattr(statevec, "CHUNK", chunk)
+        with pytest.raises(SystemExit) as exc:
+            run_cli([
+                "benchmark", "--targets", "random", "--samples", "3", "--schemes", "chain",
+                "--n", "6", "--layers-list", "2", "--out", str(tmp_path / "out"),
+            ])
+        assert str(exc.value.code) == (
+            "benchmark cell failed: target=random scheme=chain n=6 layers=2: "
+            "sample 2: layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7")
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     def test_benchmark_abort_names_the_failing_gate(self, tmp_path, monkeypatch):
         # gate 2 of the compiled 2cx circuit becomes a generic unitary, which
         # no two-CNOT sequence realizes
         compiled = []
 
         def with_generic_gate(*args, **kwargs):
-            result = disentangler.run_schedule(*args, **kwargs)
+            (result,) = results = disentangler.run_schedule(*args, **kwargs)
             g = result.circuit.gates[2]
             u = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0]
             result.circuit.gates[2] = statevec.TwoQubitGate(g.a, g.b, u)
             compiled.append((g.a, g.b))
-            return result
+            return results
 
         monkeypatch.setattr(cli, "run_schedule", with_generic_gate)
         with pytest.raises(SystemExit) as exc:

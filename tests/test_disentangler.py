@@ -612,3 +612,113 @@ class TestRankOneAndRankTwoExactness:
         # every single step keeps all the weight, starting with round one
         for step in res.steps:
             assert step.retained_weight > 1.0 - 1e-12
+
+
+def same_step(a, b) -> bool:
+    """Pair, unitary, singular values and retained weight equal bit for bit."""
+    return (a.pair == b.pair and a.unitary.tobytes() == b.unitary.tobytes()
+            and a.singular_values.tobytes() == b.singular_values.tobytes()
+            and a.retained_weight == b.retained_weight)
+
+
+def same_result(a, b) -> bool:
+    """Steps, per-round weights, final infidelity and every gate of the
+    circuit equal bit for bit."""
+    def gate(g):
+        wires = (g.wire,) if isinstance(g, circuits.OneQubitGate) else (g.a, g.b)
+        return type(g), wires, g.matrix.tobytes()
+
+    return (len(a.steps) == len(b.steps) and all(map(same_step, a.steps, b.steps))
+            and a.per_round_weights == b.per_round_weights and a.final_infidelity == b.final_infidelity
+            and [gate(g) for g in a.circuit.gates] == [gate(g) for g in b.circuit.gates])
+
+
+class TestStack:
+    """A stack of targets gives each target the result it gets alone."""
+
+    @staticmethod
+    def samples(n, rng):
+        # random targets between exact ones, whose blocks are rank-deficient
+        # and whose Gram matrices have clusters of equal eigenvalues
+        exact = [targets.discretize(targets.make_spec(name, n)) for name in ("f1", "g2")]
+        return [random_state(n, rng), exact[0], random_state(n, rng), exact[1], random_state(n, rng)]
+
+    # several samples per chunk (the whole stack, or two), one sample per
+    # chunk, and several chunks per sample
+    @pytest.mark.parametrize("n,chunk", [(6, statevec.CHUNK), (6, 1 << 7), (6, 1 << 6), (10, 1 << 6)],
+                             ids=["stack-per-chunk", "two-per-chunk", "one-per-chunk", "chunks-per-sample"])
+    @pytest.mark.parametrize("rewrite", [False, True], ids=["3cx", "2cx"])
+    @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
+    def test_stack_equals_alone(self, rng, monkeypatch, n, chunk, rewrite, scheme):
+        monkeypatch.setattr(statevec, "CHUNK", chunk)
+        sched = getattr(schedules, f"{scheme}_schedule")(n)
+        mode = disentangler.default_truncation_mode(scheme)
+        samples = self.samples(n, rng)
+        for layers in (1, 2):
+            alone = [run_schedule(t, sched, layers, mode, rewrite_2cx=rewrite) for t in samples]
+            for count in (1, 3, 5):
+                stacked = run_schedule(samples[:count], sched, layers, mode, rewrite_2cx=rewrite)
+                assert len(stacked) == count
+                for i, (got, want) in enumerate(zip(stacked, alone)):
+                    assert same_result(got, want), (layers, count, i)
+
+    def test_factor_gram_stack_equals_alone(self, rng):
+        # distinct, doubly degenerate (kept, discarded, both) and
+        # rank-deficient Gram matrices, and exact unit rows, in one stack
+        spectra = [[0.4, 0.3, 0.2, 0.1], [0.35, 0.35, 0.2, 0.1], [0.4, 0.3, 0.15, 0.15],
+                   [0.35, 0.35, 0.15, 0.15], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+        blocks = [block_with_spectrum(np.array(w), 64, rng, real)[1] for w in spectra for real in (False, True)]
+        blocks += [low_rank_block(rank, width, rng) for rank in (1, 2, 3) for width in (2, 64)]
+        blocks += [np.eye(4, 16, dtype=complex) / 2]
+        grams = np.array([disentangler._gram(np.ascontiguousarray(b)) for b in blocks])
+        for stack in (grams, grams[::-1], grams[:18].reshape(6, 3, 4, 4)):
+            u, lam = disentangler._factor_gram(stack)
+            assert u.shape == stack.shape and lam.shape == stack.shape[:-1]
+            for index in np.ndindex(*stack.shape[:-2]):
+                want_u, want_lam = disentangler._factor_gram(stack[index])
+                assert u[index].tobytes() == want_u.tobytes(), index
+                assert lam[index].tobytes() == want_lam.tobytes(), index
+
+    def test_failure_names_its_sample_layer_round_and_pair(self, rng, monkeypatch):
+        # the CSD of sample 2's step in layer 1, round 2 fails; alone, the
+        # target's failure is named without a sample
+        n, calls = 6, []
+        uncsd = gatesynth._UNCSD
+
+        def failing(*args, **kwargs):
+            out = uncsd(*args, **kwargs)
+            calls.append(None)
+            return (*out[:-1], 7) if len(calls) == fail_at else out
+
+        monkeypatch.setattr(gatesynth, "_UNCSD", failing)
+        sched = schedules.chain_schedule(n)
+        samples = [random_state(n, rng) for _ in range(3)]
+        fail_at = 3 * (n - 1 + 2) + 3  # the third of the eighth pass's three
+        with pytest.raises(ValueError) as exc:
+            run_schedule(samples, sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
+        assert str(exc.value) == "sample 2: layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7"
+        calls.clear()
+        fail_at = n - 1 + 2 + 1
+        with pytest.raises(ValueError) as exc:
+            run_schedule(samples[2], sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
+        assert str(exc.value) == "layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7"
+
+    def test_peak_memory_is_the_stack_and_two_chunks(self, rng):
+        # ten n = 14 samples in one chunk-size work buffer pair: the owned
+        # (10, 2^14) stack and two chunks of 1 MiB, with 0.5 MiB for the
+        # per-step records and the passes' small arrays
+        n, count = 14, 10
+        samples = [random_state(n, rng) for _ in range(count)]
+        tracemalloc.start()
+        try:
+            run_schedule(samples, schedules.ttn_schedule(n), 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * samples[0].amps.nbytes + 2 * 16 * statevec.CHUNK + (1 << 19)
+
+    def test_stack_of_mixed_sizes_rejected(self, rng):
+        with pytest.raises(ValueError, match="schedule is for n = 4, target has n = 5"):
+            run_schedule([random_state(4, rng), random_state(5, rng)], schedules.chain_schedule(4))
+        with pytest.raises(ValueError, match="need at least one target"):
+            run_schedule([], schedules.chain_schedule(4))

@@ -474,3 +474,54 @@ class TestSynthesisFailures:
         with pytest.raises(ValueError, match=r"^gate 1 on \(2, 3\): synthesis input is not unitary "
                                              r"\(deviation 4\.040e-02 > 1\.0e-10\)$"):
             synthesize_circuit(circ, SynthMode.OPTIMIZED2)
+
+
+class TestCircuitBatch:
+    """Several circuits in one ``synthesize_circuit`` batch."""
+
+    @staticmethod
+    def circuits(rewrite):
+        n, rng = 8, np.random.default_rng(5)
+        samples = [random_state(n, rng), targets.discretize(targets.make_spec("g1", n)), random_state(n, rng)]
+        results = run_schedule(samples, schedules.htn_schedule(n), 2, default_truncation_mode("htn"),
+                               rewrite_2cx=rewrite)
+        return [r.circuit for r in results]
+
+    @staticmethod
+    def key(circuit):
+        return [(type(g), (g.wire,) if isinstance(g, OneQubitGate) else (g.a, g.b), g.matrix.tobytes())
+                for g in circuit.gates]
+
+    @pytest.mark.parametrize("mode", [SynthMode.OPTIMIZED2, SynthMode.GENERIC3])
+    def test_batch_equals_each_circuit_alone(self, mode):
+        circuits = self.circuits(mode == SynthMode.OPTIMIZED2)
+        together = synthesize_circuit(circuits, mode)
+        assert len(together) == len(circuits)
+        for circuit, (primitive, counts) in zip(circuits, together):
+            alone, alone_counts = synthesize_circuit(circuit, mode)
+            assert self.key(primitive) == self.key(alone) and counts == alone_counts
+        ((primitive, counts),) = synthesize_circuit(circuits[1:2], mode)
+        assert self.key(primitive) == self.key(synthesize_circuit(circuits[1], mode)[0])
+
+    def test_primitives_are_formed_on_their_gate_wires(self):
+        # the emitted sequence of each gate, read on its own wires, is its
+        # sequence on wires 0 and 1 relabeled
+        (circuit,) = self.circuits(True)[:1]
+        primitive, _ = synthesize_circuit(circuit, SynthMode.OPTIMIZED2)
+        gates = [g for g in circuit.gates if isinstance(g, TwoQubitGate)]
+        sequences = gatesynth.synthesize_gate(np.array([g.matrix for g in gates]), SynthMode.OPTIMIZED2)
+        relabeled = []
+        for g, (seq, _) in zip(gates, sequences):
+            wires = (g.a, g.b)
+            relabeled += [OneQubitGate(wires[p.wire], p.matrix) if isinstance(p, OneQubitGate)
+                          else TwoQubitGate(wires[p.a], wires[p.b], p.matrix) for p in seq.gates]
+        singles = [g for g in circuit.gates if isinstance(g, OneQubitGate)]
+        assert self.key(Circuit(n=8, gates=singles + relabeled)) == self.key(primitive)
+
+    def test_failure_names_its_circuit(self, rng):
+        circuits = self.circuits(True)
+        g = circuits[1].gates[3]
+        circuits[1].gates[3] = TwoQubitGate(g.a, g.b, haar_unitary(4, rng))
+        with pytest.raises(ValueError, match=re.escape(
+                f"circuit 1: gate 3 on ({g.a}, {g.b}): input is not two-CNOT realizable")):
+            synthesize_circuit(circuits, SynthMode.OPTIMIZED2)

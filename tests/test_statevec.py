@@ -295,13 +295,43 @@ class TestGateKernel:
             statevec._apply_gate_to_amps(amps, n, wires, matrix, *work)
             assert np.array_equal(amps, expected), wires
 
+    @pytest.mark.parametrize("chunk,per", [(statevec.CHUNK, 5), (1 << 7, 2), (1 << 6, 1), (1 << 5, 1)],
+                             ids=["stack-per-chunk", "two-per-chunk", "one-per-chunk", "chunks-per-sample"])
+    def test_stack_pass_equals_each_sample_alone(self, rng, monkeypatch, chunk, per):
+        # five n=6 samples, one matrix each: every sample's amplitudes are
+        # bit for bit those of its pass alone, however many samples a chunk
+        # holds; a function in place of the matrices sees each chunk's
+        # samples
+        monkeypatch.setattr(statevec, "CHUNK", chunk)
+        n, count = 6, 5
+        amps = np.array([random_state(n, rng).amps for _ in range(count)])
+        work = statevec._work_buffers(n, count)
+        assert all(len(buffer) == min(count << n, chunk) for buffer in work)
+        for k in (1, 2, 4):
+            wires = tuple(int(q) for q in rng.permutation(n)[:k])
+            matrices = np.array([haar_unitary(1 << k, rng) for _ in range(count)])
+            expected = amps.copy()
+            for a, m in zip(expected, matrices):
+                statevec._apply_gate_to_amps(a, n, wires, m, *statevec._work_buffers(n))
+            seen = []
+
+            def factor(chunks):
+                seen.extend(samples for samples, _bits, _gather in chunks)
+                return matrices
+
+            statevec._apply_gate_to_amps(amps, n, wires, factor, *work)
+            assert all(np.array_equal(a, e) for a, e in zip(amps, expected)), wires
+            assert [list(samples) for samples in dict.fromkeys(seen)] == [
+                list(range(lo, min(lo + per, count))) for lo in range(0, count, per)]
+
     @pytest.mark.parametrize("chunk,lead", [(statevec.CHUNK, 0), (1 << 6, 2)], ids=["one", "four"])
     def test_matrix_from_the_gathered_block(self, rng, monkeypatch, chunk, lead):
         # a function in place of the matrix sees every chunk's gathered
         # block, wires in front, with the ``lead`` most significant other
-        # qubits at ``bits`` (the whole block for one chunk), and returns
-        # the matrix to apply; one that gathers only some chunks, or none,
-        # gets the same pass
+        # qubits at ``bits`` (the whole block for one chunk), as the block
+        # of the one sample of a one-state stack, and returns the matrix to
+        # apply; one that gathers only some chunks, or none, gets the same
+        # pass
         monkeypatch.setattr(statevec, "CHUNK", chunk)
         n, wires = 8, (5, 1)
         matrix = haar_unitary(4, rng)
@@ -310,7 +340,10 @@ class TestGateKernel:
             seen = []
 
             def factor(chunks):
-                seen.extend((bits, gather().copy()) for bits, gather in chunks if keep(bits))
+                for samples, bits, gather in chunks:
+                    assert samples == range(1)
+                    if keep(bits):
+                        seen.append((bits, gather()[0].copy()))
                 return matrix
 
             expected = fresh_array_gate(amps, n, wires, matrix)

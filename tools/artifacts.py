@@ -74,6 +74,11 @@ def cells():
     for s in SCHEMES:
         yield f"sweep/{s}", ["benchmark", "--targets", "random", "--samples", "10", "--n-list", "14",
                              "--layers-list", "1,2", "--seed", "0", "--schemes", s]
+    # a benchmark cell per stack regime: its samples in one kernel chunk
+    # (n=12), one sample per chunk (n=16), one sample at a time (n=17)
+    for n, samples, s in ((12, 10, "ttn"), (16, 3, "htn"), (17, 2, "chain")):
+        yield f"stack/n{n}_{s}", ["benchmark", "--targets", "random", "--samples", str(samples),
+                                  "--n-list", str(n), "--layers-list", "1,2", "--seed", "0", "--schemes", s]
     yield "plotdata", ["benchmark", "--targets", "f1,g2", "--schemes", "chain,htn", "--n-list", "6,8",
                        "--layers-list", "1,2", "--plotdata"]
     n10 = {t: t for t in ("exp", "cos", "linear", "ghz", "w", "random")} | {"amps": AMPS["small"][0]}
