@@ -9,14 +9,14 @@ resolution through the re-simulation check, never in hashed artifacts
 (circuit.qasm, results.csv). ``--out`` is created only when a file is
 written to it.
 
-``compile_one`` compiles a cell's samples as one stack: one
-``run_schedule`` and one ``synthesize_circuit`` batch. ``compile`` passes
-its one target; ``benchmark`` passes all of a cell's samples while one
-state fits in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and
-above that one at a time, where the kernel's passes dominate. Every sample
-gets the circuit it gets alone, so the rows do not depend on the stack. A
-failed cell names its sample, then the step's layer, round and pair or the
-gate's index and wires.
+``compile_one`` compiles a cell's samples: as one stack (one
+``run_schedule`` and one ``synthesize_circuit`` batch) while one state fits
+in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and one at a time
+above that, where a stack would hold S more state sizes for little gain.
+``compile`` passes its one target, ``benchmark`` all of a cell's samples.
+Every sample gets the circuit it gets alone, so the rows do not depend on
+the stack. A failed cell names its sample, then the step's layer, round and
+pair or the gate's index and wires.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ from . import gatesynth, qasm, schedules, statevec, targets
 from .circuits import Circuit, simulate
 from .disentangler import TruncationMode, default_truncation_mode, run_schedule
 from .gatesynth import SynthMode
+from .statevec import StackError
 from .verify import run_checks
 
 CSV_SCHEMA_VERSION = 1
@@ -114,32 +115,49 @@ def compile_one(
     synth: str,
     seed: int,
 ) -> list[tuple[SynthesisReport, Circuit]]:
-    """Compile the ``(label, state, domain)`` ``samples`` of one cell as one
-    stack: one ``run_schedule`` and one ``synthesize_circuit`` batch for all
-    of them. Returns each sample's report and primitive circuit, in order."""
+    """Compile the ``(label, state, domain)`` ``samples`` of one cell and
+    return each sample's report and primitive circuit, in order.
+
+    While a state fits in one kernel chunk (2^n <= ``statevec.CHUNK``,
+    n <= 16) the samples are one stack: one ``run_schedule`` and one
+    ``synthesize_circuit`` batch for all of them. Above that they go one at
+    a time: a stack holds a working copy of every sample, S state sizes
+    next to the caller's, and once a state spans several chunks the kernel's
+    passes dominate and stacking gains little (the README's design notes
+    give the measurement). A failed check of a step or a gate is prefixed
+    by ``sample {i}: `` among more than one sample.
+    """
     rewrite = synth == SynthMode.OPTIMIZED2
-    results = run_schedule([state for _, state, _ in samples], schedule, layers, trunc, rewrite_2cx=rewrite)
-    synthesized = gatesynth.synthesize_circuit([result.circuit for result in results], synth)
+    per = len(samples) if 1 << schedule.n <= statevec.CHUNK else 1
     compiled = []
-    for (label, _, domain), result, (primitive, (g_cnots, g_singles)) in zip(samples, results, synthesized):
-        report = SynthesisReport(
-            scheme=schedule.scheme,
-            target=label,
-            n=schedule.n,
-            layers=layers,
-            u_depth=result.circuit.u_depth,
-            infidelity=result.final_infidelity,
-            cnot_count=primitive.two_qubit_count(),
-            single_qubit_count=primitive.one_qubit_count(),
-            cnot_count_generic=g_cnots,
-            single_qubit_count_generic=g_singles,
-            truncation=trunc.value,
-            synth=synth,
-            seed=seed,
-            domain=domain,
-            retained_weights=[float(w) for w in result.per_round_weights],
-        )
-        compiled.append((report, primitive))
+    for lo in range(0, len(samples), per):
+        group = samples[lo:lo + per]
+        try:
+            results = run_schedule([state for _, state, _ in group], schedule, layers, trunc, rewrite_2cx=rewrite)
+            synthesized = gatesynth.synthesize_circuit([result.circuit for result in results], synth)
+        except StackError as exc:
+            if len(samples) == 1:
+                raise
+            raise ValueError(f"sample {lo + exc.index}: {exc}") from exc
+        for (label, _, domain), result, (primitive, (g_cnots, g_singles)) in zip(group, results, synthesized):
+            report = SynthesisReport(
+                scheme=schedule.scheme,
+                target=label,
+                n=schedule.n,
+                layers=layers,
+                u_depth=result.circuit.u_depth,
+                infidelity=result.final_infidelity,
+                cnot_count=primitive.two_qubit_count(),
+                single_qubit_count=primitive.one_qubit_count(),
+                cnot_count_generic=g_cnots,
+                single_qubit_count_generic=g_singles,
+                truncation=trunc.value,
+                synth=synth,
+                seed=seed,
+                domain=domain,
+                retained_weights=[float(w) for w in result.per_round_weights],
+            )
+            compiled.append((report, primitive))
     return compiled
 
 
@@ -247,24 +265,17 @@ def cmd_benchmark(args) -> int:
             rng = np.random.default_rng(args.seed)
             count = args.samples if tname == "random" else 1
             resolved.append((tname, [targets.resolve(tname, n, rng) for _ in range(count)]))
-        # a cell's samples are one stack while a state fits in one kernel
-        # chunk; above that the kernel dominates, and they go one at a time
-        stack = args.samples if 1 << n <= statevec.CHUNK else 1
         for tname, samples in resolved:
             for scheme_name, schedule in built[n]:
                 trunc = _truncation(args, schedule)
                 for layers in layers_list:
-                    compiled = []
-                    for i in range(0, len(samples), stack):
-                        try:
-                            compiled += compile_one(samples[i:i + stack], schedule, layers, trunc,
-                                                    args.synth, args.seed)
-                        except Exception as exc:
-                            where = f"sample {i}: " if stack == 1 < len(samples) else ""
-                            raise SystemExit(
-                                f"benchmark cell failed: target={tname} scheme={scheme_name} "
-                                f"n={n} layers={layers}: {where}{exc}"
-                            )
+                    try:
+                        compiled = compile_one(samples, schedule, layers, trunc, args.synth, args.seed)
+                    except Exception as exc:
+                        raise SystemExit(
+                            f"benchmark cell failed: target={tname} scheme={scheme_name} "
+                            f"n={n} layers={layers}: {exc}"
+                        )
                     reports = [report for report, _ in compiled]
                     rep = reports[0]
                     min_weight = min(min(r.retained_weights) for r in reports)

@@ -119,8 +119,38 @@ def _canonical_bases(v: np.ndarray) -> np.ndarray:
         norm = _norms(r)
         pick = ((norm > BASIS_TOL) & usable).argmax(axis=1)
         basis[:, :, f] = r[at, pick] / norm[at, pick, None]
-        usable = np.arange(4) > pick[:, None]  # the rows past this vector's
+        if f + 1 < k:
+            usable = _ROWS > pick[:, None]  # the rows past this vector's
     return basis
+
+
+def _cluster_tables() -> tuple[np.ndarray, dict[int, np.ndarray], list[set[int]]]:
+    """For each of the 16 patterns of round-off gaps (bit 3 - j set when
+    w_j - w_(j+1), or w3 - 0 for j = 3, is round-off): the columns outside
+    the round-off cluster chained to 0, the columns that open a cluster of
+    each size k > 1, and the sizes k > 1 it has. A cluster is a run of
+    round-off gaps; the round-off cluster also splits the kept pair (0, 1)
+    from the discarded pair (2, 3)."""
+    keep = np.zeros((16, 4), dtype=bool)
+    opens = {k: np.zeros((16, 4), dtype=bool) for k in (2, 3, 4)}
+    sizes = []
+    for code in range(16):
+        small = [bool(code >> (3 - j) & 1) for j in range(4)]
+        null = 4
+        while null and small[null - 1]:
+            null -= 1
+        keep[code, :null] = True
+        edges = [0] + [j for j in (1, 2, 3) if not small[j - 1] or (j == 2 and null > 1)] + [4]
+        runs = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:]) if hi - lo > 1]
+        for lo, k in runs:
+            opens[k][code, lo] = True
+        sizes.append({k for _, k in runs})
+    return keep, opens, sizes
+
+
+_ROWS = np.arange(4)
+_GAP_BITS = np.array([8, 4, 2, 1])
+_KEEP, _OPENS, _SIZES = _cluster_tables()
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -147,31 +177,24 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rescaled so det U = 1, which keeps real blocks special orthogonal, hence
     two-CNOT implementable without any rewrite. The singular values of the
     round-off cluster are reported as 0; it holds every one below
-    sqrt(eps) * s0. The clusters are masks over the stack: every column
-    first gets the basis of a one-column cluster, and the clusters of each
-    larger size are one stack for ``_canonical_bases``.
+    sqrt(eps) * s0. Each matrix's pattern of round-off gaps picks its
+    clusters from ``_cluster_tables``: every column first gets the basis of
+    a one-column cluster, and the clusters of each larger size are one stack
+    for ``_canonical_bases``.
     """
     shape = gram.shape[:-2]
     w, v = np.linalg.eigh(gram.reshape(-1, 4, 4))
     w, v = w[:, ::-1], v[:, :, ::-1].conj()
     gaps = w.copy()  # w_i - w_(i+1), and w3 - 0
     gaps[:, :3] -= w[:, 1:]
-    small = gaps <= CLUSTER_TOL * w[:, :1]
-    null = 4 - np.logical_and.accumulate(small[:, ::-1], axis=1).sum(axis=1)  # round-off cluster: w[null:]
-    start = np.ones(w.shape, dtype=bool)  # column j opens a cluster
-    start[:, 1:] = ~small[:, :3]
-    start[:, 2] |= null > 1
-    # every column as its own cluster, then the clusters of 2 to 4 columns
+    code = (gaps <= CLUSTER_TOL * w[:, :1]) @ _GAP_BITS
     u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
-    if not start.all():
-        label = np.cumsum(start, axis=1)
-        size = (label[:, :, None] == label[:, None, :]).sum(axis=2)  # of each column's cluster
-        for k in sorted(set(size[start].tolist()) - {1}):
-            mat, col = np.nonzero(start & (size == k))
-            at = (mat[:, None], slice(None), col[:, None] + np.arange(k))
-            u[at] = _canonical_bases(v[at].mT).mT
+    for k in sorted(set().union(*(_SIZES[c] for c in set(code.tolist())))):
+        mat, col = np.nonzero(_OPENS[k][code])
+        at = (mat[:, None], slice(None), col[:, None] + _ROWS[:k])
+        u[at] = _canonical_bases(v[at].mT).mT
     u[:, :, 3] *= np.linalg.det(u).conjugate()[:, None]
-    s = np.sqrt(np.where(np.arange(4) < null[:, None], w, 0.0))
+    s = np.sqrt(np.where(_KEEP[code], w, 0.0))
     s /= np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0])  # as np.linalg.norm forms it
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 
@@ -210,7 +233,7 @@ def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray
     return np.stack([np.trace(t, axis1=2, axis2=4), np.trace(t, axis1=1, axis2=3)], axis=1)
 
 
-def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None) -> DisentangleStep:
+def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
     """Factor the (a, b) block as U diag(l) V^H and return the step that
     applies U^-1.
 
@@ -225,25 +248,28 @@ def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None) -> 
     U^-1 and retained_weight = l0^2 + l1^2; the state itself is not
     transformed.
 
-    ``gram`` may also be a (..., P, 4, 4) stack of the blocks of P disjoint
-    pairs, with ``a`` and ``b`` the P-tuples of their first and second
-    qubits: one stacked factor gives every matrix's step, each with the bits
-    it gets alone, and the step's unitary, singular values and retained
-    weights keep the stack's leading axes.
+    ``gram`` may also be a (..., P, 4, 4) stack of the Gram matrices of P
+    disjoint pairs, with ``a`` and ``b`` the P-tuples of their first and
+    second qubits. One stacked factor then gives every matrix the bits it
+    gets alone, and the call returns, in place of a step record, the
+    arrays of the unitaries U^-1 (..., P, 4, 4), the singular values
+    (..., P, 4) and the retained weights (..., P).
     """
+    stacked = gram is not None and gram.ndim > 2
     if gram is None:
         gram = _gram(extract_block(state, a, b, fixed).rows)
     finite = np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
     if not finite.all():
         k = int(finite.all(axis=1).argmin())
-        pairs = list(zip(np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+        pairs = list(zip(a, b)) if stacked else [(a, b)]
         a_k, b_k = pairs[k % len(pairs)]
         raise StackError(f"block matrix of pair ({a_k}, {b_k}) contains non-finite entries", k)
     u, lam = _factor_gram(gram)
     # Python floats: numpy's array square rounds unlike its scalar power
     weights = [min(1.0, s0 ** 2 + s1 ** 2) for s0, s1, *_ in lam.reshape(-1, 4).tolist()]
-    retained = weights[0] if lam.ndim == 1 else np.reshape(weights, lam.shape[:-1])
-    return DisentangleStep(pair=(a, b), unitary=u.conj().mT, retained_weight=retained, singular_values=lam)
+    if stacked:
+        return u.conj().mT, lam, np.reshape(weights, lam.shape[:-1])
+    return DisentangleStep(pair=(a, b), unitary=u.conj().T, retained_weight=weights[0], singular_values=lam)
 
 
 def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, float]:
@@ -327,9 +353,9 @@ def run_schedule(
     the squared norm of the two amplitudes that rotation reads.
 
     A failed check of a step (a non-finite block, the CSD, a unitarity
-    check) raises ValueError prefixed by where it happened: ``layer {l}
-    round {r} pair ({a}, {b}): ``, counted from 0, after ``sample {i}: `` in
-    a stack of more than one target.
+    check) raises StackError prefixed by where it happened, ``layer {l}
+    round {r} pair ({a}, {b}): `` counted from 0, whose ``index`` is the
+    failing target's position in the stack.
     """
     stack = [targets] if isinstance(targets, StateVector) else list(targets)
     if layers < 1:
@@ -348,36 +374,36 @@ def run_schedule(
     exact = np.array([target.amps for target in stack])
     count = len(exact)
     work = _work_buffers(n, count)
-    steps: list[list[DisentangleStep]] = [[] for _ in stack]
-    per_round_weights: list[list[float]] = [[] for _ in stack]
+    passes = []  # per pass: its pairs, and their (S, P, ...) unitaries, singular values and weights
 
     def factor(group, fixed, where, chunks) -> np.ndarray:
         # the kernel calls this with its read sweep, before its apply sweep
         grams = _pair_grams(chunks, n, sum(group, ()), fixed, work[1], count)
         try:
-            step = disentangle_step(None, *zip(*group), fixed, grams)
-            unitary = build_u2cx(step.unitary) if rewrite_2cx else step.unitary
+            unitary, lam, weights = disentangle_step(None, *zip(*group), fixed, grams)
+            if rewrite_2cx:
+                unitary = build_u2cx(unitary)
         except StackError as exc:
             i, p = divmod(exc.index, len(group))
-            raise ValueError(f"{f'sample {i}: ' * (count > 1)}{where} pair {group[p]}: {exc}") from exc
-        weights = step.retained_weight.tolist()
-        for i, sample_steps in enumerate(steps):
-            sample_steps += [DisentangleStep(pair, unitary[i, p], weights[i][p], step.singular_values[i, p])
-                             for p, pair in enumerate(group)]
+            raise StackError(f"{where} pair {group[p]}: {exc}", i) from exc
+        passes.append((group, unitary, lam, weights.tolist()))
         return reduce(kron2, unitary.swapaxes(0, 1))
 
+    per_round_weights: list[list[float]] = [[] for _ in stack]
     for layer in range(layers):
         for r, (rnd, fixed) in enumerate(zip(schedule.rounds, held)):
-            first, where = len(steps[0]), f"layer {layer} round {r}"
+            first, where = len(passes), f"layer {layer} round {r}"
             for i in range(0, len(rnd), 2):
                 group = rnd[i:i + 2]
                 _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed, where), *work)
-            for sample_steps, weights in zip(steps, per_round_weights):
-                weights.append(float(np.prod([s.retained_weight for s in sample_steps[first:]])))
+            for i, weights in enumerate(per_round_weights):
+                weights.append(float(np.prod([w for *_, pass_weights in passes[first:] for w in pass_weights[i]])))
 
     survivor = schedule.survivor()
     results = []
-    for amps, sample_steps, weights in zip(exact, steps, per_round_weights):
+    for i, (amps, weights) in enumerate(zip(exact, per_round_weights)):
+        sample_steps = [DisentangleStep(pair, unitary[i, p], pass_weights[i][p], lam[i, p])
+                        for group, unitary, lam, pass_weights in passes for p, pair in enumerate(group)]
         v0, v1 = amps[0], amps[1 << (n - 1 - survivor)]
         gates: list = []
         rot = _absorb_survivor(v0, v1)

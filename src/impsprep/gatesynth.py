@@ -486,10 +486,10 @@ def synthesize_circuit(circuits, mode: str):
     of each gate: one such pair for one circuit, a list for a sequence.
     Each primitive is formed once, on its gate's wires; the generic counts
     are read from the batch's arrays. A OneQubitGate passes through and
-    counts as one single-qubit gate. A failed check raises ValueError
+    counts as one single-qubit gate. A failed check raises StackError
     prefixed by ``gate {k} on ({a}, {b}): `` for the first gate k, in
-    circuit order, that fails one, after ``circuit {c}: `` in a sequence of
-    more than one circuit.
+    circuit order, that fails one; its ``index`` is the circuit's position
+    in the sequence.
     """
     batch = [circuits] if isinstance(circuits, Circuit) else list(circuits)
     places = [(c, k) for c, circuit in enumerate(batch)
@@ -500,7 +500,7 @@ def synthesize_circuit(circuits, mode: str):
     except StackError as exc:
         c, k = places[exc.index]
         g = batch[c].gates[k]
-        raise ValueError(f"{f'circuit {c}: ' * (len(batch) > 1)}gate {k} on ({g.a}, {g.b}): {exc}") from exc
+        raise StackError(f"gate {k} on ({g.a}, {g.b}): {exc}", c) from exc
     out = []
     for circuit in batch:
         gates: list = []

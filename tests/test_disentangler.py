@@ -241,6 +241,34 @@ class TestBlockFactor:
         assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w)).max() < 1e-12
 
+    @pytest.mark.parametrize("code", range(15))
+    def test_every_pattern_of_equal_eigenvalues(self, rng, code):
+        # bit 3 - j of ``code`` makes gap j (w_j - w_(j+1), or w3 - 0) zero,
+        # and every other gap halves w. Mixing the left singular vectors of
+        # equal eigenvalues leaves U as it is, except when they straddle
+        # the kept/discarded boundary, where the kept weight is still exact
+        zero_gap = [bool(code >> (3 - j) & 1) for j in range(4)]
+        w = [1.0]
+        for j in range(3):
+            w.append(w[-1] if zero_gap[j] else w[-1] / 2)
+        for j in (3, 2, 1):
+            if zero_gap[j] and (j == 3 or w[j + 1] == 0.0):
+                w[j] = 0.0
+        w = np.array(w)
+        u_ref, rows = block_with_spectrum(w, 64, rng, False)
+        u, lam = disentangler._block_svd(rows)
+        assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
+        if w[1] == w[2] > 0.0:
+            return
+        mix, lo = np.eye(4, dtype=complex), 0
+        for hi in range(1, 5):
+            if hi == 4 or w[hi] != w[lo]:
+                mix[lo:hi, lo:hi] = haar_unitary(hi - lo, rng)
+                lo = hi
+        mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
+        assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
+        assert np.abs(lam - np.sqrt(w / w.sum())).max() < 1e-12
+
 
 class TestTruncate:
     def test_noop_when_already_zero(self, rng):
@@ -680,8 +708,8 @@ class TestStack:
                 assert lam[index].tobytes() == want_lam.tobytes(), index
 
     def test_failure_names_its_sample_layer_round_and_pair(self, rng, monkeypatch):
-        # the CSD of sample 2's step in layer 1, round 2 fails; alone, the
-        # target's failure is named without a sample
+        # the CSD of sample 2's step in layer 1, round 2 fails: the error
+        # names the step and carries the sample's index, 0 when it is alone
         n, calls = 6, []
         uncsd = gatesynth._UNCSD
 
@@ -694,14 +722,14 @@ class TestStack:
         sched = schedules.chain_schedule(n)
         samples = [random_state(n, rng) for _ in range(3)]
         fail_at = 3 * (n - 1 + 2) + 3  # the third of the eighth pass's three
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(statevec.StackError) as exc:
             run_schedule(samples, sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        assert str(exc.value) == "sample 2: layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7"
+        assert (str(exc.value), exc.value.index) == ("layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7", 2)
         calls.clear()
         fail_at = n - 1 + 2 + 1
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(statevec.StackError) as exc:
             run_schedule(samples[2], sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        assert str(exc.value) == "layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7"
+        assert (str(exc.value), exc.value.index) == ("layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7", 0)
 
     def test_peak_memory_is_the_stack_and_two_chunks(self, rng):
         # ten n = 14 samples in one chunk-size work buffer pair: the owned

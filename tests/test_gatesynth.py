@@ -522,6 +522,7 @@ class TestCircuitBatch:
         circuits = self.circuits(True)
         g = circuits[1].gates[3]
         circuits[1].gates[3] = TwoQubitGate(g.a, g.b, haar_unitary(4, rng))
-        with pytest.raises(ValueError, match=re.escape(
-                f"circuit 1: gate 3 on ({g.a}, {g.b}): input is not two-CNOT realizable")):
+        with pytest.raises(statevec.StackError, match=re.escape(
+                f"gate 3 on ({g.a}, {g.b}): input is not two-CNOT realizable")) as exc:
             synthesize_circuit(circuits, SynthMode.OPTIMIZED2)
+        assert exc.value.index == 1
