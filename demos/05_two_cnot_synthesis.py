@@ -39,10 +39,11 @@ print("representative is Hermitian:", np.abs(gate - gate.conj().T).max() < 1e-12
 print("eigenvalues:", np.round(np.sort(np.linalg.eigvals(gate).real), 6))
 
 # One magic-basis KAK, the one synthesis runs on every gate, serves both
-# synthesis modes. For the representative its angles pair up as
-# (a, -a, b, -b) and the Pauli-string coefficients have omega_0 = 0 with one
-# of the other three vanishing (mod pi), which is exactly the two-CNOT
-# condition.
+# synthesis modes. For the representative its angles come as (a, -a, b, -b):
+# the eigenvalues exp(2i a) and exp(-2i a) of u u^T share their real part,
+# which orders the KAK's columns, so each pair is adjacent. The Pauli-string
+# coefficients have omega_0 = 0 with one of the other three vanishing
+# (mod pi), which is exactly the two-CNOT condition.
 _p, theta, _q, _ = _general_magic_kak(gate)
 print("\ntheta:", theta)
 print("omega:", GAMMA.T @ theta / 4.0)

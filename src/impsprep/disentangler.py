@@ -70,6 +70,7 @@ CLUSTER_TOL = 1e-12
 # Any value below 1/2 still yields a full basis of every cluster; each vector
 # then moves at most 1 / BASIS_TOL times as far as its cluster's span.
 BASIS_TOL = 0.1
+_ROWS = np.arange(4)
 
 
 class TruncationMode(enum.Enum):
@@ -108,10 +109,11 @@ def _canonical_bases(v: np.ndarray) -> np.ndarray:
     shorter than BASIS_TOL. For one column this fixes its phase: its first
     entry above BASIS_TOL becomes real positive. Basis vector f is the first
     residual past vector f - 1 that is long enough, so each comes from the
-    residuals of all four projections at once, each formed as it is alone."""
+    residuals of all four projections at once, each formed as it is alone.
+    Real columns give a real basis."""
     count, _, k = v.shape
     rows = (v @ v.conj().mT).mT  # row i: the projection of e_i
-    basis = np.zeros(v.shape, dtype=complex)
+    basis = np.zeros(v.shape, dtype=v.dtype)
     at, usable = np.arange(count), True
     for f in range(k):
         # row i less the vectors so far times their conjugated entries i
@@ -124,33 +126,31 @@ def _canonical_bases(v: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _cluster_tables() -> tuple[np.ndarray, dict[int, np.ndarray], list[set[int]]]:
-    """For each of the 16 patterns of round-off gaps (bit 3 - j set when
-    w_j - w_(j+1), or w3 - 0 for j = 3, is round-off): the columns outside
-    the round-off cluster chained to 0, the columns that open a cluster of
-    each size k > 1, and the sizes k > 1 it has. A cluster is a run of
-    round-off gaps; the round-off cluster also splits the kept pair (0, 1)
-    from the discarded pair (2, 3)."""
-    keep = np.zeros((16, 4), dtype=bool)
-    opens = {k: np.zeros((16, 4), dtype=bool) for k in (2, 3, 4)}
-    sizes = []
-    for code in range(16):
-        small = [bool(code >> (3 - j) & 1) for j in range(4)]
-        null = 4
-        while null and small[null - 1]:
-            null -= 1
-        keep[code, :null] = True
-        edges = [0] + [j for j in (1, 2, 3) if not small[j - 1] or (j == 2 and null > 1)] + [4]
-        runs = [(lo, hi - lo) for lo, hi in zip(edges, edges[1:]) if hi - lo > 1]
-        for lo, k in runs:
-            opens[k][code, lo] = True
-        sizes.append({k for _, k in runs})
-    return keep, opens, sizes
+def clusters(tied: np.ndarray):
+    """The runs of more than one column of a stack of 4x4 matrices whose
+    ties (N, 3) join columns j and j + 1: for each size, one index ``at``
+    with ``m[at]`` the (count, size, 4) stack of those runs' columns as rows."""
+    apart = np.ones((len(tied), 5), dtype=bool)  # entry j: columns j - 1 and j
+    apart[:, 1:4] = ~tied
+    for k in (2, 3, 4) if tied.any() else ():
+        opens = apart[:, :5 - k] & apart[:, k:]
+        for j in range(1, k):
+            opens &= ~apart[:, j:j + 5 - k]
+        mat, col = np.nonzero(opens)
+        if len(mat):
+            yield mat[:, None], slice(None), col[:, None] + _ROWS[:k]
 
 
-_ROWS = np.arange(4)
-_GAP_BITS = np.array([8, 4, 2, 1])
-_KEEP, _OPENS, _SIZES = _cluster_tables()
+def cluster_bases(v: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """The canonical eigenbasis of each (4, 4) matrix of the stack ``v``,
+    whose columns are eigenvectors and whose ties (N, 3) join columns of
+    equal eigenvalues: each run of tied columns, one column included, gets
+    the canonical basis of its span (``_canonical_bases``), so the result
+    depends on the eigenspaces only. Each matrix gets the bits it gets alone."""
+    u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
+    for at in clusters(tied):
+        u[at] = _canonical_bases(v[at].mT).mT
+    return u
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:
@@ -168,33 +168,28 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix R R^H (Demmel et al., arXiv 0808.2664), whose eigenvalues
     w0 >= ... >= w3 are the squared singular values; blocks with m < 4
     need no special case. Eigenvalues within CLUSTER_TOL * w0 of their
-    neighbours form a cluster, and each cluster gets a canonical basis
-    (``_canonical_bases``), so U depends on the block, not on how round-off
-    mixes equal eigenvalues. A cluster never spans the kept pair (0, 1) and
-    the discarded pair (2, 3), except the round-off cluster chained to 0:
-    every split of the null space keeps the same weight. The kept subspace
-    is then within 10 eps w0 / (w1 - w2) of the exact one. Column 3 is
-    rescaled so det U = 1, which keeps real blocks special orthogonal, hence
-    two-CNOT implementable without any rewrite. The singular values of the
-    round-off cluster are reported as 0; it holds every one below
-    sqrt(eps) * s0. Each matrix's pattern of round-off gaps picks its
-    clusters from ``_cluster_tables``: every column first gets the basis of
-    a one-column cluster, and the clusters of each larger size are one stack
-    for ``_canonical_bases``.
+    neighbours form a cluster, and ``cluster_bases`` gives each cluster its
+    canonical basis, so U depends on the block, not on how round-off mixes
+    equal eigenvalues. A cluster never spans the kept pair (0, 1) and the
+    discarded pair (2, 3), except the round-off cluster chained to 0: every
+    split of the null space keeps the same weight. The kept subspace is then
+    within 10 eps w0 / (w1 - w2) of the exact one. Column 3 is rescaled so
+    det U = 1, which keeps real blocks special orthogonal, hence two-CNOT
+    implementable without any rewrite. The singular values of the round-off
+    cluster are reported as 0; it holds every one below sqrt(eps) * s0.
     """
     shape = gram.shape[:-2]
     w, v = np.linalg.eigh(gram.reshape(-1, 4, 4))
     w, v = w[:, ::-1], v[:, :, ::-1].conj()
     gaps = w.copy()  # w_i - w_(i+1), and w3 - 0
     gaps[:, :3] -= w[:, 1:]
-    code = (gaps <= CLUSTER_TOL * w[:, :1]) @ _GAP_BITS
-    u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
-    for k in sorted(set().union(*(_SIZES[c] for c in set(code.tolist())))):
-        mat, col = np.nonzero(_OPENS[k][code])
-        at = (mat[:, None], slice(None), col[:, None] + _ROWS[:k])
-        u[at] = _canonical_bases(v[at].mT).mT
+    small = gaps <= CLUSTER_TOL * w[:, :1]
+    keep = np.logical_or.accumulate(~small[:, ::-1], axis=1)[:, ::-1]  # outside the cluster chained to 0
+    tied = small[:, :3].copy()
+    tied[:, 1] = ~keep[:, 1]  # the kept and discarded pairs share only that cluster
+    u = cluster_bases(v, tied)
     u[:, :, 3] *= np.linalg.det(u).conjugate()[:, None]
-    s = np.sqrt(np.where(_KEEP[code], w, 0.0))
+    s = np.sqrt(np.where(keep, w, 0.0))
     s /= np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0])  # as np.linalg.norm forms it
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 

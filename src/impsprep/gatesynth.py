@@ -8,15 +8,21 @@ equivalence class keeps the same weight in the top two amplitude rows.
 is a Hermitian involution with eigenvalues (1, 1, -1, -1) and can always be
 realized with two CNOTs.
 
-Every 4x4 unitary then goes through one real-orthogonal KAK factorization
-in the magic basis, ``_general_magic_kak``: M^dag u M = P exp(i Theta) Q^T
-up to global phase, with P, Q in SO(4), which makes M P M^dag and
-M Q^T M^dag local gates. The diagonal angles map linearly (via the fixed
-sign matrix GAMMA) onto coefficients of XX / YY / ZZ, and the two synthesis
-modes differ only in how they realize that middle factor. The two-CNOT mode
-needs one coefficient to vanish (mod pi/2), which holds for the class above.
-The generic three-CNOT baseline uses no CNOT when all three vanish and a
-fixed three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
+Every 4x4 unitary then goes through one real-orthogonal KAK factorization in
+the magic basis, ``_general_magic_kak``: M^dag u M = P exp(i Theta) Q^T up
+to global phase, with P, Q in SO(4), which makes M P M^dag and M Q^T M^dag
+local gates. P is the eigenbasis of u u^T in one order (ascending real
+parts; a run of them within 1e-6 by the imaginary part, a tie of that within
+1e-12 by the real part), with the block factor's canonical bases
+(``disentangler.cluster_bases``), and Theta takes one stated branch
+(``_ai_kak``), so the emitted locals of a gate whose eigenvalues are apart
+do not depend on round-off, except where a merged run sits at the identity
+threshold. The diagonal angles map linearly (via the fixed sign matrix
+GAMMA) onto coefficients of XX / YY / ZZ, and the two synthesis modes differ
+only in how they realize that middle factor. The two-CNOT mode needs one
+coefficient to vanish (mod pi/2), which holds for the class above. The
+generic three-CNOT baseline uses no CNOT when all three vanish and a fixed
+three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
 ``synthesize_circuit`` stacks the two-qubit matrices of one circuit, or of
 several (a benchmark cell's samples), into one (G, 4, 4) batch for one
 ``synthesize_gate`` call: one KAK per gate, as array code over the stack,
@@ -41,9 +47,12 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
+from .disentangler import cluster_bases, clusters
 from .statevec import UNITARY_TOL, StackError, TwoQubitGate, require_unitary
 
 RECON_TOL = 1e-9
+KAK_CLUSTER_TOL = 1e-6  # eigenvalues of u u^T whose real parts are this close share a run
+ROUNDOFF_TOL = 1e-12  # parts of eigenvalues of u u^T this close are equal up to round-off
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -296,48 +305,54 @@ def _three_cnot_core(omega: np.ndarray) -> list[GateLike]:
             CX10, OneQubitGate(0, _rz(math.pi / 2))]
 
 
-def _real_imag_split_eigh(a: np.ndarray, factor: float):
-    _, basis = np.linalg.eigh(a.real / factor + factor * a.imag)
-    return basis.mT @ a @ basis, basis
-
-
 def _ai_kak(u: np.ndarray):
-    """u = o1 @ diag(phases) @ o2 with o1, o2 in SO(4) for each matrix of a
-    stack, and the mask of those whose o2 is not real.
+    """u = o1 @ diag(exp(i theta)) @ o2 with o1, o2 in SO(4) for each matrix
+    of a (G, 4, 4) stack, and the mask of those whose o2 is not real.
 
-    o1 is a real eigenbasis of the symmetric unitary u u^T: that of Re/pi +
-    pi Im, or of Re/10 + 10 Im where a repeated eigenvalue of the first mixed
-    eigenvectors of u u^T. Each row of o1^T u is then a unit phase times a
-    real unit row; the phase is read off the row itself (row . row =
-    phase^2), which stays stable under degenerate eigenvalues of u u^T, where
-    square roots of the eigenvalues would pick inconsistent branches.
+    o1 is the real eigenbasis of the symmetric unitary u u^T, whose real and
+    imaginary parts commute, in one order: Re sorts its columns ascending,
+    Im restricted to a run of them closer than KAK_CLUSTER_TOL sorts the
+    run, and Re restricted to a tie of that within ROUNDOFF_TOL sorts the
+    tie. ``cluster_bases`` gives each remaining tie and each single column
+    its canonical basis; column 0 is negated where det o1 = -1. Row j of
+    o1^T u is exp(i theta_j) times row j of o2, with 2 theta_j the angle of
+    row . row in (-pi, pi], and pi where row . row is within ROUNDOFF_TOL of
+    the negative real axis; where det o2 would be -1, row 0 is negated and
+    theta_0 raised by pi.
     """
     delta = u @ u.mT
-    d2, o1 = _real_imag_split_eigh(delta, math.pi)
-    off = np.where(np.eye(4, dtype=bool), 0.0, np.abs(d2))
-    mixed = ~np.all(off <= 1e-7 + 1e-5 * off, axis=(-2, -1))  # np.allclose's test, atol=1e-7
-    if mixed.any():
-        o1[mixed] = _real_imag_split_eigh(delta[mixed], 10.0)[1]
-    o1[..., :, 0] *= np.linalg.det(o1)[..., None]
+    w, o1 = np.linalg.eigh(delta.real)
+    tied = np.diff(w) <= KAK_CLUSTER_TOL
+    for part in (delta.imag, delta.real):
+        for at in list(clusters(tied)):
+            block = o1[at]  # the run's columns as rows
+            w, turn = np.linalg.eigh(block @ part[at[0][:, 0]] @ block.mT)
+            o1[at] = turn.mT @ block
+            tied[at[0], at[2][:, :-1]] = np.diff(w) <= ROUNDOFF_TOL
+    o1 = cluster_bases(o1, tied)
+    o1[:, :, 0] *= np.linalg.det(o1)[:, None]
     rows = o1.mT @ u
-    phases = np.sqrt(np.sum(rows * rows, axis=-1))  # unit modulus, any branch
-    o2 = rows / phases[..., :, None]
+    squares = np.sum(rows * rows, axis=-1)
+    # on the negative axis, round-off would pick the root's sign
+    squares.imag[(squares.real < 0) & (np.abs(squares.imag) <= ROUNDOFF_TOL)] = 0.0
+    o2 = rows / np.sqrt(squares)[..., None]
     complex_o2 = np.abs(o2.imag).max(axis=(-2, -1)) > 1e-8
-    o2 = o2.real.copy()
-    det_o2 = np.linalg.det(o2)
-    o2[..., 0, :] *= det_o2[..., None]
-    phases[..., 0] = det_o2 * phases[..., 0]
-    return o1, phases, o2, complex_o2
+    o2, theta = o2.real.copy(), np.angle(squares) / 2
+    flip = np.linalg.det(o2) < 0
+    o2[flip, 0] *= -1.0
+    theta[flip, 0] += math.pi
+    return o1, theta, o2, complex_o2
 
 
 def _general_magic_kak(u: np.ndarray):
-    """KAK of arbitrary 4x4 unitaries in the magic basis: returns
+    """KAK of 4x4 unitaries in the magic basis, one or a stack: returns
     (p, theta, q, failed) with M p exp(i theta) q^T M^dag = u up to global
-    phase, p and q in SO(4) and theta in (-pi, pi] summing to a multiple of
-    2 pi, and the mask of matrices whose real factor could not be split."""
+    phase, p and q in SO(4) and theta summing to a multiple of 2 pi, in the
+    order and signs of ``_ai_kak``, and the mask of matrices whose real
+    factor could not be split."""
     u_su = u / (np.linalg.det(u) ** 0.25)[..., None, None]
-    o1, phases, o2, failed = _ai_kak(MAGIC.conj().T @ u_su @ MAGIC)
-    return o1, np.angle(phases), o2.mT, failed
+    o1, theta, o2, failed = _ai_kak((MAGIC.conj().T @ u_su @ MAGIC).reshape(-1, 4, 4))
+    return o1.reshape(u.shape), theta.reshape(u.shape[:-1]), o2.mT.reshape(u.shape), failed.reshape(u.shape[:-2])
 
 
 def split_tensor_product(u4: np.ndarray):
@@ -372,11 +387,11 @@ def _kak_layers(u: np.ndarray):
     return (ra, rb), omega[..., 1:], (la, lb), checks
 
 
-def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
-    """Merge a batch's items into slots and check every gate's sequence: the
-    CNOT and single-qubit budgets, then its matrix against ``source`` up to
-    global phase. Returns the slots, the CNOT and single-qubit counts and
-    the checks."""
+def _finish_sequence(items: list, source: np.ndarray, max_cnots: int, checks: list) -> list[GateSequence]:
+    """Merge a batch's items into slots, add the checks of every gate's
+    sequence to ``checks`` (the CNOT and single-qubit budgets, then its
+    matrix against ``source`` up to global phase) and return each gate's
+    kept slots, in order, as its own sequence."""
     slots = _merge_singles(items)
     ncx = sum(keep for g, keep in slots if isinstance(g, TwoQubitGate))
     nsingle = sum(keep for g, keep in slots if isinstance(g, OneQubitGate))
@@ -385,18 +400,13 @@ def _finish_sequence(items: list, source: np.ndarray, max_cnots: int):
         rebuilt = np.where(keep[..., None, None], embed(g, (0, 1)) @ rebuilt, rebuilt)
     tr = np.trace(rebuilt.conj().mT @ source, axis1=-2, axis2=-1) / 4.0
     err = np.abs(rebuilt * (tr / _abs(tr))[..., None, None] - source).max(axis=(-2, -1))
-    return slots, ncx, nsingle, [
+    checks += [
         (ncx > max_cnots, lambda k: f"synthesis produced {ncx[k]} CNOTs, budget {max_cnots}"),
         (nsingle > 8, lambda k: f"synthesis produced {nsingle[k]} single-qubit gates, budget 8"),
         (_abs(tr) < 1e-12, "synthesis reconstruction failed (orthogonal result)"),
         (err > RECON_TOL, lambda k: f"synthesis reconstruction failed: deviation {err[k]:.3e}"),
     ]
-
-
-def _gate_sequences(slots: list, ncx: np.ndarray, nsingle: np.ndarray) -> list[GateSequence]:
-    """Each gate's kept slots, in order, as its own sequence."""
-    gates = [g for g, _ in slots]
-    kept = np.array([keep for _, keep in slots]).T.tolist()
+    gates, kept = [g for g, _ in slots], np.array([keep for _, keep in slots]).T.tolist()
     return [GateSequence(gates, row, k, cnots, singles)
             for k, (row, cnots, singles) in enumerate(zip(kept, ncx.tolist(), nsingle.tolist()))]
 
@@ -438,21 +448,12 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
             checks.append((unrealizable, "input is not two-CNOT realizable (no vanishing Pauli-string "
                                          "coefficient); rewrite with build_u2cx or use synthesize_generic"))
             middle += [(g, has_tail) for g in tail]
-            emitted, emitted_cnots, emitted_singles, emitted_checks = _finish_sequence(
-                right + middle + left, batch, 2)
-            checks += emitted_checks
+            emitted = _finish_sequence(right + middle + left, batch, 2, checks)
         core = red.any(axis=-1)
         middle = [(g, core) for g in _three_cnot_core(omega)] + [(g, has_tail & ~core) for g in tail]
-        generic, generic_cnots, generic_singles, generic_checks = _finish_sequence(
-            right + middle + left, batch, 3)
-        checks += generic_checks
+        generic = _finish_sequence(right + middle + left, batch, 3, checks)
     _raise_first_failure(checks)
-    generic = _gate_sequences(generic, generic_cnots, generic_singles)
-    if mode == SynthMode.OPTIMIZED2:
-        emitted = _gate_sequences(emitted, emitted_cnots, emitted_singles)
-    else:
-        emitted = generic
-    pairs = list(zip(emitted, generic))
+    pairs = list(zip(emitted if mode == SynthMode.OPTIMIZED2 else generic, generic))
     return pairs[0] if u.ndim == 2 else pairs
 
 

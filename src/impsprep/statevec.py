@@ -57,9 +57,6 @@ class StateVector:
     n: int
     amps: np.ndarray = field(repr=False)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 @dataclass(frozen=True)
 class TwoQubitGate:

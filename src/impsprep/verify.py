@@ -58,8 +58,9 @@ def _check_gate_inverse(n_max: int, fuzz: int, rng, corrupt=False):
         a, b = rng.choice(n, size=2, replace=False)
         u = haar_unitary(4, rng)
         fwd = statevec.apply_two_qubit(state, TwoQubitGate(int(a), int(b), u))
-        if abs(fwd.norm() - 1.0) > 1e-12:
-            return f"norm drift {abs(fwd.norm() - 1.0):.2e}"
+        drift = abs(np.linalg.norm(fwd.amps) - 1.0)
+        if drift > 1e-12:
+            return f"norm drift {drift:.2e}"
         back = statevec.apply_two_qubit(fwd, TwoQubitGate(int(a), int(b), u.conj().T))
         if np.abs(back.amps - state.amps).max() > 1e-12:
             return "U then U-dagger does not restore the state"

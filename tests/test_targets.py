@@ -50,7 +50,7 @@ class TestDiscretize:
     def test_f1_formula(self):
         spec = make_spec("f1", 10)
         s = discretize(spec)
-        assert s.n == 10 and abs(s.norm() - 1.0) < 1e-12
+        assert s.n == 10 and abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
         x = np.linspace(0.0, 1.0, 1024)
         vals = x * (np.exp(0.68 * x) + np.exp(-2.0 * x) - 0.7) * np.sin(24.0 * x)
         assert np.allclose(s.amps, vals / np.linalg.norm(vals))
@@ -90,7 +90,7 @@ class TestResolve:
     @pytest.mark.parametrize("name", [*targets.KINDS, *targets.STATES, "random", "Random", " F1 "])
     def test_every_listed_name_resolves(self, name, rng):
         label, state, domain = targets.resolve(name, 4, rng)
-        assert state.n == 4 and abs(state.norm() - 1.0) < 1e-12
+        assert state.n == 4 and abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
         assert (domain is None) == (name.lower() == "random")
 
     def test_unknown_name_lists_what_target_accepts(self):
@@ -196,7 +196,7 @@ class TestCatalog:
     def test_every_entry_discretizes(self, n):
         for kind in [*KINDS, *STATES]:
             state = discretize(make_spec(kind, n))
-            assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
 
     def test_default_domains_recorded(self):
         domains = {kind: make_spec(kind, 8).domain for kind in KINDS}
