@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .circuits import Circuit, OneQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
@@ -153,15 +152,20 @@ def cluster_bases(v: np.ndarray, tied: np.ndarray) -> np.ndarray:
     return u
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """conj(R R^H) of the C-contiguous rows R in the lower triangle; unlike a
-    sum of dot products, its bytes do not depend on the BLAS thread count."""
-    return zherk(1.0, rows.T, trans=2, lower=1)
+def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """conj(R R^H) = R* R^T of the C-contiguous rows R, or of each of a
+    (..., k, m) stack of them, as one matmul with R* written into
+    ``scratch`` (any buffer of R's size or larger) or, without it, into a
+    new array; unlike a sum of dot products, its bytes do not depend on the
+    BLAS thread count."""
+    conj = None if scratch is None else scratch[: rows.size].reshape(rows.shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block is reported by its Gram
+        return np.conjugate(rows, out=conj) @ rows.mT
 
 
 def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 4x4 left factor and the four singular values, scaled to unit sum
-    of squares, of the block whose ``_gram`` (lower triangle) is ``gram``,
+    of squares, of the block whose ``_gram`` is ``gram``,
     for each matrix of a (..., 4, 4) stack; each gets the bits it gets alone.
 
     The left factor of the 4 x m block R is the eigenbasis of its 4x4 Gram
@@ -205,7 +209,8 @@ def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray
     chunk order over the kernel's ``(samples, bits, gather)`` ``chunks`` and
     read from the slice with the qubits ``fixed`` at |0>: a chunk that holds
     one of them at 1 is not gathered, and a gathered block's own slice is
-    copied into the chunk-size ``spare``. Two pairs' Gram matrices are the
+    copied into the chunk-size ``spare``, whose other half (at least) takes
+    the conjugate that ``_gram`` needs. Two pairs' Gram matrices are the
     partial traces of the 16x16 one."""
     rest = [q for q in range(n) if q not in wires]
     grams = [None] * count
@@ -218,8 +223,7 @@ def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray
             t = t[(slice(None), slice(None), *(0 if q in fixed else slice(None) for q in free))]
             blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
             np.copyto(blocks.reshape(t.shape), t)
-        for i, block in zip(samples, blocks):
-            part = _gram(block)
+        for i, part in zip(samples, _gram(blocks, spare[spare.size - blocks.size:])):
             grams[i] = part if grams[i] is None else grams[i] + part
     gram = np.array(grams)
     if len(wires) == 2:

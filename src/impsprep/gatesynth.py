@@ -6,7 +6,8 @@ equivalence class keeps the same weight in the top two amplitude rows.
 ``build_u2cx`` picks the representative from one cosine-sine decomposition
 (CSD) of the unitary by cancelling its outer factors; that representative
 is a Hermitian involution with eigenvalues (1, 1, -1, -1) and can always be
-realized with two CNOTs.
+realized with two CNOTs. The CSD (``_csd``) is numpy array code over a
+stack, built from the SVDs of its 2x2 blocks.
 
 Every 4x4 unitary then goes through one real-orthogonal KAK factorization in
 the magic basis, ``_general_magic_kak``: M^dag u M = P exp(i Theta) Q^T up
@@ -44,7 +45,6 @@ from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
 from .disentangler import cluster_bases, clusters
@@ -71,11 +71,6 @@ MAGIC = np.array(
     ]
 ) / math.sqrt(2)
 
-# LAPACK's complex CSD with the arguments and workspace sizes ``cossin`` uses
-_UNCSD, _uncsd_lwork = get_lapack_funcs(("uncsd", "uncsd_lwork"), (np.zeros((2, 2), dtype=complex),))
-_lwork, _lrwork, _ = _uncsd_lwork(m=4, p=2, q=2)
-_UNCSD_ARGS = {"trans": False, "signs": False, "lwork": int(_lwork.real), "lrwork": int(_lrwork)}
-
 # Fixed sign matrix linking diagonal phase angles Theta to Pauli-string
 # coefficients Omega: Theta = GAMMA @ Omega, GAMMA^-1 = GAMMA^T / 4.
 GAMMA = np.array(
@@ -89,8 +84,13 @@ GAMMA = np.array(
 )
 
 
+# _csd: the signs of the cofactors of a 2x2, [[d, -c], [-b, a]] for
+# [[a, b], [c, d]], and of q1 S and q2 C in v2^H
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_V2_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+
 # flat 4x4 positions of C, S, S and -C in the CSD middle [[C, S], [S, -C]]
-_MIDDLE = [0, 5, 2, 7, 8, 13, 10, 15]
+_MIDDLE = np.array([0, 5, 2, 7, 8, 13, 10, 15])
 
 
 def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,42 +110,76 @@ def _raise_first_failure(checks: list) -> None:
         raise StackError(message(k) if callable(message) else message, k)
 
 
+def _csd(u: np.ndarray):
+    """Cosine-sine decomposition of each 4x4 unitary of a (B, 4, 4) stack,
+    u = diag(q1, q2) [[C, -S], [S, C]] diag(v1, v2)^H, as (q, cosines,
+    sines, v1^H, v2^H) with q the (B, 2, 2, 2) stack of q1 and q2, the
+    cosines descending and the sines ascending (Sutton, arXiv 0707.1838).
+
+    v1 holds the right singular vectors of u's top-left 2x2, or, where the
+    sines sum smaller than the cosines, those of its bottom-left 2x2 in
+    reverse: a small sine is then resolved on its own scale, not as the
+    distance of a cosine from 1. The cosines and sines are the column norms
+    of z = u11 v1 and u21 v1, whose columns are orthogonal, and q1 and q2
+    their orthonormal completions: the unitary polar factors
+    (z + e cof(z)^*) / (n0 + n1), with e the phase of det z (1 where it is
+    0), and the identity for a zero block. Row j of v2^H, (q2^H u22)_j / c_j
+    or -(q1^H u12)_j / s_j, is then c_j (q2^H u22)_j - s_j (q1^H u12)_j,
+    which needs no division.
+    """
+    count = len(u)
+    left = u[:, :, :2].reshape(count, 2, 2, 2)  # u11 and u21
+    _, values, vh = np.linalg.svd(left)
+    sums = values[..., 0] + values[..., 1]
+    v1h = np.where((sums[:, 1] < sums[:, 0])[:, None, None], vh[:, 1, ::-1], vh[:, 0])
+    z = left @ v1h.conj().mT[:, None]
+    sizes = np.abs(z)
+    norms = np.hypot(sizes[..., 0, :], sizes[..., 1, :])  # (B, block, column)
+    phase = np.sign(np.linalg.det(z))
+    phase[phase == 0.0] = 1.0
+    total = norms[..., 0] + norms[..., 1]
+    cofactors = z.conj()[..., ::-1, ::-1] * _COFACTOR_SIGNS
+    # a matmul, not numpy's array complex product, which rounds by position
+    q = z + (phase[..., None, None] @ cofactors.reshape(count, 2, 1, 4)).reshape(z.shape)
+    scale = np.maximum(total, np.finfo(float).tiny)[..., None, None]
+    q = np.where((total == 0.0)[..., None, None], I2, q / scale)
+    scaled = q * (norms[:, ::-1, None, :] * _V2_SIGNS)  # -q1 S over q2 C
+    v2h = scaled.reshape(count, 4, 2).conj().mT @ u[:, :, 2:]
+    return q, norms[:, 0], norms[:, 1], v1h, v2h
+
+
 def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
     """The two-CNOT representative of the equivalence class of ``u_inv``,
     for a 4x4 unitary or each of a (..., 4, 4) stack of them.
 
-    One cosine-sine decomposition (LAPACK's ``zuncsd``, which keeps the
-    coupling between blocks when a cosine approaches 1) gives u_inv = L M R
-    with block-diagonal L and R around the real middle M = [[C, S], [S, -C]];
-    LAPACK's own middle [[C, -S], [S, C]] becomes M by negating the
-    lower-right factor of R. The outer factor L is replaced by R^dag, so the
-    result R^dag M R equals D @ u_inv for a block-diagonal unitary D, and
-    applying it in a disentangling step preserves the retained weight. It is
-    Hermitian with eigenvalues (1, 1, -1, -1).
+    One cosine-sine decomposition (``_csd``) gives u_inv = L M R with
+    block-diagonal L = diag(q1, q2) and R = diag(v1, -v2)^H around the real
+    middle M = [[C, S], [S, -C]]. The outer factor L is replaced by R^dag,
+    so the result R^dag M R equals D @ u_inv for a block-diagonal unitary D,
+    and applying it in a disentangling step preserves the retained weight.
+    It is Hermitian with eigenvalues (1, 1, -1, -1).
 
-    The stack takes one ``zuncsd`` per matrix and array code for the rest,
-    which gives each matrix the bits it gets alone. A failed check raises
-    StackError for the first matrix that fails one.
+    The stack is array code throughout, which gives each matrix the bits it
+    gets alone. A failed check raises StackError for the first matrix that
+    fails one; a failed reassembly names the matrix's cosines.
     """
     u = require_unitary(u_inv, what="CSD input")
     if u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     batch = u.reshape(-1, 4, 4)
-    parts = [_UNCSD(m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:], **_UNCSD_ARGS)[-6:] for m in batch]
-    theta, q1, q2, v1h, v2h, info = (np.array(part) for part in zip(*parts))
-    cosines = np.cos(theta).clip(0.0, 1.0)  # descending, in [0, 1]
-    sines = np.sin(theta).clip(0.0, 1.0)
+    q, cosines, sines, v1h, v2h = _csd(batch)
     middle = np.zeros(batch.shape, dtype=complex)  # complex, as the real one is cast to multiply
     middle.reshape(-1, 16)[:, _MIDDLE] = np.concatenate([cosines, sines, sines, -cosines], axis=1)
     right = _block_diag(v1h, -v2h)
-    deviation = np.abs(_block_diag(q1, q2) @ middle @ right - batch)
-    out = _block_diag(v1h.conj().mT, (-v2h).conj().mT) @ middle @ right
+    tail = middle @ right
+    deviation = np.abs((q @ tail.reshape(-1, 2, 2, 4)).reshape(batch.shape) - batch)
+    out = right.conj().mT @ tail
     unsorted = cosines[:, 0] < cosines[:, 1] - 1e-12
-    if info.any() or not deviation.max(initial=0.0) <= RECON_TOL or unsorted.any():
+    if not deviation.max(initial=0.0) <= RECON_TOL or unsorted.any():
         err = deviation.max(axis=(-2, -1))
         _raise_first_failure([
-            (info != 0, lambda k: f"CSD failed: zuncsd info {info[k]}"),
-            (~(err <= RECON_TOL), lambda k: f"CSD reassembly failed: deviation {err[k]:.3e}"),
+            (~(err <= RECON_TOL), lambda k: f"CSD reassembly failed: deviation {err[k]:.3e} "
+                                            f"(cosines {cosines[k, 0]:.2g}, {cosines[k, 1]:.2g})"),
             (unsorted, "CSD cosines not sorted descending"),
         ])
     return out.reshape(u.shape)

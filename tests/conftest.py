@@ -124,6 +124,29 @@ def one_pair_per_pass_engine(target, schedule, layers, mode, rewrite_2cx=False):
     return steps, 1.0 - kept
 
 
+def break_csd(monkeypatch, fail_at):
+    """Make the CSD of matrix ``fail_at``, counted from 1 over every matrix
+    that ``gatesynth._csd`` factors, return its left factor with the columns
+    swapped, so that its reassembly fails. Returns the list that receives
+    that matrix's cosines."""
+    from impsprep import gatesynth
+
+    csd, seen, cosines_seen = gatesynth._csd, [0], []
+
+    def failing(u):
+        q, cosines, sines, v1h, v2h = csd(u)
+        k = fail_at - 1 - seen[0]
+        seen[0] += len(u)
+        if 0 <= k < len(u):
+            q = q.copy()
+            q[k] = q[k, ..., ::-1]
+            cosines_seen.append(cosines[k])
+        return q, cosines, sines, v1h, v2h
+
+    monkeypatch.setattr(gatesynth, "_csd", failing)
+    return cosines_seen
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

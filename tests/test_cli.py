@@ -14,6 +14,8 @@ import pytest
 from impsprep import cli, disentangler, gatesynth, qasm, schedules, statevec, targets
 from impsprep.circuits import simulate
 
+from conftest import break_csd
+
 
 def run_cli(args):
     return cli.main(args)
@@ -228,6 +230,21 @@ class TestCompile:
                         failed.append((target, scheme, layers, rc))
         assert failed == []
 
+    def test_compile_loads_no_scipy(self, tmp_path):
+        # scipy's import cost more than the compile itself at these sizes
+        script = (
+            "import sys\n"
+            "import impsprep.cli\n"
+            "rc = impsprep.cli.main(sys.argv[1:])\n"
+            "print(rc, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "compile", "--target", "f1", "--scheme", "hen", "--n", "8",
+             "--layers", "2", "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split("\n")[-2] == "0 []"
+
     @pytest.mark.parametrize("target,n,steps", [("f1", 12, 72), ("random", 14, 98)])
     def test_block_factors_take_no_wide_svd(self, tmp_path, monkeypatch, target, n, steps):
         # every step factors its block through one 4x4 Gram matrix, also the
@@ -253,7 +270,7 @@ class TestCompile:
         assert rc == 0
         assert {shape[-2:] for shape in grams} == {(4, 4)}
         assert sum(int(np.prod(shape[:-2])) for shape in grams) == steps
-        assert svds == []
+        assert [shape for shape in svds if shape[-1] > 4] == []  # the CSD's SVDs are of 2x2 blocks
 
     def test_amps_file_target(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
@@ -564,24 +581,18 @@ class TestBadInputs:
         # Stacked, each pass of chain(6) factors one pair of three samples;
         # with 2^6 amplitudes above one chunk the samples go one at a time,
         # 10 passes each
-        calls = []
-        uncsd = gatesynth._UNCSD
-
-        def failing(*args, **kwargs):
-            out = uncsd(*args, **kwargs)
-            calls.append(None)
-            return (*out[:-1], 7) if len(calls) == fail_at else out
-
-        monkeypatch.setattr(gatesynth, "_UNCSD", failing)
+        cosines = break_csd(monkeypatch, fail_at)
         monkeypatch.setattr(statevec, "CHUNK", chunk)
         with pytest.raises(SystemExit) as exc:
             run_cli([
                 "benchmark", "--targets", "random", "--samples", "3", "--schemes", "chain",
                 "--n", "6", "--layers-list", "2", "--out", str(tmp_path / "out"),
             ])
-        assert str(exc.value.code) == (
+        (c0, c1), = cosines
+        assert re.fullmatch(re.escape(
             "benchmark cell failed: target=random scheme=chain n=6 layers=2: "
-            "sample 2: layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7")
+            "sample 2: layer 1 round 2 pair (2, 3): CSD reassembly failed: deviation ")
+            + r"\d\.\d{3}e[+-]\d\d" + re.escape(f" (cosines {c0:.2g}, {c1:.2g})"), str(exc.value.code))
         assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_benchmark_abort_names_the_failing_gate(self, tmp_path, monkeypatch):

@@ -1,5 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from impsprep.disentangler import (
 
 from conftest import (
     apply_step,
+    break_csd,
     dense_two_qubit_operator,
     haar_unitary,
     one_pair_per_pass_engine,
@@ -268,6 +274,27 @@ class TestBlockFactor:
         mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
         assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w / w.sum())).max() < 1e-12
+
+    def test_gram_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # one matmul per Gram matrix; a sum of dot products splits its sum
+        # by thread
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from impsprep.disentangler import _gram\n"
+            "rng = np.random.default_rng(5)\n"
+            "for m in (64, 4096):\n"
+            "    rows = rng.normal(size=(16, m)) + 1j * rng.normal(size=(16, m))\n"
+            "    print(hashlib.sha256(_gram(rows).tobytes()).hexdigest())\n"
+        )
+        src = Path(disentangler.__file__).resolve().parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestTruncate:
@@ -709,27 +736,21 @@ class TestStack:
 
     def test_failure_names_its_sample_layer_round_and_pair(self, rng, monkeypatch):
         # the CSD of sample 2's step in layer 1, round 2 fails: the error
-        # names the step and carries the sample's index, 0 when it is alone
-        n, calls = 6, []
-        uncsd = gatesynth._UNCSD
-
-        def failing(*args, **kwargs):
-            out = uncsd(*args, **kwargs)
-            calls.append(None)
-            return (*out[:-1], 7) if len(calls) == fail_at else out
-
-        monkeypatch.setattr(gatesynth, "_UNCSD", failing)
+        # names the step and the matrix's cosines, and carries the sample's
+        # index, 0 when it is alone
+        n = 6
         sched = schedules.chain_schedule(n)
         samples = [random_state(n, rng) for _ in range(3)]
-        fail_at = 3 * (n - 1 + 2) + 3  # the third of the eighth pass's three
-        with pytest.raises(statevec.StackError) as exc:
-            run_schedule(samples, sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        assert (str(exc.value), exc.value.index) == ("layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7", 2)
-        calls.clear()
-        fail_at = n - 1 + 2 + 1
-        with pytest.raises(statevec.StackError) as exc:
-            run_schedule(samples[2], sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        assert (str(exc.value), exc.value.index) == ("layer 1 round 2 pair (2, 3): CSD failed: zuncsd info 7", 0)
+        prefix = re.escape("layer 1 round 2 pair (2, 3): CSD reassembly failed: deviation ") + r"\d\.\d{3}e[+-]\d\d"
+        for stack, fail_at, index in ((samples, 3 * (n - 1 + 2) + 3, 2), (samples[2], n - 1 + 2 + 1, 0)):
+            # the third of the eighth pass's three, or the eighth pass alone
+            with monkeypatch.context() as patch:
+                cosines = break_csd(patch, fail_at)
+                with pytest.raises(statevec.StackError) as exc:
+                    run_schedule(stack, sched, 2, TruncationMode.PER_LAYER, rewrite_2cx=True)
+            (c0, c1), = cosines
+            assert re.fullmatch(prefix + re.escape(f" (cosines {c0:.2g}, {c1:.2g})"), str(exc.value))
+            assert exc.value.index == index
 
     def test_peak_memory_is_the_stack_and_two_chunks(self, rng):
         # ten n = 14 samples in one chunk-size work buffer pair: the owned

@@ -125,6 +125,72 @@ class TestBuildU2cx:
         assert np.abs(g.imag).max() < 1e-9
 
 
+# CSD angle pairs at and near the cases where a cosine or a sine vanishes,
+# or two of them meet
+CSD_ANGLES = [(0.0, 0.0), (np.pi / 2, np.pi / 2), (0.0, np.pi / 2), (1e-9, np.pi / 2 - 1e-9),
+              (0.3, 0.3), (1e-8, 0.9), (1e-8, 2e-6)]
+
+
+def csd_inputs(rng, haar=2000, per_angles=20):
+    """Haar unitaries, then each pair of CSD_ANGLES between random
+    block-diagonal factors: a stack large enough that numpy's elementwise
+    loops take it in several passes, where an array complex product
+    rounds some matrices otherwise than alone."""
+    z = np.zeros((2, 2))
+    out = [haar_unitary(4, rng) for _ in range(haar)]
+    for angles in CSD_ANGLES:
+        c, s = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+        mid = np.block([[c, -s], [s, c]])
+        for _ in range(per_angles):
+            l1, l2, r1, r2 = (haar_unitary(2, rng) for _ in range(4))
+            out.append(np.block([[l1, z], [z, l2]]) @ mid @ np.block([[r1, z], [z, r2]]))
+    return np.array(out)
+
+
+class TestCsdAgainstCossin:
+    """``_csd`` and ``build_u2cx`` against scipy's LAPACK ``cossin``."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return csd_inputs(np.random.default_rng(77))
+
+    def test_factors_reassemble_in_order(self, inputs):
+        q, cosines, sines, v1h, v2h = gatesynth._csd(inputs)
+        z = np.zeros_like(q[:, 0])
+        middle = np.array([np.block([[np.diag(c), -np.diag(s)], [np.diag(s), np.diag(c)]])
+                           for c, s in zip(cosines, sines)])
+        rebuilt = np.block([[q[:, 0], z], [z, q[:, 1]]]) @ middle @ np.block([[v1h, z], [z, v2h]])
+        assert np.abs(rebuilt - inputs).max() < 1e-12
+        assert (cosines[:, 0] >= cosines[:, 1] - 1e-14).all()
+        assert (sines[:, 0] <= sines[:, 1] + 1e-14).all()
+
+    def test_representative_matches_cossin(self, inputs):
+        from scipy.linalg import cossin
+
+        k = build_u2cx(inputs)
+        assert np.abs(k - k.conj().mT).max() < 1e-12
+        assert np.abs(k @ k - np.eye(4)).max() < 1e-12
+        d = k @ inputs.conj().mT
+        assert max(np.abs(d[:, :2, 2:]).max(), np.abs(d[:, 2:, :2]).max()) < 1e-12
+        z = np.zeros((2, 2))
+        checked = 0
+        for u, got in zip(inputs, k):
+            (_, _), theta, (v1h, v2h) = cossin(u, p=2, q=2, separate=True)
+            if np.cos(theta).min() <= 1e-6:
+                continue  # a vanishing cosine leaves the class member free
+            c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+            right = np.block([[v1h, z], [z, -v2h]])
+            want = right.conj().T @ np.block([[c, s], [s, -c]]) @ right
+            assert np.abs(got - want).max() < 1e-12
+            checked += 1
+        assert checked >= 2000 + 4 * 20
+
+    def test_stack_gives_each_matrix_its_bits_alone(self, inputs):
+        stacked = build_u2cx(inputs)
+        for u, got in zip(inputs, stacked):
+            assert got.tobytes() == build_u2cx(u).tobytes()
+
+
 class TestGeneralMagicKak:
     def test_fuzz_class_members(self, rng):
         for _ in range(100):
