@@ -26,9 +26,8 @@ print("state:", np.round(state.amps, 4))
 # The block matrix on the pair (0, 1): row (x, y) holds the amplitudes where
 # qubit 0 is x and qubit 1 is y. For the Bell pair only rows (0,0) and (1,1)
 # are populated.
-block = extract_block(state, 0, 1)
 print("\nblock matrix on (0, 1):")
-print(block.rows)
+print(extract_block(state, 0, 1))
 
 # One step: SVD the block; the step's unitary is the inverse left factor.
 # Applying it leaves qubit 0 exactly on |0>, since the pair is rank-1 here

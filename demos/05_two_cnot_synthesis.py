@@ -12,8 +12,7 @@ from impsprep import (
     disentangle_step,
     from_amplitudes,
     run_schedule,
-    synthesize_generic,
-    synthesize_two_cnot,
+    synthesize_gate,
     ttn_schedule,
 )
 from impsprep.gatesynth import GAMMA, SynthMode, _general_magic_kak
@@ -48,9 +47,9 @@ _p, theta, _q, _ = _general_magic_kak(gate)
 print("\ntheta:", theta)
 print("omega:", GAMMA.T @ theta / 4.0)
 
-seq = synthesize_two_cnot(gate)
+seq, _ = synthesize_gate(gate, SynthMode.OPTIMIZED2)
 print(f"\nsynthesized with {seq.cnot_count} CNOTs and "
-      f"{seq.single_qubit_count()} single-qubit gates:")
+      f"{seq.single_qubit_count} single-qubit gates:")
 for g in seq.gates:
     if isinstance(g, OneQubitGate):
         print(f"  single-qubit gate on wire {g.wire}")
@@ -59,7 +58,7 @@ for g in seq.gates:
 
 # The generic baseline factors the raw unitary with the same KAK and puts a
 # fixed three-CNOT core between the same kind of outer local gates.
-generic = synthesize_generic(u_inv)
+generic, _ = synthesize_gate(u_inv, SynthMode.GENERIC3)
 print(f"\ngeneric baseline for the raw unitary: {generic.cnot_count} CNOTs")
 
 # Over a full compilation the rewrite saves one third of the CNOTs.

@@ -23,8 +23,7 @@ from .gatesynth import (
     build_u2cx,
     count_gates,
     synthesize_circuit,
-    synthesize_generic,
-    synthesize_two_cnot,
+    synthesize_gate,
 )
 from .schedules import (
     Schedule,
@@ -38,7 +37,6 @@ from .schedules import (
     ttn_schedule,
 )
 from .statevec import (
-    BlockMatrix,
     StateVector,
     TwoQubitGate,
     apply_single_qubit,
@@ -50,7 +48,6 @@ from .statevec import (
     inverse_extract,
     load_amplitudes,
     save_amplitudes,
-    zero_state,
 )
 from .targets import (
     RankProfile,

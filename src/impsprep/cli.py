@@ -362,6 +362,13 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"wants a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="impsprep",
@@ -371,7 +378,7 @@ def main(argv=None) -> int:
 
     def add_common(p, n_default=None, n_help="qubit count"):
         p.add_argument("--n", type=int, required=n_default is None, default=n_default, help=n_help)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--grid-rows", type=int, default=None)
         p.add_argument("--grid-cols", type=int, default=None)
         p.add_argument("--graph", default=None, help="topology JSON for --scheme graph")
@@ -404,14 +411,14 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the invariant self-checks")
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_rank = sub.add_parser("rank", help="Schmidt ranks and ring bounds")
     p_rank.add_argument("--target", default="ghz")
     p_rank.add_argument("--n", type=int, required=True)
     p_rank.add_argument("--tol", type=float, default=1e-10)
-    p_rank.add_argument("--seed", type=int, default=0)
+    p_rank.add_argument("--seed", type=_seed, default=0)
     p_rank.add_argument("--ring", default=None, help="two function kinds, e.g. cos,linear")
     p_rank.add_argument("--domain-lo", type=float, default=None)
     p_rank.add_argument("--domain-hi", type=float, default=None)

@@ -198,11 +198,6 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 
 
-def _block_svd(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factor of every step, ``_factor_gram``, of the 4 x m ``rows``."""
-    return _factor_gram(_gram(rows))
-
-
 def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray, count: int) -> np.ndarray:
     """The Gram matrix of each pair of ``wires`` (one or two pairs) in each
     of ``count`` samples, as a (count, pairs, 4, 4) stack. Each is summed in
@@ -242,10 +237,10 @@ def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
     ``fixed`` the block is read from the slice of ``state`` where those
     qubits are |0>; the singular values are those of the renormalized block
     either way; a ``gram`` the caller read from that block stands in for
-    it. A non-finite block entry makes its row's diagonal Gram entry
-    non-finite, and raises StackError. The step record holds unitary =
-    U^-1 and retained_weight = l0^2 + l1^2; the state itself is not
-    transformed.
+    ``state`` and ``fixed``. A non-finite block entry makes its row's
+    diagonal Gram entry non-finite, and raises StackError. The step record
+    holds unitary = U^-1 and retained_weight = l0^2 + l1^2; the state
+    itself is not transformed.
 
     ``gram`` may also be a (..., P, 4, 4) stack of the Gram matrices of P
     disjoint pairs, with ``a`` and ``b`` the P-tuples of their first and
@@ -256,7 +251,7 @@ def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
     """
     stacked = gram is not None and gram.ndim > 2
     if gram is None:
-        gram = _gram(extract_block(state, a, b, fixed).rows)
+        gram = _gram(extract_block(state, a, b, fixed))
     finite = np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
     if not finite.all():
         k = int(finite.all(axis=1).argmin())
@@ -379,7 +374,7 @@ def run_schedule(
         # the kernel calls this with its read sweep, before its apply sweep
         grams = _pair_grams(chunks, n, sum(group, ()), fixed, work[1], count)
         try:
-            unitary, lam, weights = disentangle_step(None, *zip(*group), fixed, grams)
+            unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
             if rewrite_2cx:
                 unitary = build_u2cx(unitary)
         except StackError as exc:

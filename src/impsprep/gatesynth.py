@@ -25,10 +25,10 @@ coefficient to vanish (mod pi/2), which holds for the class above. The
 generic three-CNOT baseline uses no CNOT when all three vanish and a fixed
 three-CNOT core otherwise (Vatan & Williams, quant-ph/0308006).
 ``synthesize_circuit`` stacks the two-qubit matrices of one circuit, or of
-several (a benchmark cell's samples), into one (G, 4, 4) batch for one
-``synthesize_gate`` call: one KAK per gate, as array code over the stack,
-gives the emitted sequences and the generic counts, each gate's bit for bit
-as it gets them alone.
+several (a benchmark cell's samples), into one (G, 4, 4) batch for one call
+of ``synthesize_gate``, the one synthesis entry in either mode: one KAK per
+gate, as array code over the stack, gives the emitted sequences and the
+generic counts, each gate's bit for bit as it gets them alone.
 
 Sequences use the circuit's own gate types: ``OneQubitGate`` and
 ``TwoQubitGate(control, target, CNOT)`` on wires 0 and 1 of the 4x4, where
@@ -206,7 +206,7 @@ class GateSequence:
     def __init__(self, slots: list, kept: list, index: int, cnot_count: int, single_count: int):
         self._slots, self._kept, self._index = slots, kept, index
         self.cnot_count = cnot_count
-        self._single_count = single_count
+        self.single_qubit_count = single_count
 
     def on(self, wires: tuple[int, int]) -> list[GateLike]:
         """The primitives with wires 0 and 1 of the 4x4 on ``wires``."""
@@ -223,9 +223,6 @@ class GateSequence:
         for g in self.gates:
             out = embed(g, (0, 1)) @ out
         return out
-
-    def single_qubit_count(self) -> int:
-        return self._single_count
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -452,9 +449,13 @@ class SynthMode:
 
 def synthesize_gate(gate_matrix: np.ndarray, mode: str):
     """(emitted, generic) sequences of a preparation gate from one KAK; in
-    GENERIC3 mode both are the same object. In OPTIMIZED2 mode the matrix
-    must already be an equivalence-class representative (a circuit compiled
-    with ``rewrite_2cx=True``); its sequence is checked, and fails, first.
+    GENERIC3 mode both are the same object, with no CNOT for a local gate
+    and the fixed three-CNOT core otherwise. OPTIMIZED2 mode emits at most
+    two CNOTs and eight single-qubit gates for a unitary with a vanishing
+    Pauli-string coefficient mod pi/2 (a ``build_u2cx`` output, as in a
+    circuit compiled with ``rewrite_2cx=True``, a real special-orthogonal
+    matrix, a single Pauli-string exponential); its sequence is checked,
+    and fails, first.
 
     A (G, 4, 4) stack is one batch and gives a list of G pairs. A failed
     check raises StackError for the first gate in the batch that fails any,
@@ -480,7 +481,7 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
         if mode == SynthMode.OPTIMIZED2:
             middle, unrealizable = _middle_sequence(red)
             checks.append((unrealizable, "input is not two-CNOT realizable (no vanishing Pauli-string "
-                                         "coefficient); rewrite with build_u2cx or use synthesize_generic"))
+                                         "coefficient); rewrite with build_u2cx or use 3cx mode"))
             middle += [(g, has_tail) for g in tail]
             emitted = _finish_sequence(right + middle + left, batch, 2, checks)
         core = red.any(axis=-1)
@@ -489,25 +490,6 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
     _raise_first_failure(checks)
     pairs = list(zip(emitted if mode == SynthMode.OPTIMIZED2 else generic, generic))
     return pairs[0] if u.ndim == 2 else pairs
-
-
-def synthesize_two_cnot(u2cx: np.ndarray) -> GateSequence:
-    """Realize a two-CNOT-implementable 4x4 unitary with at most two CNOTs
-    and at most eight single-qubit gates.
-
-    Accepts any unitary whose Pauli-string coefficients include a vanishing
-    one mod pi/2: members of the U (Z x I) U^dag class (``build_u2cx``
-    outputs), real special-orthogonal matrices (the SVDs of real amplitudes)
-    and single Pauli-string exponentials. Raises ValueError for gates that
-    genuinely need a third CNOT.
-    """
-    return synthesize_gate(u2cx, SynthMode.OPTIMIZED2)[0]
-
-
-def synthesize_generic(u: np.ndarray) -> GateSequence:
-    """Baseline synthesis of an arbitrary 4x4 unitary: no CNOT for a local
-    gate, the fixed three-CNOT core otherwise."""
-    return synthesize_gate(u, SynthMode.GENERIC3)[0]
 
 
 def synthesize_circuit(circuits, mode: str):
@@ -547,7 +529,7 @@ def synthesize_circuit(circuits, mode: str):
                 continue
             seq, generic = next(sequences)
             g_cnots += generic.cnot_count
-            g_singles += generic.single_qubit_count()
+            g_singles += generic.single_qubit_count
             gates += seq.on((g.a, g.b))
         out.append((replace(circuit, gates=gates), (g_cnots, g_singles)))
     return out[0] if isinstance(circuits, Circuit) else out

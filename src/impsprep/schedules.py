@@ -58,7 +58,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class TopologyGraph:
-    """Simple connected graph of hardware couplings."""
+    """Simple connected graph of hardware couplings, at least 2 vertices;
+    ``from_edge_list`` builds it and checks both."""
 
     n: int
     edges: frozenset[frozenset[int]] = field(repr=False)
@@ -67,6 +68,8 @@ class TopologyGraph:
     def from_edge_list(n: int, edges) -> "TopologyGraph":
         if not _is_int(n):
             raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 2:
+            raise ValueError(f"need at least 2 vertices, got n = {n}")
         if not isinstance(edges, (list, tuple)):
             raise ValueError(f"edges must be a list of [u, v] pairs, got {edges!r}")
         es = set()
@@ -80,25 +83,17 @@ class TopologyGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n = {n}")
             es.add(frozenset((u, v)))
         g = TopologyGraph(n=n, edges=frozenset(es))
-        g.require_connected()
+        seen, frontier = {0}, [0]
+        while frontier:
+            for w in g.neighbors(frontier.pop()) - seen:
+                seen.add(w)
+                frontier.append(w)
+        if len(seen) != n:
+            raise ValueError("graph is not connected")
         return g
 
     def neighbors(self, v: int) -> set[int]:
         return {w for e in self.edges for w in e if v in e} - {v}
-
-    def require_connected(self) -> None:
-        if self.n == 0:
-            raise ValueError("empty graph")
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != self.n:
-            raise ValueError("graph is not connected")
 
 
 def _is_int(x) -> bool:
@@ -242,9 +237,6 @@ def graph_contraction_schedule(g: TopologyGraph) -> Schedule:
     (degree ties: the lower index survives). Contracting merges the dead
     vertex's edges into the survivor.
     """
-    g.require_connected()
-    if g.n < 2:
-        raise ValueError("need at least 2 vertices")
     adj: dict[int, set[int]] = {v: g.neighbors(v) for v in range(g.n)}
     rounds: list[Round] = []
     while len(adj) > 1:

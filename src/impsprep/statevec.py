@@ -3,20 +3,21 @@
 Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
-whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate on 1, 2 or 4 wires (two pairs' gates in one pass), in place, to
-a stack of S same-size amplitude vectors its caller owns, one matrix per
-sample, given as a stack of matrices or as a function of the gathered
-blocks that returns it. It works chunk by chunk, as qsim blocks for the
-cache (arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
-``CHUNK >> n`` whole samples when a sample fits in one (n <= 16), else
-one sample's amplitudes with its most significant non-gate qubits fixed.
-Each chunk goes through two chunk-size work buffers that the caller
-allocates once (``_work_buffers``) and reuses for every pass, and is one
-gather, one stacked ``matmul`` and one scatter. The engine and the
-simulator each own one stack (the simulator's of one state) and one pair
-of work buffers per call; ``apply_two_qubit`` and ``apply_single_qubit``
-are the checked value-semantic wrappers.
+whose buffer is read-only (``extract_block`` a pair's block as its (4, m)
+rows). One kernel, ``_apply_gate_to_amps``, applies every gate on 1, 2 or
+4 wires (two pairs' gates in one pass), in place, to a stack of S
+same-size amplitude vectors its caller owns, one matrix per sample, given
+as a stack of matrices or as a function of the gathered blocks that
+returns it. It works chunk by chunk, as qsim blocks for the cache (arXiv
+2111.02396): a chunk of at most ``CHUNK`` amplitudes holds ``CHUNK >> n``
+whole samples when a sample fits in one (n <= 16), else one sample's
+amplitudes with its most significant non-gate qubits fixed. Each chunk
+goes through two chunk-size work buffers that the caller allocates once
+(``_work_buffers``) and reuses for every pass, and is one gather, one
+stacked ``matmul`` and one scatter. The engine and the simulator each own
+one stack (the simulator's of one state) and one pair of work buffers per
+call; ``apply_two_qubit`` and ``apply_single_qubit`` are the checked
+value-semantic wrappers.
 """
 from __future__ import annotations
 
@@ -68,22 +69,6 @@ class TwoQubitGate:
     matrix: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """The four amplitude rows C(x, y) of a state on the qubit pair (a, b).
-
-    Row order is (0,0), (0,1), (1,0), (1,1); within a row the remaining
-    qubits' bits run in ascending order, so flattening + inverse permuting
-    is an exact bijection with the source amplitudes or, for a block
-    extracted with k qubits held at |0>, with that slice of them.
-    """
-
-    n: int
-    a: int
-    b: int
-    rows: np.ndarray = field(repr=False)  # shape (4, 2**(n-2-k))
-
-
 def from_amplitudes(raw) -> StateVector:
     """Build a normalized StateVector from any complex sequence.
 
@@ -125,10 +110,6 @@ def basis_state(n: int, k: int) -> StateVector:
     return StateVector(n=n, amps=_freeze(amps))
 
 
-def zero_state(n: int) -> StateVector:
-    return basis_state(n, 0)
-
-
 def _check_pair(n: int, a: int, b: int) -> None:
     if a == b:
         raise ValueError(f"qubit indices must differ, got a = b = {a}")
@@ -137,9 +118,11 @@ def _check_pair(n: int, a: int, b: int) -> None:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
 
 
-def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> BlockMatrix:
-    """Extract the 4 x 2^(n-2-k) block matrix of ``state`` on the pair (a, b)
-    with the k qubits in ``fixed`` held at |0>: a view, then one copy."""
+def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> np.ndarray:
+    """The read-only 4 x 2^(n-2-k) block of ``state`` on the pair (a, b),
+    with the k qubits in ``fixed`` held at |0>: rows (0,0), (0,1), (1,0),
+    (1,1), each over the other qubits' bits in ascending order; a view,
+    then one copy."""
     if state.n < 2:
         raise ValueError("block extraction needs n >= 2")
     _check_pair(state.n, a, b)
@@ -148,14 +131,14 @@ def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> Bloc
     t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
     kept = [q for q in range(state.n) if q not in fixed]
     t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
-    return BlockMatrix(n=state.n, a=a, b=b, rows=_freeze(np.array(t, order="C").reshape(4, -1)))
+    return _freeze(np.array(t, order="C").reshape(4, -1))
 
 
-def inverse_extract(block: BlockMatrix) -> StateVector:
-    """Exact inverse of extract_block (bit-permutation bijection)."""
-    t = block.rows.reshape([2, 2] + [2] * (block.n - 2))
-    t = np.moveaxis(t, (0, 1), (block.a, block.b))
-    return StateVector(n=block.n, amps=_freeze(t.reshape(-1).copy()))
+def inverse_extract(rows: np.ndarray, a: int, b: int) -> StateVector:
+    """Exact inverse of extract_block on the pair (a, b) with no qubit held:
+    a bit permutation of the ``rows``."""
+    t = np.moveaxis(rows.reshape([2] * (rows.size.bit_length() - 1)), (0, 1), (a, b))
+    return StateVector(n=t.ndim, amps=_freeze(t.reshape(-1).copy()))
 
 
 class StackError(ValueError):
@@ -167,19 +150,19 @@ class StackError(ValueError):
         self.index = index
 
 
-def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``m``, a square matrix or a stack of them, as a complex array; a
-    matrix that is not unitary within ``tol`` raises StackError, the first
-    in the stack that fails."""
+    matrix that is not unitary within UNITARY_TOL raises StackError, the
+    first in the stack that fails."""
     m = np.asarray(m, dtype=complex)
     dim = m.shape[-1]
     if m.ndim < 2 or m.shape[-2] != dim:
         raise ValueError(f"{what} is not square: {m.shape}")
     deviation = np.abs(m @ m.conj().mT - np.eye(dim))
-    if not deviation.max(initial=0.0) <= tol:
+    if not deviation.max(initial=0.0) <= UNITARY_TOL:
         err = deviation.max(axis=(-2, -1)).reshape(-1)
-        k = int((~(err <= tol)).argmax())
-        raise StackError(f"{what} is not unitary (deviation {err[k]:.3e} > {tol:.1e})", k)
+        k = int((~(err <= UNITARY_TOL)).argmax())
+        raise StackError(f"{what} is not unitary (deviation {err[k]:.3e} > {UNITARY_TOL:.1e})", k)
     return m
 
 
@@ -215,7 +198,9 @@ def _apply_gate_to_amps(
     chunk and returns its block, which the function may not write. It may
     skip chunks and use ``product`` as scratch, and returns the stack of
     matrices. The apply sweep starts from the chunk gathered last, which it
-    does not gather again: a one-chunk pass gathers once.
+    does not gather again: a one-chunk pass gathers once. That is why the
+    function form stays: gathering that chunk again made ``run_schedule``
+    on one random n=16 state (L=2, two-CNOT rewrite) 4-12% slower.
     """
     k = len(wires)
     amps = amps.reshape(-1, 1 << n)

@@ -180,8 +180,8 @@ class RankProfile:
 
 def mps_rank(state: StateVector, tol: float = RANK_TOL) -> RankProfile:
     """Bond dimensions by counting singular values above tol * (largest)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     dims = []
     for cut in range(state.n - 1):
         mat = state.amps.reshape(1 << (cut + 1), -1)
@@ -190,13 +190,9 @@ def mps_rank(state: StateVector, tol: float = RANK_TOL) -> RankProfile:
     return RankProfile(bond_dims=tuple(dims), chi=max(dims) if dims else 1, tol=tol)
 
 
-def _rank_of_samples(vals: np.ndarray, n: int, tol: float) -> int:
-    norm = np.linalg.norm(vals)
-    if norm == 0.0:
-        raise ValueError("zero samples have no rank")
-    state = statevec.from_amplitudes(vals)
-    assert state.n == n
-    return mps_rank(state, tol).chi
+def _rank_of_samples(vals: np.ndarray, tol: float) -> int:
+    """chi of unnormalized samples; all-zero samples raise ValueError."""
+    return mps_rank(statevec.from_amplitudes(vals), tol).chi
 
 
 @dataclass(frozen=True)
@@ -218,12 +214,12 @@ def verify_ring_bounds(f: TargetSpec, g: TargetSpec, tol: float = RANK_TOL) -> R
     if f.n != g.n or f.domain != g.domain:
         raise ValueError("ring bounds need matching n and domain")
     fs, gs = raw_samples(f), raw_samples(g)
-    chi_f = _rank_of_samples(fs, f.n, tol)
-    chi_g = _rank_of_samples(gs, g.n, tol)
-    chi_sum = _rank_of_samples(fs + gs, f.n, tol)
+    chi_f = _rank_of_samples(fs, tol)
+    chi_g = _rank_of_samples(gs, tol)
+    chi_sum = _rank_of_samples(fs + gs, tol)
     diff = fs - gs
-    chi_diff = None if np.abs(diff).max() < 1e-14 else _rank_of_samples(diff, f.n, tol)
-    chi_prod = _rank_of_samples(fs * gs, f.n, tol)
+    chi_diff = None if np.abs(diff).max() < 1e-14 else _rank_of_samples(diff, tol)
+    chi_prod = _rank_of_samples(fs * gs, tol)
     additive = chi_sum <= chi_f + chi_g and (chi_diff is None or chi_diff <= chi_f + chi_g)
     multiplicative = chi_prod <= chi_f * chi_g
     return RingBoundReport(

@@ -40,13 +40,12 @@ def _check_block_roundtrip(n_max: int, fuzz: int, rng, corrupt=False):
     for n in range(2, min(n_max, 6) + 1):
         state = random_state(n, rng)
         for a, b in itertools.permutations(range(n), 2):
-            blk = statevec.extract_block(state, a, b)
-            back = statevec.inverse_extract(blk)
+            rows = statevec.extract_block(state, a, b)
+            back = statevec.inverse_extract(rows, a, b)
             if np.abs(back.amps - state.amps).max() != 0.0:
                 return f"roundtrip not exact for n={n}, pair=({a},{b})"
             swapped = statevec.extract_block(state, b, a)
-            reordered = blk.rows[[0, 2, 1, 3]]
-            if np.abs(swapped.rows - reordered).max() != 0.0:
+            if np.abs(swapped - rows[[0, 2, 1, 3]]).max() != 0.0:
                 return f"row-swap relation broken for n={n}, pair=({a},{b})"
     return None
 
@@ -131,8 +130,8 @@ def _check_retained_weight_bound(n_max: int, fuzz: int, rng, corrupt=False):
 
 def _check_block_svd(n_max: int, fuzz: int, rng, corrupt=False):
     """Near-degenerate blocks R = u diag(sqrt(w)) V^H: the kept subspace of
-    _block_svd within 10 eps w0 / (w1 - w2) of u's first two columns, and
-    its retained weight within 1e-12 of (w0 + w1) / sum(w)."""
+    the block factor within 10 eps w0 / (w1 - w2) of u's first two columns,
+    and its retained weight within 1e-12 of (w0 + w1) / sum(w)."""
     for trial in range(fuzz):
         width = 1 << int(rng.integers(2, n_max - 1))
         w = np.sort(rng.uniform(0.05, 1.0, size=4))[::-1]
@@ -141,7 +140,7 @@ def _check_block_svd(n_max: int, fuzz: int, rng, corrupt=False):
         w = np.sort(w)[::-1]
         v, _ = np.linalg.qr(rng.normal(size=(width, 4)) + 1j * rng.normal(size=(width, 4)))
         u_ref = haar_unitary(4, rng)
-        u, lam = disentangler._block_svd((u_ref * np.sqrt(w)) @ v.conj().T)
+        u, lam = disentangler._factor_gram(disentangler._gram((u_ref * np.sqrt(w)) @ v.conj().T))
         bound = 10 * np.finfo(float).eps * w[0] / (w[1] - w[2])
         if corrupt and trial == fuzz // 2:
             c, s = math.cos(100 * bound), math.sin(100 * bound)  # tilt the kept subspace
@@ -164,12 +163,12 @@ def _check_synthesis(n_max: int, fuzz: int, rng, corrupt=False):
             u = u * 1.02  # deliberately non-unitary
         k = u @ zi @ u.conj().T
         try:
-            seq = gatesynth.synthesize_two_cnot(k)
+            seq, _ = gatesynth.synthesize_gate(k, gatesynth.SynthMode.OPTIMIZED2)
         except ValueError as exc:
             return f"two-CNOT synthesis rejected input: {exc}"
         if seq.cnot_count > 2:
             return f"two-CNOT synthesis used {seq.cnot_count} CNOTs"
-        gen = gatesynth.synthesize_generic(haar_unitary(4, rng))
+        gen, _ = gatesynth.synthesize_gate(haar_unitary(4, rng), gatesynth.SynthMode.GENERIC3)
         if gen.cnot_count > 3:
             return f"generic synthesis used {gen.cnot_count} CNOTs"
         # near-local gate: a nonlocal angle from 1e-4 down to 1e-9 still needs three
@@ -178,7 +177,7 @@ def _check_synthesis(n_max: int, fuzz: int, rng, corrupt=False):
         near = math.cos(eps) * np.eye(4) + 1j * math.sin(eps) * xx
         near = np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ near
         near = near @ np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        gen = gatesynth.synthesize_generic(near)
+        gen, _ = gatesynth.synthesize_gate(near, gatesynth.SynthMode.GENERIC3)
         if gen.cnot_count != 3:
             return f"generic synthesis used {gen.cnot_count} CNOTs at nonlocal angle {eps:g}"
     return None
@@ -191,8 +190,7 @@ def _check_weight_preserving_rewrite(n_max: int, fuzz: int, rng, corrupt=False):
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         step = disentangler.disentangle_step(state, a, b)
         rewritten = gatesynth.build_u2cx(step.unitary)
-        blk = statevec.extract_block(state, a, b)
-        moved = rewritten @ blk.rows
+        moved = rewritten @ statevec.extract_block(state, a, b)
         kept = float(np.linalg.norm(moved[:2]) ** 2)
         if abs(kept - step.retained_weight) > 1e-10:
             return f"rewrite changed retained weight by {abs(kept - step.retained_weight):.2e}"

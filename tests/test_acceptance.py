@@ -25,8 +25,7 @@ from impsprep.gatesynth import (
     _general_magic_kak,
     build_u2cx,
     synthesize_circuit,
-    synthesize_generic,
-    synthesize_two_cnot,
+    synthesize_gate,
 )
 
 from conftest import random_state
@@ -113,13 +112,13 @@ def test_criterion_3_two_cnot_synthesis(disentangling_instances):
     ok = True
     for state, a, b, step in disentangling_instances:
         rewritten = build_u2cx(step.unitary)
-        seq = synthesize_two_cnot(rewritten)
+        seq = synthesize_gate(rewritten, SynthMode.OPTIMIZED2)[0]
         rebuilt = seq.matrix()
         tr = np.trace(rebuilt.conj().T @ rewritten) / 4.0
         err = np.abs(rebuilt * (tr / abs(tr)) - rewritten).max()
         ok &= seq.cnot_count <= 2 and err < 1e-9
         opt_total += seq.cnot_count
-        gen_total += synthesize_generic(step.unitary).cnot_count
+        gen_total += synthesize_gate(step.unitary, SynthMode.GENERIC3)[0].cnot_count
     dt = time.perf_counter() - t0
     ratio_ok = opt_total * 3 == gen_total * 2
     report(3, "two-CNOT synthesis succeeds on 1000 rewritten unitaries at 2/3 CNOT cost",
@@ -199,7 +198,7 @@ def test_criterion_7_weight_preserving_rewrite():
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         step = disentangle_step(state, a, b)
         rewritten = build_u2cx(step.unitary)
-        rows = statevec.extract_block(state, a, b).rows
+        rows = statevec.extract_block(state, a, b)
         kept = float(np.linalg.norm((rewritten @ rows)[:2]) ** 2)
         worst = max(worst, abs(kept - step.retained_weight))
     report(7, "equivalence-class rewrite preserves the retained weight",

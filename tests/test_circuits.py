@@ -27,7 +27,7 @@ def dense_circuit_operator(circuit):
 
 def gate_by_gate(circuit):
     """The unfused simulation: one state pass per gate."""
-    state = statevec.zero_state(circuit.n)
+    state = statevec.basis_state(circuit.n, 0)
     for g in circuit.gates:
         if isinstance(g, TwoQubitGate):
             state = statevec.apply_two_qubit(state, g)

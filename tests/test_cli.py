@@ -551,6 +551,40 @@ class TestBadInputs:
             ])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("n", [1, -3])
+    def test_graph_file_with_too_few_vertices(self, tmp_path, n):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"n": n, "edges": []}))
+        with pytest.raises(SystemExit) as info:
+            run_cli([
+                "compile", "--target", "f1", "--scheme", "graph", "--n", "4",
+                "--graph", str(topo), "--out", str(tmp_path / "out"),
+            ])
+        assert info.value.code == f"--graph {topo}: need at least 2 vertices, got n = {n}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--target", "f1", "--scheme", "chain", "--n", "4", "--out", "out"],
+        ["benchmark", "--targets", "random", "--schemes", "chain", "--n", "4", "--out", "out"],
+        ["verify"],
+        ["rank", "--target", "random", "--n", "4"],
+    ], ids=["compile", "benchmark", "verify", "rank"])
+    def test_negative_seed_names_the_flag(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv + ["--seed", "-1"])
+        assert info.value.code == 2
+        assert "argument --seed: wants a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("argv", [["rank", "--n", "4"], ["rank", "--ring", "cos,linear", "--n", "4"]],
+                             ids=["rank", "ring"])
+    def test_tol_not_positive_finite(self, argv, tol):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv + ["--tol", tol])
+        assert info.value.code == f"error: tol must be a positive finite number, got {float(tol)}"
+
     def test_revalidation_deviation_writes_no_report(self, tmp_path, monkeypatch):
         emit = qasm.emit
         monkeypatch.setattr(qasm, "emit", lambda *args: emit(*args) + "u3(0.5,0,0) q[0];\n")

@@ -74,8 +74,7 @@ class TestDisentangleStep:
             assert step.retained_weight >= lam[2] ** 2 + lam[3] ** 2 - 1e-12
             assert 0.0 <= step.retained_weight <= 1.0 + 1e-12
             # mass on the source qubit's |1> half equals 1 - retained
-            blk = statevec.extract_block(post, a, b)
-            bottom = np.linalg.norm(blk.rows[2:]) ** 2
+            bottom = np.linalg.norm(statevec.extract_block(post, a, b)[2:]) ** 2
             assert abs(bottom - (1.0 - step.retained_weight)) < 1e-10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
@@ -135,14 +134,15 @@ def assert_special_unitary(u):
 
 
 class TestBlockFactor:
-    """Properties of ``_block_svd`` against the block's own construction."""
+    """Properties of the block factor, ``_factor_gram(_gram(rows))``,
+    against the block's own construction."""
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("width", [4, 5, 64, 1 << 10, 1 << 14])
     def test_separated_spectra_give_the_singular_vectors(self, rng, width, real):
         w = np.array([0.4, 0.3, 0.2, 0.1])
         u_ref, rows = block_with_spectrum(w, width, rng, real)
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         assert np.abs(lam - np.sqrt(w)).max() < 1e-12
         # each column is the exact singular vector up to its phase
         assert np.abs(np.abs(u_ref.conj().T @ u) - np.eye(4)).max() < 1e-12
@@ -162,7 +162,7 @@ class TestBlockFactor:
         bound = 10 * EPS * w[0] / (w[1] - w[2])
         for width in (16, 1 << 12):
             u_ref, rows = block_with_spectrum(w, width, rng, real)
-            u, lam = disentangler._block_svd(rows)
+            u, lam = disentangler._factor_gram(disentangler._gram(rows))
             assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < bound
             assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
             assert_special_unitary(u)
@@ -171,7 +171,7 @@ class TestBlockFactor:
     @pytest.mark.parametrize("width", [1, 2, 3, 64, 1 << 12])
     def test_rank_deficient_blocks_report_zero_singular_values(self, rng, rank, width):
         rows = low_rank_block(rank, width, rng)
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         s = np.linalg.svd(rows, compute_uv=False)
         s = np.pad(s, (0, 4 - s.size)) / np.linalg.norm(s)
         kept = min(rank, width)
@@ -189,7 +189,7 @@ class TestBlockFactor:
         for tiny, kept in ((1e-4, True), (1e-5, True), (1e-7, False), (1e-9, False), (0.0, False)):
             w = np.array([1.0, 0.5, tiny ** 2, 0.0])
             _u_ref, rows = block_with_spectrum(w, 64, rng, False)
-            _u, lam = disentangler._block_svd(rows)
+            _u, lam = disentangler._factor_gram(disentangler._gram(rows))
             assert lam[3] == 0.0
             if kept:
                 assert abs(lam[2] / np.sqrt(w[2] / w.sum()) - 1.0) < 1e-4
@@ -201,7 +201,7 @@ class TestBlockFactor:
         # a rank-2 block whose second Gram eigenvalue is far below w0 but
         # above round-off: all its weight stays in the kept pair
         _u_ref, rows = block_with_spectrum([1.0, w1, 0.0, 0.0], 1 << 12, rng, False)
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         moved = u.conj().T @ rows
         assert np.linalg.norm(moved[2:]) ** 2 / np.linalg.norm(rows) ** 2 < 1e-14
         assert lam[1] > 0.0 and np.all(lam[2:] == 0.0)
@@ -212,10 +212,10 @@ class TestBlockFactor:
         # the columns beyond the rank span the null space; round-off-level
         # changes of the block must not pick another basis of it
         rows = low_rank_block(rank, width, rng)
-        u, _ = disentangler._block_svd(rows)
+        u, _ = disentangler._factor_gram(disentangler._gram(rows))
         for _ in range(5):
             noisy = rows * (1.0 + 1e-15 * rng.normal(size=rows.shape))
-            assert np.abs(disentangler._block_svd(noisy)[0] - u).max() < 1e-12
+            assert np.abs(disentangler._factor_gram(disentangler._gram(noisy))[0] - u).max() < 1e-12
 
     @pytest.mark.parametrize("case", ["boundary", "identity-rows"])
     def test_degenerate_boundary_keeps_the_weight(self, rng, case):
@@ -226,7 +226,7 @@ class TestBlockFactor:
             outside = u_ref[:, 3:].conj().T  # the kept pair never reaches w3's vector
         else:
             w, rows, outside = np.full(4, 0.25), np.eye(4, 16, dtype=complex) / 2, np.zeros((0, 4))
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
         assert np.abs(outside @ u[:, :2]).max(initial=0.0) < 1e-12
         assert_special_unitary(u)
@@ -238,13 +238,13 @@ class TestBlockFactor:
         # mixing the left singular vectors of equal singular values leaves
         # R R^H, and so U, as it is
         u_ref, rows = block_with_spectrum(np.array(w), 64, rng, False)
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         mix = np.eye(4, dtype=complex)
         for lo in (0, 2):
             if w[lo] == w[lo + 1]:
                 mix[lo:lo + 2, lo:lo + 2] = haar_unitary(2, rng)
         mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
-        assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
+        assert np.abs(disentangler._factor_gram(disentangler._gram(mixed))[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w)).max() < 1e-12
 
     @pytest.mark.parametrize("code", range(15))
@@ -262,7 +262,7 @@ class TestBlockFactor:
                 w[j] = 0.0
         w = np.array(w)
         u_ref, rows = block_with_spectrum(w, 64, rng, False)
-        u, lam = disentangler._block_svd(rows)
+        u, lam = disentangler._factor_gram(disentangler._gram(rows))
         assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
         if w[1] == w[2] > 0.0:
             return
@@ -272,7 +272,7 @@ class TestBlockFactor:
                 mix[lo:hi, lo:hi] = haar_unitary(hi - lo, rng)
                 lo = hi
         mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
-        assert np.abs(disentangler._block_svd(mixed)[0] - u).max() < 1e-12
+        assert np.abs(disentangler._factor_gram(disentangler._gram(mixed))[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w / w.sum())).max() < 1e-12
 
     def test_gram_bytes_do_not_depend_on_the_blas_thread_count(self):
@@ -374,7 +374,7 @@ def canonical_mps_reference(target: statevec.StateVector):
 
 class TestRunSchedule:
     def test_zero_target_stays_exact(self):
-        target = statevec.zero_state(5)
+        target = statevec.basis_state(5, 0)
         for sched in (schedules.chain_schedule(5), schedules.htn_schedule(5)):
             res = run_schedule(target, sched, 1, TruncationMode.PER_ROUND)
             assert res.final_infidelity < 1e-12

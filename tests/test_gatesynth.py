@@ -13,8 +13,7 @@ from impsprep.gatesynth import (
     build_u2cx,
     count_gates,
     synthesize_circuit,
-    synthesize_generic,
-    synthesize_two_cnot,
+    synthesize_gate,
 )
 from impsprep.circuits import Circuit, OneQubitGate, simulate
 from impsprep.statevec import TwoQubitGate
@@ -114,7 +113,7 @@ class TestBuildU2cx:
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             step = disentangle_step(state, a, b)
             rewritten = build_u2cx(step.unitary)
-            rows = statevec.extract_block(state, a, b).rows
+            rows = statevec.extract_block(state, a, b)
             kept = np.linalg.norm((rewritten @ rows)[:2]) ** 2
             assert abs(kept - step.retained_weight) < 1e-10
 
@@ -235,9 +234,9 @@ class TestSynthesizeTwoCnot:
         assert np.abs(rebuilt * (tr / abs(tr)) - target).max() < tol
 
     def test_z_tensor_i_is_one_single_qubit_z(self):
-        seq = synthesize_two_cnot(ZI)
+        seq = synthesize_gate(ZI, SynthMode.OPTIMIZED2)[0]
         assert seq.cnot_count == 0
-        assert seq.single_qubit_count() == 1
+        assert seq.single_qubit_count == 1
         gate = seq.gates[0]
         assert gate.wire == 0
         phase = gate.matrix[0, 0]
@@ -246,13 +245,13 @@ class TestSynthesizeTwoCnot:
 
     def test_x_tensor_i(self):
         k = np.kron(X, I2)
-        seq = synthesize_two_cnot(k)
+        seq = synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
         assert seq.cnot_count == 0
         self.assert_reconstructs(seq, k)
 
     def test_deterministic(self, rng):
         k = random_class_member(rng)
-        a, b = synthesize_two_cnot(k), synthesize_two_cnot(k)
+        a, b = synthesize_gate(k, SynthMode.OPTIMIZED2)[0], synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
         assert len(a.gates) == len(b.gates)
         assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(a.gates, b.gates))
         assert np.array_equal(a.matrix(), b.matrix())
@@ -261,16 +260,16 @@ class TestSynthesizeTwoCnot:
         from scipy.linalg import expm
 
         k = expm(1j * 0.37 * np.kron(Z, Z))
-        seq = synthesize_two_cnot(k)
+        seq = synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
         assert 1 <= seq.cnot_count <= 2
         self.assert_reconstructs(seq, k)
 
     def test_fuzz_class_members(self, rng):
         for _ in range(200):
             k = random_class_member(rng)
-            seq = synthesize_two_cnot(k)
+            seq = synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
             assert seq.cnot_count <= 2
-            assert seq.single_qubit_count() <= 8
+            assert seq.single_qubit_count <= 8
             self.assert_reconstructs(seq, k)
 
     def test_u2cx_of_disentangling_steps(self, rng):
@@ -279,7 +278,7 @@ class TestSynthesizeTwoCnot:
             state = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             step = disentangle_step(state, a, b)
-            seq = synthesize_two_cnot(build_u2cx(step.unitary))
+            seq = synthesize_gate(build_u2cx(step.unitary), SynthMode.OPTIMIZED2)[0]
             assert seq.cnot_count == 2  # generic instances saturate the bound
             self.assert_reconstructs(seq, build_u2cx(step.unitary))
 
@@ -290,7 +289,7 @@ class TestSynthesizeTwoCnot:
             state = random_real_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             step = disentangle_step(state, a, b)
-            seq = synthesize_two_cnot(step.unitary)
+            seq = synthesize_gate(step.unitary, SynthMode.OPTIMIZED2)[0]
             assert seq.cnot_count <= 2
             self.assert_reconstructs(seq, step.unitary)
 
@@ -313,37 +312,37 @@ class TestSynthesizeTwoCnot:
             l1, l2, r1, r2 = (haar_unitary(2, rng) for _ in range(4))
             u = np.block([[l1, z], [z, l2]]) @ mid @ np.block([[r1, z], [z, r2]])
             k = build_u2cx(u)
-            seq = synthesize_two_cnot(k)
+            seq = synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
             assert seq.cnot_count <= 2
             self.assert_reconstructs(seq, k, tol=gatesynth.RECON_TOL)
 
     def test_generic_complex_input_rejected(self, rng):
         with pytest.raises(ValueError):
-            synthesize_two_cnot(haar_unitary(4, rng))
+            synthesize_gate(haar_unitary(4, rng), SynthMode.OPTIMIZED2)[0]
 
 
 class TestSynthesizeGeneric:
     def test_swap_needs_three(self):
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-        seq = synthesize_generic(swap)
+        seq = synthesize_gate(swap, SynthMode.GENERIC3)[0]
         assert seq.cnot_count == 3
         TestSynthesizeTwoCnot.assert_reconstructs(seq, swap)
 
     def test_identity_needs_zero(self):
-        assert synthesize_generic(np.eye(4)).cnot_count == 0
+        assert synthesize_gate(np.eye(4), SynthMode.GENERIC3)[0].cnot_count == 0
 
     def test_tensor_product_needs_zero(self, rng):
         u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        seq = synthesize_generic(u)
+        seq = synthesize_gate(u, SynthMode.GENERIC3)[0]
         assert seq.cnot_count == 0
         TestSynthesizeTwoCnot.assert_reconstructs(seq, u)
 
     def test_fuzz_random_unitaries(self, rng):
         for _ in range(200):
             u = haar_unitary(4, rng)
-            seq = synthesize_generic(u)
+            seq = synthesize_gate(u, SynthMode.GENERIC3)[0]
             assert seq.cnot_count == 3
-            assert seq.single_qubit_count() <= 8
+            assert seq.single_qubit_count <= 8
             TestSynthesizeTwoCnot.assert_reconstructs(seq, u)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5, 4e-7, 1e-8, 1e-9])
@@ -354,13 +353,13 @@ class TestSynthesizeGeneric:
         for _ in range(20):
             a, b, c, d = (haar_unitary(2, rng) for _ in range(4))
             u = np.kron(a, b) @ core @ np.kron(c, d)
-            seq = synthesize_generic(u)
+            seq = synthesize_gate(u, SynthMode.GENERIC3)[0]
             assert seq.cnot_count == 3
             TestSynthesizeTwoCnot.assert_reconstructs(seq, u, tol=gatesynth.RECON_TOL)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_generic(np.ones((4, 4)))
+            synthesize_gate(np.ones((4, 4)), SynthMode.GENERIC3)[0]
 
 
 class TestCountGates:
@@ -584,13 +583,13 @@ class TestSynthesisBatch:
         # locals under a 1e-13 change
         rng = np.random.default_rng(11)
         u = with_spectrum(phi, rng)
-        seq = synthesize_generic(u)
+        seq = synthesize_gate(u, SynthMode.GENERIC3)[0]
         TestSynthesizeTwoCnot.assert_reconstructs(seq, u, tol=gatesynth.RECON_TOL)
         batch = np.array([haar_unitary(4, rng) for _ in range(5)])
         batch[3] = u
         assert_batch_independent(batch, SynthMode.GENERIC3)
         changed = round_off_change(u[None], rng)[0]
-        assert locals_moved(seq, synthesize_generic(changed)) <= bound
+        assert locals_moved(seq, synthesize_gate(changed, SynthMode.GENERIC3)[0]) <= bound
 
     def test_spectra_across_the_tie_tolerances(self):
         # two eigenvalues of u u^T from 1e-16 to 1e-1 apart, across both tie
