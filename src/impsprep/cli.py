@@ -7,7 +7,8 @@ from flags. Outputs are deterministic for a fixed configuration and seed;
 the one wall-clock time is report.json's ``wall_time``, from target
 resolution through the re-simulation check, never in hashed artifacts
 (circuit.qasm, results.csv). ``--out`` is created only when a file is
-written to it.
+written to it, and refused before any work when it, or the nearest
+directory above it that exists, is not a directory.
 
 ``compile_one`` compiles a cell's samples: as one stack (one
 ``run_schedule`` and one ``synthesize_circuit`` batch) while one state fits
@@ -21,6 +22,7 @@ pair or the gate's index and wires.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -34,7 +36,7 @@ from . import gatesynth, qasm, schedules, statevec, targets
 from .circuits import Circuit, simulate
 from .disentangler import TruncationMode, default_truncation_mode, run_schedule
 from .gatesynth import SynthMode
-from .statevec import StackError
+from .statevec import StackError, _fmt
 from .verify import run_checks
 
 CSV_SCHEMA_VERSION = 1
@@ -67,10 +69,6 @@ class SynthesisReport:
         payload = asdict(self)
         payload["csv_schema_version"] = CSV_SCHEMA_VERSION
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
@@ -161,6 +159,28 @@ def compile_one(
     return compiled
 
 
+def _out_dir(text: str) -> Path:
+    """``--out``, refused before any work unless the nearest path that
+    exists, itself or one above it, is a directory."""
+    out = Path(text)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not nearest.is_dir():
+        raise SystemExit(f"--out {text}: {nearest} is not a directory")
+    return out
+
+
+@contextlib.contextmanager
+def _written(out: Path, name: str):
+    """The text file ``name`` under ``out`` open for writing, its
+    directories made; an OSError ends the run naming ``--out``."""
+    try:
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        with open(out / name, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise SystemExit(f"--out {out}: cannot write {out / name}: {exc.strerror or exc}")
+
+
 def _revalidate(qasm_path: Path, target_state, reported_infidelity: float) -> None:
     parsed, _header = qasm.parse(qasm_path.read_text())
     prepared = simulate(parsed)
@@ -175,53 +195,26 @@ def cmd_compile(args) -> int:
     t0 = time.perf_counter()
     if args.layers < 1:
         raise SystemExit(f"--layers must be >= 1, got {args.layers}")
+    out = _out_dir(args.out)
     rng = np.random.default_rng(args.seed)
     sample = targets.resolve(args.target, args.n, rng)
     schedule = build_schedule(args.scheme, args.n, args)
     trunc = _truncation(args, schedule)
     ((report, primitive),) = compile_one([sample], schedule, args.layers, trunc, args.synth, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = {
-        "scheme": report.scheme,
-        "target": report.target,
-        "n": report.n,
-        "layers": report.layers,
-        "truncation": report.truncation,
-        "synth": report.synth,
-        "seed": report.seed,
-        "infidelity": _fmt(report.infidelity),
-    }
-    qasm_path = out / "circuit.qasm"
-    qasm_path.write_text(qasm.emit(primitive, header))
-    _revalidate(qasm_path, sample[1], report.infidelity)
+    header = {key: getattr(report, key) for key in ("scheme", "target", "n", "layers", "truncation", "synth", "seed")}
+    header["infidelity"] = _fmt(report.infidelity)
+    with _written(out, "circuit.qasm") as fh:
+        fh.write(qasm.emit(primitive, header))
+    _revalidate(out / "circuit.qasm", sample[1], report.infidelity)
     report.wall_time = time.perf_counter() - t0
-    (out / "report.json").write_text(report.to_json() + "\n")
+    with _written(out, "report.json") as fh:
+        fh.write(report.to_json() + "\n")
     print(
         f"{report.scheme} n={report.n} layers={report.layers} "
         f"u_depth={report.u_depth} infidelity={report.infidelity:.3e} "
         f"cnots={report.cnot_count}"
     )
     return 0
-
-
-CSV_FIELDS = [
-    "target",
-    "scheme",
-    "n",
-    "layers",
-    "truncation",
-    "u_depth",
-    "infidelity",
-    "cnot_2cx",
-    "single_qubit_2cx",
-    "cnot_3cx",
-    "single_qubit_3cx",
-    "min_retained_weight",
-    "domain_lo",
-    "domain_hi",
-    "seed",
-]
 
 
 def _parse_list(flag: str, text: str, item=str) -> list:
@@ -253,11 +246,11 @@ def cmd_benchmark(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"--n-list: {exc}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
-    out = Path(args.out)
+    out = _out_dir(args.out)
     # every schedule, and each size's targets, exist before that size's first
     # cell, so a bad name stops the sweep before it writes anything
     built = {n: [(name, build_schedule(name, n, args)) for name in scheme_names] for n in n_list}
-    rows = []
+    rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
     for n in n_list:
         resolved = []
         for tname in target_names:
@@ -300,27 +293,24 @@ def cmd_benchmark(args) -> int:
                     )
                     if tname != "random" and args.plotdata:
                         ((_, state, _),), ((_, primitive),) = samples, compiled
-                        fname = out / "plotdata" / f"{tname}_{scheme_name}_n{n}_L{layers}.csv"
-                        _write_plotdata(fname, state, simulate(primitive))
-    csv_path = out / "results.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as fh:
+                        name = f"plotdata/{tname}_{scheme_name}_n{n}_L{layers}.csv"
+                        _write_plotdata(out, name, state, simulate(primitive))
+    with _written(out, "results.csv") as fh:
         fh.write(f"# impsprep benchmark results, schema v{CSV_SCHEMA_VERSION}\n")
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {csv_path}")
+    print(f"wrote {len(rows)} rows to {out / 'results.csv'}")
     return 0
 
 
-def _write_plotdata(path: Path, target_state, prepared_state) -> None:
+def _write_plotdata(out: Path, name: str, target_state, prepared_state) -> None:
     # align the prepared state's global phase with the target before plotting;
     # numpy's sum, unlike a BLAS dot, gives the same bytes at any thread count
-    path.parent.mkdir(parents=True, exist_ok=True)
     overlap = np.sum(prepared_state.amps.conj() * target_state.amps)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     aligned = prepared_state.amps * phase
-    with open(path, "w", newline="") as fh:
+    with _written(out, name) as fh:
         fh.write("index,target_re,target_im,prepared_re,prepared_im\n")
         for i, (t, p) in enumerate(zip(target_state.amps, aligned)):
             fh.write(f"{i},{_fmt(t.real)},{_fmt(t.imag)},{_fmt(p.real)},{_fmt(p.imag)}\n")

@@ -58,6 +58,7 @@ from .circuits import Circuit, OneQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
 from .statevec import StackError, StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
+from .statevec import _check_wires, _raise_first_failure
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
@@ -252,12 +253,10 @@ def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
     stacked = gram is not None and gram.ndim > 2
     if gram is None:
         gram = _gram(extract_block(state, a, b, fixed))
-    finite = np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
-    if not finite.all():
-        k = int(finite.all(axis=1).argmin())
-        pairs = list(zip(a, b)) if stacked else [(a, b)]
-        a_k, b_k = pairs[k % len(pairs)]
-        raise StackError(f"block matrix of pair ({a_k}, {b_k}) contains non-finite entries", k)
+    pairs = list(zip(a, b)) if stacked else [(a, b)]
+    nonfinite = ~np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
+    _raise_first_failure([(nonfinite, lambda k: "block matrix of pair ({}, {}) contains non-finite entries"
+                           .format(*pairs[k % len(pairs)]))])
     u, lam = _factor_gram(gram)
     # Python floats: numpy's array square rounds unlike its scalar power
     weights = [min(1.0, s0 ** 2 + s1 ** 2) for s0, s1, *_ in lam.reshape(-1, 4).tolist()]
@@ -273,8 +272,7 @@ def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, f
     accumulated with compensated summation so near-total truncation is
     detected reliably.
     """
-    if not 0 <= a < state.n:
-        raise ValueError(f"qubit index {a} out of range for n = {state.n}")
+    _check_wires(state.n, (a,))
     t = np.array(state.amps, dtype=complex).reshape([2] * state.n)
     moved = np.moveaxis(t, a, 0)
     discarded = math.fsum(np.abs(moved[1]).ravel() ** 2)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
 from .disentangler import cluster_bases, clusters
-from .statevec import UNITARY_TOL, StackError, TwoQubitGate, require_unitary
+from .statevec import StackError, TwoQubitGate, _raise_first_failure, _unitarity_check, require_unitary
 
 RECON_TOL = 1e-9
 KAK_CLUSTER_TOL = 1e-6  # eigenvalues of u u^T whose real parts are this close share a run
@@ -97,17 +97,6 @@ def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros((*x.shape[:-2], 4, 4), dtype=complex)
     out[..., :2, :2], out[..., 2:, 2:] = x, y
     return out
-
-
-def _raise_first_failure(checks: list) -> None:
-    """Raise StackError for the first matrix of a stack that fails any of
-    the (failed mask, message) ``checks``, with its first failed check's
-    message; a callable message is called with the matrix's index."""
-    failed = np.array([bad for bad, _ in checks])
-    if failed.any():
-        k = int(failed.any(axis=0).argmax())
-        message = checks[int(failed[:, k].argmax())][1]
-        raise StackError(message(k) if callable(message) else message, k)
 
 
 def _csd(u: np.ndarray):
@@ -174,14 +163,11 @@ def build_u2cx(u_inv: np.ndarray) -> np.ndarray:
     tail = middle @ right
     deviation = np.abs((q @ tail.reshape(-1, 2, 2, 4)).reshape(batch.shape) - batch)
     out = right.conj().mT @ tail
-    unsorted = cosines[:, 0] < cosines[:, 1] - 1e-12
-    if not deviation.max(initial=0.0) <= RECON_TOL or unsorted.any():
-        err = deviation.max(axis=(-2, -1))
-        _raise_first_failure([
-            (~(err <= RECON_TOL), lambda k: f"CSD reassembly failed: deviation {err[k]:.3e} "
-                                            f"(cosines {cosines[k, 0]:.2g}, {cosines[k, 1]:.2g})"),
-            (unsorted, "CSD cosines not sorted descending"),
-        ])
+    _raise_first_failure([
+        (~(deviation <= RECON_TOL), lambda k: f"CSD reassembly failed: deviation {deviation[k].max():.3e} "
+                                              f"(cosines {cosines[k, 0]:.2g}, {cosines[k, 1]:.2g})"),
+        (cosines[:, 0] < cosines[:, 1] - 1e-12, "CSD cosines not sorted descending"),
+    ])
     return out.reshape(u.shape)
 
 
@@ -465,11 +451,9 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     batch = u.reshape(-1, 4, 4)
-    deviation = np.abs(batch @ batch.conj().mT - I4).max(axis=(-2, -1))
-    not_unitary = ~(deviation <= UNITARY_TOL)
-    checks = [(not_unitary, lambda k: f"synthesis input is not unitary "
-                                      f"(deviation {deviation[k]:.3e} > {UNITARY_TOL:.1e})")]
-    batch = np.where(not_unitary[:, None, None], I4, batch)  # failed input stays out of LAPACK
+    not_unitary, message = _unitarity_check(batch, "synthesis input")
+    checks = [(not_unitary, message)]
+    batch = np.where(not_unitary.any(axis=(1, 2))[:, None, None], I4, batch)  # failed input stays out of LAPACK
     everyone = np.ones(len(batch), dtype=bool)
     with np.errstate(all="ignore"):  # a gate that failed a check runs on as garbage
         (ra, rb), omega, (la, lb), kak_checks = _kak_layers(batch)

@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .circuits import CNOT, Circuit, OneQubitGate
-from .statevec import TwoQubitGate
+from .statevec import TwoQubitGate, _fmt
 
 _U3_RE = re.compile(
     r"u3\s*\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*q\[(\d+)\]\s*;"
@@ -58,10 +58,6 @@ def u3_angles(m: np.ndarray) -> tuple[float, float, float]:
         else:
             lam = cmath.phase(-a01) - ref
     return theta, phi, lam
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def emit(circuit: Circuit, header: dict | None = None) -> str:

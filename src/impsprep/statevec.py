@@ -34,15 +34,15 @@ UNITARY_TOL = 1e-10
 # every value of four gate wires
 CHUNK = 1 << 16
 
-_DEFAULT_MAX_QUBITS = 24
-
 
 def _check_qubit_count(n: int) -> None:
-    """Dense vectors hold 1 to IMPS_MAX_QUBITS (default 24) qubits."""
+    """Dense vectors hold 1 to IMPS_MAX_QUBITS (a positive integer, default 24) qubits."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    cap = int(os.environ.get("IMPS_MAX_QUBITS", _DEFAULT_MAX_QUBITS))
-    if n > cap:
+    cap = os.environ.get("IMPS_MAX_QUBITS", "24")
+    if not (cap.isdecimal() and int(cap) > 0):
+        raise ValueError(f"IMPS_MAX_QUBITS wants a positive integer, got {cap!r}")
+    if n > int(cap):
         raise ValueError(f"{n} qubits exceeds cap of {cap} (set IMPS_MAX_QUBITS to raise)")
 
 
@@ -110,10 +110,11 @@ def basis_state(n: int, k: int) -> StateVector:
     return StateVector(n=n, amps=_freeze(amps))
 
 
-def _check_pair(n: int, a: int, b: int) -> None:
-    if a == b:
-        raise ValueError(f"qubit indices must differ, got a = b = {a}")
-    for q in (a, b):
+def _check_wires(n: int, wires: tuple[int, ...]) -> None:
+    """Reject ``wires`` unless they are one qubit, or two distinct ones, of ``n``."""
+    if len(wires) == 2 and wires[0] == wires[1]:
+        raise ValueError(f"qubit indices must differ, got a = b = {wires[0]}")
+    for q in wires:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
 
@@ -125,7 +126,7 @@ def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> np.n
     then one copy."""
     if state.n < 2:
         raise ValueError("block extraction needs n >= 2")
-    _check_pair(state.n, a, b)
+    _check_wires(state.n, (a, b))
     if a in fixed or b in fixed:
         raise ValueError(f"pair ({a}, {b}) overlaps the qubits held at |0>: {sorted(fixed)}")
     t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
@@ -150,19 +151,34 @@ class StackError(ValueError):
         self.index = index
 
 
+def _raise_first_failure(checks: list) -> None:
+    """Raise StackError for the first matrix of a stack that fails any of
+    the (failed, message) ``checks``, with its first failed check's message
+    (a callable one is called with the matrix's index); ``failed`` marks the
+    failing matrices, or their failing entries as a (count, ...) array."""
+    if any(np.count_nonzero(bad) for bad, _ in checks):
+        failed = np.array([bad.reshape(len(bad), -1).any(axis=1) for bad, _ in checks])
+        k = int(failed.any(axis=0).argmax())
+        message = checks[int(failed[:, k].argmax())][1]
+        raise StackError(message(k) if callable(message) else message, k)
+
+
+def _unitarity_check(m: np.ndarray, what: str) -> tuple:
+    """The (failed, message) check that each matrix of the square stack
+    ``m`` is unitary within UNITARY_TOL, entry by entry of m m^H - I."""
+    deviation = np.abs(m @ m.conj().mT - np.eye(m.shape[-1])).reshape(-1, *m.shape[-2:])
+    return (~(deviation <= UNITARY_TOL),
+            lambda k: f"{what} is not unitary (deviation {deviation[k].max():.3e} > {UNITARY_TOL:.1e})")
+
+
 def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """``m``, a square matrix or a stack of them, as a complex array; a
     matrix that is not unitary within UNITARY_TOL raises StackError, the
     first in the stack that fails."""
     m = np.asarray(m, dtype=complex)
-    dim = m.shape[-1]
-    if m.ndim < 2 or m.shape[-2] != dim:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{what} is not square: {m.shape}")
-    deviation = np.abs(m @ m.conj().mT - np.eye(dim))
-    if not deviation.max(initial=0.0) <= UNITARY_TOL:
-        err = deviation.max(axis=(-2, -1)).reshape(-1)
-        k = int((~(err <= UNITARY_TOL)).argmax())
-        raise StackError(f"{what} is not unitary (deviation {err[k]:.3e} > {UNITARY_TOL:.1e})", k)
+    _raise_first_failure([_unitarity_check(m, what)])
     return m
 
 
@@ -243,10 +259,7 @@ def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarra
     """``matrix`` as a checked unitary on one wire or an ordered pair of
     distinct wires of an ``n``-qubit state."""
     matrix = require_unitary(matrix, what=("single-qubit gate", "two-qubit gate")[len(wires) - 1])
-    if len(wires) == 2:
-        _check_pair(n, *wires)
-    elif not 0 <= wires[0] < n:
-        raise ValueError(f"qubit index {wires[0]} out of range for n = {n}")
+    _check_wires(n, wires)
     return matrix
 
 
@@ -277,11 +290,15 @@ def infidelity(phi: StateVector, psi: StateVector) -> float:
     return float(min(1.0, max(0.0, 1.0 - fidelity(phi, psi))))
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"  # every float an output file holds, locale-independent
+
+
 def save_amplitudes(state: StateVector, path) -> None:
     """Write one amplitude per line as ``re im`` (locale-independent)."""
     with open(path, "w", encoding="ascii") as fh:
         for z in state.amps:
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+            fh.write(f"{_fmt(z.real)} {_fmt(z.imag)}\n")
 
 
 def load_amplitudes(path) -> StateVector:

@@ -445,6 +445,16 @@ class TestVerify:
         assert any(r.name == "gate-synthesis" for r in failing)
 
 
+    def test_failed_check_prints_its_detail_and_exits_1(self, monkeypatch, capsys):
+        from impsprep.verify import CheckResult
+
+        results = [CheckResult("a-check", True, "", 0.5), CheckResult("another-check", False, "went wrong", 0.25)]
+        monkeypatch.setattr(cli, "run_checks", lambda level, seed: results)
+        assert run_cli(["verify"]) == 1
+        assert capsys.readouterr().out == ("[pass] a-check        (0.50s)\n"
+                                           "[FAIL] another-check  (0.25s)  went wrong\n"
+                                           "1/2 checks passed\n")
+
     def test_corruption_hook_fails_block_svd_check(self):
         from impsprep.verify import run_checks
 
@@ -479,6 +489,8 @@ class TestBadInputs:
         (["rank", "--ring", "cos,linear", "--n", "6", "--domain-lo", "0"], "--domain-lo and --domain-hi"),
         (["rank", "--ring", "cos,linear", "--n", "6", "--domain-hi", "2"], "--domain-lo and --domain-hi"),
         (["rank", "--ring", "cos", "--n", "6"], "--ring wants two"),
+        (["rank", "--ring", "cos,linear", "--n", "6", "--domain-lo", "1", "--domain-hi", "0"],
+         "error: empty domain (1.0, 0.0)"),
         (["compile", "--target", "f1", "--scheme", "fig6", "--n", "8"], "fig6 scheme is fixed at n = 12"),
         (["compile", "--target", "f1", "--scheme", "grid", "--n", "10", "--grid-rows", "3", "--grid-cols", "4"],
          "grid 3x4 has 12 qubits, --n was 10"),
@@ -540,6 +552,8 @@ class TestBadInputs:
         ({"n": 3, "edges": [[0, 1], [1, "a"]]}, 3, "edge [1, 'a'] is not a pair of integers"),
         ({"n": 3, "edges": [[0]]}, 3, "edge [0] is not a pair of integers"),
         ({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}, 3, "graph has 5 vertices, --n was 3"),
+        ({"n": 3, "edges": [[0, 1], [1, 1], [1, 2]]}, 3, "topo.json: self-loop at vertex 1"),
+        ({"n": 3, "edges": [[0, 1], [1, 3]]}, 3, "topo.json: edge (1, 3) out of range for n = 3"),
     ])
     def test_graph_file_with_a_bad_shape(self, tmp_path, payload, n, named):
         topo = tmp_path / "topo.json"
@@ -549,6 +563,49 @@ class TestBadInputs:
                 "compile", "--target", "f1", "--scheme", "graph", "--n", str(n),
                 "--graph", str(topo), "--out", str(tmp_path / "out"),
             ])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--target", "f1", "--scheme", "chain", "--n", "4"],
+        ["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4"],
+        ["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--plotdata"],
+    ], ids=["compile", "benchmark", "plotdata"])
+    def test_out_that_is_or_lies_under_a_file(self, tmp_path, monkeypatch, argv, out):
+        # refused before any work: nothing is compiled, made or overwritten
+        def no_work(*args):
+            raise AssertionError("compiled before --out was checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "compile_one", no_work)
+        Path("afile").write_text("kept\n")
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv + ["--out", out])
+        assert info.value.code == f"--out {out}: afile is not a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert Path("afile").read_text() == "kept\n"
+
+    def test_unwritable_file_under_out_names_the_flag(self, tmp_path, monkeypatch):
+        # --out is a directory, but the plot data's own directory is a file
+        monkeypatch.chdir(tmp_path)
+        Path("out").mkdir()
+        Path("out/plotdata").write_text("")
+        with pytest.raises(SystemExit) as info:
+            run_cli(["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--plotdata", "--out", "out"])
+        assert info.value.code.startswith("--out out: cannot write out/plotdata/f1_chain_n4_L1.csv: ")
+        assert not Path("out/results.csv").exists()
+
+    @pytest.mark.parametrize("cap", ["abc", "0", "-3", "4.5", ""])
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--target", "f1", "--scheme", "chain", "--n", "4", "--out", "out"],
+        ["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--out", "out"],
+    ], ids=["compile", "benchmark"])
+    def test_qubit_cap_that_is_not_a_positive_integer(self, tmp_path, monkeypatch, argv, cap):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("IMPS_MAX_QUBITS", cap)
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code.endswith(f"IMPS_MAX_QUBITS wants a positive integer, got {cap!r}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("n", [1, -3])

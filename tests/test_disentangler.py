@@ -94,6 +94,17 @@ class TestDisentangleStep:
         with pytest.raises(ValueError, match=r"pair \(0, 1\) contains non-finite entries"):
             run_schedule(state, schedules.hen_schedule(5), 1, TruncationMode.PER_ROUND)
 
+    def test_non_finite_block_in_a_stack_names_its_pair_and_index(self):
+        # three samples of two pairs: the first non-finite Gram matrix is the
+        # second pair's of the second sample, matrix 3 in C order
+        gram = np.tile(np.eye(4, dtype=complex), (3, 2, 1, 1))
+        gram[1, 1, 2, 2] = np.nan
+        gram[2, 0, 0, 0] = np.inf
+        with pytest.raises(statevec.StackError) as exc:
+            disentangle_step(None, (0, 2), (1, 3), gram=gram)
+        assert str(exc.value) == "block matrix of pair (2, 3) contains non-finite entries"
+        assert exc.value.index == 3
+
     def test_real_states_give_special_orthogonal_gates(self, rng):
         for _ in range(10):
             s = random_real_state(4, rng)
@@ -319,6 +330,12 @@ class TestTruncate:
         out, discarded = truncate_and_renormalize(post, 0)
         assert discarded < 1e-14
         assert statevec.infidelity(out, post) < 1e-12
+
+    @pytest.mark.parametrize("a", [3, -1])
+    def test_out_of_range_qubit_rejected(self, rng, a):
+        with pytest.raises(ValueError) as exc:
+            truncate_and_renormalize(random_state(3, rng), a)
+        assert str(exc.value) == f"qubit index {a} out of range for n = 3"
 
     def test_degenerate_truncation_rejected(self):
         s = statevec.basis_state(2, 0b10)  # all mass on qubit0 = 1

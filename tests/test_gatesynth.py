@@ -625,6 +625,19 @@ class TestSynthesisFailures:
                                              r"\(deviation 4\.040e-02 > 1\.0e-10\)$"):
             synthesize_circuit(circ, SynthMode.OPTIMIZED2)
 
+    def test_first_gate_in_the_batch_wins(self, rng):
+        # gate 1 fails a later check (realizability) than gate 2 (unitarity)
+        batch = np.array([build_u2cx(haar_unitary(4, rng)), haar_unitary(4, rng), 1.02 * haar_unitary(4, rng)])
+        with pytest.raises(statevec.StackError) as exc:
+            gatesynth.synthesize_gate(batch, SynthMode.OPTIMIZED2)
+        assert str(exc.value) == ("input is not two-CNOT realizable (no vanishing Pauli-string coefficient); "
+                                  "rewrite with build_u2cx or use 3cx mode")
+        assert exc.value.index == 1
+        with pytest.raises(statevec.StackError) as exc:
+            gatesynth.synthesize_gate(batch[2:], SynthMode.OPTIMIZED2)
+        assert str(exc.value) == "synthesis input is not unitary (deviation 4.040e-02 > 1.0e-10)"
+        assert exc.value.index == 0
+
 
 class TestCircuitBatch:
     """Several circuits in one ``synthesize_circuit`` batch."""

@@ -250,6 +250,16 @@ class TestScheduleInvariants:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize("rounds,message", [
+        ((((1, 1),),), "round 0: degenerate pair (1, 1)"),
+        ((((0, 1),), ((2, 3),)), "round 1: qubit 3 out of range"),
+        ((((-1, 1),),), "round 0: qubit -1 out of range"),
+    ])
+    def test_bad_pair_named(self, rounds, message):
+        with pytest.raises(ValueError) as exc:
+            Schedule(n=3, rounds=rounds, scheme="bad").validate()
+        assert str(exc.value) == message
+
     def test_empty_round_rejected(self):
         bad = Schedule(n=3, rounds=((), ((0, 1),)), scheme="bad")
         with pytest.raises(ValueError):

@@ -249,6 +249,42 @@ class TestApplySingleQubit:
             statevec.apply_single_qubit(s, 1, np.eye(2) * 1.01)
 
 
+class TestStackedChecks:
+    """The exact messages and ``StackError.index`` of the checks over a
+    stack of matrices and of the qubit-index checks."""
+
+    def test_require_unitary_names_the_first_failing_matrix(self):
+        # a (2, 2, 2, 2) stack: matrices (1, 0) and (1, 1) fail, and (1, 0)
+        # is matrix 2 in C order
+        stack = np.tile(np.eye(2, dtype=complex), (2, 2, 1, 1))
+        stack[1, 0], stack[1, 1] = 1.5 * np.eye(2), 2.0 * np.eye(2)
+        with pytest.raises(statevec.StackError) as exc:
+            statevec.require_unitary(stack, what="gate")
+        assert str(exc.value) == "gate is not unitary (deviation 1.250e+00 > 1.0e-10)"
+        assert exc.value.index == 2
+
+    def test_require_unitary_on_one_matrix_is_index_zero(self):
+        with pytest.raises(statevec.StackError) as exc:
+            statevec.require_unitary(np.full((2, 2), np.nan))
+        assert str(exc.value) == "matrix is not unitary (deviation nan > 1.0e-10)"
+        assert exc.value.index == 0
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(2, 2, np.eye(4))),
+         "qubit indices must differ, got a = b = 2"),
+        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(0, 3, np.eye(4))), "qubit index 3 out of range for n = 3"),
+        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(-1, 1, np.eye(4))),
+         "qubit index -1 out of range for n = 3"),
+        (lambda s: statevec.apply_single_qubit(s, 3, np.eye(2)), "qubit index 3 out of range for n = 3"),
+        (lambda s: statevec.extract_block(s, 1, 1), "qubit indices must differ, got a = b = 1"),
+        (lambda s: statevec.extract_block(s, 1, 5), "qubit index 5 out of range for n = 3"),
+    ], ids=["pair-equal", "pair-high", "pair-negative", "single-high", "block-equal", "block-high"])
+    def test_qubit_index_messages(self, rng, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(random_state(3, rng))
+        assert str(exc.value) == message
+
+
 def fresh_array_gate(amps, n, wires, matrix):
     """The kernel's arithmetic on fresh arrays: gather, ``@``, scatter."""
     front = tuple(range(len(wires)))
