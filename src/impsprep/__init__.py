@@ -4,9 +4,9 @@ The pipeline disentangles a target statevector pair by pair, each step's
 unitary the eigenbasis of its block's 4x4 Gram matrix, schedules the pairs
 in parallel rounds (chain, tree, hypercube, slot-filled chain, grid, or a
 contraction of an arbitrary coupling graph), under the two-CNOT synthesis
-mode rewrites every two-qubit unitary into a two-CNOT-implementable
-representative, and verifies the reversed preparation circuit against an
-exact simulator.
+mode rewrites a complex target's unitaries into two-CNOT representatives (a
+real target runs in float64, its unitaries two-CNOT as they are), and
+verifies the reversed preparation circuit against an exact simulator.
 """
 
 from .circuits import CNOT, Circuit, OneQubitGate, simulate

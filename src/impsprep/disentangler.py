@@ -17,8 +17,10 @@ at a time, and one ``statevec`` kernel pass per group sums each sample's
 16x16 Gram over the chunks it gathers in a read sweep (skipping those
 outside a held slice), reads both pairs' Gram matrices from it, factors
 all of them (samples x pairs) in one stacked ``disentangle_step``, rewrites
-them in one stacked ``build_u2cx`` and applies each sample's Kronecker
-product of the two gates in an apply sweep. A gate on one pair leaves a
+a complex stack's in one stacked ``build_u2cx`` and applies each sample's
+Kronecker product of the two gates in an apply sweep. A stack of real
+targets runs in float64 throughout; its steps are special orthogonal, so
+two-CNOT as they are, and none is rewritten. A gate on one pair leaves a
 disjoint pair's reduced state as it was, so these Gram matrices equal the
 pre-round state's (or its held slice's) up to round-off; a lone pair's pass
 is one step's arithmetic. Every matrix of a stack gets the bits it gets
@@ -157,11 +159,12 @@ def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """conj(R R^H) = R* R^T of the C-contiguous rows R, or of each of a
     (..., k, m) stack of them, as one matmul with R* written into
     ``scratch`` (any buffer of R's size or larger) or, without it, into a
-    new array; unlike a sum of dot products, its bytes do not depend on the
-    BLAS thread count."""
+    new array; a real R is one product R R^T, with no conjugate pass.
+    Unlike a sum of dot products, its bytes do not depend on the BLAS
+    thread count."""
     conj = None if scratch is None else scratch[: rows.size].reshape(rows.shape)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block is reported by its Gram
-        return np.conjugate(rows, out=conj) @ rows.mT
+        return (np.conjugate(rows, out=conj) if np.iscomplexobj(rows) else rows) @ rows.mT
 
 
 def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -328,16 +331,20 @@ def run_schedule(
     A sequence is one stack, and a round's pairs are disjoint and taken two
     to a state pass (see the module docstring); each target's result is the
     one it gets alone, bit for bit. Truncation follows ``truncation_mode``
-    as described in the module docstring. With ``rewrite_2cx`` each SVD
-    unitary is replaced by its two-CNOT-implementable equivalence-class
-    representative before being applied; every step keeps the same retained
-    weight (the replacement only mixes amplitudes within the kept and
-    discarded halves), downstream steps absorb the difference, and exact
-    targets stay exact. On inexact targets the two compilations agree to
-    round-off only for one layer with PER_LAYER truncation (chain, ttn),
-    where no later step reads a discarded half. With PER_ROUND truncation
-    or more layers, later steps read it too, with the replacement's factor
-    on it, and the infidelity differs either way.
+    as described in the module docstring. A stack of real targets (every
+    imaginary part exactly 0) runs in float64 and is never rewritten: its
+    special orthogonal steps are two-CNOT as they are, so ``rewrite_2cx``
+    changes nothing; a mixed sequence runs as a real and a complex stack.
+    On complex targets ``rewrite_2cx`` replaces each SVD unitary by its
+    two-CNOT-implementable equivalence-class representative before it is
+    applied; every step keeps the same retained weight (the replacement
+    only mixes amplitudes within the kept and discarded halves), downstream
+    steps absorb the difference, and exact targets stay exact. On inexact
+    targets the two compilations agree to round-off only for one layer with
+    PER_LAYER truncation (chain, ttn), where no later step reads a discarded
+    half. With PER_ROUND truncation or more layers, later steps read it too,
+    with the replacement's factor on it, and the infidelity differs either
+    way.
 
     The final single-qubit rotation aligning the survivor qubit with |0> is
     absorbed explicitly, so the emitted circuit prepares the target from
@@ -359,13 +366,24 @@ def run_schedule(
     for target in stack:
         if target.n != n:
             raise ValueError(f"schedule is for n = {schedule.n}, target has n = {target.n}")
-    if rewrite_2cx:
+    real = [not target.amps.imag.any() for target in stack]
+    if len(set(real)) > 1:  # one stack per dtype, the first target's first
+        results = {}
+        for part in ([i for i, r in enumerate(real) if r == flag] for flag in (real[0], not real[0])):
+            try:
+                results.update(zip(part, run_schedule([stack[i] for i in part], schedule, layers,
+                                                      truncation_mode, rewrite_2cx)))
+            except StackError as exc:
+                raise StackError(str(exc), part[exc.index]) from exc
+        return [results[i] for i in range(len(stack))]
+    rewrite = rewrite_2cx and not real[0]
+    if rewrite:
         from .gatesynth import build_u2cx
 
     held = _held_qubits(schedule, truncation_mode)
-    exact = np.array([target.amps for target in stack])
+    exact = np.array([target.amps.real if real[0] else target.amps for target in stack])
     count = len(exact)
-    work = _work_buffers(n, count)
+    work = _work_buffers(n, count, exact.dtype)
     passes = []  # per pass: its pairs, and their (S, P, ...) unitaries, singular values and weights
 
     def factor(group, fixed, where, chunks) -> np.ndarray:
@@ -373,7 +391,7 @@ def run_schedule(
         grams = _pair_grams(chunks, n, sum(group, ()), fixed, work[1], count)
         try:
             unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
-            if rewrite_2cx:
+            if rewrite:
                 unitary = build_u2cx(unitary)
         except StackError as exc:
             i, p = divmod(exc.index, len(group))

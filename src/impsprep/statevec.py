@@ -182,11 +182,11 @@ def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-def _work_buffers(n: int, samples: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _work_buffers(n: int, samples: int = 1, dtype=complex) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's two work buffers for a stack of ``samples`` ``n``-qubit
-    states: one chunk each, ``min(samples * 2^n, CHUNK)`` amplitudes."""
+    states of ``dtype``: one chunk each, ``min(samples * 2^n, CHUNK)`` amplitudes."""
     size = min(samples << n, CHUNK)
-    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    return np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
 
 
 def _apply_gate_to_amps(

@@ -100,7 +100,8 @@ def two_state_layer_reference(target, schedule):
 def one_pair_per_pass_engine(target, schedule, layers, mode, rewrite_2cx=False):
     """The engine with one gate per state pass: every step of a round is
     factored from the pre-round state (its slice with the round's held
-    qubits at |0>), then each is applied on its own.
+    qubits at |0>), then each is applied on its own. As in ``run_schedule``,
+    ``rewrite_2cx`` rewrites the steps of a complex target only.
 
     Returns the steps and the closed-form infidelity, as ``run_schedule``
     reads it.
@@ -115,7 +116,7 @@ def one_pair_per_pass_engine(target, schedule, layers, mode, rewrite_2cx=False):
     for _ in range(layers):
         for rnd, fixed in zip(schedule.rounds, held):
             round_steps = [disentangler.disentangle_step(state, a, b, fixed) for a, b in rnd]
-            if rewrite_2cx:
+            if rewrite_2cx and target.amps.imag.any():
                 round_steps = [replace(s, unitary=build_u2cx(s.unitary)) for s in round_steps]
             for step in round_steps:
                 state = apply_step(state, step)

@@ -78,3 +78,20 @@ def test_drift(tmp_path, capsys, before, after, rc, line):
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith(f"3 files in both trees: {rc} violations")
     assert line is None or any(x.startswith(line) for x in out), out
+
+
+def test_fidelity(tmp_path, capsys):
+    # per group: cells lower, higher and the same within REL_TOL, the
+    # geometric-mean ratio over cells above EXACT_TOL, and the summed CNOTs
+    cells = {"grid/2cx/down": (4e-4, 1e-4, 12, 10), "grid/2cx/up": (1e-4, 2e-4, 10, 10),
+             "grid/2cx/same": (3e-4, 3e-4 * (1 + 1e-10), 8, 8), "n10/exact": (0.0, 2e-16, 6, 6)}
+    for side in (0, 1):
+        for cell, values in cells.items():
+            (tmp_path / str(side) / cell).mkdir(parents=True)
+            report = {"cnot_count": values[2 + side], "infidelity": values[side]}
+            (tmp_path / str(side) / cell / "report.json").write_text(json.dumps(report))
+    assert artifacts.main(["fidelity", str(tmp_path / "0"), str(tmp_path / "1")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "grid/2cx: 3 cells, 1 lower, 1 higher, 1 same; geometric-mean ratio 0.794 over 3 cells; CNOTs 30 -> 28",
+        "n10: 1 cells, 0 lower, 0 higher, 1 same; geometric-mean ratio - over 0 cells; CNOTs 6 -> 6",
+    ]

@@ -211,10 +211,18 @@ class TestCompile:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["cnot_count"] <= 2 * report["cnot_count_generic"] / 3
 
-    def test_function_grid_compiles_at_n12(self, tmp_path):
+    def test_function_grid_compiles_at_n12(self, tmp_path, monkeypatch):
         # every cell of the paper's function grid (f1-g3 x 4 schemes x L = 1,
         # 2) compiles in 2cx mode at n = 12, where the CLI re-validates the
-        # emitted QASM, and exits 0
+        # emitted QASM, and exits 0, with at most two CNOTs per unitary
+        synthesize_gate, cnots = gatesynth.synthesize_gate, []
+
+        def counting(u, mode):
+            sequences = synthesize_gate(u, mode)
+            cnots.extend(seq.cnot_count for seq, _ in sequences)
+            return sequences
+
+        monkeypatch.setattr(gatesynth, "synthesize_gate", counting)
         failed = []
         for target in ("f1", "f2", "f3", "g1", "g2", "g3"):
             for scheme in ("chain", "ttn", "htn", "hen"):
@@ -222,13 +230,35 @@ class TestCompile:
                     out = tmp_path / f"{target}-{scheme}-{layers}"
                     argv = ["compile", "--target", target, "--scheme", scheme, "--n", "12",
                             "--layers", layers, "--synth", "2cx", "--out", str(out)]
+                    cnots.clear()
                     try:
                         rc = run_cli(argv)
                     except SystemExit as exc:
                         rc = exc.code
-                    if rc != 0:
-                        failed.append((target, scheme, layers, rc))
+                    if rc != 0 or not cnots or max(cnots) > 2:
+                        failed.append((target, scheme, layers, rc, max(cnots, default=None)))
         assert failed == []
+
+    def test_real_amps_file_compiles_as_its_named_target(self, tmp_path, monkeypatch):
+        # being real is read from the amplitudes, not from the target's name:
+        # f1 saved with its column of zero imaginary parts compiles to the
+        # named target's circuit and infidelity, and is never rewritten. The
+        # load renormalizes, which keeps the amplitudes' bits only where the
+        # saved state's norm reads exactly 1, as it does for f1 at n = 9
+        target = targets.discretize(targets.make_spec("f1", 9))
+        path = tmp_path / "f1.amps"
+        statevec.save_amplitudes(target, path)
+        assert np.array_equal(statevec.load_amplitudes(path).amps, target.amps)
+        build_u2cx, rewritten = gatesynth.build_u2cx, []
+        monkeypatch.setattr(gatesynth, "build_u2cx", lambda u: rewritten.append(u) or build_u2cx(u))
+        outputs = []
+        for name, value in (("named", "f1"), ("file", str(path))):
+            run_cli(["compile", "--target", value, "--scheme", "htn", "--n", "9", "--layers", "2",
+                     "--synth", "2cx", "--out", str(tmp_path / name)])
+            body = [line for line in (tmp_path / name / "circuit.qasm").read_text().splitlines()
+                    if not line.startswith("//")]
+            outputs.append((body, json.loads((tmp_path / name / "report.json").read_text())["infidelity"]))
+        assert outputs[0] == outputs[1] and rewritten == []
 
     def test_compile_loads_no_scipy(self, tmp_path):
         # scipy's import cost more than the compile itself at these sizes

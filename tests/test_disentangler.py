@@ -389,6 +389,12 @@ def canonical_mps_reference(target: statevec.StateVector):
     return 1.0 - overlap
 
 
+def phase_ramp(target):
+    """``target`` with amplitude k times exp(i pi k / (2^n - 1)): a complex
+    target of the same moduli."""
+    return statevec.from_amplitudes(target.amps * np.exp(1j * np.linspace(0.0, np.pi, target.amps.size)))
+
+
 class TestRunSchedule:
     def test_zero_target_stays_exact(self):
         target = statevec.basis_state(5, 0)
@@ -477,11 +483,15 @@ class TestRunSchedule:
         # two disjoint pairs share a pass: a gate on one pair leaves the
         # other's Gram matrix unchanged up to round-off. The paper's targets:
         # on random ones at n = 10, hen L = 2, the infidelity (0.94) moves by
-        # 4e-13 when the target moves by 1e-16, so round-off alone nears 1e-12
+        # 4e-13 when the target moves by 1e-16, so round-off alone nears 1e-12.
+        # Under the rewrite a phase ramp makes them complex: a real target is
+        # never rewritten
         synth = gatesynth.SynthMode.OPTIMIZED2 if rewrite else gatesynth.SynthMode.GENERIC3
         for n in sizes:
             sched = build(n)
             target = targets.discretize(targets.make_spec(("f1", "f2", "f3", "g1", "g2", "g3")[n % 6], sched.n))
+            if rewrite:
+                target = phase_ramp(target)
             for mode in modes:
                 for layers in (1, 2):
                     res = run_schedule(target, sched, layers, mode, rewrite_2cx=rewrite)
@@ -651,8 +661,9 @@ class TestRunSchedule:
     @pytest.mark.parametrize("kind", ["f1", "f2", "f3", "g1", "g2", "g3"])
     def test_rewrite_2cx_keeps_one_per_layer_infidelity(self, kind, scheme):
         # one PER_LAYER layer: the rewrite moves the infidelity by round-off
-        # only; per round or over more layers it moves it either way
-        target = targets.discretize(targets.make_spec(kind, 10))
+        # only; per round or over more layers it moves it either way. A phase
+        # ramp makes the target complex: a real one is never rewritten
+        target = phase_ramp(targets.discretize(targets.make_spec(kind, 10)))
         sched = getattr(schedules, f"{scheme}_schedule")(10)
         plain = run_schedule(target, sched, 1, TruncationMode.PER_LAYER)
         rewritten = run_schedule(target, sched, 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
@@ -788,3 +799,77 @@ class TestStack:
             run_schedule([random_state(4, rng), random_state(5, rng)], schedules.chain_schedule(4))
         with pytest.raises(ValueError, match="need at least one target"):
             run_schedule([], schedules.chain_schedule(4))
+
+
+class TestRealTargets:
+    """A stack of real targets runs in float64, and its special orthogonal
+    steps are never rewritten."""
+
+    @staticmethod
+    def functions(n):
+        return [targets.discretize(targets.make_spec(name, n)) for name in ("f1", "f2", "f3", "g1", "g2", "g3")]
+
+    @staticmethod
+    def passes(sched, layers):
+        return layers * sum((len(rnd) + 1) // 2 for rnd in sched.rounds)
+
+    @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
+    def test_steps_are_float64_with_determinant_one(self, scheme):
+        sched = getattr(schedules, f"{scheme}_schedule")(10)
+        for target in self.functions(10):
+            res = run_schedule(target, sched, 2, disentangler.default_truncation_mode(scheme), rewrite_2cx=True)
+            for step in res.steps:
+                assert step.unitary.dtype == np.float64
+                assert abs(np.linalg.det(step.unitary) - 1.0) <= 1e-12
+
+    def test_build_u2cx_runs_once_per_pass_of_a_complex_stack_only(self, rng, monkeypatch):
+        build_u2cx, calls = gatesynth.build_u2cx, []
+
+        def counting(u):
+            calls.append(len(u))
+            return build_u2cx(u)
+
+        monkeypatch.setattr(gatesynth, "build_u2cx", counting)
+        n, sched = 8, schedules.htn_schedule(8)
+        real = self.functions(n)[:2] + [random_real_state(n, rng)]
+        complex_ = [random_state(n, rng) for _ in range(2)]
+        run_schedule(real, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
+        assert calls == []
+        # one call per pass, whose stack holds the complex samples only
+        for stack in (complex_, [real[0], complex_[0], real[1], complex_[1]]):
+            calls.clear()
+            run_schedule(stack, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
+            assert calls == [2] * self.passes(sched, 2)
+
+    @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
+    def test_rewrite_2cx_changes_nothing(self, scheme):
+        sched = getattr(schedules, f"{scheme}_schedule")(10)
+        mode = disentangler.default_truncation_mode(scheme)
+        for target in self.functions(10):
+            for layers in (1, 2):
+                rewritten = run_schedule(target, sched, layers, mode, rewrite_2cx=True)
+                assert same_result(rewritten, run_schedule(target, sched, layers, mode)), (layers, target)
+
+    def test_peak_memory_is_three_real_state_sizes(self):
+        # the float64 stack and the two float64 work buffers, 1.5 complex
+        # state sizes in place of 3, with the complex bound's 0.3 for the rest
+        n = 16
+        target = self.functions(n)[0]
+        tracemalloc.start()
+        try:
+            run_schedule(target, schedules.hen_schedule(n), 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * target.amps.nbytes
+
+    def test_failure_in_a_mixed_stack_names_the_input_position(self, rng, monkeypatch):
+        # the real samples run first (the first target is real) and call no
+        # CSD; the second matrix of the complex stack's first pass is
+        # sample 2 of the input
+        n = 6
+        stack = [self.functions(n)[0], random_state(n, rng), random_state(n, rng)]
+        break_csd(monkeypatch, 2)
+        with pytest.raises(statevec.StackError, match=r"^layer 0 round 0 pair \(0, 1\): CSD reassembly") as exc:
+            run_schedule(stack, schedules.chain_schedule(n), 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
+        assert exc.value.index == 2

@@ -534,11 +534,13 @@ SPECTRA = {
 }
 # Function-grid gates whose eigenvalues of u u^T are 1e-5 apart or more but
 # whose locals the change of ``test_function_grid_locals_stay_under_round_off``
-# moves, by mode and gate, with the reason.
-MERGED_IDENTITY = ("_merge_singles: a merged run 6e-13 from the identity, up to phase, moves to 1e-10, "
-                   "past the 1e-12 identity test, and is kept as a seventh single-qubit gate")
+# moves, by mode and gate, with the reason. In g1's htn gates 773 and 813 a
+# merged run 1.4e-13 from the identity moves to 3.7e-12 and 2.6e-12, and in
+# its ttn L=2 gate 761 one 1.02e-12 from it moves to 9.8e-13.
+MERGED_IDENTITY = ("_merge_singles: a merged run about 1e-12 from the identity, up to phase, crosses "
+                   "the 1e-12 identity test, and one single-qubit gate more or fewer is emitted")
 ROUND_OFF_MOVERS = {
-    SynthMode.GENERIC3: {769: MERGED_IDENTITY, 809: MERGED_IDENTITY},
+    SynthMode.GENERIC3: {761: MERGED_IDENTITY, 773: MERGED_IDENTITY, 813: MERGED_IDENTITY},
     SynthMode.OPTIMIZED2: {},
 }
 

@@ -3,6 +3,7 @@
     PYTHONPATH=src python tools/artifacts.py write OUT
     python tools/artifacts.py compare A B
     python tools/artifacts.py drift A B
+    python tools/artifacts.py fidelity A B
 
 ``write`` runs every cell of ``cells()`` through ``impsprep.cli.main`` in a
 new directory OUT, with ``impsprep`` imported from wherever ``PYTHONPATH``
@@ -20,7 +21,12 @@ change that may move results by round-off: CNOT counts and ``u_depth`` must
 be equal, and infidelities (and retained weights) must agree within
 ``REL_TOL`` relative or ``EXACT_TOL`` absolute. It lists single-qubit count
 changes and files that differ only as text (``circuit.qasm``, printed
-output, plot data), and exits 1 on a violation. Nothing here is timed.
+output, plot data), and exits 1 on a violation. ``fidelity`` judges a
+change meant to move results: per directory group of cells (``grid/2cx``,
+``shaped/3cx``, ``large``, ...) it prints how many cells' infidelities fell,
+rose or stayed within ``REL_TOL``, the geometric mean of the ratio new/old
+over the cells above ``EXACT_TOL`` on both sides, and the summed CNOT
+counts, and exits 0. Nothing here is timed.
 """
 from __future__ import annotations
 
@@ -155,6 +161,12 @@ def _records(path: Path) -> list:
     return list(csv.DictReader(lines))
 
 
+def _relative_gap(u: float, v: float) -> float:
+    """0 within EXACT_TOL, else |u - v| relative to the larger magnitude (NaN stays NaN)."""
+    gap = abs(u - v)
+    return 0.0 if gap <= EXACT_TOL else gap / max(abs(u), abs(v))
+
+
 def _drift(name: str, key: str, x, y, out: dict) -> None:
     """Sort one field's change into ``out``: violations, single-qubit count
     changes and the largest relative float drift."""
@@ -171,10 +183,7 @@ def _drift(name: str, key: str, x, y, out: dict) -> None:
         out["violations"].append(f"{name}: {key} {x} != {y}")
         return
     for u, v in zip(map(float, x), map(float, y)):
-        gap = abs(u - v)
-        if gap <= EXACT_TOL:
-            continue
-        rel = gap / max(abs(u), abs(v))
+        rel = _relative_gap(u, v)
         if rel > out["worst"][0]:
             out["worst"] = (rel, f"{name}: {key}")
         if not rel <= REL_TOL:  # NaN too
@@ -209,19 +218,40 @@ def drift(a: Path, b: Path) -> int:
     return 1 if out["violations"] else 0
 
 
+def fidelity(a: Path, b: Path) -> int:
+    groups: dict = {}  # per group: the (old, new) infidelity and CNOT count of each cell
+    for f in sorted(_files(a) & _files(b)):
+        if Path(f).name not in ("report.json", "results.csv"):
+            continue
+        cell = Path(f).parent
+        group = groups.setdefault((cell.parent if cell.parent.name else cell).as_posix(), [])
+        for r, s in zip(_records(a / f), _records(b / f)):
+            group.append([(float(x["infidelity"]), int(x.get("cnot_count", x.get("cnot_2cx")))) for x in (r, s)])
+    for name, cells in groups.items():
+        moved = [(x, y) for (x, _), (y, _) in cells if not _relative_gap(x, y) <= REL_TOL]
+        logs = [np.log(y / x) for (x, _), (y, _) in cells if min(x, y) > EXACT_TOL]
+        ratio = f"{np.exp(np.mean(logs)):.3f}" if logs else "-"
+        lower = sum(y < x for x, y in moved)
+        print(f"{name}: {len(cells)} cells, {lower} lower, {len(moved) - lower} higher, "
+              f"{len(cells) - len(moved)} same; geometric-mean ratio {ratio} over {len(logs)} cells; "
+              f"CNOTs {sum(c for (_, c), _ in cells)} -> {sum(c for _, (_, c) in cells)}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("write", help="run every cell into a new directory").add_argument("out", type=Path)
     for name, text in (("compare", "list the files that differ between two trees"),
-                       ("drift", "check that two trees agree up to round-off")):
+                       ("drift", "check that two trees agree up to round-off"),
+                       ("fidelity", "count the cells whose infidelity fell, rose or stayed")):
         p_two = sub.add_parser(name, help=text)
         p_two.add_argument("a", type=Path)
         p_two.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "write":
         return write(args.out.resolve())
-    return (compare if args.command == "compare" else drift)(args.a, args.b)
+    return {"compare": compare, "drift": drift, "fidelity": fidelity}[args.command](args.a, args.b)
 
 
 if __name__ == "__main__":
