@@ -4,7 +4,6 @@ logarithmic depth; exponentials are rank-1 and exact everywhere.
 Run:  python demos/03_exact_rank2_preparation.py
 """
 from impsprep import (
-    default_truncation_mode,
     discretize,
     htn_schedule,
     make_spec,
@@ -25,7 +24,7 @@ print("\nsingle-layer preparation at depth ceil(log2 n) = 4:")
 for kind in ("ghz", "w", "cos", "linear"):
     state = discretize(make_spec(kind, n))
     for sched in (ttn_schedule(n), htn_schedule(n)):
-        res = run_schedule(state, sched, 1, default_truncation_mode(sched.scheme))
+        res = run_schedule(state, sched, 1)
         print(f"  {kind:8s} via {sched.scheme}: infidelity {res.final_infidelity:.2e}, "
               f"u_depth {res.circuit.u_depth}")
 

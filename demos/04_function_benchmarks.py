@@ -5,7 +5,6 @@ Run:  python demos/04_function_benchmarks.py
 """
 from impsprep import (
     chain_schedule,
-    default_truncation_mode,
     discretize,
     hen_schedule,
     htn_schedule,
@@ -29,7 +28,7 @@ for kind in ("f1", "f2", "f3", "g1", "g2", "g3"):
     cells = []
     for name, build in builders.items():
         sched = build(n)
-        res = run_schedule(state, sched, 1, default_truncation_mode(name))
+        res = run_schedule(state, sched, 1)
         cells.append(f"{res.final_infidelity:12.2e}")
     print(f"{kind:8s}" + "".join(cells))
 
@@ -44,7 +43,7 @@ print("\nsame comparison for the depth-matched chain variants on f1:")
 for name in ("chain", "hen"):
     for layers in (1, 2):
         sched = builders[name](n)
-        res = run_schedule(state, sched, layers, default_truncation_mode(name))
+        res = run_schedule(state, sched, layers)
         print(f"  {name:5s} layers {layers}: u_depth {res.circuit.u_depth:2d}  "
               f"infidelity {res.final_infidelity:.3e}")
 

@@ -9,10 +9,11 @@ taken. Running a schedule executes rounds of such steps and reverses them
 into a preparation circuit.
 
 ``disentangle_step`` returns the step only. ``run_schedule`` disentangles
-a stack of S same-size targets at once, one benchmark cell's samples, and
-owns one (S, 2^n) array, the exact image of every target under all gates
-applied so far, and the kernel's two chunk-size work buffers: S state sizes
-and two chunks however many steps it runs. It takes each round's pairs two
+a stack of S same-size targets of one kind, all real or all complex, at
+once (one benchmark cell's samples), and owns one (S, 2^n) array, the
+exact image of every target under all gates applied so far, and the
+kernel's two chunk-size work buffers: S state sizes and two chunks however
+many steps it runs. It takes each round's pairs two
 at a time, and one ``statevec`` kernel pass per group sums each sample's
 16x16 Gram over the chunks it gathers in a read sweep (skipping those
 outside a held slice), reads both pairs' Gram matrices from it, factors
@@ -240,32 +241,28 @@ def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
     the result is deterministic under degenerate singular values. With
     ``fixed`` the block is read from the slice of ``state`` where those
     qubits are |0>; the singular values are those of the renormalized block
-    either way; a ``gram`` the caller read from that block stands in for
-    ``state`` and ``fixed``. A non-finite block entry makes its row's
-    diagonal Gram entry non-finite, and raises StackError. The step record
-    holds unitary = U^-1 and retained_weight = l0^2 + l1^2; the state
-    itself is not transformed.
+    either way. A non-finite block entry makes its row's diagonal Gram entry
+    non-finite, and raises StackError. The step record holds unitary = U^-1
+    and retained_weight = l0^2 + l1^2; the state itself is not transformed.
 
-    ``gram`` may also be a (..., P, 4, 4) stack of the Gram matrices of P
-    disjoint pairs, with ``a`` and ``b`` the P-tuples of their first and
-    second qubits. One stacked factor then gives every matrix the bits it
-    gets alone, and the call returns, in place of a step record, the
-    arrays of the unitaries U^-1 (..., P, 4, 4), the singular values
-    (..., P, 4) and the retained weights (..., P).
+    The engine passes ``gram``, a (..., P, 4, 4) stack of the Gram matrices
+    of P disjoint pairs, in place of ``state`` and ``fixed``, with ``a`` and
+    ``b`` the P-tuples of their first and second qubits. One stacked factor
+    then gives every matrix the bits it gets alone, and the call returns, in
+    place of a step record, the arrays of the unitaries U^-1 (..., P, 4, 4),
+    the singular values (..., P, 4) and the retained weights (..., P).
     """
-    stacked = gram is not None and gram.ndim > 2
     if gram is None:
-        gram = _gram(extract_block(state, a, b, fixed))
-    pairs = list(zip(a, b)) if stacked else [(a, b)]
+        u, lam, weights = disentangle_step(None, (a,), (b,), gram=_gram(extract_block(state, a, b, fixed))[None])
+        return DisentangleStep(pair=(a, b), unitary=u[0], retained_weight=float(weights[0]), singular_values=lam[0])
+    pairs = list(zip(a, b))
     nonfinite = ~np.isfinite(gram.reshape(-1, 16)[:, ::5])  # the diagonals
     _raise_first_failure([(nonfinite, lambda k: "block matrix of pair ({}, {}) contains non-finite entries"
                            .format(*pairs[k % len(pairs)]))])
     u, lam = _factor_gram(gram)
     # Python floats: numpy's array square rounds unlike its scalar power
     weights = [min(1.0, s0 ** 2 + s1 ** 2) for s0, s1, *_ in lam.reshape(-1, 4).tolist()]
-    if stacked:
-        return u.conj().mT, lam, np.reshape(weights, lam.shape[:-1])
-    return DisentangleStep(pair=(a, b), unitary=u.conj().T, retained_weight=weights[0], singular_values=lam)
+    return u.conj().mT, lam, np.reshape(weights, lam.shape[:-1])
 
 
 def truncate_and_renormalize(state: StateVector, a: int) -> tuple[StateVector, float]:
@@ -321,7 +318,7 @@ def _held_qubits(schedule: Schedule, mode: TruncationMode) -> list[frozenset[int
 
 def run_schedule(
     targets, schedule: Schedule, layers: int = 1,
-    truncation_mode: TruncationMode = TruncationMode.PER_ROUND, rewrite_2cx: bool = False,
+    truncation_mode: TruncationMode | None = None, rewrite_2cx: bool = False,
 ):
     """Disentangle ``targets``, one state or a sequence of same-size states,
     by ``layers`` repetitions of ``schedule`` and return the reversed
@@ -330,12 +327,14 @@ def run_schedule(
 
     A sequence is one stack, and a round's pairs are disjoint and taken two
     to a state pass (see the module docstring); each target's result is the
-    one it gets alone, bit for bit. Truncation follows ``truncation_mode``
-    as described in the module docstring. A stack of real targets (every
-    imaginary part exactly 0) runs in float64 and is never rewritten: its
-    special orthogonal steps are two-CNOT as they are, so ``rewrite_2cx``
-    changes nothing; a mixed sequence runs as a real and a complex stack.
-    On complex targets ``rewrite_2cx`` replaces each SVD unitary by its
+    one it gets alone, bit for bit. Truncation follows ``truncation_mode``,
+    by default the scheme's convention (``default_truncation_mode``), as
+    described in the module docstring. The targets are all real (every
+    imaginary part exactly 0) or all complex; a sequence of both raises
+    ValueError naming the first target of the other kind. A real stack runs
+    in float64 and is never rewritten: its special orthogonal steps are
+    two-CNOT as they are, so ``rewrite_2cx`` changes nothing. On a complex
+    stack ``rewrite_2cx`` replaces each SVD unitary by its
     two-CNOT-implementable equivalence-class representative before it is
     applied; every step keeps the same retained weight (the replacement
     only mixes amplitudes within the kept and discarded halves), downstream
@@ -363,25 +362,19 @@ def run_schedule(
         raise ValueError("need at least one target")
     schedule.validate()
     n = schedule.n
-    for target in stack:
+    real = not stack[0].amps.imag.any()
+    for i, target in enumerate(stack):
         if target.n != n:
             raise ValueError(f"schedule is for n = {schedule.n}, target has n = {target.n}")
-    real = [not target.amps.imag.any() for target in stack]
-    if len(set(real)) > 1:  # one stack per dtype, the first target's first
-        results = {}
-        for part in ([i for i, r in enumerate(real) if r == flag] for flag in (real[0], not real[0])):
-            try:
-                results.update(zip(part, run_schedule([stack[i] for i in part], schedule, layers,
-                                                      truncation_mode, rewrite_2cx)))
-            except StackError as exc:
-                raise StackError(str(exc), part[exc.index]) from exc
-        return [results[i] for i in range(len(stack))]
-    rewrite = rewrite_2cx and not real[0]
+        if target.amps.imag.any() == real:
+            raise ValueError(f"target {i} is {'complex' if real else 'real'} and target 0 is not: "
+                             "a stack holds targets of one kind")
+    rewrite = rewrite_2cx and not real
     if rewrite:
         from .gatesynth import build_u2cx
 
-    held = _held_qubits(schedule, truncation_mode)
-    exact = np.array([target.amps.real if real[0] else target.amps for target in stack])
+    held = _held_qubits(schedule, truncation_mode or default_truncation_mode(schedule.scheme))
+    exact = np.array([target.amps.real if real else target.amps for target in stack])
     count = len(exact)
     work = _work_buffers(n, count, exact.dtype)
     passes = []  # per pass: its pairs, and their (S, P, ...) unitaries, singular values and weights

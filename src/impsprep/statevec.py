@@ -70,10 +70,13 @@ class TwoQubitGate:
 
 
 def from_amplitudes(raw) -> StateVector:
-    """Build a normalized StateVector from any complex sequence.
+    """Build a normalized StateVector from a copy of any complex sequence.
 
-    Raises ValueError for non-power-of-two length, an all-zero vector,
-    non-finite entries, or a qubit count above the configured cap.
+    A vector whose norm reads within 2 eps of 1 is a unit vector up to the
+    norm's own round-off and keeps its bits, so a saved state loads as it
+    was saved; any other is divided by its norm. Raises ValueError for
+    non-power-of-two length, an all-zero vector, non-finite entries, or a
+    qubit count above the configured cap.
     """
     amps = np.asarray(raw, dtype=complex).reshape(-1)
     length = amps.size
@@ -88,7 +91,8 @@ def from_amplitudes(raw) -> StateVector:
     norm = np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
     if norm <= 0.0:
         raise ValueError("cannot normalize an all-zero amplitude vector")
-    return StateVector(n=n, amps=_freeze(amps / norm))
+    unit = abs(norm - 1.0) <= 2 * np.finfo(float).eps
+    return StateVector(n=n, amps=_freeze(amps.copy() if unit else amps / norm))
 
 
 def random_state(n: int, rng: np.random.Generator) -> StateVector:

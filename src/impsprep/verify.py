@@ -17,7 +17,7 @@ import numpy as np
 
 from . import disentangler, gatesynth, schedules, statevec, targets
 from .circuits import simulate
-from .disentangler import default_truncation_mode, run_schedule
+from .disentangler import run_schedule
 from .statevec import TwoQubitGate, random_state
 
 
@@ -100,7 +100,7 @@ def _check_rank2_exactness(n_max: int, fuzz: int, rng, corrupt=False):
     for spec_kind in ("ghz", "w", "cos", "linear"):
         target = targets.discretize(targets.make_spec(spec_kind, n))
         for sched in (schedules.chain_schedule(n), schedules.ttn_schedule(n), schedules.htn_schedule(n)):
-            res = run_schedule(target, sched, 1, default_truncation_mode(sched.scheme))
+            res = run_schedule(target, sched, 1)
             if res.final_infidelity > 1e-9:
                 return (
                     f"{spec_kind}({n}) via {sched.scheme}: "
@@ -212,7 +212,7 @@ def _check_end_to_end(n_max: int, fuzz: int, rng, corrupt=False):
     n = min(n_max, 6)
     target = random_state(n, rng)
     sched = schedules.htn_schedule(n)
-    res = run_schedule(target, sched, 1, default_truncation_mode(sched.scheme), rewrite_2cx=True)
+    res = run_schedule(target, sched, 1, rewrite_2cx=True)
     prim, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
     text = qasm.emit(prim, {"scheme": "htn"})
     parsed, _ = qasm.parse(text)

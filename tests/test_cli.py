@@ -241,11 +241,10 @@ class TestCompile:
 
     def test_real_amps_file_compiles_as_its_named_target(self, tmp_path, monkeypatch):
         # being real is read from the amplitudes, not from the target's name:
-        # f1 saved with its column of zero imaginary parts compiles to the
-        # named target's circuit and infidelity, and is never rewritten. The
-        # load renormalizes, which keeps the amplitudes' bits only where the
-        # saved state's norm reads exactly 1, as it does for f1 at n = 9
-        target = targets.discretize(targets.make_spec("f1", 9))
+        # f1 saved with its column of zero imaginary parts loads with its own
+        # bits and compiles to the named target's circuit and infidelity,
+        # and is never rewritten
+        target = targets.discretize(targets.make_spec("f1", 12))
         path = tmp_path / "f1.amps"
         statevec.save_amplitudes(target, path)
         assert np.array_equal(statevec.load_amplitudes(path).amps, target.amps)
@@ -253,7 +252,7 @@ class TestCompile:
         monkeypatch.setattr(gatesynth, "build_u2cx", lambda u: rewritten.append(u) or build_u2cx(u))
         outputs = []
         for name, value in (("named", "f1"), ("file", str(path))):
-            run_cli(["compile", "--target", value, "--scheme", "htn", "--n", "9", "--layers", "2",
+            run_cli(["compile", "--target", value, "--scheme", "htn", "--n", "12", "--layers", "2",
                      "--synth", "2cx", "--out", str(tmp_path / name)])
             body = [line for line in (tmp_path / name / "circuit.qasm").read_text().splitlines()
                     if not line.startswith("//")]

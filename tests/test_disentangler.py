@@ -86,10 +86,6 @@ class TestDisentangleStep:
         state = statevec.StateVector(n=5, amps=amps)
         with pytest.raises(ValueError, match=r"pair \(3, 1\) contains non-finite entries"):
             disentangle_step(state, 3, 1)
-        gram = np.eye(4, dtype=complex)
-        gram[2, 2] = bad
-        with pytest.raises(ValueError, match=r"pair \(0, 4\) contains non-finite entries"):
-            disentangle_step(state, 0, 4, gram=gram)
         # every amplitude is in every pair's block: the round's first pair
         with pytest.raises(ValueError, match=r"pair \(0, 1\) contains non-finite entries"):
             run_schedule(state, schedules.hen_schedule(5), 1, TruncationMode.PER_ROUND)
@@ -608,6 +604,17 @@ class TestRunSchedule:
         with pytest.raises(ValueError, match=rf"qubit {qubit} is disentangled before round {rnd} "):
             run_schedule(random_state(sched.n, rng), sched, 1, TruncationMode.PER_LAYER)
 
+    @pytest.mark.parametrize("sched", [
+        schedules.chain_schedule(6), schedules.ttn_schedule(6), schedules.htn_schedule(6),
+        schedules.hen_schedule(6), schedules.grid_schedule(2, 3), schedules.fig6_schedule(),
+        schedules.graph_contraction_schedule(schedules.TopologyGraph.from_edge_list(
+            6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])),
+    ], ids=["chain", "ttn", "htn", "hen", "grid2x3", "fig6", "graph"])
+    def test_default_truncation_is_the_schemes_own(self, rng, sched):
+        for target in (random_state(sched.n, rng), targets.discretize(targets.make_spec("f1", sched.n))):
+            want = run_schedule(target, sched, 2, disentangler.default_truncation_mode(sched.scheme))
+            assert same_result(run_schedule(target, sched, 2), want)
+
     def test_matches_canonical_mps_reference(self, rng):
         # chain schedule with per-layer truncation == sequential canonical MPS
         for trial in range(50):
@@ -721,10 +728,13 @@ class TestStack:
 
     @staticmethod
     def samples(n, rng):
-        # random targets between exact ones, whose blocks are rank-deficient
-        # and whose Gram matrices have clusters of equal eigenvalues
-        exact = [targets.discretize(targets.make_spec(name, n)) for name in ("f1", "g2")]
-        return [random_state(n, rng), exact[0], random_state(n, rng), exact[1], random_state(n, rng)]
+        # a stack holds one kind: random targets between exact ones, whose
+        # blocks are rank-deficient and whose Gram matrices have clusters of
+        # equal eigenvalues (a phase ramp, a product of one-qubit phases,
+        # keeps both), and a stack of real exact ones
+        exact = [targets.discretize(targets.make_spec(name, n)) for name in ("f1", "g2", "f3")]
+        return ([random_state(n, rng), phase_ramp(exact[0]), random_state(n, rng), phase_ramp(exact[1]),
+                 random_state(n, rng)], exact)
 
     # several samples per chunk (the whole stack, or two), one sample per
     # chunk, and several chunks per sample
@@ -736,14 +746,14 @@ class TestStack:
         monkeypatch.setattr(statevec, "CHUNK", chunk)
         sched = getattr(schedules, f"{scheme}_schedule")(n)
         mode = disentangler.default_truncation_mode(scheme)
-        samples = self.samples(n, rng)
-        for layers in (1, 2):
-            alone = [run_schedule(t, sched, layers, mode, rewrite_2cx=rewrite) for t in samples]
-            for count in (1, 3, 5):
-                stacked = run_schedule(samples[:count], sched, layers, mode, rewrite_2cx=rewrite)
-                assert len(stacked) == count
-                for i, (got, want) in enumerate(zip(stacked, alone)):
-                    assert same_result(got, want), (layers, count, i)
+        for samples in self.samples(n, rng):
+            for layers in (1, 2):
+                alone = [run_schedule(t, sched, layers, mode, rewrite_2cx=rewrite) for t in samples]
+                for count in range(1, len(samples) + 1, 2):
+                    stacked = run_schedule(samples[:count], sched, layers, mode, rewrite_2cx=rewrite)
+                    assert len(stacked) == count
+                    for i, (got, want) in enumerate(zip(stacked, alone)):
+                        assert same_result(got, want), (layers, count, i)
 
     def test_factor_gram_stack_equals_alone(self, rng):
         # distinct, doubly degenerate (kept, discarded, both) and
@@ -835,11 +845,9 @@ class TestRealTargets:
         complex_ = [random_state(n, rng) for _ in range(2)]
         run_schedule(real, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
         assert calls == []
-        # one call per pass, whose stack holds the complex samples only
-        for stack in (complex_, [real[0], complex_[0], real[1], complex_[1]]):
-            calls.clear()
-            run_schedule(stack, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
-            assert calls == [2] * self.passes(sched, 2)
+        # one call per pass, on the whole stack
+        run_schedule(complex_, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
+        assert calls == [2] * self.passes(sched, 2)
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_rewrite_2cx_changes_nothing(self, scheme):
@@ -863,13 +871,19 @@ class TestRealTargets:
             tracemalloc.stop()
         assert peak <= 1.8 * target.amps.nbytes
 
-    def test_failure_in_a_mixed_stack_names_the_input_position(self, rng, monkeypatch):
-        # the real samples run first (the first target is real) and call no
-        # CSD; the second matrix of the complex stack's first pass is
-        # sample 2 of the input
-        n = 6
-        stack = [self.functions(n)[0], random_state(n, rng), random_state(n, rng)]
-        break_csd(monkeypatch, 2)
-        with pytest.raises(statevec.StackError, match=r"^layer 0 round 0 pair \(0, 1\): CSD reassembly") as exc:
-            run_schedule(stack, schedules.chain_schedule(n), 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        assert exc.value.index == 2
+    def test_mixed_stack_is_rejected_before_any_pass(self, rng, monkeypatch):
+        # a stack holds one kind, the first target's: the error names the
+        # first target of the other kind, and no gate pass runs
+        kernel, calls = disentangler._apply_gate_to_amps, []
+        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", lambda *args: calls.append(args) or kernel(*args))
+        n, sched = 6, schedules.chain_schedule(6)
+        real = self.functions(n)[:2]
+        complex_ = [random_state(n, rng) for _ in range(2)]
+        for stack, message in ((real[:1] + complex_ + real[1:], "target 1 is complex and target 0 is not"),
+                               (complex_[:1] + real + complex_[1:], "target 1 is real and target 0 is not"),
+                               (real + complex_, "target 2 is complex and target 0 is not")):
+            with pytest.raises(ValueError, match=f"^{message}: a stack holds targets of one kind$"):
+                run_schedule(stack, sched, 1, rewrite_2cx=True)
+        assert calls == []
+        run_schedule(real, sched, 1)  # the wrapper counts a stack of one kind's passes
+        assert len(calls) == n - 1

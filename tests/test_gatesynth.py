@@ -648,9 +648,8 @@ class TestCircuitBatch:
     def circuits(rewrite):
         n, rng = 8, np.random.default_rng(5)
         samples = [random_state(n, rng), targets.discretize(targets.make_spec("g1", n)), random_state(n, rng)]
-        results = run_schedule(samples, schedules.htn_schedule(n), 2, default_truncation_mode("htn"),
-                               rewrite_2cx=rewrite)
-        return [r.circuit for r in results]
+        # a real target runs in a stack of its own kind
+        return [run_schedule(t, schedules.htn_schedule(n), 2, rewrite_2cx=rewrite).circuit for t in samples]
 
     @staticmethod
     def key(circuit):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from impsprep import statevec
+from impsprep import statevec, targets
 from impsprep.circuits import kron2
 from impsprep.statevec import TwoQubitGate
 
@@ -45,6 +45,18 @@ class TestFromAmplitudes:
         with pytest.raises(ValueError):
             statevec.from_amplitudes(np.ones(16))
         statevec.from_amplitudes(np.ones(8))
+
+    def test_unit_vector_keeps_its_bits_in_a_copy(self, rng):
+        # a norm within 2 eps of 1 is the norm's own round-off: the vector is
+        # copied as it is; any other norm is divided out
+        raw = random_state(6, rng).amps.copy()
+        s = statevec.from_amplitudes(raw)
+        assert s.amps.tobytes() == raw.tobytes() and raw.flags.writeable
+        raw[0] = 2.0
+        assert s.amps[0] != 2.0
+        eps = np.finfo(float).eps
+        assert np.array_equal(statevec.from_amplitudes(np.full(4, 0.5 + eps)).amps, np.full(4, 0.5 + eps))  # norm 1 + 2 eps
+        assert np.array_equal(statevec.from_amplitudes(np.full(4, 0.5 + 2 * eps)).amps, np.full(4, 0.5))  # 1 + 4 eps
 
     def test_norm_invariant(self, rng):
         for _ in range(20):
@@ -423,6 +435,25 @@ class TestAmplitudeFiles:
         loaded = statevec.load_amplitudes(path)
         assert loaded.n == 5
         assert np.abs(loaded.amps - s.amps).max() < 1e-15
+
+    def test_saved_states_load_bit_exact(self, tmp_path):
+        # f1-g3, ghz, w and three random states at n = 4-18, whose norms all
+        # read within 1 eps of 1; dividing by that norm moved the bits of 76
+        # of these 165. Saving formats each amplitude in Python, so above
+        # n = 14 the values a load parses, the saved ones bit for bit, go to
+        # from_amplitudes directly
+        rng = np.random.default_rng(24)
+        path = tmp_path / "state.amps"
+        for n in range(4, 19):
+            states = [targets.discretize(targets.make_spec(kind, n))
+                      for kind in ("f1", "f2", "f3", "g1", "g2", "g3", "ghz", "w")]
+            for i, state in enumerate(states + [random_state(n, rng) for _ in range(3)]):
+                if n <= 14:
+                    statevec.save_amplitudes(state, path)
+                    loaded = statevec.load_amplitudes(path)
+                else:
+                    loaded = statevec.from_amplitudes(state.amps)
+                assert loaded.amps.tobytes() == state.amps.tobytes(), (n, i)
 
     def test_format_is_re_im_per_line(self, tmp_path):
         path = tmp_path / "state.amps"
