@@ -203,8 +203,9 @@ def cmd_compile(args) -> int:
     ((report, primitive),) = compile_one([sample], schedule, args.layers, trunc, args.synth, args.seed)
     header = {key: getattr(report, key) for key in ("scheme", "target", "n", "layers", "truncation", "synth", "seed")}
     header["infidelity"] = _fmt(report.infidelity)
+    text = qasm.emit(primitive, header)
     with _written(out, "circuit.qasm") as fh:
-        fh.write(qasm.emit(primitive, header))
+        fh.write(text)
     _revalidate(out / "circuit.qasm", sample[1], report.infidelity)
     report.wall_time = time.perf_counter() - t0
     with _written(out, "report.json") as fh:

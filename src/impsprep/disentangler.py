@@ -57,11 +57,12 @@ from functools import partial, reduce
 
 import numpy as np
 
+from . import gatesynth
 from .circuits import Circuit, OneQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
 from .statevec import StackError, StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
-from .statevec import _check_wires, _raise_first_failure
+from .statevec import _check_wires, _raise_first_failure, cluster_bases
 from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
@@ -70,10 +71,6 @@ PHASE_TOL = 1e-12
 # 10 eps w0 at 2^20 columns); a true eigenvalue below it that joins the null
 # cluster loses at most its own weight.
 CLUSTER_TOL = 1e-12
-# Any value below 1/2 still yields a full basis of every cluster; each vector
-# then moves at most 1 / BASIS_TOL times as far as its cluster's span.
-BASIS_TOL = 0.1
-_ROWS = np.arange(4)
 
 
 class TruncationMode(enum.Enum):
@@ -97,63 +94,6 @@ class PreparationResult:
     final_infidelity: float
     per_round_weights: list[float]
     steps: list[DisentangleStep]
-
-
-def _norms(r: np.ndarray) -> np.ndarray:
-    """sqrt(vdot(x, x).real) of every vector x along the last axis, each
-    as ``np.vdot`` forms it alone."""
-    return np.sqrt((r.conj()[..., None, :] @ r[..., :, None])[..., 0, 0].real)
-
-
-def _canonical_bases(v: np.ndarray) -> np.ndarray:
-    """For each (4, k) matrix of the stack ``v``, an orthonormal basis of
-    the span of its columns that depends on the span only: e0, ..., e3
-    projected onto it and orthonormalized in order, skipping residuals
-    shorter than BASIS_TOL. For one column this fixes its phase: its first
-    entry above BASIS_TOL becomes real positive. Basis vector f is the first
-    residual past vector f - 1 that is long enough, so each comes from the
-    residuals of all four projections at once, each formed as it is alone.
-    Real columns give a real basis."""
-    count, _, k = v.shape
-    rows = (v @ v.conj().mT).mT  # row i: the projection of e_i
-    basis = np.zeros(v.shape, dtype=v.dtype)
-    at, usable = np.arange(count), True
-    for f in range(k):
-        # row i less the vectors so far times their conjugated entries i
-        r = rows - (basis[:, None, :, :f] @ basis[:, :, :f, None].conj())[..., 0] if f else rows
-        norm = _norms(r)
-        pick = ((norm > BASIS_TOL) & usable).argmax(axis=1)
-        basis[:, :, f] = r[at, pick] / norm[at, pick, None]
-        if f + 1 < k:
-            usable = _ROWS > pick[:, None]  # the rows past this vector's
-    return basis
-
-
-def clusters(tied: np.ndarray):
-    """The runs of more than one column of a stack of 4x4 matrices whose
-    ties (N, 3) join columns j and j + 1: for each size, one index ``at``
-    with ``m[at]`` the (count, size, 4) stack of those runs' columns as rows."""
-    apart = np.ones((len(tied), 5), dtype=bool)  # entry j: columns j - 1 and j
-    apart[:, 1:4] = ~tied
-    for k in (2, 3, 4) if tied.any() else ():
-        opens = apart[:, :5 - k] & apart[:, k:]
-        for j in range(1, k):
-            opens &= ~apart[:, j:j + 5 - k]
-        mat, col = np.nonzero(opens)
-        if len(mat):
-            yield mat[:, None], slice(None), col[:, None] + _ROWS[:k]
-
-
-def cluster_bases(v: np.ndarray, tied: np.ndarray) -> np.ndarray:
-    """The canonical eigenbasis of each (4, 4) matrix of the stack ``v``,
-    whose columns are eigenvectors and whose ties (N, 3) join columns of
-    equal eigenvalues: each run of tied columns, one column included, gets
-    the canonical basis of its span (``_canonical_bases``), so the result
-    depends on the eigenspaces only. Each matrix gets the bits it gets alone."""
-    u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
-    for at in clusters(tied):
-        u[at] = _canonical_bases(v[at].mT).mT
-    return u
 
 
 def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -328,8 +268,9 @@ def run_schedule(
     A sequence is one stack, and a round's pairs are disjoint and taken two
     to a state pass (see the module docstring); each target's result is the
     one it gets alone, bit for bit. Truncation follows ``truncation_mode``,
-    by default the scheme's convention (``default_truncation_mode``), as
-    described in the module docstring. The targets are all real (every
+    a TruncationMode or its value, by default the scheme's convention
+    (``default_truncation_mode``), as described in the module docstring;
+    any other value raises ValueError. The targets are all real (every
     imaginary part exactly 0) or all complex; a sequence of both raises
     ValueError naming the first target of the other kind. A real stack runs
     in float64 and is never rewritten: its special orthogonal steps are
@@ -370,10 +311,8 @@ def run_schedule(
             raise ValueError(f"target {i} is {'complex' if real else 'real'} and target 0 is not: "
                              "a stack holds targets of one kind")
     rewrite = rewrite_2cx and not real
-    if rewrite:
-        from .gatesynth import build_u2cx
-
-    held = _held_qubits(schedule, truncation_mode or default_truncation_mode(schedule.scheme))
+    mode = default_truncation_mode(schedule.scheme) if truncation_mode is None else TruncationMode(truncation_mode)
+    held = _held_qubits(schedule, mode)
     exact = np.array([target.amps.real if real else target.amps for target in stack])
     count = len(exact)
     work = _work_buffers(n, count, exact.dtype)
@@ -385,7 +324,7 @@ def run_schedule(
         try:
             unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
             if rewrite:
-                unitary = build_u2cx(unitary)
+                unitary = gatesynth.build_u2cx(unitary)
         except StackError as exc:
             i, p = divmod(exc.index, len(group))
             raise StackError(f"{where} pair {group[p]}: {exc}", i) from exc

@@ -15,7 +15,7 @@ to global phase, with P, Q in SO(4), which makes M P M^dag and M Q^T M^dag
 local gates. P is the eigenbasis of u u^T in one order (ascending real
 parts; a run of them within 1e-6 by the imaginary part, a tie of that within
 1e-12 by the real part), with the block factor's canonical bases
-(``disentangler.cluster_bases``), and Theta takes one stated branch
+(``statevec.cluster_bases``), and Theta takes one stated branch
 (``_ai_kak``), so the emitted locals of a gate whose eigenvalues are apart
 do not depend on round-off, except where a merged run sits at the identity
 threshold. The diagonal angles map linearly (via the fixed sign matrix
@@ -47,8 +47,8 @@ from functools import cached_property
 import numpy as np
 
 from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
-from .disentangler import cluster_bases, clusters
 from .statevec import StackError, TwoQubitGate, _raise_first_failure, _unitarity_check, require_unitary
+from .statevec import cluster_bases, clusters
 
 RECON_TOL = 1e-9
 KAK_CLUSTER_TOL = 1e-6  # eigenvalues of u u^T whose real parts are this close share a run
@@ -445,8 +445,12 @@ def synthesize_gate(gate_matrix: np.ndarray, mode: str):
 
     A (G, 4, 4) stack is one batch and gives a list of G pairs. A failed
     check raises StackError for the first gate in the batch that fails any,
-    with that gate's first failed check.
+    with that gate's first failed check. A ``mode`` that is neither
+    raises ValueError before any work.
     """
+    if mode not in (SynthMode.GENERIC3, SynthMode.OPTIMIZED2):
+        raise ValueError(f"unknown synthesis mode {mode!r}; known: "
+                         f"{SynthMode.OPTIMIZED2!r}, {SynthMode.GENERIC3!r}")
     u = np.asarray(gate_matrix, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")

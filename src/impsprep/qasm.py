@@ -21,6 +21,7 @@ _U3_RE = re.compile(
 )
 _CX_RE = re.compile(r"cx\s*q\[(\d+)\]\s*,\s*q\[(\d+)\]\s*;")
 _QREG_RE = re.compile(r"qreg\s+q\[(\d+)\]\s*;")
+_PREAMBLE_RE = re.compile(r'OPENQASM\s+2\.0\s*;|include\s+"qelib1\.inc"\s*;')
 _HEADER_RE = re.compile(r"//\s*([\w.-]+)\s*:\s*(.*)")
 
 
@@ -61,10 +62,13 @@ def u3_angles(m: np.ndarray) -> tuple[float, float, float]:
 
 
 def emit(circuit: Circuit, header: dict | None = None) -> str:
-    """Serialize a primitive circuit (single-qubit gates and CNOTs only)."""
+    """Serialize a primitive circuit (single-qubit gates and CNOTs only); a
+    header key or value that holds a line break raises ValueError."""
     lines = []
     for key, value in (header or {}).items():
         lines.append(f"// {key}: {value}")
+        if lines[-1].splitlines() != lines[-1:]:
+            raise ValueError(f"header entry {key!r} holds a line break")
     lines.append("OPENQASM 2.0;")
     lines.append('include "qelib1.inc";')
     lines.append(f"qreg q[{circuit.n}];")
@@ -82,7 +86,7 @@ def emit(circuit: Circuit, header: dict | None = None) -> str:
 
 
 def parse(text: str) -> tuple[Circuit, dict]:
-    """Parse the dialect back into a primitive circuit and its header dict."""
+    """Parse the dialect, one whole line a statement, into a primitive circuit and its header dict."""
     header: dict[str, str] = {}
     gates: list = []
     n = None
@@ -95,18 +99,18 @@ def parse(text: str) -> tuple[Circuit, dict]:
             if m:
                 header[m.group(1)] = m.group(2).strip()
             continue
-        if line.startswith("OPENQASM") or line.startswith("include"):
+        if _PREAMBLE_RE.fullmatch(line):
             continue
-        m = _QREG_RE.match(line)
+        m = _QREG_RE.fullmatch(line)
         if m:
             n = int(m.group(1))
             continue
-        m = _U3_RE.match(line)
+        m = _U3_RE.fullmatch(line)
         if m:
             th, ph, lm = (float(m.group(i)) for i in (1, 2, 3))
             gates.append(OneQubitGate(int(m.group(4)), u3_matrix(th, ph, lm)))
             continue
-        m = _CX_RE.match(line)
+        m = _CX_RE.fullmatch(line)
         if m:
             gates.append(TwoQubitGate(int(m.group(1)), int(m.group(2)), CNOT))
             continue

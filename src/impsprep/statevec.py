@@ -17,7 +17,9 @@ goes through two chunk-size work buffers that the caller allocates once
 stacked ``matmul`` and one scatter. The engine and the simulator each own
 one stack (the simulator's of one state) and one pair of work buffers per
 call; ``apply_two_qubit`` and ``apply_single_qubit`` are the checked
-value-semantic wrappers.
+value-semantic wrappers. The rules several modules share live here too:
+the stack checks, the qubit-index check, the float format, and the
+canonical bases of eigenvalue clusters (``cluster_bases``).
 """
 from __future__ import annotations
 
@@ -33,6 +35,10 @@ UNITARY_TOL = 1e-10
 # amplitudes per kernel chunk (1 MiB); at least 16, so that a chunk holds
 # every value of four gate wires
 CHUNK = 1 << 16
+# Any value below 1/2 still yields a full basis of every cluster; each vector
+# then moves at most 1 / BASIS_TOL times as far as its cluster's span.
+BASIS_TOL = 0.1
+_ROWS = np.arange(4)
 
 
 def _check_qubit_count(n: int) -> None:
@@ -102,16 +108,6 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     _check_qubit_count(n)
     z = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return from_amplitudes(z)
-
-
-def basis_state(n: int, k: int) -> StateVector:
-    """The computational basis state |k> on ``n`` qubits."""
-    _check_qubit_count(n)
-    if not 0 <= k < 1 << n:
-        raise ValueError(f"basis index {k} out of range for n = {n}")
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[k] = 1.0
-    return StateVector(n=n, amps=_freeze(amps))
 
 
 def _check_wires(n: int, wires: tuple[int, ...]) -> None:
@@ -184,6 +180,63 @@ def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} is not square: {m.shape}")
     _raise_first_failure([_unitarity_check(m, what)])
     return m
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """sqrt(vdot(x, x).real) of every vector x along the last axis, each
+    as ``np.vdot`` forms it alone."""
+    return np.sqrt((r.conj()[..., None, :] @ r[..., :, None])[..., 0, 0].real)
+
+
+def _canonical_bases(v: np.ndarray) -> np.ndarray:
+    """For each (4, k) matrix of the stack ``v``, an orthonormal basis of
+    the span of its columns that depends on the span only: e0, ..., e3
+    projected onto it and orthonormalized in order, skipping residuals
+    shorter than BASIS_TOL. For one column this fixes its phase: its first
+    entry above BASIS_TOL becomes real positive. Basis vector f is the first
+    residual past vector f - 1 that is long enough, so each comes from the
+    residuals of all four projections at once, each formed as it is alone.
+    Real columns give a real basis."""
+    count, _, k = v.shape
+    rows = (v @ v.conj().mT).mT  # row i: the projection of e_i
+    basis = np.zeros(v.shape, dtype=v.dtype)
+    at, usable = np.arange(count), True
+    for f in range(k):
+        # row i less the vectors so far times their conjugated entries i
+        r = rows - (basis[:, None, :, :f] @ basis[:, :, :f, None].conj())[..., 0] if f else rows
+        norm = _norms(r)
+        pick = ((norm > BASIS_TOL) & usable).argmax(axis=1)
+        basis[:, :, f] = r[at, pick] / norm[at, pick, None]
+        if f + 1 < k:
+            usable = _ROWS > pick[:, None]  # the rows past this vector's
+    return basis
+
+
+def clusters(tied: np.ndarray):
+    """The runs of more than one column of a stack of 4x4 matrices whose
+    ties (N, 3) join columns j and j + 1: for each size, one index ``at``
+    with ``m[at]`` the (count, size, 4) stack of those runs' columns as rows."""
+    apart = np.ones((len(tied), 5), dtype=bool)  # entry j: columns j - 1 and j
+    apart[:, 1:4] = ~tied
+    for k in (2, 3, 4) if tied.any() else ():
+        opens = apart[:, :5 - k] & apart[:, k:]
+        for j in range(1, k):
+            opens &= ~apart[:, j:j + 5 - k]
+        mat, col = np.nonzero(opens)
+        if len(mat):
+            yield mat[:, None], slice(None), col[:, None] + _ROWS[:k]
+
+
+def cluster_bases(v: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """The canonical eigenbasis of each (4, 4) matrix of the stack ``v``,
+    whose columns are eigenvectors and whose ties (N, 3) join columns of
+    equal eigenvalues: each run of tied columns, one column included, gets
+    the canonical basis of its span (``_canonical_bases``), so the result
+    depends on the eigenspaces only. Each matrix gets the bits it gets alone."""
+    u = _canonical_bases(v.mT.reshape(-1, 4, 1)).reshape(v.shape).mT
+    for at in clusters(tied):
+        u[at] = _canonical_bases(v[at].mT).mT
+    return u
 
 
 def _work_buffers(n: int, samples: int = 1, dtype=complex) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import disentangler, gatesynth, schedules, statevec, targets
+from . import disentangler, gatesynth, qasm, schedules, statevec, targets
 from .circuits import simulate
 from .disentangler import run_schedule
 from .statevec import TwoQubitGate, random_state
@@ -207,8 +207,6 @@ def _check_ring_bounds(n_max: int, fuzz: int, rng, corrupt=False):
 
 
 def _check_end_to_end(n_max: int, fuzz: int, rng, corrupt=False):
-    from . import qasm
-
     n = min(n_max, 6)
     target = random_state(n, rng)
     sched = schedules.htn_schedule(n)

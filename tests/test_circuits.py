@@ -27,7 +27,7 @@ def dense_circuit_operator(circuit):
 
 def gate_by_gate(circuit):
     """The unfused simulation: one state pass per gate."""
-    state = statevec.basis_state(circuit.n, 0)
+    state = statevec.from_amplitudes(np.eye(1, 1 << circuit.n))
     for g in circuit.gates:
         if isinstance(g, TwoQubitGate):
             state = statevec.apply_two_qubit(state, g)

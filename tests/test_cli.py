@@ -547,6 +547,15 @@ class TestBadInputs:
         assert isinstance(info.value.code, str) and named in info.value.code
         assert not (tmp_path / "out").exists()
 
+    def test_a_line_break_in_the_target_name_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        name = "t\nu3(0,0,0) q[0];.amps"
+        statevec.save_amplitudes(statevec.from_amplitudes([1, 0, 0, 0]), name)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["compile", "--target", name, "--scheme", "chain", "--n", "2", "--out", "out"])
+        assert info.value.code == "error: header entry 'target' holds a line break"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("body,reason", [
         ("nan 0\n1 0\n0 0\n0 0\n", "amplitudes contain non-finite values"),
         ("0 0\n0 0\n0 0\n0 0\n", "cannot normalize an all-zero amplitude vector"),

@@ -334,7 +334,7 @@ class TestTruncate:
         assert str(exc.value) == f"qubit index {a} out of range for n = 3"
 
     def test_degenerate_truncation_rejected(self):
-        s = statevec.basis_state(2, 0b10)  # all mass on qubit0 = 1
+        s = statevec.from_amplitudes(np.eye(1, 4, 0b10))  # all mass on qubit0 = 1
         with pytest.raises(ValueError):
             truncate_and_renormalize(s, 0)
 
@@ -393,7 +393,7 @@ def phase_ramp(target):
 
 class TestRunSchedule:
     def test_zero_target_stays_exact(self):
-        target = statevec.basis_state(5, 0)
+        target = statevec.from_amplitudes(np.eye(1, 32))
         for sched in (schedules.chain_schedule(5), schedules.htn_schedule(5)):
             res = run_schedule(target, sched, 1, TruncationMode.PER_ROUND)
             assert res.final_infidelity < 1e-12
@@ -600,9 +600,10 @@ class TestRunSchedule:
         (schedules.hen_schedule(8), 2, 1),
         (schedules.fig6_schedule(), 0, 1),
     ], ids=["htn", "hen", "fig6"])
-    def test_per_layer_rejects_a_revisited_qubit(self, rng, sched, qubit, rnd):
+    @pytest.mark.parametrize("mode", [TruncationMode.PER_LAYER, "layer"])
+    def test_per_layer_rejects_a_revisited_qubit(self, rng, sched, qubit, rnd, mode):
         with pytest.raises(ValueError, match=rf"qubit {qubit} is disentangled before round {rnd} "):
-            run_schedule(random_state(sched.n, rng), sched, 1, TruncationMode.PER_LAYER)
+            run_schedule(random_state(sched.n, rng), sched, 1, mode)
 
     @pytest.mark.parametrize("sched", [
         schedules.chain_schedule(6), schedules.ttn_schedule(6), schedules.htn_schedule(6),
@@ -614,6 +615,17 @@ class TestRunSchedule:
         for target in (random_state(sched.n, rng), targets.discretize(targets.make_spec("f1", sched.n))):
             want = run_schedule(target, sched, 2, disentangler.default_truncation_mode(sched.scheme))
             assert same_result(run_schedule(target, sched, 2), want)
+
+    @pytest.mark.parametrize("sched", [schedules.chain_schedule(8), schedules.ttn_schedule(8)], ids=["chain", "ttn"])
+    def test_truncation_mode_by_its_value(self, sched):
+        target = targets.discretize(targets.make_spec("f1", 8))
+        for mode in TruncationMode:
+            assert same_result(run_schedule(target, sched, 2, mode.value), run_schedule(target, sched, 2, mode))
+
+    @pytest.mark.parametrize("mode", ["bogus", "", "LAYER"])
+    def test_unknown_truncation_mode_rejected(self, rng, mode):
+        with pytest.raises(ValueError, match="is not a valid TruncationMode"):
+            run_schedule(random_state(4, rng), schedules.chain_schedule(4), 1, mode)
 
     def test_matches_canonical_mps_reference(self, rng):
         # chain schedule with per-layer truncation == sequential canonical MPS

@@ -641,6 +641,17 @@ class TestSynthesisFailures:
         assert exc.value.index == 0
 
 
+class TestSynthesisModes:
+    @pytest.mark.parametrize("mode", ["2CX", "bogus", ""])
+    def test_unknown_mode_rejected_by_every_entry(self, rng, mode):
+        u = haar_unitary(4, rng)
+        circ = Circuit(n=2, gates=[TwoQubitGate(0, 1, u)], u_depth=1)
+        message = re.escape(f"unknown synthesis mode {mode!r}; known: '2cx', '3cx'")
+        for call in (synthesize_gate, synthesize_circuit, count_gates):
+            with pytest.raises(ValueError, match=message):
+                call(u if call is synthesize_gate else circ, mode)
+
+
 class TestCircuitBatch:
     """Several circuits in one ``synthesize_circuit`` batch."""
 

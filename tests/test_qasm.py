@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,9 +86,25 @@ class TestEmitParse:
         with pytest.raises(ValueError):
             qasm.emit(circ, {})
 
-    def test_unparsable_line_rejected(self):
-        with pytest.raises(ValueError):
-            qasm.parse("qreg q[2];\nh q[0];\n")
+    @pytest.mark.parametrize("text", [
+        "qreg q[2];\nh q[0];\n",
+        "qreg q[2];\ncx q[0],q[1]; cx q[1],q[0];\n",
+        "qreg q[2]; cx q[0],q[1];\n",
+        "qreg q[1];\nu3(0,0,0) q[0]; x\n",
+        "OPENQASM 2.0; cx q[0],q[1];\nqreg q[2];\n",
+        'include "qelib1.inc"; cx q[0],q[1];\nqreg q[2];\n',
+    ], ids=["unknown-gate", "two-cx", "qreg-then-cx", "u3-then-text", "version-then-cx", "include-then-cx"])
+    def test_unparsable_line_rejected(self, text):
+        # a statement is its whole line
+        with pytest.raises(ValueError, match=r"^line \d: cannot parse"):
+            qasm.parse(text)
+
+    @pytest.mark.parametrize("key,value", [
+        ("target", "t\nu3(0,0,0) q[0];"), ("a\rb", 1), ("k", "v\u2028w"), ("k", "v\n"),
+    ], ids=["newline", "key-return", "line-separator", "trailing-newline"])
+    def test_a_header_entry_with_a_line_break_rejected(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(f"header entry {key!r} holds a line break")):
+            qasm.emit(Circuit(n=1, gates=[]), {key: value})
 
     def test_missing_qreg_rejected(self):
         with pytest.raises(ValueError):

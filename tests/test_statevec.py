@@ -105,7 +105,7 @@ class TestExtractBlock:
     def test_basis_state_lands_in_correct_slot(self):
         # |101>: qubit2 bit = 1, qubit0 bit = 1, remaining qubit1 bit = 0,
         # so row (1,1) holds [1, 0] (enumeration oracle cross-checks)
-        s = statevec.basis_state(3, 5)
+        s = statevec.from_amplitudes(np.eye(1, 8, 5))
         rows = statevec.extract_block(s, 2, 0)
         oracle = extract_block_bitloop(s.amps, 3, 2, 0)
         assert np.array_equal(rows, oracle)
@@ -163,18 +163,6 @@ class TestExtractBlock:
             statevec.extract_block(s, 0, 3)
 
 
-class TestBasisState:
-    def test_single_amplitude(self):
-        s = statevec.basis_state(3, 5)
-        assert s.amps[5] == 1.0 and np.count_nonzero(s.amps) == 1
-        assert not s.amps.flags.writeable
-
-    @pytest.mark.parametrize("n,k", [(3, -1), (3, 8), (0, 0), (-1, 0)])
-    def test_invalid_rejected(self, n, k):
-        with pytest.raises(ValueError):
-            statevec.basis_state(n, k)
-
-
 class TestApplyTwoQubit:
     def test_identity_is_noop(self, rng):
         s = random_state(4, rng)
@@ -183,9 +171,9 @@ class TestApplyTwoQubit:
 
     def test_cnot_on_basis_state(self):
         cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-        s = statevec.basis_state(2, 0b10)
+        s = statevec.from_amplitudes(np.eye(1, 4, 0b10))
         out = statevec.apply_two_qubit(s, TwoQubitGate(0, 1, cx))
-        assert np.allclose(out.amps, statevec.basis_state(2, 0b11).amps)
+        assert np.allclose(out.amps, np.eye(4)[0b11])
 
     def test_matches_dense_operator_oracle(self, rng):
         for _ in range(10):
@@ -414,7 +402,7 @@ class TestInfidelity:
         assert statevec.infidelity(s, t) < 1e-15
 
     def test_zero_vs_plus(self):
-        zero = statevec.basis_state(1, 0)
+        zero = statevec.from_amplitudes([1, 0])
         plus = statevec.from_amplitudes([1, 1])
         assert abs(statevec.infidelity(zero, plus) - 0.5) < 1e-12
 
