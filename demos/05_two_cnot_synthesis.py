@@ -50,7 +50,7 @@ print("omega:", GAMMA.T @ theta / 4.0)
 seq, _ = synthesize_gate(gate, SynthMode.OPTIMIZED2)
 print(f"\nsynthesized with {seq.cnot_count} CNOTs and "
       f"{seq.single_qubit_count} single-qubit gates:")
-for g in seq.gates:
+for g in seq.on((0, 1)):
     if isinstance(g, OneQubitGate):
         print(f"  single-qubit gate on wire {g.wire}")
     else:

@@ -9,13 +9,15 @@ real target runs in float64, its unitaries two-CNOT as they are), and
 verifies the reversed preparation circuit against an exact simulator.
 """
 
-from .circuits import CNOT, Circuit, OneQubitGate, simulate
+from .circuits import CNOT, Circuit, OneQubitGate, TwoQubitGate, apply_single_qubit, apply_two_qubit, simulate
 from .disentangler import (
     DisentangleStep,
     PreparationResult,
     TruncationMode,
     default_truncation_mode,
     disentangle_step,
+    extract_block,
+    inverse_extract,
     run_schedule,
     truncate_and_renormalize,
 )
@@ -40,14 +42,9 @@ from .schedules import (
 )
 from .statevec import (
     StateVector,
-    TwoQubitGate,
-    apply_single_qubit,
-    apply_two_qubit,
-    extract_block,
     fidelity,
     from_amplitudes,
     infidelity,
-    inverse_extract,
     load_amplitudes,
     save_amplitudes,
 )

@@ -1,4 +1,4 @@
-"""Gate-list circuits and their exact simulation.
+"""The gate vocabulary, gate-list circuits and their exact simulation.
 
 A Circuit is the *preparation* object: applying its gates in order to
 |0...0> approximates the compiled target. Gates are either bound 4x4
@@ -25,14 +25,12 @@ import numpy as np
 
 from .statevec import (
     StateVector,
-    TwoQubitGate,
     _apply_gate_to_amps,
     _check_gate,
     _check_qubit_count,
     _freeze,
     _work_buffers,
 )
-from .statevec import apply_single_qubit, apply_two_qubit  # noqa: F401  unused; perfbench/tracer.py patches them by name
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -40,7 +38,7 @@ CNOT = np.array(
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-_I2 = np.eye(2, dtype=complex)
+I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,33 @@ class OneQubitGate:
     matrix: np.ndarray = field(repr=False)
 
 
+@dataclass(frozen=True)
+class TwoQubitGate:
+    """A 4x4 unitary bound to the ordered pair (a, b); ``a`` is the more
+    significant wire in the gate's own 4x4 basis."""
+
+    a: int
+    b: int
+    matrix: np.ndarray = field(repr=False)
+
+
 GateLike = OneQubitGate | TwoQubitGate
+
+
+def _apply_checked(state: StateVector, wires: tuple[int, ...], matrix: np.ndarray) -> StateVector:
+    matrix = _check_gate(state.n, wires, matrix)
+    amps = state.amps.copy()
+    _apply_gate_to_amps(amps, state.n, wires, matrix, *_work_buffers(state.n))
+    return StateVector(n=state.n, amps=_freeze(amps))
+
+
+def apply_two_qubit(state: StateVector, gate: TwoQubitGate) -> StateVector:
+    """Apply a two-qubit gate: left-multiplies the (a, b) block matrix."""
+    return _apply_checked(state, (gate.a, gate.b), gate.matrix)
+
+
+def apply_single_qubit(state: StateVector, wire: int, matrix: np.ndarray) -> StateVector:
+    return _apply_checked(state, (wire,), matrix)
 
 
 @dataclass
@@ -81,7 +105,7 @@ def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:
     product with the identity for a single-qubit gate, the gate's own matrix
     on the same pair and its SWAP conjugate on the reversed one."""
     if isinstance(gate, OneQubitGate):
-        return kron2(gate.matrix, _I2) if gate.wire == pair[0] else kron2(_I2, gate.matrix)
+        return kron2(gate.matrix, I2) if gate.wire == pair[0] else kron2(I2, gate.matrix)
     if (gate.b, gate.a) == pair:
         return SWAP @ gate.matrix @ SWAP
     return gate.matrix
@@ -125,7 +149,7 @@ def simulate(circuit: Circuit) -> StateVector:
             if pair is not None and g.wire in pair:
                 fused = embed(g, pair) @ fused
             else:
-                waiting[g.wire] = g.matrix @ waiting.get(g.wire, _I2)
+                waiting[g.wire] = g.matrix @ waiting.get(g.wire, I2)
             continue
         if pair in ((g.a, g.b), (g.b, g.a)):
             fused = embed(g, pair) @ fused
@@ -133,7 +157,7 @@ def simulate(circuit: Circuit) -> StateVector:
         if pair is not None:
             apply(pair, fused)
         pair = (g.a, g.b)
-        fused = g.matrix @ kron2(waiting.pop(g.a, _I2), waiting.pop(g.b, _I2))
+        fused = g.matrix @ kron2(waiting.pop(g.a, I2), waiting.pop(g.b, I2))
     if pair is not None:
         apply(pair, fused)
     for wire, matrix in waiting.items():

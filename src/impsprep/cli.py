@@ -71,7 +71,8 @@ class SynthesisReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
+def build_schedule(scheme: str, n: int, args, flag: str = "--n") -> schedules.Schedule:
+    """The ``scheme`` schedule on ``n`` qubits; a shape of another size names ``flag``."""
     if scheme in schedules.SCHEMES:
         return schedules.SCHEMES[scheme](n)
     if scheme == "fig6":
@@ -83,7 +84,7 @@ def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
         if rows is None or cols is None:
             raise SystemExit("grid scheme needs --grid-rows and --grid-cols")
         if rows * cols != n:
-            raise SystemExit(f"grid {rows}x{cols} has {rows * cols} qubits, --n was {n}")
+            raise SystemExit(f"grid {rows}x{cols} has {rows * cols} qubits, {flag} was {n}")
         return schedules.grid_schedule(rows, cols)
     if scheme == "graph":
         if args.graph is None:
@@ -95,7 +96,7 @@ def build_schedule(scheme: str, n: int, args) -> schedules.Schedule:
         except ValueError as exc:
             raise SystemExit(f"--graph {args.graph}: {exc}")
         if g.n != n:
-            raise SystemExit(f"graph has {g.n} vertices, --n was {n}")
+            raise SystemExit(f"graph has {g.n} vertices, {flag} was {n}")
         return schedules.graph_contraction_schedule(g)
     raise SystemExit(f"unknown scheme {scheme!r}; known: {', '.join(SCHEME_CHOICES)}")
 
@@ -250,7 +251,7 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(args.out)
     # every schedule, and each size's targets, exist before that size's first
     # cell, so a bad name stops the sweep before it writes anything
-    built = {n: [(name, build_schedule(name, n, args)) for name in scheme_names] for n in n_list}
+    built = {n: [(name, build_schedule(name, n, args, "--n-list")) for name in scheme_names] for n in n_list}
     rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
     for n in n_list:
         resolved = []

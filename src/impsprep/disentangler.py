@@ -1,7 +1,8 @@
 """The iterative SVD disentangling engine.
 
 Each step takes the left singular vectors of the 4 x 2^(n-2) amplitude
-block of a qubit pair and applies the inverse left factor, concentrating
+block of a qubit pair (``extract_block``'s rows, which ``inverse_extract``
+puts back) and applies the inverse left factor, concentrating
 the pair's weight on the rows where the source qubit is |0>. Every block's
 factor is the eigenbasis of its 4x4 Gram matrix, with one canonical basis
 for each cluster of equal eigenvalues (``_factor_gram``); no wide SVD is
@@ -58,12 +59,11 @@ from functools import partial, reduce
 import numpy as np
 
 from . import gatesynth
-from .circuits import Circuit, OneQubitGate, kron2
+from .circuits import Circuit, OneQubitGate, TwoQubitGate, kron2
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
-from .statevec import StackError, StateVector, TwoQubitGate, _apply_gate_to_amps, _work_buffers, extract_block
+from .statevec import StackError, StateVector, _apply_gate_to_amps, _freeze, _work_buffers
 from .statevec import _check_wires, _raise_first_failure, cluster_bases
-from .statevec import inverse_extract  # noqa: F401  unused; perfbench/tracer.py patches it by name
 
 PHASE_TOL = 1e-12
 # Consecutive Gram eigenvalues closer than CLUSTER_TOL * w0, or chained that
@@ -94,6 +94,29 @@ class PreparationResult:
     final_infidelity: float
     per_round_weights: list[float]
     steps: list[DisentangleStep]
+
+
+def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> np.ndarray:
+    """The read-only 4 x 2^(n-2-k) block of ``state`` on the pair (a, b),
+    with the k qubits in ``fixed`` held at |0>: rows (0,0), (0,1), (1,0),
+    (1,1), each over the other qubits' bits in ascending order; a view,
+    then one copy."""
+    if state.n < 2:
+        raise ValueError("block extraction needs n >= 2")
+    _check_wires(state.n, (a, b))
+    if a in fixed or b in fixed:
+        raise ValueError(f"pair ({a}, {b}) overlaps the qubits held at |0>: {sorted(fixed)}")
+    t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
+    kept = [q for q in range(state.n) if q not in fixed]
+    t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
+    return _freeze(np.array(t, order="C").reshape(4, -1))
+
+
+def inverse_extract(rows: np.ndarray, a: int, b: int) -> StateVector:
+    """Exact inverse of extract_block on the pair (a, b) with no qubit held:
+    a bit permutation of the ``rows``."""
+    t = np.moveaxis(rows.reshape([2] * (rows.size.bit_length() - 1)), (0, 1), (a, b))
+    return StateVector(n=t.ndim, amps=_freeze(t.reshape(-1).copy()))
 
 
 def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -42,19 +42,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cached_property
 
 import numpy as np
 
-from .circuits import CNOT, Circuit, GateLike, OneQubitGate, embed, kron2
-from .statevec import StackError, TwoQubitGate, _raise_first_failure, _unitarity_check, require_unitary
+from .circuits import CNOT, I2, Circuit, GateLike, OneQubitGate, TwoQubitGate, embed, kron2
+from .statevec import StackError, _raise_first_failure, _unitarity_check, require_unitary
 from .statevec import cluster_bases, clusters
 
 RECON_TOL = 1e-9
 KAK_CLUSTER_TOL = 1e-6  # eigenvalues of u u^T whose real parts are this close share a run
 ROUNDOFF_TOL = 1e-12  # parts of eigenvalues of u u^T this close are equal up to round-off
 
-I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -186,8 +184,8 @@ class GateSequence:
     """Single-qubit gates and CNOTs that realize a 4x4 unitary, exactly up
     to global phase: gate ``index`` of a synthesis batch, read from the
     batch's ``slots`` (gate, stacked matrices) where ``kept`` is true. Its
-    counts come from the batch's arrays; its primitives are formed when
-    read, on wires 0 and 1 (``gates``) or on any wire pair (``on``)."""
+    counts come from the batch's arrays; ``on`` forms its primitives on a
+    wire pair when they are read (``on((0, 1))`` on the 4x4's own wires)."""
 
     def __init__(self, slots: list, kept: list, index: int, cnot_count: int, single_count: int):
         self._slots, self._kept, self._index = slots, kept, index
@@ -199,16 +197,6 @@ class GateSequence:
         k = self._index
         return [TwoQubitGate(wires[g.a], wires[g.b], g.matrix) if isinstance(g, TwoQubitGate)
                 else OneQubitGate(wires[g.wire], g.matrix[k]) for g, keep in zip(self._slots, self._kept) if keep]
-
-    @cached_property
-    def gates(self) -> tuple[GateLike, ...]:
-        return tuple(self.on((0, 1)))
-
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4, dtype=complex)
-        for g in self.gates:
-            out = embed(g, (0, 1)) @ out
-        return out
 
 
 def _abs(z: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ import re
 
 import numpy as np
 
-from .circuits import CNOT, Circuit, OneQubitGate
-from .statevec import TwoQubitGate, _fmt
+from .circuits import CNOT, Circuit, OneQubitGate, TwoQubitGate
+from .statevec import _check_wires, _fmt
 
 _U3_RE = re.compile(
     r"u3\s*\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*q\[(\d+)\]\s*;"
@@ -86,7 +86,8 @@ def emit(circuit: Circuit, header: dict | None = None) -> str:
 
 
 def parse(text: str) -> tuple[Circuit, dict]:
-    """Parse the dialect, one whole line a statement, into a primitive circuit and its header dict."""
+    """Parse the dialect, one whole line a statement, into a primitive circuit and its
+    header dict: one ``qreg`` before every gate, whose wires are its qubits."""
     header: dict[str, str] = {}
     gates: list = []
     n = None
@@ -101,20 +102,21 @@ def parse(text: str) -> tuple[Circuit, dict]:
             continue
         if _PREAMBLE_RE.fullmatch(line):
             continue
-        m = _QREG_RE.fullmatch(line)
-        if m:
-            n = int(m.group(1))
-            continue
-        m = _U3_RE.fullmatch(line)
-        if m:
-            th, ph, lm = (float(m.group(i)) for i in (1, 2, 3))
-            gates.append(OneQubitGate(int(m.group(4)), u3_matrix(th, ph, lm)))
-            continue
-        m = _CX_RE.fullmatch(line)
-        if m:
-            gates.append(TwoQubitGate(int(m.group(1)), int(m.group(2)), CNOT))
-            continue
-        raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        qreg, u3, cx = (pattern.fullmatch(line) for pattern in (_QREG_RE, _U3_RE, _CX_RE))
+        try:
+            if qreg and n is None:
+                n = int(qreg.group(1))
+            elif qreg or not (u3 or cx):
+                raise ValueError("a second qreg declaration" if qreg else f"cannot parse {line!r}")
+            elif n is None:
+                raise ValueError("a gate before the qreg declaration")
+            else:
+                wires = (int(u3.group(4)),) if u3 else (int(cx.group(1)), int(cx.group(2)))
+                _check_wires(n, wires)
+                gates.append(OneQubitGate(wires[0], u3_matrix(*map(float, u3.group(1, 2, 3)))) if u3
+                             else TwoQubitGate(*wires, CNOT))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing qreg declaration")
     return Circuit(n=n, gates=gates), header

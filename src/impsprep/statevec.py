@@ -1,25 +1,25 @@
-"""Dense statevector representation, amplitude block extraction and fidelity metrics.
+"""Dense statevectors, the gate kernel, fidelity metrics and the rules
+several modules share.
 
 Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
-whose buffer is read-only (``extract_block`` a pair's block as its (4, m)
-rows). One kernel, ``_apply_gate_to_amps``, applies every gate on 1, 2 or
-4 wires (two pairs' gates in one pass), in place, to a stack of S
-same-size amplitude vectors its caller owns, one matrix per sample, given
-as a stack of matrices or as a function of the gathered blocks that
-returns it. It works chunk by chunk, as qsim blocks for the cache (arXiv
-2111.02396): a chunk of at most ``CHUNK`` amplitudes holds ``CHUNK >> n``
-whole samples when a sample fits in one (n <= 16), else one sample's
-amplitudes with its most significant non-gate qubits fixed. Each chunk
-goes through two chunk-size work buffers that the caller allocates once
-(``_work_buffers``) and reuses for every pass, and is one gather, one
-stacked ``matmul`` and one scatter. The engine and the simulator each own
-one stack (the simulator's of one state) and one pair of work buffers per
-call; ``apply_two_qubit`` and ``apply_single_qubit`` are the checked
-value-semantic wrappers. The rules several modules share live here too:
-the stack checks, the qubit-index check, the float format, and the
-canonical bases of eigenvalue clusters (``cluster_bases``).
+whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
+every gate on 1, 2 or 4 wires (two pairs' gates in one pass), in place, to
+a stack of S same-size amplitude vectors its caller owns, one matrix per
+sample, given as a stack of matrices or as a function of the gathered
+blocks that returns it. It works chunk by chunk, as qsim blocks for the
+cache (arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
+``CHUNK >> n`` whole samples when a sample fits in one (n <= 16), else one
+sample's amplitudes with its most significant non-gate qubits fixed. Each
+chunk goes through two chunk-size work buffers that the caller allocates
+once (``_work_buffers``) and reuses for every pass, and is one gather, one
+stacked ``matmul`` and one scatter. The engine (``disentangler``) and the
+simulator (``circuits``) each own one stack (the simulator's of one state)
+and one pair of work buffers per call. The rules several modules share
+live here too: the stack checks, the gate and qubit-index checks, the
+float format, and the canonical bases of eigenvalue clusters
+(``cluster_bases``).
 """
 from __future__ import annotations
 
@@ -65,16 +65,6 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class TwoQubitGate:
-    """A 4x4 unitary bound to the ordered pair (a, b); ``a`` is the more
-    significant wire in the gate's own 4x4 basis."""
-
-    a: int
-    b: int
-    matrix: np.ndarray = field(repr=False)
-
-
 def from_amplitudes(raw) -> StateVector:
     """Build a normalized StateVector from a copy of any complex sequence.
 
@@ -117,29 +107,6 @@ def _check_wires(n: int, wires: tuple[int, ...]) -> None:
     for q in wires:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for n = {n}")
-
-
-def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> np.ndarray:
-    """The read-only 4 x 2^(n-2-k) block of ``state`` on the pair (a, b),
-    with the k qubits in ``fixed`` held at |0>: rows (0,0), (0,1), (1,0),
-    (1,1), each over the other qubits' bits in ascending order; a view,
-    then one copy."""
-    if state.n < 2:
-        raise ValueError("block extraction needs n >= 2")
-    _check_wires(state.n, (a, b))
-    if a in fixed or b in fixed:
-        raise ValueError(f"pair ({a}, {b}) overlaps the qubits held at |0>: {sorted(fixed)}")
-    t = state.amps.reshape([2] * state.n)[tuple(0 if q in fixed else slice(None) for q in range(state.n))]
-    kept = [q for q in range(state.n) if q not in fixed]
-    t = np.moveaxis(t, (kept.index(a), kept.index(b)), (0, 1))
-    return _freeze(np.array(t, order="C").reshape(4, -1))
-
-
-def inverse_extract(rows: np.ndarray, a: int, b: int) -> StateVector:
-    """Exact inverse of extract_block on the pair (a, b) with no qubit held:
-    a bit permutation of the ``rows``."""
-    t = np.moveaxis(rows.reshape([2] * (rows.size.bit_length() - 1)), (0, 1), (a, b))
-    return StateVector(n=t.ndim, amps=_freeze(t.reshape(-1).copy()))
 
 
 class StackError(ValueError):
@@ -318,22 +285,6 @@ def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarra
     matrix = require_unitary(matrix, what=("single-qubit gate", "two-qubit gate")[len(wires) - 1])
     _check_wires(n, wires)
     return matrix
-
-
-def _apply_checked(state: StateVector, wires: tuple[int, ...], matrix: np.ndarray) -> StateVector:
-    matrix = _check_gate(state.n, wires, matrix)
-    amps = state.amps.copy()
-    _apply_gate_to_amps(amps, state.n, wires, matrix, *_work_buffers(state.n))
-    return StateVector(n=state.n, amps=_freeze(amps))
-
-
-def apply_two_qubit(state: StateVector, gate: TwoQubitGate) -> StateVector:
-    """Apply a two-qubit gate: left-multiplies the (a, b) block matrix."""
-    return _apply_checked(state, (gate.a, gate.b), gate.matrix)
-
-
-def apply_single_qubit(state: StateVector, wire: int, matrix: np.ndarray) -> StateVector:
-    return _apply_checked(state, (wire,), matrix)
 
 
 def fidelity(phi: StateVector, psi: StateVector) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disentangler, gatesynth, qasm, schedules, statevec, targets
-from .circuits import simulate
-from .disentangler import run_schedule
-from .statevec import TwoQubitGate, random_state
+from .circuits import TwoQubitGate, apply_two_qubit, simulate
+from .disentangler import extract_block, inverse_extract, run_schedule
+from .statevec import random_state
 
 
 @dataclass
@@ -40,11 +40,11 @@ def _check_block_roundtrip(n_max: int, fuzz: int, rng, corrupt=False):
     for n in range(2, min(n_max, 6) + 1):
         state = random_state(n, rng)
         for a, b in itertools.permutations(range(n), 2):
-            rows = statevec.extract_block(state, a, b)
-            back = statevec.inverse_extract(rows, a, b)
+            rows = extract_block(state, a, b)
+            back = inverse_extract(rows, a, b)
             if np.abs(back.amps - state.amps).max() != 0.0:
                 return f"roundtrip not exact for n={n}, pair=({a},{b})"
-            swapped = statevec.extract_block(state, b, a)
+            swapped = extract_block(state, b, a)
             if np.abs(swapped - rows[[0, 2, 1, 3]]).max() != 0.0:
                 return f"row-swap relation broken for n={n}, pair=({a},{b})"
     return None
@@ -56,11 +56,11 @@ def _check_gate_inverse(n_max: int, fuzz: int, rng, corrupt=False):
         state = random_state(n, rng)
         a, b = rng.choice(n, size=2, replace=False)
         u = haar_unitary(4, rng)
-        fwd = statevec.apply_two_qubit(state, TwoQubitGate(int(a), int(b), u))
+        fwd = apply_two_qubit(state, TwoQubitGate(int(a), int(b), u))
         drift = abs(np.linalg.norm(fwd.amps) - 1.0)
         if drift > 1e-12:
             return f"norm drift {drift:.2e}"
-        back = statevec.apply_two_qubit(fwd, TwoQubitGate(int(a), int(b), u.conj().T))
+        back = apply_two_qubit(fwd, TwoQubitGate(int(a), int(b), u.conj().T))
         if np.abs(back.amps - state.amps).max() > 1e-12:
             return "U then U-dagger does not restore the state"
     return None
@@ -186,7 +186,7 @@ def _check_weight_preserving_rewrite(n_max: int, fuzz: int, rng, corrupt=False):
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         step = disentangler.disentangle_step(state, a, b)
         rewritten = gatesynth.build_u2cx(step.unitary)
-        moved = rewritten @ statevec.extract_block(state, a, b)
+        moved = rewritten @ extract_block(state, a, b)
         kept = float(np.linalg.norm(moved[:2]) ** 2)
         if abs(kept - step.retained_weight) > 1e-10:
             return f"rewrite changed retained weight by {abs(kept - step.retained_weight):.2e}"

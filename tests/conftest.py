@@ -3,7 +3,7 @@ separate from the library's vectorized implementations."""
 import numpy as np
 import pytest
 
-from impsprep import statevec
+from impsprep import circuits, statevec
 
 
 def haar_unitary(dim, rng):
@@ -56,10 +56,22 @@ def dense_two_qubit_operator(u4, n, a, b):
     return full
 
 
+def sequence_matrix(seq):
+    """Reference 4x4 of a synthesized sequence: its primitives on wires 0
+    and 1, each embedded by enumeration, multiplied in order."""
+    out = np.eye(4, dtype=complex)
+    for g in seq.on((0, 1)):
+        if isinstance(g, circuits.OneQubitGate):
+            local = np.kron(g.matrix, np.eye(2)) if g.wire == 0 else np.kron(np.eye(2), g.matrix)
+            g = circuits.TwoQubitGate(0, 1, local)
+        out = dense_two_qubit_operator(g.matrix, 2, g.a, g.b) @ out
+    return out
+
+
 def apply_step(state, step):
     """The state after ``step``: its unitary applied on its pair."""
     a, b = step.pair
-    return statevec.apply_two_qubit(state, statevec.TwoQubitGate(a, b, step.unitary))
+    return circuits.apply_two_qubit(state, circuits.TwoQubitGate(a, b, step.unitary))
 
 
 def two_state_layer_reference(target, schedule):
@@ -91,8 +103,8 @@ def two_state_layer_reference(target, schedule):
     prepared = statevec.StateVector(n=n, amps=prepared)
     for step in reversed(steps):
         a, b = step.pair
-        prepared = statevec.apply_two_qubit(
-            prepared, statevec.TwoQubitGate(a, b, step.unitary.conj().T)
+        prepared = circuits.apply_two_qubit(
+            prepared, circuits.TwoQubitGate(a, b, step.unitary.conj().T)
         )
     return statevec.infidelity(prepared, target), weights
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from impsprep import gatesynth, qasm, schedules, statevec, targets
+from impsprep import disentangler, gatesynth, qasm, schedules, statevec, targets
 from impsprep.circuits import simulate
 from impsprep.disentangler import (
     TruncationMode,
@@ -28,7 +28,7 @@ from impsprep.gatesynth import (
     synthesize_gate,
 )
 
-from conftest import random_state
+from conftest import random_state, sequence_matrix
 from test_disentangler import canonical_mps_reference
 
 RESULTS = []
@@ -113,7 +113,7 @@ def test_criterion_3_two_cnot_synthesis(disentangling_instances):
     for state, a, b, step in disentangling_instances:
         rewritten = build_u2cx(step.unitary)
         seq = synthesize_gate(rewritten, SynthMode.OPTIMIZED2)[0]
-        rebuilt = seq.matrix()
+        rebuilt = sequence_matrix(seq)
         tr = np.trace(rebuilt.conj().T @ rewritten) / 4.0
         err = np.abs(rebuilt * (tr / abs(tr)) - rewritten).max()
         ok &= seq.cnot_count <= 2 and err < 1e-9
@@ -198,7 +198,7 @@ def test_criterion_7_weight_preserving_rewrite():
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
         step = disentangle_step(state, a, b)
         rewritten = build_u2cx(step.unitary)
-        rows = statevec.extract_block(state, a, b)
+        rows = disentangler.extract_block(state, a, b)
         kept = float(np.linalg.norm((rewritten @ rows)[:2]) ** 2)
         worst = max(worst, abs(kept - step.retained_weight))
     report(7, "equivalence-class rewrite preserves the retained weight",

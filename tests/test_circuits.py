@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from impsprep import circuits, gatesynth, schedules, statevec, targets
-from impsprep.circuits import CNOT, Circuit, OneQubitGate, embed, simulate
+from impsprep.circuits import CNOT, Circuit, OneQubitGate, TwoQubitGate, embed, simulate
 from impsprep.disentangler import TruncationMode, run_schedule
-from impsprep.statevec import TwoQubitGate
 
 from conftest import dense_two_qubit_operator, haar_unitary
 
@@ -30,9 +29,9 @@ def gate_by_gate(circuit):
     state = statevec.from_amplitudes(np.eye(1, 1 << circuit.n))
     for g in circuit.gates:
         if isinstance(g, TwoQubitGate):
-            state = statevec.apply_two_qubit(state, g)
+            state = circuits.apply_two_qubit(state, g)
         else:
-            state = statevec.apply_single_qubit(state, g.wire, g.matrix)
+            state = circuits.apply_single_qubit(state, g.wire, g.matrix)
     return state
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impsprep import cli, disentangler, gatesynth, qasm, schedules, statevec, targets
+from impsprep import circuits, cli, disentangler, gatesynth, qasm, schedules, statevec, targets
 from impsprep.circuits import simulate
 
 from conftest import break_csd
@@ -539,6 +539,8 @@ class TestBadInputs:
          "--n-list: 30 qubits exceeds cap of 24"),
         (["benchmark", "--targets", "f1", "--schemes", "chain", "--n-list", "4,1", "--plotdata"],
          "--n-list values must be >= 2, got '4,1'"),
+        (["benchmark", "--targets", "f1", "--schemes", "grid", "--grid-rows", "3", "--grid-cols", "4",
+          "--n-list", "12,16"], "grid 3x4 has 12 qubits, --n-list was 16"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
@@ -601,6 +603,15 @@ class TestBadInputs:
                 "compile", "--target", "f1", "--scheme", "graph", "--n", str(n),
                 "--graph", str(topo), "--out", str(tmp_path / "out"),
             ])
+        assert not (tmp_path / "out").exists()
+
+    def test_a_benchmark_graph_of_another_size_names_n_list(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("topo.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+        with pytest.raises(SystemExit) as info:
+            run_cli(["benchmark", "--targets", "f1", "--schemes", "graph", "--graph", "topo.json",
+                     "--n-list", "3,4", "--out", "out"])
+        assert info.value.code == "graph has 3 vertices, --n-list was 4"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
@@ -733,7 +744,7 @@ class TestBadInputs:
             (result,) = results = disentangler.run_schedule(*args, **kwargs)
             g = result.circuit.gates[2]
             u = np.linalg.qr(np.arange(16).reshape(4, 4) + 1j * np.eye(4))[0]
-            result.circuit.gates[2] = statevec.TwoQubitGate(g.a, g.b, u)
+            result.circuit.gates[2] = circuits.TwoQubitGate(g.a, g.b, u)
             compiled.append((g.a, g.b))
             return results
 

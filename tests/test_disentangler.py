@@ -74,7 +74,7 @@ class TestDisentangleStep:
             assert step.retained_weight >= lam[2] ** 2 + lam[3] ** 2 - 1e-12
             assert 0.0 <= step.retained_weight <= 1.0 + 1e-12
             # mass on the source qubit's |1> half equals 1 - retained
-            bottom = np.linalg.norm(statevec.extract_block(post, a, b)[2:]) ** 2
+            bottom = np.linalg.norm(disentangler.extract_block(post, a, b)[2:]) ** 2
             assert abs(bottom - (1.0 - step.retained_weight)) < 1e-10
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
@@ -496,7 +496,7 @@ class TestRunSchedule:
                     assert [s.pair for s in res.steps] == [s.pair for s in ref_steps], where
                     assert abs(res.final_infidelity - ref_infidelity) < 1e-12, where
                     ref_circuit = circuits.Circuit(n=sched.n, gates=[
-                        statevec.TwoQubitGate(*s.pair, s.unitary.conj().T) for s in ref_steps])
+                        circuits.TwoQubitGate(*s.pair, s.unitary.conj().T) for s in ref_steps])
                     counts = [gatesynth.synthesize_circuit(c, synth)[0].two_qubit_count()
                               for c in (res.circuit, ref_circuit)]
                     assert counts[0] == counts[1], where

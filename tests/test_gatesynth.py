@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from impsprep import gatesynth, schedules, statevec, targets
+from impsprep import disentangler, gatesynth, schedules, statevec, targets
 from impsprep.disentangler import default_truncation_mode, disentangle_step, run_schedule
 from impsprep.gatesynth import (
     GAMMA,
@@ -15,10 +15,9 @@ from impsprep.gatesynth import (
     synthesize_circuit,
     synthesize_gate,
 )
-from impsprep.circuits import Circuit, OneQubitGate, simulate
-from impsprep.statevec import TwoQubitGate
+from impsprep.circuits import Circuit, OneQubitGate, TwoQubitGate, simulate
 
-from conftest import haar_unitary, random_real_state, random_state
+from conftest import haar_unitary, random_real_state, random_state, sequence_matrix
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,7 +112,7 @@ class TestBuildU2cx:
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             step = disentangle_step(state, a, b)
             rewritten = build_u2cx(step.unitary)
-            rows = statevec.extract_block(state, a, b)
+            rows = disentangler.extract_block(state, a, b)
             kept = np.linalg.norm((rewritten @ rows)[:2]) ** 2
             assert abs(kept - step.retained_weight) < 1e-10
 
@@ -228,7 +227,7 @@ class TestGeneralMagicKak:
 class TestSynthesizeTwoCnot:
     @staticmethod
     def assert_reconstructs(seq, target, tol=1e-9):
-        rebuilt = seq.matrix()
+        rebuilt = sequence_matrix(seq)
         tr = np.trace(rebuilt.conj().T @ target) / 4.0
         assert abs(tr) > 1e-6
         assert np.abs(rebuilt * (tr / abs(tr)) - target).max() < tol
@@ -237,7 +236,7 @@ class TestSynthesizeTwoCnot:
         seq = synthesize_gate(ZI, SynthMode.OPTIMIZED2)[0]
         assert seq.cnot_count == 0
         assert seq.single_qubit_count == 1
-        gate = seq.gates[0]
+        gate = seq.on((0, 1))[0]
         assert gate.wire == 0
         phase = gate.matrix[0, 0]
         assert np.abs(gate.matrix - phase * Z).max() < 1e-9
@@ -252,9 +251,9 @@ class TestSynthesizeTwoCnot:
     def test_deterministic(self, rng):
         k = random_class_member(rng)
         a, b = synthesize_gate(k, SynthMode.OPTIMIZED2)[0], synthesize_gate(k, SynthMode.OPTIMIZED2)[0]
-        assert len(a.gates) == len(b.gates)
-        assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(a.gates, b.gates))
-        assert np.array_equal(a.matrix(), b.matrix())
+        assert len(a.on((0, 1))) == len(b.on((0, 1)))
+        assert all(np.array_equal(g.matrix, h.matrix) for g, h in zip(a.on((0, 1)), b.on((0, 1))))
+        assert np.array_equal(sequence_matrix(a), sequence_matrix(b))
 
     def test_single_pauli_string_exponential(self):
         from scipy.linalg import expm
@@ -436,7 +435,7 @@ def same_sequence(a, b):
         wires = (g.wire,) if isinstance(g, OneQubitGate) else (g.a, g.b)
         return type(g), wires, g.matrix.shape, g.matrix.tobytes()
 
-    return a.cnot_count == b.cnot_count and [key(g) for g in a.gates] == [key(g) for g in b.gates]
+    return a.cnot_count == b.cnot_count and [key(g) for g in a.on((0, 1))] == [key(g) for g in b.on((0, 1))]
 
 
 def assert_batch_independent(matrices, mode):
@@ -474,12 +473,12 @@ def locals_moved(a, b):
     to the global phase of each; infinite where the sequences differ in
     their gates' types or wires."""
     def layout(seq):
-        return [(g.wire,) if isinstance(g, OneQubitGate) else (g.a, g.b) for g in seq.gates]
+        return [(g.wire,) if isinstance(g, OneQubitGate) else (g.a, g.b) for g in seq.on((0, 1))]
 
     if layout(a) != layout(b):
         return np.inf
     moved = 0.0
-    for x, y in zip(a.gates, b.gates):
+    for x, y in zip(a.on((0, 1)), b.on((0, 1))):
         if isinstance(x, OneQubitGate):
             t = np.vdot(x.matrix, y.matrix)
             moved = max(moved, np.abs(x.matrix * (t / abs(t)) - y.matrix).max())
@@ -689,7 +688,7 @@ class TestCircuitBatch:
         for g, (seq, _) in zip(gates, sequences):
             wires = (g.a, g.b)
             relabeled += [OneQubitGate(wires[p.wire], p.matrix) if isinstance(p, OneQubitGate)
-                          else TwoQubitGate(wires[p.a], wires[p.b], p.matrix) for p in seq.gates]
+                          else TwoQubitGate(wires[p.a], wires[p.b], p.matrix) for p in seq.on((0, 1))]
         singles = [g for g in circuit.gates if isinstance(g, OneQubitGate)]
         assert self.key(Circuit(n=8, gates=singles + relabeled)) == self.key(primitive)
 

@@ -1,10 +1,13 @@
 """The package's modules import one another one way only: every relative
-import sits at module level, and the module graph has no cycle."""
+import sits at module level, and the module graph has no cycle. Each
+concept is defined in the one module that owns it."""
 import ast
 import graphlib
 from pathlib import Path
 
 import pytest
+
+from impsprep import circuits, disentangler, statevec
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "impsprep"
 
@@ -46,3 +49,11 @@ def test_module_graph_has_no_cycle():
         list(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_each_concept_has_one_home():
+    homes = {"TwoQubitGate": circuits, "OneQubitGate": circuits, "apply_two_qubit": circuits,
+             "apply_single_qubit": circuits, "extract_block": disentangler, "inverse_extract": disentangler}
+    assert {name: getattr(module, name).__module__ for name, module in homes.items()} == {
+        name: module.__name__ for name, module in homes.items()}
+    assert [name for name in homes if hasattr(statevec, name)] == []

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from impsprep import qasm, schedules, statevec, targets
-from impsprep.circuits import CNOT, Circuit, OneQubitGate, simulate
+from impsprep.circuits import CNOT, Circuit, OneQubitGate, TwoQubitGate, simulate
 from impsprep.disentangler import TruncationMode, run_schedule
 from impsprep.gatesynth import SynthMode, synthesize_circuit
-from impsprep.statevec import TwoQubitGate
 
 from conftest import haar_unitary
 
@@ -86,17 +85,22 @@ class TestEmitParse:
         with pytest.raises(ValueError):
             qasm.emit(circ, {})
 
-    @pytest.mark.parametrize("text", [
-        "qreg q[2];\nh q[0];\n",
-        "qreg q[2];\ncx q[0],q[1]; cx q[1],q[0];\n",
-        "qreg q[2]; cx q[0],q[1];\n",
-        "qreg q[1];\nu3(0,0,0) q[0]; x\n",
-        "OPENQASM 2.0; cx q[0],q[1];\nqreg q[2];\n",
-        'include "qelib1.inc"; cx q[0],q[1];\nqreg q[2];\n',
-    ], ids=["unknown-gate", "two-cx", "qreg-then-cx", "u3-then-text", "version-then-cx", "include-then-cx"])
-    def test_unparsable_line_rejected(self, text):
-        # a statement is its whole line
-        with pytest.raises(ValueError, match=r"^line \d: cannot parse"):
+    @pytest.mark.parametrize("text,reason", [
+        ("qreg q[2];\nh q[0];\n", "line 2: cannot parse"),
+        ("qreg q[2];\ncx q[0],q[1]; cx q[1],q[0];\n", "line 2: cannot parse"),
+        ("qreg q[2]; cx q[0],q[1];\n", "line 1: cannot parse"),
+        ("qreg q[1];\nu3(0,0,0) q[0]; x\n", "line 2: cannot parse"),
+        ("OPENQASM 2.0; cx q[0],q[1];\nqreg q[2];\n", "line 1: cannot parse"),
+        ('include "qelib1.inc"; cx q[0],q[1];\nqreg q[2];\n', "line 1: cannot parse"),
+        ("qreg q[2];\ncx q[0],q[1];\nqreg q[3];\n", "line 3: a second qreg declaration"),
+        ("OPENQASM 2.0;\ncx q[0],q[1];\nqreg q[2];\n", "line 2: a gate before the qreg declaration"),
+        ("qreg q[2];\ncx q[0],q[5];\n", "line 2: qubit index 5 out of range for n = 2"),
+        ("qreg q[2];\ncx q[1],q[1];\n", "line 2: qubit indices must differ, got a = b = 1"),
+    ], ids=["unknown-gate", "two-cx", "qreg-then-cx", "u3-then-text", "version-then-cx", "include-then-cx",
+            "second-qreg", "gate-before-qreg", "wire-out-of-range", "same-wire-twice"])
+    def test_unparsable_line_rejected(self, text, reason):
+        # a statement is its whole line, after the one qreg and on its qubits
+        with pytest.raises(ValueError, match="^" + re.escape(reason)):
             qasm.parse(text)
 
     @pytest.mark.parametrize("key,value", [

@@ -4,9 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from impsprep import statevec, targets
-from impsprep.circuits import kron2
-from impsprep.statevec import TwoQubitGate
+from impsprep import circuits, disentangler, statevec, targets
+from impsprep.circuits import TwoQubitGate, kron2
 
 from conftest import (
     dense_two_qubit_operator,
@@ -92,21 +91,21 @@ class TestExtractBlock:
         # four qubits, pair (1, 3): row (1, 0) must hold the amplitudes with
         # bit patterns 0100, 0110, 1100, 1110 in that order
         s = random_state(4, rng)
-        rows = statevec.extract_block(s, 1, 3)
+        rows = disentangler.extract_block(s, 1, 3)
         c = s.amps
         expected = [c[0b0100], c[0b0110], c[0b1100], c[0b1110]]
         assert np.allclose(rows[2], expected)
 
     def test_two_qubit_identity_permutation(self, rng):
         s = random_state(2, rng)
-        rows = statevec.extract_block(s, 0, 1)
+        rows = disentangler.extract_block(s, 0, 1)
         assert np.allclose(rows[:, 0], s.amps)
 
     def test_basis_state_lands_in_correct_slot(self):
         # |101>: qubit2 bit = 1, qubit0 bit = 1, remaining qubit1 bit = 0,
         # so row (1,1) holds [1, 0] (enumeration oracle cross-checks)
         s = statevec.from_amplitudes(np.eye(1, 8, 5))
-        rows = statevec.extract_block(s, 2, 0)
+        rows = disentangler.extract_block(s, 2, 0)
         oracle = extract_block_bitloop(s.amps, 3, 2, 0)
         assert np.array_equal(rows, oracle)
         assert np.allclose(rows[3], [1, 0])
@@ -118,7 +117,7 @@ class TestExtractBlock:
         for n in range(2, 6):
             s = random_state(n, rng)
             for a, b in itertools.permutations(range(n), 2):
-                rows = statevec.extract_block(s, a, b)
+                rows = disentangler.extract_block(s, a, b)
                 assert np.array_equal(rows, extract_block_bitloop(s.amps, n, a, b))
 
     def test_fixed_qubits_select_the_oracle_columns(self, rng):
@@ -129,15 +128,15 @@ class TestExtractBlock:
             fixed = set(rest[::2])
             keep = [c for c in range(1 << (n - 2))
                     if not any(c >> (n - 3 - i) & 1 for i, q in enumerate(rest) if q in fixed)]
-            rows = statevec.extract_block(s, a, b, fixed)
+            rows = disentangler.extract_block(s, a, b, fixed)
             assert np.array_equal(rows, extract_block_bitloop(s.amps, n, a, b)[:, keep])
         with pytest.raises(ValueError, match="overlaps"):
-            statevec.extract_block(s, 0, 1, {1})
+            disentangler.extract_block(s, 0, 1, {1})
 
     def test_rows_frozen_contiguous_and_not_aliasing_state(self, rng):
         s = random_state(4, rng)
         for a, b in itertools.permutations(range(4), 2):
-            rows = statevec.extract_block(s, a, b)
+            rows = disentangler.extract_block(s, a, b)
             assert not rows.flags.writeable and rows.flags.c_contiguous
             assert not np.shares_memory(rows, s.amps)
 
@@ -145,34 +144,34 @@ class TestExtractBlock:
         for n in range(2, 7):
             s = random_state(n, rng)
             for a, b in itertools.permutations(range(n), 2):
-                back = statevec.inverse_extract(statevec.extract_block(s, a, b), a, b)
+                back = disentangler.inverse_extract(disentangler.extract_block(s, a, b), a, b)
                 assert np.array_equal(back.amps, s.amps)
 
     def test_row_swap_relation(self, rng):
         s = random_state(5, rng)
         for a, b in itertools.permutations(range(5), 2):
-            ab = statevec.extract_block(s, a, b)
-            ba = statevec.extract_block(s, b, a)
+            ab = disentangler.extract_block(s, a, b)
+            ba = disentangler.extract_block(s, b, a)
             assert np.array_equal(ba, ab[[0, 2, 1, 3]])
 
     def test_identical_indices_rejected(self, rng):
         s = random_state(3, rng)
         with pytest.raises(ValueError):
-            statevec.extract_block(s, 1, 1)
+            disentangler.extract_block(s, 1, 1)
         with pytest.raises(ValueError):
-            statevec.extract_block(s, 0, 3)
+            disentangler.extract_block(s, 0, 3)
 
 
 class TestApplyTwoQubit:
     def test_identity_is_noop(self, rng):
         s = random_state(4, rng)
-        out = statevec.apply_two_qubit(s, TwoQubitGate(1, 3, np.eye(4)))
+        out = circuits.apply_two_qubit(s, TwoQubitGate(1, 3, np.eye(4)))
         assert np.allclose(out.amps, s.amps, atol=1e-15)
 
     def test_cnot_on_basis_state(self):
         cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         s = statevec.from_amplitudes(np.eye(1, 4, 0b10))
-        out = statevec.apply_two_qubit(s, TwoQubitGate(0, 1, cx))
+        out = circuits.apply_two_qubit(s, TwoQubitGate(0, 1, cx))
         assert np.allclose(out.amps, np.eye(4)[0b11])
 
     def test_matches_dense_operator_oracle(self, rng):
@@ -181,7 +180,7 @@ class TestApplyTwoQubit:
             s = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             u = haar_unitary(4, rng)
-            out = statevec.apply_two_qubit(s, TwoQubitGate(a, b, u))
+            out = circuits.apply_two_qubit(s, TwoQubitGate(a, b, u))
             dense = dense_two_qubit_operator(u, n, a, b)
             assert np.allclose(out.amps, dense @ s.amps, atol=1e-12)
 
@@ -189,13 +188,13 @@ class TestApplyTwoQubit:
         s = random_state(4, rng)
         for a, b in itertools.permutations(range(4), 2):
             u = haar_unitary(4, rng)
-            out = statevec.apply_two_qubit(s, TwoQubitGate(a, b, u))
+            out = circuits.apply_two_qubit(s, TwoQubitGate(a, b, u))
             assert np.allclose(out.amps, dense_two_qubit_operator(u, 4, a, b) @ s.amps, atol=1e-12)
 
     def test_input_untouched_and_output_frozen(self, rng):
         s = random_state(4, rng)
         before = s.amps.copy()
-        out = statevec.apply_two_qubit(s, TwoQubitGate(0, 1, haar_unitary(4, rng)))
+        out = circuits.apply_two_qubit(s, TwoQubitGate(0, 1, haar_unitary(4, rng)))
         assert np.array_equal(s.amps, before)
         assert not out.amps.flags.writeable
 
@@ -203,7 +202,7 @@ class TestApplyTwoQubit:
         s = random_state(3, rng)
         for a, b in ((0, 3), (-1, 1), (2, 2)):
             with pytest.raises(ValueError):
-                statevec.apply_two_qubit(s, TwoQubitGate(a, b, np.eye(4)))
+                circuits.apply_two_qubit(s, TwoQubitGate(a, b, np.eye(4)))
 
     def test_unitary_roundtrip_and_norm(self, rng):
         for _ in range(25):
@@ -211,15 +210,15 @@ class TestApplyTwoQubit:
             s = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             u = haar_unitary(4, rng)
-            fwd = statevec.apply_two_qubit(s, TwoQubitGate(a, b, u))
+            fwd = circuits.apply_two_qubit(s, TwoQubitGate(a, b, u))
             assert abs(np.linalg.norm(fwd.amps) - 1.0) < 1e-12
-            back = statevec.apply_two_qubit(fwd, TwoQubitGate(a, b, u.conj().T))
+            back = circuits.apply_two_qubit(fwd, TwoQubitGate(a, b, u.conj().T))
             assert np.abs(back.amps - s.amps).max() < 1e-12
 
     def test_non_unitary_rejected(self, rng):
         s = random_state(3, rng)
         with pytest.raises(ValueError):
-            statevec.apply_two_qubit(s, TwoQubitGate(0, 1, np.eye(4) * 1.01))
+            circuits.apply_two_qubit(s, TwoQubitGate(0, 1, np.eye(4) * 1.01))
 
 
 def dense_single_qubit_operator(m, n, wire):
@@ -233,7 +232,7 @@ class TestApplySingleQubit:
             s = random_state(n, rng)
             for wire in range(n):
                 m = haar_unitary(2, rng)
-                out = statevec.apply_single_qubit(s, wire, m)
+                out = circuits.apply_single_qubit(s, wire, m)
                 assert np.allclose(out.amps, dense_single_qubit_operator(m, n, wire) @ s.amps, atol=1e-12)
                 assert not out.amps.flags.writeable
 
@@ -241,12 +240,12 @@ class TestApplySingleQubit:
         s = random_state(3, rng)
         for wire in (-1, 3):
             with pytest.raises(ValueError):
-                statevec.apply_single_qubit(s, wire, np.eye(2))
+                circuits.apply_single_qubit(s, wire, np.eye(2))
 
     def test_non_unitary_rejected(self, rng):
         s = random_state(3, rng)
         with pytest.raises(ValueError):
-            statevec.apply_single_qubit(s, 1, np.eye(2) * 1.01)
+            circuits.apply_single_qubit(s, 1, np.eye(2) * 1.01)
 
 
 class TestStackedChecks:
@@ -270,14 +269,14 @@ class TestStackedChecks:
         assert exc.value.index == 0
 
     @pytest.mark.parametrize("call,message", [
-        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(2, 2, np.eye(4))),
+        (lambda s: circuits.apply_two_qubit(s, TwoQubitGate(2, 2, np.eye(4))),
          "qubit indices must differ, got a = b = 2"),
-        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(0, 3, np.eye(4))), "qubit index 3 out of range for n = 3"),
-        (lambda s: statevec.apply_two_qubit(s, TwoQubitGate(-1, 1, np.eye(4))),
+        (lambda s: circuits.apply_two_qubit(s, TwoQubitGate(0, 3, np.eye(4))), "qubit index 3 out of range for n = 3"),
+        (lambda s: circuits.apply_two_qubit(s, TwoQubitGate(-1, 1, np.eye(4))),
          "qubit index -1 out of range for n = 3"),
-        (lambda s: statevec.apply_single_qubit(s, 3, np.eye(2)), "qubit index 3 out of range for n = 3"),
-        (lambda s: statevec.extract_block(s, 1, 1), "qubit indices must differ, got a = b = 1"),
-        (lambda s: statevec.extract_block(s, 1, 5), "qubit index 5 out of range for n = 3"),
+        (lambda s: circuits.apply_single_qubit(s, 3, np.eye(2)), "qubit index 3 out of range for n = 3"),
+        (lambda s: disentangler.extract_block(s, 1, 1), "qubit indices must differ, got a = b = 1"),
+        (lambda s: disentangler.extract_block(s, 1, 5), "qubit index 5 out of range for n = 3"),
     ], ids=["pair-equal", "pair-high", "pair-negative", "single-high", "block-equal", "block-high"])
     def test_qubit_index_messages(self, rng, call, message):
         with pytest.raises(ValueError) as exc:
