@@ -29,12 +29,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from urllib.parse import quote
 
 import numpy as np
 
 from . import gatesynth, qasm, schedules, statevec, targets
 from .circuits import Circuit, simulate
-from .disentangler import TruncationMode, default_truncation_mode, run_schedule
+from .disentangler import TruncationMode, _held_qubits, default_truncation_mode, run_schedule
 from .gatesynth import SynthMode
 from .statevec import StackError, _fmt
 from .verify import run_checks
@@ -77,7 +78,7 @@ def build_schedule(scheme: str, n: int, args, flag: str = "--n") -> schedules.Sc
         return schedules.SCHEMES[scheme](n)
     if scheme == "fig6":
         if n != 12:
-            raise SystemExit("fig6 scheme is fixed at n = 12")
+            raise SystemExit(f"fig6 has 12 qubits, {flag} was {n}")
         return schedules.fig6_schedule()
     if scheme == "grid":
         rows, cols = args.grid_rows, args.grid_cols
@@ -102,8 +103,11 @@ def build_schedule(scheme: str, n: int, args, flag: str = "--n") -> schedules.Sc
 
 
 def _truncation(args, schedule: schedules.Schedule) -> TruncationMode:
-    """``--trunc`` if given, else the scheme's convention."""
-    return TruncationMode(args.trunc) if args.trunc else default_truncation_mode(schedule.scheme)
+    """``--trunc`` if given, else the scheme's convention; a mode that
+    ``schedule`` cannot run under raises ValueError naming the clash."""
+    mode = TruncationMode(args.trunc) if args.trunc else default_truncation_mode(schedule.scheme)
+    _held_qubits(schedule, mode)
+    return mode
 
 
 def compile_one(
@@ -235,23 +239,29 @@ def cmd_benchmark(args) -> int:
         raise SystemExit(f"--samples must be >= 1, got {args.samples}")
     target_names = _parse_list("--targets", args.targets)
     scheme_names = _parse_list("--schemes", args.schemes)
-    n_text = str(args.n) if args.n_list is None else args.n_list
-    n_list = _parse_list("--n-list", n_text, int)
+    # the sizes come from --n-list, or from --n without it; a size error names that flag
+    n_flag, n_text = ("--n", str(args.n)) if args.n_list is None else ("--n-list", args.n_list)
+    n_list = _parse_list(n_flag, n_text, int)
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     if min(layers_list) < 1:
         raise SystemExit(f"--layers-list values must be >= 1, got {args.layers_list!r}")
     if min(n_list) < 2:
-        raise SystemExit(f"--n-list values must be >= 2, got {n_text!r}")
+        raise SystemExit(f"{n_flag} values must be >= 2, got {n_text!r}")
     for n in n_list:
         try:
             statevec._check_qubit_count(n)
         except ValueError as exc:
-            raise SystemExit(f"--n-list: {exc}")
+            raise SystemExit(f"{n_flag}: {exc}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = _out_dir(args.out)
-    # every schedule, and each size's targets, exist before that size's first
-    # cell, so a bad name stops the sweep before it writes anything
-    built = {n: [(name, build_schedule(name, n, args, "--n-list")) for name in scheme_names] for n in n_list}
+    # every schedule with its truncation, and each size's targets, exist before
+    # that size's first cell, so a bad name or a truncation clash stops the
+    # sweep before it writes anything
+    built = {n: [] for n in n_list}
+    for n in n_list:
+        for name in scheme_names:
+            schedule = build_schedule(name, n, args, n_flag)
+            built[n].append((name, schedule, _truncation(args, schedule)))
     rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
     for n in n_list:
         resolved = []
@@ -259,10 +269,9 @@ def cmd_benchmark(args) -> int:
             # one fresh generator per (n, target): every cell sees the same samples
             rng = np.random.default_rng(args.seed)
             count = args.samples if tname == "random" else 1
-            resolved.append((tname, [targets.resolve(tname, n, rng) for _ in range(count)]))
+            resolved.append((tname, [targets.resolve(tname, n, rng, n_flag) for _ in range(count)]))
         for tname, samples in resolved:
-            for scheme_name, schedule in built[n]:
-                trunc = _truncation(args, schedule)
+            for scheme_name, schedule, trunc in built[n]:
                 for layers in layers_list:
                     try:
                         compiled = compile_one(samples, schedule, layers, trunc, args.synth, args.seed)
@@ -295,7 +304,8 @@ def cmd_benchmark(args) -> int:
                     )
                     if tname != "random" and args.plotdata:
                         ((_, state, _),), ((_, primitive),) = samples, compiled
-                        name = f"plotdata/{tname}_{scheme_name}_n{n}_L{layers}.csv"
+                        # percent-encoded, so no entry writes outside plotdata/ or onto another's file
+                        name = f"plotdata/{quote(tname, safe='')}_{scheme_name}_n{n}_L{layers}.csv"
                         _write_plotdata(out, name, state, simulate(primitive))
     with _written(out, "results.csv") as fh:
         fh.write(f"# impsprep benchmark results, schema v{CSV_SCHEMA_VERSION}\n")

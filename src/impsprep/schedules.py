@@ -1,5 +1,7 @@
 """Disentangling schedules: chain, tree, hypercube, slot-filled chain, grid,
 the fixed 12-qubit grid scheme, and a generic graph-contraction scheduler.
+The grid contracts its lines and then its last line by one inward rule,
+``_inward``.
 
 A schedule is an ordered list of rounds; each round is a tuple of directed
 pairs ``(a, b)`` meaning "qubit a is disentangled, weight flows to b".
@@ -167,55 +169,37 @@ def hen_schedule(n: int) -> Schedule:
 SCHEMES = {"chain": chain_schedule, "ttn": ttn_schedule, "htn": htn_schedule, "hen": hen_schedule}
 
 
-def grid_schedule(rows: int, cols: int) -> Schedule:
-    """Bidirectional contraction of a rows x cols grid (qubit = r*cols + c).
+def _inward(count: int) -> tuple[list[Round], int]:
+    """Contract positions 0..count-1 of a line into one: both ends move one
+    position inward while four or more positions remain, otherwise the lower
+    end moves alone. Returns the rounds of (source, destination) positions
+    and the surviving position."""
+    rounds: list[Round] = []
+    lo, hi = 0, count - 1
+    while hi > lo:
+        if hi - lo >= 3:
+            rounds.append(((lo, lo + 1), (hi, hi - 1)))
+            hi -= 1
+        else:
+            rounds.append(((lo, lo + 1),))
+        lo += 1
+    return rounds, lo
 
-    Outer lines contract pairwise into their inner neighbours until one line
-    remains, then that line contracts from both ends. All pairs are
-    grid-adjacent; U-depth is about (rows + cols) / 2.
-    """
+
+def grid_schedule(rows: int, cols: int) -> Schedule:
+    """Inward contraction of a rows x cols grid (qubit = r*cols + c): ``_inward``
+    contracts the lines of the dimension with fewer of them (ties: columns)
+    into one, position by position, and then that line into one qubit. All
+    pairs are grid-adjacent; U-depth is about (rows + cols) / 2."""
     n = rows * cols
     if rows < 1 or cols < 1 or n < 2:
         raise ValueError(f"degenerate grid {rows} x {cols}")
-
-    def qubit(r: int, c: int) -> int:
-        return r * cols + c
-
-    rounds: list[Round] = []
-    # Phase 1: contract whichever dimension has fewer lines (ties: columns),
-    # outer lines moving inward; with three live lines the lower one goes first.
-    if rows < cols:
-        line_of = lambda idx, pos: qubit(idx, pos)  # noqa: E731 - tiny adapters
-        n_lines, line_len = rows, cols
-    else:
-        line_of = lambda idx, pos: qubit(pos, idx)  # noqa: E731
-        n_lines, line_len = cols, rows
-    lo, hi = 0, n_lines - 1
-    while hi > lo:
-        if hi - lo == 1:
-            rounds.append(tuple((line_of(lo, p), line_of(hi, p)) for p in range(line_len)))
-            lo = hi
-        elif hi - lo == 2:
-            rounds.append(tuple((line_of(lo, p), line_of(lo + 1, p)) for p in range(line_len)))
-            lo += 1
-        else:
-            rnd = [(line_of(lo, p), line_of(lo + 1, p)) for p in range(line_len)]
-            rnd += [(line_of(hi, p), line_of(hi - 1, p)) for p in range(line_len)]
-            rounds.append(tuple(rnd))
-            lo += 1
-            hi -= 1
-    # Phase 2: the surviving line contracts from both ends toward the middle;
-    # when the ends would collide the lower end moves first.
-    line = [line_of(lo, p) for p in range(line_len)]
-    a, b = 0, len(line) - 1
-    while b > a:
-        if b - a >= 3:
-            rounds.append(((line[a], line[a + 1]), (line[b], line[b - 1])))
-            a += 1
-            b -= 1
-        else:
-            rounds.append(((line[a], line[a + 1]),))
-            a += 1
+    by_row = [range(r * cols, (r + 1) * cols) for r in range(rows)]
+    lines = by_row if rows < cols else list(zip(*by_row))  # lines[line][position] is a qubit
+    line_rounds, last = _inward(len(lines))
+    line = lines[last]
+    rounds = [tuple((lines[s][p], lines[d][p]) for s, d in rnd for p in range(len(line))) for rnd in line_rounds]
+    rounds += [tuple((line[s], line[d]) for s, d in rnd) for rnd in _inward(len(line))[0]]
     return Schedule(n=n, rounds=tuple(rounds), scheme=f"grid{rows}x{cols}")
 
 

@@ -147,18 +147,19 @@ def discretize(spec: TargetSpec) -> StateVector:
     return statevec.from_amplitudes(vals)
 
 
-def resolve(name: str, n: int, rng) -> tuple[str, StateVector, tuple | None]:
+def resolve(name: str, n: int, rng, flag: str = "--n") -> tuple[str, StateVector, tuple | None]:
     """(label, unit-norm state, domain) of one ``--target`` value.
 
     ``random`` draws a state from ``rng``; a name ending in ``.amps`` or
-    containing a slash is an amplitude file that must hold ``n`` qubits; any
-    other name is a kind of ``make_spec``. Only function kinds have a domain.
+    containing a slash is an amplitude file that must hold ``n`` qubits (its
+    size error names ``flag``); any other name is a kind of ``make_spec``.
+    Only function kinds have a domain.
     """
     name = name.strip()
     if name.endswith(".amps") or "/" in name:
         state = statevec.load_amplitudes(name)
         if state.n != n:
-            raise ValueError(f"{name} holds {state.n} qubits, --n was {n}")
+            raise ValueError(f"{name} holds {state.n} qubits, {flag} was {n}")
         return f"rawfile:{name}", state, None
     kind = name.lower()
     if kind == "random":

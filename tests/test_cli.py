@@ -458,6 +458,25 @@ class TestBenchmark:
         assert body[0] == "index,target_re,target_im,prepared_re,prepared_im"
         assert len(body) == 1 + 32
 
+    def test_plotdata_of_amplitude_files_stays_under_out(self, tmp_path, monkeypatch, rng):
+        # an entry with a path keeps its file under --out/plotdata/, and two
+        # entries that name files alike (t.amps two directories apart) write two files
+        cwd = tmp_path / "a" / "b"
+        cwd.mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        far, near = statevec.random_state(4, rng), statevec.random_state(4, rng)
+        statevec.save_amplitudes(far, tmp_path / "t.amps")
+        statevec.save_amplitudes(near, cwd / "t.amps")
+        before = set(tmp_path.rglob("*"))
+        run_cli(["benchmark", "--targets", "../../t.amps,t.amps,f1", "--schemes", "chain", "--n-list", "4",
+                 "--plotdata", "--out", "out"])
+        made = {path.relative_to(cwd).as_posix() for path in set(tmp_path.rglob("*")) - before if path.is_file()}
+        assert made == {"out/results.csv", "out/plotdata/..%2F..%2Ft.amps_chain_n4_L1.csv",
+                        "out/plotdata/t.amps_chain_n4_L1.csv", "out/plotdata/f1_chain_n4_L1.csv"}
+        for name, state in [("..%2F..%2Ft.amps", far), ("t.amps", near)]:
+            rows = Path(f"out/plotdata/{name}_chain_n4_L1.csv").read_text().splitlines()[1:]
+            assert [float(row.split(",")[1]) for row in rows] == pytest.approx(state.amps.real, abs=1e-15)
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -520,7 +539,7 @@ class TestBadInputs:
         (["rank", "--ring", "cos", "--n", "6"], "--ring wants two"),
         (["rank", "--ring", "cos,linear", "--n", "6", "--domain-lo", "1", "--domain-hi", "0"],
          "error: empty domain (1.0, 0.0)"),
-        (["compile", "--target", "f1", "--scheme", "fig6", "--n", "8"], "fig6 scheme is fixed at n = 12"),
+        (["compile", "--target", "f1", "--scheme", "fig6", "--n", "8"], "fig6 has 12 qubits, --n was 8"),
         (["compile", "--target", "f1", "--scheme", "grid", "--n", "10", "--grid-rows", "3", "--grid-cols", "4"],
          "grid 3x4 has 12 qubits, --n was 10"),
         (["compile", "--target", "f1", "--scheme", "graph", "--n", "4"], "graph scheme needs --graph"),
@@ -530,7 +549,7 @@ class TestBadInputs:
         (["benchmark", "--targets", "f1,nope", "--schemes", "chain", "--n", "4", "--plotdata"],
          "unknown target 'nope'"),
         (["benchmark", "--targets", "f1", "--schemes", "chain,fig6", "--n", "4", "--plotdata"],
-         "fig6 scheme is fixed at n = 12"),
+         "fig6 has 12 qubits, --n was 4"),
         (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "4", "--layers-list", "1,0",
           "--plotdata"], "--layers-list values must be >= 1, got '1,0'"),
         (["compile", "--target", "f1", "--scheme", "chain", "--n", "4", "--layers", "0"],
@@ -541,9 +560,20 @@ class TestBadInputs:
          "--n-list values must be >= 2, got '4,1'"),
         (["benchmark", "--targets", "f1", "--schemes", "grid", "--grid-rows", "3", "--grid-cols", "4",
           "--n-list", "12,16"], "grid 3x4 has 12 qubits, --n-list was 16"),
+        (["benchmark", "--targets", "f1", "--schemes", "grid", "--grid-rows", "3", "--grid-cols", "4",
+          "--n", "8"], "grid 3x4 has 12 qubits, --n was 8"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "1"], "--n values must be >= 2, got '1'"),
+        (["benchmark", "--targets", "f1", "--schemes", "chain,htn", "--trunc", "layer", "--n-list", "6",
+          "--plotdata"], "qubit 1 is disentangled before round 1 of the htn schedule"),
+        (["benchmark", "--targets", "f1", "--schemes", "fig6", "--n-list", "8"], "fig6 has 12 qubits, --n-list was 8"),
+        (["benchmark", "--targets", "three.amps", "--schemes", "chain", "--n-list", "4"],
+         "three.amps holds 3 qubits, --n-list was 4"),
+        (["benchmark", "--targets", "three.amps", "--schemes", "chain", "--n", "4"],
+         "three.amps holds 3 qubits, --n was 4"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
+        statevec.save_amplitudes(statevec.from_amplitudes(np.ones(8)), "three.amps")
         with pytest.raises(SystemExit) as info:
             run_cli(argv + (["--out", "out"] if argv[0] != "rank" else []))
         assert isinstance(info.value.code, str) and named in info.value.code

@@ -142,13 +142,32 @@ class TestGrid:
             self.assert_grid_adjacent(s, 1, n)
             assert s.u_depth <= math.ceil((n - 1) / 2) + 1
 
-    def test_two_by_two(self):
-        s = grid_schedule(2, 2)
-        assert s.rounds == (((0, 1), (2, 3)), ((1, 3),))
+    @pytest.mark.parametrize("rows,cols,rounds", [
+        (2, 2, (((0, 1), (2, 3)), ((1, 3),))),
+        # rows contract (fewer rows), then the middle row from both ends
+        (3, 4, (((0, 4), (1, 5), (2, 6), (3, 7)), ((4, 8), (5, 9), (6, 10), (7, 11)),
+                ((8, 9), (11, 10)), ((9, 10),))),
+        # columns contract (fewer columns), then the last column
+        (4, 3, (((0, 1), (3, 4), (6, 7), (9, 10)), ((1, 2), (4, 5), (7, 8), (10, 11)),
+                ((2, 5), (11, 8)), ((5, 8),))),
+        (1, 7, (((0, 1), (6, 5)), ((1, 2), (5, 4)), ((2, 3),), ((3, 4),))),
+        (7, 1, (((0, 1), (6, 5)), ((1, 2), (5, 4)), ((2, 3),), ((3, 4),))),
+        # an odd line count: both outer columns move in, then the lower one alone
+        (5, 5, (((0, 1), (5, 6), (10, 11), (15, 16), (20, 21), (4, 3), (9, 8), (14, 13), (19, 18), (24, 23)),
+                ((1, 2), (6, 7), (11, 12), (16, 17), (21, 22)), ((2, 3), (7, 8), (12, 13), (17, 18), (22, 23)),
+                ((3, 8), (23, 18)), ((8, 13),), ((13, 18),))),
+        (2, 6, (((0, 6), (1, 7), (2, 8), (3, 9), (4, 10), (5, 11)), ((6, 7), (11, 10)), ((7, 8), (10, 9)),
+                ((8, 9),))),
+    ], ids=["2x2", "3x4", "4x3", "1x7", "7x1", "5x5", "2x6"])
+    def test_exact_rounds(self, rows, cols, rounds):
+        s = grid_schedule(rows, cols)
+        assert s.rounds == rounds
+        assert s.scheme == f"grid{rows}x{cols}"
 
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            grid_schedule(1, 1)
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (0, 4), (4, 0), (-1, 4), (-2, -3)])
+    def test_degenerate_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="degenerate grid"):
+            grid_schedule(rows, cols)
 
     @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3), (4, 5), (5, 2), (1, 7)])
     def test_depth_bound(self, rows, cols):

@@ -106,6 +106,8 @@ class TestResolve:
         statevec.save_amplitudes(statevec.random_state(3, rng), path)
         with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n was 4"):
             targets.resolve(str(path), 4, rng)
+        with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n-list was 4"):
+            targets.resolve(str(path), 4, rng, "--n-list")
 
 
 class TestMpsRank:
