@@ -10,14 +10,14 @@ resolution through the re-simulation check, never in hashed artifacts
 written to it, and refused before any work when it, or the nearest
 directory above it that exists, is not a directory.
 
-``compile_one`` compiles a cell's samples: as one stack (one
-``run_schedule`` and one ``synthesize_circuit`` batch) while one state fits
-in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and one at a time
-above that, where a stack would hold S more state sizes for little gain.
-``compile`` passes its one target, ``benchmark`` all of a cell's samples.
-Every sample gets the circuit it gets alone, so the rows do not depend on
-the stack. A failed cell names its sample, then the step's layer, round and
-pair or the gate's index and wires.
+``compile`` runs its one target through ``run_schedule`` and
+``gatesynth.synthesize_circuit`` as a stack of one. ``benchmark`` makes the
+same two calls per cell: for all of a cell's samples as one stack while one
+state fits in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and
+one sample at a time above that, where a stack would hold S more state
+sizes for little gain. Every sample gets the circuit it gets alone, so the
+rows do not depend on the stack. A failed cell names its sample, then the
+step's layer, round and pair or the gate's index and wires.
 """
 from __future__ import annotations
 
@@ -27,14 +27,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 from urllib.parse import quote
 
 import numpy as np
 
 from . import gatesynth, qasm, schedules, statevec, targets
-from .circuits import Circuit, simulate
+from .circuits import simulate
 from .disentangler import TruncationMode, _held_qubits, default_truncation_mode, run_schedule
 from .gatesynth import SynthMode
 from .statevec import StackError, _fmt
@@ -43,33 +43,6 @@ from .verify import run_checks
 CSV_SCHEMA_VERSION = 1
 
 SCHEME_CHOICES = (*schedules.SCHEMES, "grid", "fig6", "graph")
-
-
-@dataclass
-class SynthesisReport:
-    """One compilation record; serialized to report.json and CSV rows."""
-
-    scheme: str
-    target: str
-    n: int
-    layers: int
-    u_depth: int
-    infidelity: float
-    cnot_count: int
-    single_qubit_count: int
-    cnot_count_generic: int
-    single_qubit_count_generic: int
-    truncation: str
-    synth: str
-    seed: int
-    domain: tuple[float, float] | None
-    retained_weights: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["csv_schema_version"] = CSV_SCHEMA_VERSION
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def build_schedule(scheme: str, n: int, args, flag: str = "--n") -> schedules.Schedule:
@@ -110,60 +83,6 @@ def _truncation(args, schedule: schedules.Schedule) -> TruncationMode:
     return mode
 
 
-def compile_one(
-    samples: list,
-    schedule: schedules.Schedule,
-    layers: int,
-    trunc: TruncationMode,
-    synth: str,
-    seed: int,
-) -> list[tuple[SynthesisReport, Circuit]]:
-    """Compile the ``(label, state, domain)`` ``samples`` of one cell and
-    return each sample's report and primitive circuit, in order.
-
-    While a state fits in one kernel chunk (2^n <= ``statevec.CHUNK``,
-    n <= 16) the samples are one stack: one ``run_schedule`` and one
-    ``synthesize_circuit`` batch for all of them. Above that they go one at
-    a time: a stack holds a working copy of every sample, S state sizes
-    next to the caller's, and once a state spans several chunks the kernel's
-    passes dominate and stacking gains little (the README's design notes
-    give the measurement). A failed check of a step or a gate is prefixed
-    by ``sample {i}: `` among more than one sample.
-    """
-    rewrite = synth == SynthMode.OPTIMIZED2
-    per = len(samples) if 1 << schedule.n <= statevec.CHUNK else 1
-    compiled = []
-    for lo in range(0, len(samples), per):
-        group = samples[lo:lo + per]
-        try:
-            results = run_schedule([state for _, state, _ in group], schedule, layers, trunc, rewrite_2cx=rewrite)
-            synthesized = gatesynth.synthesize_circuit([result.circuit for result in results], synth)
-        except StackError as exc:
-            if len(samples) == 1:
-                raise
-            raise ValueError(f"sample {lo + exc.index}: {exc}") from exc
-        for (label, _, domain), result, (primitive, (g_cnots, g_singles)) in zip(group, results, synthesized):
-            report = SynthesisReport(
-                scheme=schedule.scheme,
-                target=label,
-                n=schedule.n,
-                layers=layers,
-                u_depth=result.circuit.u_depth,
-                infidelity=result.final_infidelity,
-                cnot_count=primitive.two_qubit_count(),
-                single_qubit_count=primitive.one_qubit_count(),
-                cnot_count_generic=g_cnots,
-                single_qubit_count_generic=g_singles,
-                truncation=trunc.value,
-                synth=synth,
-                seed=seed,
-                domain=domain,
-                retained_weights=[float(w) for w in result.per_round_weights],
-            )
-            compiled.append((report, primitive))
-    return compiled
-
-
 def _out_dir(text: str) -> Path:
     """``--out``, refused before any work unless the nearest path that
     exists, itself or one above it, is a directory."""
@@ -196,33 +115,6 @@ def _revalidate(qasm_path: Path, target_state, reported_infidelity: float) -> No
         )
 
 
-def cmd_compile(args) -> int:
-    t0 = time.perf_counter()
-    if args.layers < 1:
-        raise SystemExit(f"--layers must be >= 1, got {args.layers}")
-    out = _out_dir(args.out)
-    rng = np.random.default_rng(args.seed)
-    sample = targets.resolve(args.target, args.n, rng)
-    schedule = build_schedule(args.scheme, args.n, args)
-    trunc = _truncation(args, schedule)
-    ((report, primitive),) = compile_one([sample], schedule, args.layers, trunc, args.synth, args.seed)
-    header = {key: getattr(report, key) for key in ("scheme", "target", "n", "layers", "truncation", "synth", "seed")}
-    header["infidelity"] = _fmt(report.infidelity)
-    text = qasm.emit(primitive, header)
-    with _written(out, "circuit.qasm") as fh:
-        fh.write(text)
-    _revalidate(out / "circuit.qasm", sample[1], report.infidelity)
-    report.wall_time = time.perf_counter() - t0
-    with _written(out, "report.json") as fh:
-        fh.write(report.to_json() + "\n")
-    print(
-        f"{report.scheme} n={report.n} layers={report.layers} "
-        f"u_depth={report.u_depth} infidelity={report.infidelity:.3e} "
-        f"cnots={report.cnot_count}"
-    )
-    return 0
-
-
 def _parse_list(flag: str, text: str, item=str) -> list:
     """Non-empty comma-separated values of ``flag``; errors name the flag."""
     try:
@@ -234,6 +126,55 @@ def _parse_list(flag: str, text: str, item=str) -> list:
     return values
 
 
+def _sizes(flag: str, text: str) -> list[int]:
+    """The qubit counts ``flag`` gives in ``text``, each from 2 to the qubit
+    cap; errors name the flag."""
+    sizes = _parse_list(flag, text, int)
+    if min(sizes) < 2:
+        raise SystemExit(f"{flag} values must be >= 2, got {text!r}")
+    for n in sizes:
+        try:
+            statevec._check_qubit_count(n)
+        except ValueError as exc:
+            raise SystemExit(f"{flag}: {exc}")
+    return sizes
+
+
+def cmd_compile(args) -> int:
+    t0 = time.perf_counter()
+    if args.layers < 1:
+        raise SystemExit(f"--layers must be >= 1, got {args.layers}")
+    (n,) = _sizes("--n", str(args.n))
+    out = _out_dir(args.out)
+    rng = np.random.default_rng(args.seed)
+    label, state, domain = targets.resolve(args.target, n, rng)
+    schedule = build_schedule(args.scheme, n, args)
+    trunc = _truncation(args, schedule)
+    (result,) = run_schedule([state], schedule, args.layers, trunc, rewrite_2cx=args.synth == SynthMode.OPTIMIZED2)
+    ((primitive, (cnots_3cx, singles_3cx)),) = gatesynth.synthesize_circuit([result.circuit], args.synth)
+    # the QASM header's entries, in its order, then report.json's own
+    header = {"scheme": schedule.scheme, "target": label, "n": n, "layers": args.layers,
+              "truncation": trunc.value, "synth": args.synth, "seed": args.seed}
+    report = {
+        **header, "u_depth": result.circuit.u_depth, "infidelity": result.final_infidelity,
+        "cnot_count": primitive.two_qubit_count(), "single_qubit_count": primitive.one_qubit_count(),
+        "cnot_count_generic": cnots_3cx, "single_qubit_count_generic": singles_3cx, "domain": domain,
+        "retained_weights": [float(w) for w in result.per_round_weights], "csv_schema_version": CSV_SCHEMA_VERSION,
+    }
+    text = qasm.emit(primitive, {**header, "infidelity": _fmt(result.final_infidelity)})
+    with _written(out, "circuit.qasm") as fh:
+        fh.write(text)
+    _revalidate(out / "circuit.qasm", state, result.final_infidelity)
+    report["wall_time"] = time.perf_counter() - t0
+    with _written(out, "report.json") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(
+        f"{schedule.scheme} n={n} layers={args.layers} u_depth={result.circuit.u_depth} "
+        f"infidelity={result.final_infidelity:.3e} cnots={report['cnot_count']}"
+    )
+    return 0
+
+
 def cmd_benchmark(args) -> int:
     if args.samples < 1:
         raise SystemExit(f"--samples must be >= 1, got {args.samples}")
@@ -241,27 +182,21 @@ def cmd_benchmark(args) -> int:
     scheme_names = _parse_list("--schemes", args.schemes)
     # the sizes come from --n-list, or from --n without it; a size error names that flag
     n_flag, n_text = ("--n", str(args.n)) if args.n_list is None else ("--n-list", args.n_list)
-    n_list = _parse_list(n_flag, n_text, int)
+    n_list = _sizes(n_flag, n_text)
     layers_list = _parse_list("--layers-list", args.layers_list, int)
     if min(layers_list) < 1:
         raise SystemExit(f"--layers-list values must be >= 1, got {args.layers_list!r}")
-    if min(n_list) < 2:
-        raise SystemExit(f"{n_flag} values must be >= 2, got {n_text!r}")
-    for n in n_list:
-        try:
-            statevec._check_qubit_count(n)
-        except ValueError as exc:
-            raise SystemExit(f"{n_flag}: {exc}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = _out_dir(args.out)
-    # every schedule with its truncation, and each size's targets, exist before
-    # that size's first cell, so a bad name or a truncation clash stops the
-    # sweep before it writes anything
+    # before the first cell, every schedule is built with its truncation and every
+    # amplitude file is read once and checked against every size, so a bad name, a
+    # truncation clash or a file of another size stops the sweep before it writes anything
     built = {n: [] for n in n_list}
     for n in n_list:
         for name in scheme_names:
             schedule = build_schedule(name, n, args, n_flag)
             built[n].append((name, schedule, _truncation(args, schedule)))
+    files = {t: targets.load_amplitude_file(t, n_list, n_flag) for t in target_names if targets.is_amplitude_file(t)}
     rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
     for n in n_list:
         resolved = []
@@ -269,20 +204,25 @@ def cmd_benchmark(args) -> int:
             # one fresh generator per (n, target): every cell sees the same samples
             rng = np.random.default_rng(args.seed)
             count = args.samples if tname == "random" else 1
-            resolved.append((tname, [targets.resolve(tname, n, rng, n_flag) for _ in range(count)]))
+            resolved.append((tname, [files.get(tname) or targets.resolve(tname, n, rng, n_flag) for _ in range(count)]))
         for tname, samples in resolved:
+            # one stack while a state fits in one kernel chunk, one sample at a time above that
+            per = len(samples) if 1 << n <= statevec.CHUNK else 1
             for scheme_name, schedule, trunc in built[n]:
                 for layers in layers_list:
+                    results, synthesized = [], []
                     try:
-                        compiled = compile_one(samples, schedule, layers, trunc, args.synth, args.seed)
+                        for lo in range(0, len(samples), per):
+                            group = [state for _, state, _ in samples[lo:lo + per]]
+                            results += run_schedule(group, schedule, layers, trunc, rewrite_2cx=two_cx)
+                            synthesized += gatesynth.synthesize_circuit([r.circuit for r in results[lo:]], args.synth)
                     except Exception as exc:
+                        where = f"sample {lo + exc.index}: " if isinstance(exc, StackError) and len(samples) > 1 else ""
                         raise SystemExit(
                             f"benchmark cell failed: target={tname} scheme={scheme_name} "
-                            f"n={n} layers={layers}: {exc}"
+                            f"n={n} layers={layers}: {where}{exc}"
                         )
-                    reports = [report for report, _ in compiled]
-                    rep = reports[0]
-                    min_weight = min(min(r.retained_weights) for r in reports)
+                    (primitive, (cnots_3cx, singles_3cx)), domain = synthesized[0], samples[0][2]
                     rows.append(
                         {
                             "target": tname,
@@ -290,20 +230,20 @@ def cmd_benchmark(args) -> int:
                             "n": n,
                             "layers": layers,
                             "truncation": trunc.value,
-                            "u_depth": rep.u_depth,
-                            "infidelity": _fmt(float(np.mean([r.infidelity for r in reports]))),
-                            "cnot_2cx": rep.cnot_count if two_cx else "",
-                            "single_qubit_2cx": rep.single_qubit_count if two_cx else "",
-                            "cnot_3cx": rep.cnot_count_generic,
-                            "single_qubit_3cx": rep.single_qubit_count_generic,
-                            "min_retained_weight": _fmt(min_weight),
-                            "domain_lo": "" if rep.domain is None else _fmt(rep.domain[0]),
-                            "domain_hi": "" if rep.domain is None else _fmt(rep.domain[1]),
+                            "u_depth": results[0].circuit.u_depth,
+                            "infidelity": _fmt(float(np.mean([r.final_infidelity for r in results]))),
+                            "cnot_2cx": primitive.two_qubit_count() if two_cx else "",
+                            "single_qubit_2cx": primitive.one_qubit_count() if two_cx else "",
+                            "cnot_3cx": cnots_3cx,
+                            "single_qubit_3cx": singles_3cx,
+                            "min_retained_weight": _fmt(min(min(r.per_round_weights) for r in results)),
+                            "domain_lo": "" if domain is None else _fmt(domain[0]),
+                            "domain_hi": "" if domain is None else _fmt(domain[1]),
                             "seed": args.seed,
                         }
                     )
                     if tname != "random" and args.plotdata:
-                        ((_, state, _),), ((_, primitive),) = samples, compiled
+                        ((_, state, _),) = samples
                         # percent-encoded, so no entry writes outside plotdata/ or onto another's file
                         name = f"plotdata/{quote(tname, safe='')}_{scheme_name}_n{n}_L{layers}.csv"
                         _write_plotdata(out, name, state, simulate(primitive))

@@ -87,7 +87,8 @@ def emit(circuit: Circuit, header: dict | None = None) -> str:
 
 def parse(text: str) -> tuple[Circuit, dict]:
     """Parse the dialect, one whole line a statement, into a primitive circuit and its
-    header dict: one ``qreg`` before every gate, whose wires are its qubits."""
+    header dict: one ``qreg`` of at least one qubit before every gate, whose
+    wires are its qubits, and finite ``u3`` angles."""
     header: dict[str, str] = {}
     gates: list = []
     n = None
@@ -106,6 +107,8 @@ def parse(text: str) -> tuple[Circuit, dict]:
         try:
             if qreg and n is None:
                 n = int(qreg.group(1))
+                if n < 1:
+                    raise ValueError(f"a register of {n} qubits")
             elif qreg or not (u3 or cx):
                 raise ValueError("a second qreg declaration" if qreg else f"cannot parse {line!r}")
             elif n is None:
@@ -113,8 +116,10 @@ def parse(text: str) -> tuple[Circuit, dict]:
             else:
                 wires = (int(u3.group(4)),) if u3 else (int(cx.group(1)), int(cx.group(2)))
                 _check_wires(n, wires)
-                gates.append(OneQubitGate(wires[0], u3_matrix(*map(float, u3.group(1, 2, 3)))) if u3
-                             else TwoQubitGate(*wires, CNOT))
+                angles = [float(a) for a in u3.group(1, 2, 3)] if u3 else []
+                if not all(map(math.isfinite, angles)):
+                    raise ValueError(f"u3 angles must be finite, got {line!r}")
+                gates.append(OneQubitGate(wires[0], u3_matrix(*angles)) if u3 else TwoQubitGate(*wires, CNOT))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:

@@ -1,10 +1,11 @@
 """Target amplitude vectors: the benchmark function/distribution catalog,
 special entangled states, and Schmidt-rank (bond dimension) estimation.
 
-``resolve`` is the one code path from a ``--target`` value to a state. The
-value is ``random`` (a seeded draw), an amplitude file (a ``.amps`` suffix
-or a slash), or a kind: a function of x in ``KINDS``, with its default
-domain and parameters, or an entangled state in ``STATES``.
+``resolve`` is the one code path from a ``--target`` value to a state
+(``load_amplitude_file``, which it calls, also reads a file for several
+sizes at once). The value is ``random`` (a seeded draw), an amplitude file
+(a ``.amps`` suffix or a slash), or a kind: a function of x in ``KINDS``,
+with its default domain and parameters, or an entangled state in ``STATES``.
 
 Function targets are sampled at 2^n uniformly spaced points including both
 endpoints, normalized directly as amplitudes (no square-root density
@@ -109,7 +110,7 @@ def raw_samples(spec: TargetSpec) -> np.ndarray:
     if spec.kind not in KINDS:
         raise ValueError(f"{spec.kind} is not a function target")
     x = grid_points(spec)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = KINDS[spec.kind][0](x, *spec.params)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{spec.label()} is non-finite on {spec.domain}")
@@ -147,20 +148,34 @@ def discretize(spec: TargetSpec) -> StateVector:
     return statevec.from_amplitudes(vals)
 
 
+def is_amplitude_file(name: str) -> bool:
+    """Whether a ``--target`` value names an amplitude file: it ends in
+    ``.amps`` or holds a slash."""
+    return name.strip().endswith(".amps") or "/" in name
+
+
+def load_amplitude_file(name: str, sizes, flag: str = "--n") -> tuple[str, StateVector, None]:
+    """(label, state, None) of the amplitude file ``name``, read once; it
+    must hold each of ``sizes`` qubits, or a ValueError names ``flag``."""
+    name = name.strip()
+    state = statevec.load_amplitudes(name)
+    for n in sizes:
+        if state.n != n:
+            raise ValueError(f"{name} holds {state.n} qubits, {flag} was {n}")
+    return f"rawfile:{name}", state, None
+
+
 def resolve(name: str, n: int, rng, flag: str = "--n") -> tuple[str, StateVector, tuple | None]:
     """(label, unit-norm state, domain) of one ``--target`` value.
 
-    ``random`` draws a state from ``rng``; a name ending in ``.amps`` or
-    containing a slash is an amplitude file that must hold ``n`` qubits (its
-    size error names ``flag``); any other name is a kind of ``make_spec``.
-    Only function kinds have a domain.
+    ``random`` draws a state from ``rng``; an amplitude file
+    (``is_amplitude_file``) must hold ``n`` qubits (its size error names
+    ``flag``); any other name is a kind of ``make_spec``. Only function
+    kinds have a domain.
     """
     name = name.strip()
-    if name.endswith(".amps") or "/" in name:
-        state = statevec.load_amplitudes(name)
-        if state.n != n:
-            raise ValueError(f"{name} holds {state.n} qubits, {flag} was {n}")
-        return f"rawfile:{name}", state, None
+    if is_amplitude_file(name):
+        return load_amplitude_file(name, [n], flag)
     kind = name.lower()
     if kind == "random":
         return "random", statevec.random_state(n, rng), None

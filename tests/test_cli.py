@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,18 @@ class TestCompile:
         ])
         assert (tmp_path / "report.json").exists()
 
+    def test_report_and_header_keys(self, tmp_path):
+        run_cli(["compile", "--target", "g1", "--scheme", "chain", "--n", "4", "--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert list(report) == [
+            "cnot_count", "cnot_count_generic", "csv_schema_version", "domain", "infidelity", "layers", "n",
+            "retained_weights", "scheme", "seed", "single_qubit_count", "single_qubit_count_generic", "synth",
+            "target", "truncation", "u_depth", "wall_time",
+        ]
+        assert report["domain"] == [-5.0, 5.0]
+        _, header = qasm.parse((tmp_path / "circuit.qasm").read_text())
+        assert list(header) == ["scheme", "target", "n", "layers", "truncation", "synth", "seed", "infidelity"]
+
     def test_wall_time_covers_the_revalidation(self, tmp_path, monkeypatch):
         revalidate = cli._revalidate
 
@@ -335,8 +348,11 @@ class TestBenchmark:
         ])
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert lines[0].startswith("# impsprep benchmark results")
-        header = lines[1].split(",")
-        assert header[:4] == ["target", "scheme", "n", "layers"]
+        assert lines[1].split(",") == [
+            "target", "scheme", "n", "layers", "truncation", "u_depth", "infidelity", "cnot_2cx",
+            "single_qubit_2cx", "cnot_3cx", "single_qubit_3cx", "min_retained_weight", "domain_lo",
+            "domain_hi", "seed",
+        ]
         assert len(lines) == 2 + 2 * 2 * 2  # comment + header + rows
         assert not (tmp_path / "plotdata").exists()
 
@@ -438,11 +454,8 @@ class TestBenchmark:
         per_sample = []
         for _ in range(3):
             state = statevec.random_state(6, rng)
-            ((report, _),) = cli.compile_one(
-                [("random", state, None)], schedule, 2, disentangler.TruncationMode.PER_LAYER,
-                gatesynth.SynthMode.OPTIMIZED2, 1,
-            )
-            per_sample.append(min(report.retained_weights))
+            result = disentangler.run_schedule(state, schedule, 2, disentangler.TruncationMode.PER_LAYER, rewrite_2cx=True)
+            per_sample.append(min(result.per_round_weights))
         assert row["min_retained_weight"] == cli._fmt(min(per_sample))
         assert min(per_sample) < per_sample[0]
 
@@ -524,6 +537,14 @@ class TestRank:
         payload = json.loads(capsys.readouterr().out)
         assert payload["additive_ok"] and payload["multiplicative_ok"]
 
+    def test_an_overflowing_ring_fails_without_a_warning(self):
+        # exp(1000) overflows: the message names the non-finite function, and no numpy warning precedes it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as info:
+                run_cli(["rank", "--ring", "exp,exp", "--n", "4", "--domain-lo", "0", "--domain-hi", "1000"])
+        assert info.value.code == "error: exp(1,1) is non-finite on (0.0, 1000.0)"
+
 
 class TestBadInputs:
     """Unreadable, incomplete or inconsistent inputs end in a message naming
@@ -570,6 +591,11 @@ class TestBadInputs:
          "three.amps holds 3 qubits, --n-list was 4"),
         (["benchmark", "--targets", "three.amps", "--schemes", "chain", "--n", "4"],
          "three.amps holds 3 qubits, --n was 4"),
+        (["benchmark", "--targets", "three.amps", "--schemes", "chain", "--n-list", "3,4", "--plotdata"],
+         "three.amps holds 3 qubits, --n-list was 4"),
+        (["compile", "--target", "random", "--scheme", "chain", "--n", "0"], "--n values must be >= 2, got '0'"),
+        (["compile", "--target", "f1", "--scheme", "chain", "--n", "1"], "--n values must be >= 2, got '1'"),
+        (["compile", "--target", "f1", "--scheme", "chain", "--n", "25"], "--n: 25 qubits exceeds cap of 24"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
@@ -656,7 +682,7 @@ class TestBadInputs:
             raise AssertionError("compiled before --out was checked")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "compile_one", no_work)
+        monkeypatch.setattr(cli, "run_schedule", no_work)
         Path("afile").write_text("kept\n")
         with pytest.raises(SystemExit) as info:
             run_cli(argv + ["--out", out])

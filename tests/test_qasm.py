@@ -96,10 +96,15 @@ class TestEmitParse:
         ("OPENQASM 2.0;\ncx q[0],q[1];\nqreg q[2];\n", "line 2: a gate before the qreg declaration"),
         ("qreg q[2];\ncx q[0],q[5];\n", "line 2: qubit index 5 out of range for n = 2"),
         ("qreg q[2];\ncx q[1],q[1];\n", "line 2: qubit indices must differ, got a = b = 1"),
+        ("qreg q[1];\nu3(nan,0,0) q[0];\n", "line 2: u3 angles must be finite, got 'u3(nan,0,0) q[0];'"),
+        ("qreg q[1];\nu3(0,inf,0) q[0];\n", "line 2: u3 angles must be finite, got 'u3(0,inf,0) q[0];'"),
+        ("qreg q[1];\nu3(0,0,1e400) q[0];\n", "line 2: u3 angles must be finite, got 'u3(0,0,1e400) q[0];'"),
+        ("OPENQASM 2.0;\nqreg q[0];\n", "line 2: a register of 0 qubits"),
     ], ids=["unknown-gate", "two-cx", "qreg-then-cx", "u3-then-text", "version-then-cx", "include-then-cx",
-            "second-qreg", "gate-before-qreg", "wire-out-of-range", "same-wire-twice"])
+            "second-qreg", "gate-before-qreg", "wire-out-of-range", "same-wire-twice",
+            "nan-angle", "inf-angle", "overflowing-angle", "empty-register"])
     def test_unparsable_line_rejected(self, text, reason):
-        # a statement is its whole line, after the one qreg and on its qubits
+        # a statement is its whole line, after the one non-empty qreg, on its qubits, with finite angles
         with pytest.raises(ValueError, match="^" + re.escape(reason)):
             qasm.parse(text)
 
