@@ -203,8 +203,9 @@ def cmd_benchmark(args) -> int:
         for tname in target_names:
             # one fresh generator per (n, target): every cell sees the same samples
             rng = np.random.default_rng(args.seed)
-            count = args.samples if tname == "random" else 1
-            resolved.append((tname, [files.get(tname) or targets.resolve(tname, n, rng, n_flag) for _ in range(count)]))
+            first = files.get(tname) or targets.resolve(tname, n, rng)
+            more = args.samples - 1 if first[0] == "random" else 0
+            resolved.append((tname, [first, *(targets.resolve(tname, n, rng) for _ in range(more))]))
         for tname, samples in resolved:
             # one stack while a state fits in one kernel chunk, one sample at a time above that
             per = len(samples) if 1 << n <= statevec.CHUNK else 1
@@ -242,7 +243,7 @@ def cmd_benchmark(args) -> int:
                             "seed": args.seed,
                         }
                     )
-                    if tname != "random" and args.plotdata:
+                    if samples[0][0] != "random" and args.plotdata:
                         ((_, state, _),) = samples
                         # percent-encoded, so no entry writes outside plotdata/ or onto another's file
                         name = f"plotdata/{quote(tname, safe='')}_{scheme_name}_n{n}_L{layers}.csv"
@@ -284,6 +285,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    (n,) = _sizes("--n", str(args.n))
     if args.ring:
         kinds = args.ring.split(",")
         if len(kinds) != 2:
@@ -291,13 +293,13 @@ def cmd_rank(args) -> int:
         if (args.domain_lo is None) != (args.domain_hi is None):
             raise SystemExit("--domain-lo and --domain-hi must be given together")
         domain = (args.domain_lo, args.domain_hi) if args.domain_lo is not None else (0.0, 1.0)
-        f = targets.make_spec(kinds[0], args.n, domain=domain)
-        g = targets.make_spec(kinds[1], args.n, domain=domain)
+        f = targets.make_spec(kinds[0], n, domain=domain)
+        g = targets.make_spec(kinds[1], n, domain=domain)
         rep = targets.verify_ring_bounds(f, g, tol=args.tol)
         print(json.dumps(asdict(rep), indent=2))
         return 0 if rep.additive_ok and rep.multiplicative_ok else 1
     rng = np.random.default_rng(args.seed)
-    label, state, _ = targets.resolve(args.target, args.n, rng)
+    label, state, _ = targets.resolve(args.target, n, rng)
     profile = targets.mps_rank(state, tol=args.tol)
     print(f"target {label}: chi = {profile.chi}")
     print("bond dims:", " ".join(str(d) for d in profile.bond_dims))

@@ -101,8 +101,6 @@ def extract_block(state: StateVector, a: int, b: int, fixed=frozenset()) -> np.n
     with the k qubits in ``fixed`` held at |0>: rows (0,0), (0,1), (1,0),
     (1,1), each over the other qubits' bits in ascending order; a view,
     then one copy."""
-    if state.n < 2:
-        raise ValueError("block extraction needs n >= 2")
     _check_wires(state.n, (a, b))
     if a in fixed or b in fixed:
         raise ValueError(f"pair ({a}, {b}) overlaps the qubits held at |0>: {sorted(fixed)}")
@@ -324,7 +322,6 @@ def run_schedule(
         raise ValueError("layers must be >= 1")
     if not stack:
         raise ValueError("need at least one target")
-    schedule.validate()
     n = schedule.n
     real = not stack[0].amps.imag.any()
     for i, target in enumerate(stack):

@@ -5,7 +5,8 @@ The grid contracts its lines and then its last line by one inward rule,
 
 A schedule is an ordered list of rounds; each round is a tuple of directed
 pairs ``(a, b)`` meaning "qubit a is disentangled, weight flows to b".
-Pairs within a round are disjoint, so one round costs one U-depth.
+Pairs within a round are disjoint, so one round costs one U-depth; a
+``Schedule`` checks that, and that one qubit survives, when it is built.
 ``topology_from_json`` reads the coupling graph of the graph scheme.
 """
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Schedule:
             raise ValueError(f"schedule does not single out one survivor: {sorted(alive)}")
         return alive.pop()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for i, rnd in enumerate(self.rounds):
             if not rnd:
                 raise ValueError(f"round {i} is empty")

@@ -72,7 +72,7 @@ class TargetSpec:
 
     kind: str
     n: int
-    domain: tuple[float, float] = (0.0, 1.0)
+    domain: tuple[float, float] | None = (0.0, 1.0)
     params: tuple[float, ...] = ()
 
     def label(self) -> str:
@@ -81,22 +81,19 @@ class TargetSpec:
         return self.kind
 
 
-def make_spec(kind: str, n: int, domain=None, params=None) -> TargetSpec:
+def make_spec(kind: str, n: int, domain=None) -> TargetSpec:
+    """The spec of ``kind`` with its default parameters: a function kind on
+    ``domain`` (default: its own), a state kind with no domain."""
     kind = kind.lower()
     if kind not in KINDS and kind not in STATES:
         raise ValueError(f"unknown target kind {kind!r}; known: {', '.join([*KINDS, *STATES])}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if kind in STATES:
-        return TargetSpec(kind=kind, n=n)
-    _, default_domain, default_params = KINDS[kind]
+        return TargetSpec(kind=kind, n=n, domain=None)
+    _, default_domain, params = KINDS[kind]
     dom = tuple(domain) if domain is not None else default_domain
-    pars = tuple(params) if params is not None else default_params
-    if len(pars) != len(default_params):
-        raise ValueError(f"{kind} takes {len(default_params)} params, got {len(pars)}")
     if dom[0] >= dom[1]:
         raise ValueError(f"empty domain {dom}")
-    return TargetSpec(kind=kind, n=n, domain=dom, params=pars)
+    return TargetSpec(kind=kind, n=n, domain=dom, params=params)
 
 
 def grid_points(spec: TargetSpec) -> np.ndarray:
@@ -165,17 +162,17 @@ def load_amplitude_file(name: str, sizes, flag: str = "--n") -> tuple[str, State
     return f"rawfile:{name}", state, None
 
 
-def resolve(name: str, n: int, rng, flag: str = "--n") -> tuple[str, StateVector, tuple | None]:
+def resolve(name: str, n: int, rng) -> tuple[str, StateVector, tuple | None]:
     """(label, unit-norm state, domain) of one ``--target`` value.
 
-    ``random`` draws a state from ``rng``; an amplitude file
-    (``is_amplitude_file``) must hold ``n`` qubits (its size error names
-    ``flag``); any other name is a kind of ``make_spec``. Only function
-    kinds have a domain.
+    ``random``, in any case, draws a state from ``rng`` and is labelled
+    ``random``; an amplitude file (``is_amplitude_file``) must hold ``n``
+    qubits; any other name is a kind of ``make_spec``. Only function kinds
+    have a domain.
     """
     name = name.strip()
     if is_amplitude_file(name):
-        return load_amplitude_file(name, [n], flag)
+        return load_amplitude_file(name, [n])
     kind = name.lower()
     if kind == "random":
         return "random", statevec.random_state(n, rng), None

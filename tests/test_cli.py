@@ -173,6 +173,7 @@ class TestCompile:
         ["compile", "--target", "f1", "--scheme", "chain"],
         ["compile", "--target", "ghz", "--scheme", "chain"],
         ["rank", "--target", "f1"],
+        ["rank", "--ring", "cos,linear"],
     ])
     def test_named_target_over_cap_fails_before_allocating(self, tmp_path, monkeypatch, argv):
         # the cap message must come before any 2^n buffer: building one fails here
@@ -324,6 +325,13 @@ class TestCompile:
         _, header = qasm.parse((tmp_path / "circuit.qasm").read_text())
         assert list(header) == ["scheme", "target", "n", "layers", "truncation", "synth", "seed", "infidelity"]
 
+    def test_a_state_target_records_no_domain(self, tmp_path):
+        run_cli(["compile", "--target", "ghz", "--scheme", "chain", "--n", "4", "--out", str(tmp_path)])
+        assert json.loads((tmp_path / "report.json").read_text())["domain"] is None
+        run_cli(["benchmark", "--targets", "ghz,w", "--schemes", "chain", "--n", "4", "--out", str(tmp_path)])
+        rows = list(csv.DictReader((tmp_path / "results.csv").read_text().splitlines()[1:]))
+        assert [(row["target"], row["domain_lo"], row["domain_hi"]) for row in rows] == [("ghz", "", ""), ("w", "", "")]
+
     def test_wall_time_covers_the_revalidation(self, tmp_path, monkeypatch):
         revalidate = cli._revalidate
 
@@ -384,6 +392,18 @@ class TestBenchmark:
         ])
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2 + 2  # one averaged row per scheme
+
+    @pytest.mark.parametrize("entry", ["Random", " random"])
+    def test_random_in_any_case_averages_samples_and_plots_nothing(self, tmp_path, entry):
+        rows = []
+        for i, name in enumerate((entry, "random")):
+            out = tmp_path / str(i)
+            run_cli(["benchmark", "--targets", name, "--samples", "3", "--schemes", "chain", "--n", "4",
+                     "--plotdata", "--out", str(out)])
+            rows += csv.DictReader((out / "results.csv").read_text().splitlines()[1:])
+            assert not (out / "plotdata").exists()
+        assert [row.pop("target") for row in rows] == [entry, "random"]
+        assert rows[0] == rows[1]
 
     def test_synth_comparison_columns_show_one_third_saving(self, tmp_path):
         run_cli([
@@ -596,6 +616,9 @@ class TestBadInputs:
         (["compile", "--target", "random", "--scheme", "chain", "--n", "0"], "--n values must be >= 2, got '0'"),
         (["compile", "--target", "f1", "--scheme", "chain", "--n", "1"], "--n values must be >= 2, got '1'"),
         (["compile", "--target", "f1", "--scheme", "chain", "--n", "25"], "--n: 25 qubits exceeds cap of 24"),
+        (["rank", "--target", "f1", "--n", "0"], "--n values must be >= 2, got '0'"),
+        (["rank", "--target", "ghz", "--n", "30"], "--n: 30 qubits exceeds cap of 24"),
+        (["rank", "--ring", "cos,linear", "--n", "1"], "--n values must be >= 2, got '1'"),
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)

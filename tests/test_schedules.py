@@ -131,14 +131,12 @@ class TestGrid:
 
     def test_three_by_four(self):
         s = grid_schedule(3, 4)
-        s.validate()
         assert s.u_depth <= 7
         self.assert_grid_adjacent(s, 3, 4)
 
     def test_line_grid_reduces_to_bidirectional_chain(self):
         for n in (2, 5, 8, 12):
             s = grid_schedule(1, n)
-            s.validate()
             self.assert_grid_adjacent(s, 1, n)
             assert s.u_depth <= math.ceil((n - 1) / 2) + 1
 
@@ -172,7 +170,6 @@ class TestGrid:
     @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3), (4, 5), (5, 2), (1, 7)])
     def test_depth_bound(self, rows, cols):
         s = grid_schedule(rows, cols)
-        s.validate()
         self.assert_grid_adjacent(s, rows, cols)
         assert s.u_depth <= math.ceil(rows / 2) + math.ceil(cols / 2) + 2
 
@@ -187,7 +184,6 @@ class TestFig6:
 
     def test_disjoint_and_grid_adjacent(self):
         s = fig6_schedule()
-        s.validate()
         TestGrid.assert_grid_adjacent(s, 3, 4)
 
     def test_sources_repeat_but_survivor_unique(self):
@@ -201,7 +197,6 @@ class TestGraphContraction:
         g = TopologyGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
         s = graph_contraction_schedule(g)
         assert s.u_depth == 2
-        s.validate()
 
     def test_complete_graph_two_rounds(self):
         g = TopologyGraph.from_edge_list(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -241,7 +236,6 @@ class TestScheduleInvariants:
     def test_structure_up_to_sixty_four(self, n):
         log_depth = math.ceil(math.log2(n))
         for s in all_generators(n):
-            s.validate()  # disjointness + unique survivor
             assert len(set(s.sources())) == n - 1
         assert ttn_schedule(n).u_depth == log_depth
         assert htn_schedule(n).u_depth == log_depth
@@ -265,9 +259,8 @@ class TestScheduleInvariants:
                     assert before - len(alive) == len(rnd)
 
     def test_overlapping_round_rejected(self):
-        bad = Schedule(n=3, rounds=(((0, 1), (1, 2)),), scheme="bad")
-        with pytest.raises(ValueError):
-            bad.validate()
+        with pytest.raises(ValueError, match=r"^round 0: qubit 1 used twice \(pairs overlap\)$"):
+            Schedule(n=3, rounds=(((0, 1), (1, 2)),), scheme="bad")
 
     @pytest.mark.parametrize("rounds,message", [
         ((((1, 1),),), "round 0: degenerate pair (1, 1)"),
@@ -276,18 +269,16 @@ class TestScheduleInvariants:
     ])
     def test_bad_pair_named(self, rounds, message):
         with pytest.raises(ValueError) as exc:
-            Schedule(n=3, rounds=rounds, scheme="bad").validate()
+            Schedule(n=3, rounds=rounds, scheme="bad")
         assert str(exc.value) == message
 
     def test_empty_round_rejected(self):
-        bad = Schedule(n=3, rounds=((), ((0, 1),)), scheme="bad")
-        with pytest.raises(ValueError):
-            bad.validate()
+        with pytest.raises(ValueError, match="^round 0 is empty$"):
+            Schedule(n=3, rounds=((), ((0, 1),)), scheme="bad")
 
 
 class TestSerialization:
     def test_topology_json(self):
         g = topology_from_json('{"n": 3, "edges": [[0, 1], [1, 2]]}')
         assert g.n == 3
-        s = graph_contraction_schedule(g)
-        s.validate()
+        assert graph_contraction_schedule(g).step_count() == 2

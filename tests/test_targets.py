@@ -7,6 +7,7 @@ from impsprep import statevec, targets
 from impsprep.targets import (
     KINDS,
     STATES,
+    TargetSpec,
     discretize,
     make_spec,
     mps_rank,
@@ -43,7 +44,7 @@ class TestDiscretize:
         assert np.allclose(s.amps, expected)
 
     def test_linear_two_qubits(self):
-        s = discretize(make_spec("linear", 2, params=(1.0, 0.0)))
+        s = discretize(TargetSpec("linear", 2, params=(1.0, 0.0)))
         expected = np.array([0.0, 1 / 3, 2 / 3, 1.0])
         assert np.allclose(s.amps, expected / np.linalg.norm(expected))
 
@@ -67,7 +68,7 @@ class TestDiscretize:
 
     def test_zero_function_rejected(self):
         with pytest.raises(ValueError):
-            discretize(make_spec("linear", 3, params=(0.0, 0.0)))
+            discretize(TargetSpec("linear", 3, params=(0.0, 0.0)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -87,11 +88,13 @@ class TestDiscretize:
 
 
 class TestResolve:
-    @pytest.mark.parametrize("name", [*targets.KINDS, *targets.STATES, "random", "Random", " F1 "])
+    @pytest.mark.parametrize("name", [*targets.KINDS, *targets.STATES, "random", "Random", " random", " F1 "])
     def test_every_listed_name_resolves(self, name, rng):
         label, state, domain = targets.resolve(name, 4, rng)
         assert state.n == 4 and abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
-        assert (domain is None) == (name.lower() == "random")
+        # every random draw is labelled random; only a function kind has a domain
+        assert (label == "random") == (name.strip().lower() == "random")
+        assert (domain is None) == (name.strip().lower() not in targets.KINDS)
 
     def test_unknown_name_lists_what_target_accepts(self):
         with pytest.raises(ValueError) as info:
@@ -106,8 +109,6 @@ class TestResolve:
         statevec.save_amplitudes(statevec.random_state(3, rng), path)
         with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n was 4"):
             targets.resolve(str(path), 4, rng)
-        with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n-list was 4"):
-            targets.resolve(str(path), 4, rng, "--n-list")
 
 
 class TestMpsRank:
@@ -129,13 +130,13 @@ class TestMpsRank:
 
     def test_exponential_chi_one(self):
         for n in (4, 8, 12):
-            s = discretize(make_spec("exp", n, params=(1.0, 2.3)))
+            s = discretize(TargetSpec("exp", n, params=(1.0, 2.3)))
             assert mps_rank(s).chi == 1
 
     @pytest.mark.parametrize("n", list(range(2, 15)))
     def test_cosine_and_linear_chi_at_most_two(self, n):
         for kind, params in (("cos", (0.7, 9.1, 0.0)), ("linear", (2.0, 0.4))):
-            s = discretize(make_spec(kind, n, params=params))
+            s = discretize(TargetSpec(kind, n, params=params))
             assert mps_rank(s).chi <= 2
 
     def test_agrees_with_brute_force_oracle(self, rng):

@@ -87,6 +87,9 @@ def cells():
                                   "--n-list", str(n), "--layers-list", "1,2", "--seed", "0", "--schemes", s]
     yield "plotdata", ["benchmark", "--targets", "f1,g2", "--schemes", "chain,htn", "--n-list", "6,8",
                        "--layers-list", "1,2", "--plotdata"]
+    # a random draw in any case averages --samples and plots nothing; a state records no domain
+    yield "labels", ["benchmark", "--targets", "Random,ghz,w", "--samples", "3", "--schemes", "chain",
+                     "--n-list", "6", "--plotdata"]
     n10 = {t: t for t in ("exp", "cos", "linear", "ghz", "w", "random")} | {"amps": AMPS["small"][0]}
     for name, t in n10.items():
         for s in ("chain", "htn"):
