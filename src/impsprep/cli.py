@@ -1,5 +1,5 @@
 """Command-line front end: compile targets to circuits, run scheme
-benchmarks, self-verify, and inspect Schmidt ranks.
+benchmarks, and inspect Schmidt ranks.
 
 Every ``--target`` value goes through ``targets.resolve``; the scheme names
 are ``schedules.SCHEMES`` plus grid, fig6 and graph, which take their shape
@@ -38,7 +38,6 @@ from .circuits import simulate
 from .disentangler import TruncationMode, _held_qubits, default_truncation_mode, run_schedule
 from .gatesynth import SynthMode
 from .statevec import StackError, _fmt
-from .verify import run_checks
 
 CSV_SCHEMA_VERSION = 1
 
@@ -269,21 +268,6 @@ def _write_plotdata(out: Path, name: str, target_state, prepared_state) -> None:
             fh.write(f"{i},{_fmt(t.real)},{_fmt(t.imag)},{_fmt(p.real)},{_fmt(p.imag)}\n")
 
 
-def cmd_verify(args) -> int:
-    results = run_checks(level=args.level, seed=args.seed)
-    width = max(len(r.name) for r in results)
-    failed = 0
-    for r in results:
-        status = "pass" if r.ok else "FAIL"
-        line = f"[{status}] {r.name:<{width}}  ({r.seconds:.2f}s)"
-        if not r.ok:
-            line += f"  {r.detail}"
-            failed += 1
-        print(line)
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
-
-
 def cmd_rank(args) -> int:
     (n,) = _sizes("--n", str(args.n))
     if args.ring:
@@ -352,11 +336,6 @@ def main(argv=None) -> int:
                          help="emit per-index target/prepared curve files")
     p_bench.add_argument("--out", default="benchmark_out")
     p_bench.set_defaults(func=cmd_benchmark)
-
-    p_verify = sub.add_parser("verify", help="run the invariant self-checks")
-    p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--seed", type=_seed, default=0)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_rank = sub.add_parser("rank", help="Schmidt ranks and ring bounds")
     p_rank.add_argument("--target", default="ghz")

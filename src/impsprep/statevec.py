@@ -70,9 +70,12 @@ def from_amplitudes(raw) -> StateVector:
 
     A vector whose norm reads within 2 eps of 1 is a unit vector up to the
     norm's own round-off and keeps its bits, so a saved state loads as it
-    was saved; any other is divided by its norm. Raises ValueError for
-    non-power-of-two length, an all-zero vector, non-finite entries, or a
-    qubit count above the configured cap.
+    was saved; any other is divided by its norm. A vector whose sum of
+    squares overflows, or is below tiny / eps, where squares that fell to
+    subnormals or to 0 could cost the norm precision, is first divided by
+    the largest magnitude among its real and imaginary parts. Raises
+    ValueError for non-power-of-two length, an all-zero vector, non-finite
+    entries, or a qubit count above the configured cap.
     """
     amps = np.asarray(raw, dtype=complex).reshape(-1)
     length = amps.size
@@ -84,9 +87,16 @@ def from_amplitudes(raw) -> StateVector:
     _check_qubit_count(n)
     # numpy's pairwise sum, not a BLAS dot: the bytes of the normalized
     # state then do not depend on the BLAS thread count
-    norm = np.sqrt(np.sum(amps.real ** 2 + amps.imag ** 2))
-    if norm <= 0.0:
-        raise ValueError("cannot normalize an all-zero amplitude vector")
+    with np.errstate(over="ignore"):
+        squares = np.sum(amps.real ** 2 + amps.imag ** 2)
+    if not np.finfo(float).tiny / np.finfo(float).eps <= squares < np.inf:
+        parts = np.ascontiguousarray(amps).view(float)  # re, im, re, im, ...
+        peak = np.abs(parts).max()
+        if peak == 0.0:
+            raise ValueError("cannot normalize an all-zero amplitude vector")
+        amps = (parts / peak).view(complex)
+        squares = np.sum(amps.real ** 2 + amps.imag ** 2)
+    norm = np.sqrt(squares)
     unit = abs(norm - 1.0) <= 2 * np.finfo(float).eps
     return StateVector(n=n, amps=_freeze(amps.copy() if unit else amps / norm))
 

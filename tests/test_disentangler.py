@@ -64,8 +64,8 @@ class TestDisentangleStep:
         assert abs(np.linalg.det(step1.unitary) - 1.0) < 1e-10
 
     def test_retained_is_top_two_mass(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
+        for _ in range(1000):
+            n = int(rng.integers(2, 13))
             s = random_state(n, rng)
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             step = disentangle_step(s, a, b)
@@ -167,7 +167,7 @@ class TestBlockFactor:
         w = np.array([0.4, 0.3, 0.2, 0.1])
         w[where + 1] = w[where] - gap * w[0]
         bound = 10 * EPS * w[0] / (w[1] - w[2])
-        for width in (16, 1 << 12):
+        for width in (4, 16, 1 << 12):
             u_ref, rows = block_with_spectrum(w, width, rng, real)
             u, lam = disentangler._factor_gram(disentangler._gram(rows))
             assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < bound

@@ -34,7 +34,7 @@ IMPORTS = {path.stem: relative_imports(path) for path in sorted(PACKAGE.glob("*.
 
 
 def test_the_package_is_found():
-    assert {"statevec", "circuits", "gatesynth", "disentangler", "verify", "cli"} <= IMPORTS.keys()
+    assert {"statevec", "circuits", "gatesynth", "disentangler", "cli"} <= IMPORTS.keys()
 
 
 def test_no_module_imports_inside_a_function():

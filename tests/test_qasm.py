@@ -5,7 +5,7 @@ import pytest
 
 from impsprep import qasm, schedules, statevec, targets
 from impsprep.circuits import CNOT, Circuit, OneQubitGate, TwoQubitGate, simulate
-from impsprep.disentangler import TruncationMode, run_schedule
+from impsprep.disentangler import run_schedule
 from impsprep.gatesynth import SynthMode, synthesize_circuit
 
 from conftest import haar_unitary
@@ -122,11 +122,13 @@ class TestEmitParse:
 
 class TestEndToEnd:
     def test_compiled_target_survives_the_file_format(self, rng):
-        target = targets.discretize(targets.make_spec("f2", 6))
-        sched = schedules.ttn_schedule(6)
-        res = run_schedule(target, sched, 1, TruncationMode.PER_LAYER, rewrite_2cx=True)
-        prim, _ = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
-        text = qasm.emit(prim, {"infidelity": res.final_infidelity})
-        parsed, _ = qasm.parse(text)
-        prepared = simulate(parsed)
-        assert abs(statevec.infidelity(prepared, target) - res.final_infidelity) < 1e-8
+        # a real function target, and a complex random one rewritten to two CNOTs per gate
+        cases = [(targets.discretize(targets.make_spec("f2", 6)), schedules.ttn_schedule(6)),
+                 (statevec.random_state(6, rng), schedules.htn_schedule(6))]
+        for target, sched in cases:
+            res = run_schedule(target, sched, 1, rewrite_2cx=True)
+            prim, _ = synthesize_circuit(res.circuit, SynthMode.OPTIMIZED2)
+            text = qasm.emit(prim, {"infidelity": res.final_infidelity})
+            parsed, _ = qasm.parse(text)
+            prepared = simulate(parsed)
+            assert abs(statevec.infidelity(prepared, target) - res.final_infidelity) < 1e-8

@@ -167,7 +167,8 @@ class TestGrid:
         with pytest.raises(ValueError, match="degenerate grid"):
             grid_schedule(rows, cols)
 
-    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3), (4, 5), (5, 2), (1, 7)])
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3), (4, 5), (5, 2), (1, 7), (1, 8), (2, 2), (3, 4),
+                                           (4, 4), (5, 3)])
     def test_depth_bound(self, rows, cols):
         s = grid_schedule(rows, cols)
         self.assert_grid_adjacent(s, rows, cols)
@@ -241,6 +242,7 @@ class TestScheduleInvariants:
         assert htn_schedule(n).u_depth == log_depth
         assert chain_schedule(n).u_depth == n - 1
         assert hen_schedule(n).u_depth == n - 1
+        assert hen_schedule(n).step_count() >= chain_schedule(n).step_count()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33])
     def test_chain_and_ttn_sources_unique(self, n):
