@@ -145,8 +145,7 @@ def cmd_compile(args) -> int:
         raise SystemExit(f"--layers must be >= 1, got {args.layers}")
     (n,) = _sizes("--n", str(args.n))
     out = _out_dir(args.out)
-    rng = np.random.default_rng(args.seed)
-    label, state, domain = targets.resolve(args.target, n, rng)
+    ((label, state, domain),) = targets.resolve(args.target, n, args.seed)
     schedule = build_schedule(args.scheme, n, args)
     trunc = _truncation(args, schedule)
     (result,) = run_schedule([state], schedule, args.layers, trunc, rewrite_2cx=args.synth == SynthMode.OPTIMIZED2)
@@ -190,21 +189,17 @@ def cmd_benchmark(args) -> int:
     # before the first cell, every schedule is built with its truncation and every
     # amplitude file is read once and checked against every size, so a bad name, a
     # truncation clash or a file of another size stops the sweep before it writes anything
-    built = {n: [] for n in n_list}
-    for n in n_list:
+    built = {n: [] for n in n_list}  # one entry per size, however often it is listed
+    for n, entries in built.items():
         for name in scheme_names:
             schedule = build_schedule(name, n, args, n_flag)
-            built[n].append((name, schedule, _truncation(args, schedule)))
+            entries.append((name, schedule, _truncation(args, schedule)))
     files = {t: targets.load_amplitude_file(t, n_list, n_flag) for t in target_names if targets.is_amplitude_file(t)}
     rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
     for n in n_list:
-        resolved = []
-        for tname in target_names:
-            # one fresh generator per (n, target): every cell sees the same samples
-            rng = np.random.default_rng(args.seed)
-            first = files.get(tname) or targets.resolve(tname, n, rng)
-            more = args.samples - 1 if first[0] == "random" else 0
-            resolved.append((tname, [first, *(targets.resolve(tname, n, rng) for _ in range(more))]))
+        # one fresh draw per (n, target): every cell of a random entry sees the same samples
+        resolved = [(t, [files[t]] if t in files else targets.resolve(t, n, args.seed, args.samples))
+                    for t in target_names]
         for tname, samples in resolved:
             # one stack while a state fits in one kernel chunk, one sample at a time above that
             per = len(samples) if 1 << n <= statevec.CHUNK else 1
@@ -242,7 +237,7 @@ def cmd_benchmark(args) -> int:
                             "seed": args.seed,
                         }
                     )
-                    if samples[0][0] != "random" and args.plotdata:
+                    if len(samples) == 1 and args.plotdata:
                         ((_, state, _),) = samples
                         # percent-encoded, so no entry writes outside plotdata/ or onto another's file
                         name = f"plotdata/{quote(tname, safe='')}_{scheme_name}_n{n}_L{layers}.csv"
@@ -282,8 +277,7 @@ def cmd_rank(args) -> int:
         rep = targets.verify_ring_bounds(f, g, tol=args.tol)
         print(json.dumps(asdict(rep), indent=2))
         return 0 if rep.additive_ok and rep.multiplicative_ok else 1
-    rng = np.random.default_rng(args.seed)
-    label, state, _ = targets.resolve(args.target, n, rng)
+    ((label, state, _),) = targets.resolve(args.target, n, args.seed)
     profile = targets.mps_rank(state, tol=args.tol)
     print(f"target {label}: chi = {profile.chi}")
     print("bond dims:", " ".join(str(d) for d in profile.bond_dims))

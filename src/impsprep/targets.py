@@ -3,7 +3,7 @@ special entangled states, and Schmidt-rank (bond dimension) estimation.
 
 ``resolve`` is the one code path from a ``--target`` value to a state
 (``load_amplitude_file``, which it calls, also reads a file for several
-sizes at once). The value is ``random`` (a seeded draw), an amplitude file
+sizes at once). The value is ``random`` (seeded draws), an amplitude file
 (a ``.amps`` suffix or a slash), or a kind: a function of x in ``KINDS``,
 with its default domain and parameters, or an entangled state in ``STATES``.
 
@@ -162,24 +162,26 @@ def load_amplitude_file(name: str, sizes, flag: str = "--n") -> tuple[str, State
     return f"rawfile:{name}", state, None
 
 
-def resolve(name: str, n: int, rng) -> tuple[str, StateVector, tuple | None]:
-    """(label, unit-norm state, domain) of one ``--target`` value.
+def resolve(name: str, n: int, seed: int, samples: int = 1) -> list[tuple[str, StateVector, tuple | None]]:
+    """The (label, unit-norm state, domain) entries of one ``--target`` value.
 
-    ``random``, in any case, draws a state from ``rng`` and is labelled
-    ``random``; an amplitude file (``is_amplitude_file``) must hold ``n``
-    qubits; any other name is a kind of ``make_spec``. Only function kinds
-    have a domain.
+    ``random``, in any case, is ``samples`` states drawn in order from one
+    ``np.random.default_rng(seed)``, each labelled ``random``; this is the
+    only code that loads ``numpy.random``. Any other value is one entry: an
+    amplitude file (``is_amplitude_file``) must hold ``n`` qubits, and any
+    other name is a kind of ``make_spec``. Only function kinds have a domain.
     """
     name = name.strip()
     if is_amplitude_file(name):
-        return load_amplitude_file(name, [n])
+        return [load_amplitude_file(name, [n])]
     kind = name.lower()
     if kind == "random":
-        return "random", statevec.random_state(n, rng), None
+        rng = np.random.default_rng(seed)
+        return [("random", statevec.random_state(n, rng), None) for _ in range(samples)]
     if kind not in KINDS and kind not in STATES:
         raise ValueError(f"unknown target {name!r}; known: {TARGET_VALUES}")
     spec = make_spec(kind, n)
-    return spec.label(), discretize(spec), spec.domain
+    return [(spec.label(), discretize(spec), spec.domain)]
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def passes(monkeypatch):
     seen = {"passes": 0, "pairs": [], "single": 0}
     kernel = circuits._apply_gate_to_amps
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         wires = args[2]
         assert len(wires) in (1, 2, 4)
         seen["passes"] += 1
@@ -73,7 +73,7 @@ def passes(monkeypatch):
             seen["single"] += 1
         else:
             seen["pairs"] += [wires[i:i + 2] for i in range(0, len(wires), 2)]
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(circuits, "_apply_gate_to_amps", counting)
     return seen

@@ -420,6 +420,11 @@ class TestBenchmark:
         assert [row.pop("target") for row in rows] == [entry, "random"]
         assert rows[0] == rows[1]
 
+    def test_a_cell_of_one_random_sample_plots_it(self, tmp_path):
+        run_cli(["benchmark", "--targets", "random", "--samples", "1", "--schemes", "chain", "--n", "4",
+                 "--plotdata", "--out", str(tmp_path)])
+        assert [p.name for p in (tmp_path / "plotdata").iterdir()] == ["random_chain_n4_L1.csv"]
+
     def test_synth_comparison_columns_show_one_third_saving(self, tmp_path):
         run_cli([
             "benchmark", "--targets", "random", "--schemes", "chain",
@@ -457,6 +462,16 @@ class TestBenchmark:
         lines = (tmp_path / "results.csv").read_text().splitlines()
         rows = list(csv.DictReader(lines[1:]))
         assert [row["n"] for row in rows] == [str(n)]
+
+    def test_a_repeated_size_writes_one_row_per_listing(self, tmp_path):
+        # like a repeated target or layer count, a repeated size is one more
+        # row per cell, not one more copy of every scheme
+        rows = {}
+        for text in ("6", "6,6"):
+            run_cli(["benchmark", "--targets", "f1", "--schemes", "chain", "--n-list", text,
+                     "--out", str(tmp_path / text)])
+            rows[text] = list(csv.DictReader((tmp_path / text / "results.csv").read_text().splitlines()[1:]))
+        assert len(rows["6"]) == 1 and rows["6,6"] == rows["6"] * 2
 
     def test_each_target_resolved_once(self, tmp_path, monkeypatch):
         # 4 cells per target: f1 is discretized once, and the 3 random samples
@@ -524,6 +539,52 @@ class TestBenchmark:
         for name, state in [("..%2F..%2Ft.amps", far), ("t.amps", near)]:
             rows = Path(f"out/plotdata/{name}_chain_n4_L1.csv").read_text().splitlines()[1:]
             assert [float(row.split(",")[1]) for row in rows] == pytest.approx(state.amps.real, abs=1e-15)
+
+
+@pytest.mark.parametrize("argv,draws", [
+    (["compile", "--target", "f1", "--scheme", "chain", "--n", "6"], False),
+    (["benchmark", "--targets", "f1,g2", "--schemes", "chain", "--n", "6"], False),
+    (["rank", "--target", "ghz", "--n", "6"], False),
+    (["compile", "--target", "random", "--scheme", "chain", "--n", "6"], True),
+], ids=["compile-f1", "benchmark-f1-g2", "rank-ghz", "compile-random"])
+def test_only_a_random_target_loads_numpy_random(tmp_path, argv, draws):
+    # numpy.random costs a function-target process about 6 MiB and 9 ms of its start
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import impsprep.cli\n"
+        "rc = impsprep.cli.main(sys.argv[1:])\n"
+        "print(rc, before, 'numpy.random' in sys.modules)\n"
+    )
+    out = [] if argv[0] == "rank" else ["--out", str(tmp_path / "out")]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, *argv, *out], env=dict(os.environ, PYTHONPATH=str(src)),
+                          check=True, capture_output=True, text=True, timeout=120)
+    rc, before, after = proc.stdout.split("\n")[-2].split()
+    assert rc == "0" and after == str(before == "True" or draws)
+
+
+@pytest.mark.parametrize("argv,samples", [
+    (["compile", "--target", "random", "--scheme", "chain"], 1),
+    (["benchmark", "--targets", "random", "--samples", "3", "--schemes", "chain,htn"], 3),
+], ids=["compile", "benchmark"])
+def test_random_draws_follow_one_seeded_stream(tmp_path, monkeypatch, argv, samples):
+    # the states of statevec.random_state on one default_rng(--seed), in
+    # order, and every cell of a benchmark entry gets the same ones
+    stacks, engine = [], cli.run_schedule
+
+    def recording(states, *args, **kwargs):
+        stacks.append([state.amps.copy() for state in states])
+        return engine(states, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_schedule", recording)
+    run_cli(argv + ["--n", "5", "--seed", "7", "--out", str(tmp_path)])
+    rng = np.random.default_rng(7)
+    expected = [statevec.random_state(5, rng).amps for _ in range(samples)]
+    assert len(stacks) == len(argv[-1].split(","))
+    for drawn in stacks:
+        assert len(drawn) == samples and all(np.array_equal(a, b) for a, b in zip(drawn, expected))
 
 
 class TestRank:

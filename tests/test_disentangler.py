@@ -455,9 +455,9 @@ class TestRunSchedule:
         calls = []
         kernel = disentangler._apply_gate_to_amps
 
-        def recording(*args):
+        def recording(*args, **kwargs):
             calls.append(args[2])
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         monkeypatch.setattr(disentangler, "_apply_gate_to_amps", recording)
         res = run_schedule(random_state(6, rng), getattr(schedules, f"{scheme}_schedule")(6),
@@ -516,9 +516,9 @@ class TestRunSchedule:
         for module in (disentangler, circuits):
             kernel = module._apply_gate_to_amps
 
-            def recording(*args, _kernel=kernel):
+            def recording(*args, _kernel=kernel, **kwargs):
                 buffers.append(tuple(args[i].ctypes.data for i in (0, 4, 5)))
-                return _kernel(*args)
+                return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(module, "_apply_gate_to_amps", recording)
         res = run_schedule(random_state(6, rng), schedules.hen_schedule(6), 2, TruncationMode.PER_ROUND)
@@ -887,7 +887,7 @@ class TestRealTargets:
         # a stack holds one kind, the first target's: the error names the
         # first target of the other kind, and no gate pass runs
         kernel, calls = disentangler._apply_gate_to_amps, []
-        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", lambda *args: calls.append(args) or kernel(*args))
+        monkeypatch.setattr(disentangler, "_apply_gate_to_amps", lambda *args, **kwargs: calls.append(args) or kernel(*args, **kwargs))
         n, sched = 6, schedules.chain_schedule(6)
         real = self.functions(n)[:2]
         complex_ = [random_state(n, rng) for _ in range(2)]

@@ -78,7 +78,7 @@ class TestDiscretize:
         state = statevec.from_amplitudes(rng.normal(size=8))
         path = tmp_path / "t.amps"
         statevec.save_amplitudes(state, path)
-        label, loaded, domain = targets.resolve(str(path), 3, None)
+        ((label, loaded, domain),) = targets.resolve(str(path), 3, 0)
         assert np.abs(loaded.amps - state.amps).max() < 1e-15
         assert label == f"rawfile:{path}" and domain is None
 
@@ -89,8 +89,8 @@ class TestDiscretize:
 
 class TestResolve:
     @pytest.mark.parametrize("name", [*targets.KINDS, *targets.STATES, "random", "Random", " random", " F1 "])
-    def test_every_listed_name_resolves(self, name, rng):
-        label, state, domain = targets.resolve(name, 4, rng)
+    def test_every_listed_name_resolves(self, name):
+        ((label, state, domain),) = targets.resolve(name, 4, 12345)
         assert state.n == 4 and abs(np.linalg.norm(state.amps) - 1.0) < 1e-12
         # every random draw is labelled random; only a function kind has a domain
         assert (label == "random") == (name.strip().lower() == "random")
@@ -98,7 +98,7 @@ class TestResolve:
 
     def test_unknown_name_lists_what_target_accepts(self):
         with pytest.raises(ValueError) as info:
-            targets.resolve("rawfile", 4, None)
+            targets.resolve("rawfile", 4, 0)
         assert str(info.value) == f"unknown target 'rawfile'; known: {targets.TARGET_VALUES}"
         assert "rawfile" not in targets.TARGET_VALUES
         for name in [*targets.KINDS, *targets.STATES, "random", ".amps"]:
@@ -108,7 +108,7 @@ class TestResolve:
         path = tmp_path / "t.amps"
         statevec.save_amplitudes(statevec.random_state(3, rng), path)
         with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n was 4"):
-            targets.resolve(str(path), 4, rng)
+            targets.resolve(str(path), 4, 0)
 
 
 class TestMpsRank:
