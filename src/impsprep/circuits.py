@@ -12,13 +12,16 @@ the fused simulator and for rebuilding a synthesized sequence alike.
 ``simulate`` fuses before it applies, as qsim does (arXiv 2111.02396): each
 run of gates on one wire pair, with the single-qubit gates that reach it,
 becomes one 4x4, and two consecutive 4x4s on disjoint pairs share a state
-pass, not one pass per primitive gate. It owns the one state it updates
-and the kernel's two chunk-size work buffers, allocated once per call;
-every pass goes through the state chunk by chunk (see ``statevec``). It
-returns the state frozen.
+pass, not one pass per primitive gate. The fused 4x4s are formed as
+stacked products over the whole circuit, one ``matmul`` per factor
+position, and checked in one call. It owns the one state it updates and
+the kernel's two chunk-size work buffers, allocated once per call; every
+pass goes through the state chunk by chunk (see ``statevec``). It returns
+the state frozen.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +29,11 @@ import numpy as np
 from .statevec import (
     StateVector,
     _apply_gate_to_amps,
-    _check_gate,
+    _check_gates,
     _check_qubit_count,
     _freeze,
     _work_buffers,
+    kron2,
 )
 
 CNOT = np.array(
@@ -61,7 +65,7 @@ GateLike = OneQubitGate | TwoQubitGate
 
 
 def _apply_checked(state: StateVector, wires: tuple[int, ...], matrix: np.ndarray) -> StateVector:
-    matrix = _check_gate(state.n, wires, matrix)
+    matrix = _check_gates(state.n, [wires], matrix)
     amps = state.amps.copy()
     _apply_gate_to_amps(amps, state.n, wires, matrix, *_work_buffers(state.n))
     return StateVector(n=state.n, amps=_freeze(amps))
@@ -91,15 +95,6 @@ class Circuit:
         return sum(1 for g in self.gates if isinstance(g, OneQubitGate))
 
 
-def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two square matrices, or of two stacks of
-    them over leading axes, entry for entry the products ``np.kron`` forms,
-    at a fraction of its call overhead."""
-    dim = x.shape[-1] * y.shape[-1]
-    prod = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return prod.reshape(*prod.shape[:-4], dim, dim)
-
-
 def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:
     """The 4x4 of ``gate`` on the ordered wire pair ``pair``: a Kronecker
     product with the identity for a single-qubit gate, the gate's own matrix
@@ -118,50 +113,71 @@ def simulate(circuit: Circuit) -> StateVector:
     wire pair (either orientation) is multiplied into one 4x4 through
     ``embed``. A single-qubit gate on that pair joins it; one on another
     wire waits, per wire, and folds into the next 4x4 that touches its
-    wire. A fused 4x4 waits for the next one: on disjoint wires the two
-    share a pass as their Kronecker product. Leftovers are applied on their
-    own at the end. Every fused matrix and every leftover is checked as
-    ``apply_two_qubit`` and ``apply_single_qubit`` check their gates.
+    wire. The walk only records each product's factors: the fused 4x4s are
+    then formed as stacked products, one ``matmul`` per factor position
+    over every run that has one, in the order a gate-by-gate fold would
+    form them (so each gets the bits it gets alone), and checked in one
+    ``require_unitary`` call, as are the waiting gates no 4x4 took, which
+    are applied on their own at the end. Two consecutive 4x4s on disjoint
+    wires share a pass as their Kronecker product.
     """
     n = circuit.n
     _check_qubit_count(n)
+    singles: list[np.ndarray] = []  # every single-qubit gate's matrix
+    chains: dict[int, list[int]] = {}  # per wire, the single-qubit gates that wait for it
+    runs: list[tuple] = []  # per fused 4x4: its pair, its two waiting chains and its factors
+    factors: list = []  # a two-qubit gate's matrix, or the index of a single-qubit gate on a run's pair
+    swapped, first, second = [], [], []  # the factors on a run's reversed pair, its first wire, its second
+    for g in circuit.gates:
+        if isinstance(g, OneQubitGate):
+            if runs and g.wire in runs[-1][0]:
+                (first if g.wire == runs[-1][0][0] else second).append(len(factors))
+                runs[-1][3].append(len(factors))
+                factors.append(len(singles))
+            else:
+                chains.setdefault(g.wire, []).append(len(singles))
+            singles.append(g.matrix)
+            continue
+        if runs and runs[-1][0] in ((g.a, g.b), (g.b, g.a)):
+            if runs[-1][0] != (g.a, g.b):
+                swapped.append(len(factors))
+            runs[-1][3].append(len(factors))
+        else:
+            runs.append(((g.a, g.b), chains.pop(g.a, []), chains.pop(g.b, []), [len(factors)]))
+        factors.append(g.matrix)
+    singles = np.reshape(np.array(singles, dtype=complex), (-1, 2, 2))
+    waiting = _products(singles, [chain for run in runs for chain in run[1:3]] + list(chains.values()), I2)
+    stack = np.empty((len(factors), 4, 4), dtype=complex)
+    own = sorted(set(range(len(factors))).difference(first, second))
+    stack[own] = np.reshape(np.array([factors[f] for f in own], dtype=complex), (-1, 4, 4))
+    stack[first] = kron2(singles[[factors[f] for f in first]], I2)
+    stack[second] = kron2(I2, singles[[factors[f] for f in second]])
+    stack[swapped] = SWAP @ stack[swapped] @ SWAP
+    pairs = [run[0] for run in runs]
+    fused = _products(stack, [run[3] for run in runs], kron2(waiting[0:2 * len(runs):2], waiting[1:2 * len(runs):2]))
+    fused = _check_gates(n, pairs, fused)
+    leftover = _check_gates(n, [(wire,) for wire in chains], waiting[2 * len(runs):])
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     work = _work_buffers(n)
-    held = []  # the last fused (pair, 4x4), checked, while it waits
-
-    def apply(wires: tuple[int, ...], matrix: np.ndarray) -> None:
-        matrix = _check_gate(n, wires, matrix)
-        if held and len(wires) == 2 and not set(held[0][0]) & set(wires):
-            pair, first = held.pop()
-            wires, matrix = pair + wires, kron2(first, matrix)
-        elif held:
-            _apply_gate_to_amps(amps, n, *held.pop(), *work)
-        if len(wires) == 2:
-            held.append((wires, matrix))
-        else:
-            _apply_gate_to_amps(amps, n, wires, matrix, *work)
-
-    waiting: dict[int, np.ndarray] = {}
-    pair, fused = None, None
-    for g in circuit.gates:
-        if isinstance(g, OneQubitGate):
-            if pair is not None and g.wire in pair:
-                fused = embed(g, pair) @ fused
-            else:
-                waiting[g.wire] = g.matrix @ waiting.get(g.wire, I2)
-            continue
-        if pair in ((g.a, g.b), (g.b, g.a)):
-            fused = embed(g, pair) @ fused
-            continue
-        if pair is not None:
-            apply(pair, fused)
-        pair = (g.a, g.b)
-        fused = g.matrix @ kron2(waiting.pop(g.a, I2), waiting.pop(g.b, I2))
-    if pair is not None:
-        apply(pair, fused)
-    for wire, matrix in waiting.items():
-        apply((wire,), matrix)
-    if held:
-        _apply_gate_to_amps(amps, n, *held.pop(), *work)
+    r = 0
+    while r < len(runs):
+        both = r + 1 < len(runs) and not set(pairs[r]) & set(pairs[r + 1])
+        _apply_gate_to_amps(amps, n, pairs[r] + pairs[r + 1] if both else pairs[r], fused[r:r + 1 + both], *work)
+        r += 1 + both
+    for wire, matrix in zip(chains, leftover):
+        _apply_gate_to_amps(amps, n, (wire,), matrix, *work)
     return StateVector(n=n, amps=_freeze(amps))
+
+
+def _products(factors: np.ndarray, chains: list[list[int]], start: np.ndarray) -> np.ndarray:
+    """Per chain of indices into the stack ``factors``, the product
+    f_k @ ... @ (f_1 @ start): ``start`` is one matrix for all chains or
+    one per chain, and position j of every chain long enough is one
+    stacked ``matmul``."""
+    out = np.array(np.broadcast_to(start, (len(chains), *start.shape[-2:])))
+    for column in itertools.zip_longest(*chains, fillvalue=-1):
+        at = np.array(column)
+        rows = np.flatnonzero(at >= 0)
+        out[rows] = factors[at[rows]] @ out[rows]
+    return out

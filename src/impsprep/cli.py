@@ -17,13 +17,19 @@ state fits in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and
 one sample at a time above that, where a stack would hold S more state
 sizes for little gain. Every sample gets the circuit it gets alone, so the
 rows do not depend on the stack. A failed cell names its sample, then the
-step's layer, round and pair or the gate's index and wires.
+step's layer, round and pair or the gate's index and wires. A value listed
+twice (``--targets f1,f1``, ``--n-list 6,6``) repeats rows, not work: each
+distinct cell runs once and writes its row once per listing. The argument
+parser is built once per process, which only repeated in-process calls of
+``main`` gain from.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import functools
+import itertools
 import json
 import sys
 import time
@@ -186,25 +192,26 @@ def cmd_benchmark(args) -> int:
         raise SystemExit(f"--layers-list values must be >= 1, got {args.layers_list!r}")
     two_cx = args.synth == SynthMode.OPTIMIZED2
     out = _out_dir(args.out)
+    # each distinct value once, in the order first listed: a repeated listing runs no cell again
+    sizes, names, layer_counts = (list(dict.fromkeys(values)) for values in (n_list, target_names, layers_list))
     # before the first cell, every schedule is built with its truncation and every
     # amplitude file is read once and checked against every size, so a bad name, a
     # truncation clash or a file of another size stops the sweep before it writes anything
-    built = {n: [] for n in n_list}  # one entry per size, however often it is listed
+    built = {n: {} for n in sizes}
     for n, entries in built.items():
         for name in scheme_names:
             schedule = build_schedule(name, n, args, n_flag)
-            entries.append((name, schedule, _truncation(args, schedule)))
-    files = {t: targets.load_amplitude_file(t, n_list, n_flag) for t in target_names if targets.is_amplitude_file(t)}
-    rows = []  # one per cell, at least one; a row's keys are the CSV columns, in order
-    for n in n_list:
+            entries[name] = (schedule, _truncation(args, schedule))
+    files = {t: targets.load_amplitude_file(t, n_list, n_flag) for t in names if targets.is_amplitude_file(t)}
+    done = {}  # per distinct (n, target, scheme, layers) cell: its row; a row's keys are the CSV columns, in order
+    for n in sizes:
         # one fresh draw per (n, target): every cell of a random entry sees the same samples
-        resolved = [(t, [files[t]] if t in files else targets.resolve(t, n, args.seed, args.samples))
-                    for t in target_names]
+        resolved = [(t, [files[t]] if t in files else targets.resolve(t, n, args.seed, args.samples)) for t in names]
         for tname, samples in resolved:
             # one stack while a state fits in one kernel chunk, one sample at a time above that
             per = len(samples) if 1 << n <= statevec.CHUNK else 1
-            for scheme_name, schedule, trunc in built[n]:
-                for layers in layers_list:
+            for scheme_name, (schedule, trunc) in built[n].items():
+                for layers in layer_counts:
                     results, synthesized = [], []
                     try:
                         for lo in range(0, len(samples), per):
@@ -218,30 +225,30 @@ def cmd_benchmark(args) -> int:
                             f"n={n} layers={layers}: {where}{exc}"
                         )
                     (primitive, (cnots_3cx, singles_3cx)), domain = synthesized[0], samples[0][2]
-                    rows.append(
-                        {
-                            "target": tname,
-                            "scheme": scheme_name,
-                            "n": n,
-                            "layers": layers,
-                            "truncation": trunc.value,
-                            "u_depth": results[0].circuit.u_depth,
-                            "infidelity": _fmt(float(np.mean([r.final_infidelity for r in results]))),
-                            "cnot_2cx": primitive.two_qubit_count() if two_cx else "",
-                            "single_qubit_2cx": primitive.one_qubit_count() if two_cx else "",
-                            "cnot_3cx": cnots_3cx,
-                            "single_qubit_3cx": singles_3cx,
-                            "min_retained_weight": _fmt(min(min(r.per_round_weights) for r in results)),
-                            "domain_lo": "" if domain is None else _fmt(domain[0]),
-                            "domain_hi": "" if domain is None else _fmt(domain[1]),
-                            "seed": args.seed,
-                        }
-                    )
+                    done[n, tname, scheme_name, layers] = {
+                        "target": tname,
+                        "scheme": scheme_name,
+                        "n": n,
+                        "layers": layers,
+                        "truncation": trunc.value,
+                        "u_depth": results[0].circuit.u_depth,
+                        "infidelity": _fmt(float(np.mean([r.final_infidelity for r in results]))),
+                        "cnot_2cx": primitive.two_qubit_count() if two_cx else "",
+                        "single_qubit_2cx": primitive.one_qubit_count() if two_cx else "",
+                        "cnot_3cx": cnots_3cx,
+                        "single_qubit_3cx": singles_3cx,
+                        "min_retained_weight": _fmt(min(min(r.per_round_weights) for r in results)),
+                        "domain_lo": "" if domain is None else _fmt(domain[0]),
+                        "domain_hi": "" if domain is None else _fmt(domain[1]),
+                        "seed": args.seed,
+                    }
                     if len(samples) == 1 and args.plotdata:
                         ((_, state, _),) = samples
                         # percent-encoded, so no entry writes outside plotdata/ or onto another's file
                         name = f"plotdata/{quote(tname, safe='')}_{scheme_name}_n{n}_L{layers}.csv"
                         _write_plotdata(out, name, state, simulate(primitive))
+    # one row per listed cell, at least one
+    rows = [done[cell] for cell in itertools.product(n_list, target_names, scheme_names, layers_list)]
     with _written(out, "results.csv") as fh:
         fh.write(f"# impsprep benchmark results, schema v{CSV_SCHEMA_VERSION}\n")
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -291,7 +298,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: repeated in-process
+    calls of ``main`` reuse it."""
     parser = argparse.ArgumentParser(
         prog="impsprep",
         description="Compile amplitude vectors into shallow two-qubit-gate circuits",
@@ -340,8 +350,11 @@ def main(argv=None) -> int:
     p_rank.add_argument("--domain-lo", type=float, default=None)
     p_rank.add_argument("--domain-hi", type=float, default=None)
     p_rank.set_defaults(func=cmd_rank)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -14,20 +14,24 @@ a stack of S same-size targets of one kind, all real or all complex, at
 once (one benchmark cell's samples), and owns one (S, 2^n) array, the
 exact image of every target under all gates applied so far, and the
 kernel's two chunk-size work buffers: S state sizes and two chunks however
-many steps it runs. It takes each round's pairs two
-at a time, and one ``statevec`` kernel pass per group sums each sample's
-16x16 Gram over the chunks it gathers in a read sweep (skipping those
-outside a held slice), reads both pairs' Gram matrices from it, factors
-all of them (samples x pairs) in one stacked ``disentangle_step``, rewrites
-a complex stack's in one stacked ``build_u2cx`` and applies each sample's
-Kronecker product of the two gates in an apply sweep. A stack of real
-targets runs in float64 throughout; its steps are special orthogonal, so
-two-CNOT as they are, and none is rewritten. A gate on one pair leaves a
-disjoint pair's reduced state as it was, so these Gram matrices equal the
-pre-round state's (or its held slice's) up to round-off; a lone pair's pass
-is one step's arithmetic. Every matrix of a stack gets the bits it gets
-alone, so a target's circuit does not depend on the stack it is compiled
-in.
+many steps it runs. While one sample fits in one kernel chunk
+(2^n <= ``statevec.CHUNK``, n <= 16) a whole round is one ``statevec``
+kernel pass; above that a pass takes two pairs of the round. The rule
+depends on n only. In a pass's read sweep each sample's Gram matrices
+are read two pairs at a time: the chunks are gathered with those pairs'
+wires in front (skipping those outside a held slice), one 16x16 Gram is
+summed over them, and both pairs' Gram matrices are its partial traces.
+Then all of the pass's (samples x pairs) are factored in one stacked
+``disentangle_step``, a complex stack's are rewritten in one stacked
+``build_u2cx``, and the apply sweep gathers each chunk once and applies
+the gates two pairs to a GEMM. A stack of real targets runs in float64
+throughout; its steps are special orthogonal, so two-CNOT as they are,
+and none is rewritten. A gate on one pair leaves a disjoint pair's
+reduced state as it was, so all of a round's Gram matrices equal the
+pre-round state's (or its held slice's) up to round-off; a lone pair's
+pass is one step's arithmetic. Every matrix of a stack gets the bits it
+gets alone, so a target's circuit does not depend on the stack it is
+compiled in.
 
 Truncation conventions
 ----------------------
@@ -54,12 +58,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
-from . import gatesynth
-from .circuits import Circuit, OneQubitGate, TwoQubitGate, kron2
+from . import gatesynth, statevec
+from .circuits import Circuit, OneQubitGate, TwoQubitGate
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
 from .statevec import StackError, StateVector, _apply_gate_to_amps, _freeze, _work_buffers
@@ -164,33 +168,42 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 
 
-def _pair_grams(chunks, n: int, wires: tuple[int, ...], fixed, spare: np.ndarray, count: int) -> np.ndarray:
-    """The Gram matrix of each pair of ``wires`` (one or two pairs) in each
-    of ``count`` samples, as a (count, pairs, 4, 4) stack. Each is summed in
-    chunk order over the kernel's ``(samples, bits, gather)`` ``chunks`` and
+def _pair_grams(chunks, n: int, pairs, fixed, spare: np.ndarray, count: int) -> np.ndarray:
+    """The Gram matrix of each of the disjoint ``pairs`` in each of
+    ``count`` samples, as a (count, pairs, 4, 4) stack, read through the
+    kernel's ``(samples, bits, gather)`` ``chunks`` of one pass over all the
+    pairs. The pairs are read two at a time, as a pass of those two alone
+    reads them: the chunk gathered with their wires in front (``gather(g)``
+    for pairs 2g and 2g + 1), one 16x16 Gram matrix of the gathered block,
+    and both pairs' as its partial traces. Each is summed in chunk order and
     read from the slice with the qubits ``fixed`` at |0>: a chunk that holds
     one of them at 1 is not gathered, and a gathered block's own slice is
     copied into the chunk-size ``spare``, whose other half (at least) takes
-    the conjugate that ``_gram`` needs. Two pairs' Gram matrices are the
-    partial traces of the 16x16 one."""
-    rest = [q for q in range(n) if q not in wires]
-    grams = [None] * count
+    the conjugate that ``_gram`` needs."""
+    rest = [q for q in range(n) if q not in sum(pairs, ())]
+    groups = [pairs[p:p + 2] for p in range(0, len(pairs), 2)]
+    grams = [[None] * count for _ in groups]
     for samples, bits, gather in chunks:
         if any(bit and q in fixed for q, bit in zip(rest, bits)):
             continue
-        blocks, free = gather(), rest[len(bits):]
-        if fixed.intersection(free):
-            t = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
-            t = t[(slice(None), slice(None), *(0 if q in fixed else slice(None) for q in free))]
-            blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
-            np.copyto(blocks.reshape(t.shape), t)
-        for i, part in zip(samples, _gram(blocks, spare[spare.size - blocks.size:])):
-            grams[i] = part if grams[i] is None else grams[i] + part
-    gram = np.array(grams)
-    if len(wires) == 2:
-        return gram[:, None]
-    t = gram.reshape(-1, 4, 4, 4, 4)
-    return np.stack([np.trace(t, axis1=2, axis2=4), np.trace(t, axis1=1, axis2=3)], axis=1)
+        for g, group in enumerate(groups):
+            blocks, wires = gather(g), sum(group, ())
+            free = [q for q in range(n) if q not in wires and q not in rest[:len(bits)]]
+            if fixed.intersection(free):
+                t = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
+                t = t[(slice(None), slice(None), *(0 if q in fixed else slice(None) for q in free))]
+                blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
+                np.copyto(blocks.reshape(t.shape), t)
+            for i, part in zip(samples, _gram(blocks, spare[spare.size - blocks.size:])):
+                grams[g][i] = part if grams[g][i] is None else grams[g][i] + part
+    out = []
+    for group, gram in zip(groups, map(np.array, grams)):
+        if len(group) == 1:
+            out.append(gram)
+        else:
+            t = gram.reshape(-1, 4, 4, 4, 4)
+            out += [np.trace(t, axis1=2, axis2=4), np.trace(t, axis1=1, axis2=3)]
+    return np.stack(out, axis=1)
 
 
 def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
@@ -286,9 +299,10 @@ def run_schedule(
     preparation circuit: a PreparationResult for one state, a list of them
     for a sequence.
 
-    A sequence is one stack, and a round's pairs are disjoint and taken two
-    to a state pass (see the module docstring); each target's result is the
-    one it gets alone, bit for bit. Truncation follows ``truncation_mode``,
+    A sequence is one stack, and a round's pairs are disjoint and taken a
+    round to a state pass at n <= 16, two pairs to a pass above that (see
+    the module docstring); each target's result is the one it gets alone,
+    bit for bit. Truncation follows ``truncation_mode``,
     a TruncationMode or its value, by default the scheme's convention
     (``default_truncation_mode``), as described in the module docstring;
     any other value raises ValueError. The targets are all real (every
@@ -340,7 +354,7 @@ def run_schedule(
 
     def factor(group, fixed, where, chunks) -> np.ndarray:
         # the kernel calls this with its read sweep, before its apply sweep
-        grams = _pair_grams(chunks, n, sum(group, ()), fixed, work[1], count)
+        grams = _pair_grams(chunks, n, group, fixed, work[1], count)
         try:
             unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
             if rewrite:
@@ -349,14 +363,17 @@ def run_schedule(
             i, p = divmod(exc.index, len(group))
             raise StackError(f"{where} pair {group[p]}: {exc}", i) from exc
         passes.append((group, unitary, lam, weights.tolist()))
-        return reduce(kron2, unitary.swapaxes(0, 1))
+        return unitary
 
+    # a round per pass while a sample fits in one kernel chunk, else two pairs
+    # per pass; the rule depends on n only, so a stacked sample keeps its bits
+    whole = 1 << n <= statevec.CHUNK
     per_round_weights: list[list[float]] = [[] for _ in stack]
     for layer in range(layers):
         for r, (rnd, fixed) in enumerate(zip(schedule.rounds, held)):
-            first, where = len(passes), f"layer {layer} round {r}"
-            for i in range(0, len(rnd), 2):
-                group = rnd[i:i + 2]
+            first, where, size = len(passes), f"layer {layer} round {r}", len(rnd) if whole else 2
+            for i in range(0, len(rnd), size):
+                group = rnd[i:i + size]
                 _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed, where), *work)
             for i, weights in enumerate(per_round_weights):
                 weights.append(float(np.prod([w for *_, pass_weights in passes[first:] for w in pass_weights[i]])))

@@ -4,6 +4,12 @@ Emission is byte-deterministic for a fixed circuit; per-gate global phases
 are dropped (u3 has no phase slot), so a parsed circuit reproduces the
 original state up to global phase. Header metadata travels in ``// key: value``
 comment lines.
+
+Per-gate work is done once per circuit where its bits allow: ``parse`` forms
+every ``u3`` matrix in one stacked ``u3_matrix`` call, and ``emit`` tests all
+two-qubit gates against CNOT at once. ``emit`` still reads each gate's angles
+with the scalar ``u3_angles``: numpy's array ``arctan2`` rounds unlike
+``math.atan2`` and moved the last digit of every emitted file.
 """
 from __future__ import annotations
 
@@ -25,14 +31,17 @@ _PREAMBLE_RE = re.compile(r'OPENQASM\s+2\.0\s*;|include\s+"qelib1\.inc"\s*;')
 _HEADER_RE = re.compile(r"//\s*([\w.-]+)\s*:\s*(.*)")
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ]
-    )
+def u3_matrix(theta, phi, lam) -> np.ndarray:
+    """The 2x2 matrix u3(theta, phi, lam), or for arrays of angles the
+    (..., 2, 2) stack of one per entry of their broadcast shape."""
+    theta, phi, lam = np.broadcast_arrays(theta, phi, lam)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    m = np.empty(theta.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = c
+    m[..., 0, 1] = -np.exp(1j * lam) * s
+    m[..., 1, 0] = np.exp(1j * phi) * s
+    m[..., 1, 1] = np.exp(1j * (phi + lam)) * c
+    return m
 
 
 def u3_angles(m: np.ndarray) -> tuple[float, float, float]:
@@ -72,15 +81,14 @@ def emit(circuit: Circuit, header: dict | None = None) -> str:
     lines.append("OPENQASM 2.0;")
     lines.append('include "qelib1.inc";')
     lines.append(f"qreg q[{circuit.n}];")
+    pairs = [g.matrix for g in circuit.gates if isinstance(g, TwoQubitGate)]
+    if pairs and np.abs(np.array(pairs) - CNOT).max() > 1e-9:
+        raise ValueError("circuit contains a non-CNOT two-qubit gate; synthesize before emitting")
     for g in circuit.gates:
         if isinstance(g, OneQubitGate):
             th, ph, lm = u3_angles(g.matrix)
             lines.append(f"u3({_fmt(th)},{_fmt(ph)},{_fmt(lm)}) q[{g.wire}];")
         else:
-            if np.abs(g.matrix - CNOT).max() > 1e-9:
-                raise ValueError(
-                    "circuit contains a non-CNOT two-qubit gate; synthesize before emitting"
-                )
             lines.append(f"cx q[{g.a}],q[{g.b}];")
     return "\n".join(lines) + "\n"
 
@@ -90,7 +98,8 @@ def parse(text: str) -> tuple[Circuit, dict]:
     header dict: one ``qreg`` of at least one qubit before every gate, whose
     wires are its qubits, and finite ``u3`` angles."""
     header: dict[str, str] = {}
-    gates: list = []
+    gates: list = []  # a gate, or the wire of a u3 whose matrix is formed at the end
+    u3s, angles = [], []  # per u3: its index in ``gates``, and its three angles
     n = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -101,9 +110,12 @@ def parse(text: str) -> tuple[Circuit, dict]:
             if m:
                 header[m.group(1)] = m.group(2).strip()
             continue
-        if _PREAMBLE_RE.fullmatch(line):
+        # the forms exclude each other; the gates, the most frequent, are tried first
+        u3 = _U3_RE.fullmatch(line)
+        cx = None if u3 else _CX_RE.fullmatch(line)
+        if not (u3 or cx) and _PREAMBLE_RE.fullmatch(line):
             continue
-        qreg, u3, cx = (pattern.fullmatch(line) for pattern in (_QREG_RE, _U3_RE, _CX_RE))
+        qreg = None if u3 or cx else _QREG_RE.fullmatch(line)
         try:
             if qreg and n is None:
                 n = int(qreg.group(1))
@@ -116,12 +128,16 @@ def parse(text: str) -> tuple[Circuit, dict]:
             else:
                 wires = (int(u3.group(4)),) if u3 else (int(cx.group(1)), int(cx.group(2)))
                 _check_wires(n, wires)
-                angles = [float(a) for a in u3.group(1, 2, 3)] if u3 else []
-                if not all(map(math.isfinite, angles)):
-                    raise ValueError(f"u3 angles must be finite, got {line!r}")
-                gates.append(OneQubitGate(wires[0], u3_matrix(*angles)) if u3 else TwoQubitGate(*wires, CNOT))
+                if u3:
+                    angles.append([float(a) for a in u3.group(1, 2, 3)])
+                    if not all(map(math.isfinite, angles[-1])):
+                        raise ValueError(f"u3 angles must be finite, got {line!r}")
+                    u3s.append(len(gates))
+                gates.append(wires[0] if u3 else TwoQubitGate(*wires, CNOT))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing qreg declaration")
+    for i, matrix in zip(u3s, u3_matrix(*np.reshape(angles, (-1, 3)).T)):
+        gates[i] = OneQubitGate(gates[i], matrix)
     return Circuit(n=n, gates=gates), header

@@ -5,24 +5,29 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate on 1, 2 or 4 wires (two pairs' gates in one pass), in place, to
-a stack of S same-size amplitude vectors its caller owns, one matrix per
-sample, given as a stack of matrices or as a function of the gathered
-blocks that returns it. It works chunk by chunk, as qsim blocks for the
-cache (arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
-``CHUNK >> n`` whole samples when a sample fits in one (n <= 16), else one
-sample's amplitudes with its most significant non-gate qubits fixed. Each
-chunk goes through two chunk-size work buffers that the caller allocates
-once (``_work_buffers``) and reuses for every pass, and is one gather, one
-stacked ``matmul`` and one scatter. The engine (``disentangler``) and the
-simulator (``circuits``) each own one stack (the simulator's of one state)
-and one pair of work buffers per call. The rules several modules share
+every gate on one wire or on any number of disjoint pairs in one pass, in
+place, to a stack of S same-size amplitude vectors its caller owns: per
+sample one matrix on all the wires or the (P, 4, 4) stack of the pairs'
+gates, given as an array or as a function of the gathered blocks that
+returns it. The pairs go two to a GEMM, as the Kronecker product of their
+gates. It works chunk by chunk, as qsim blocks for the cache (arXiv
+2111.02396): a chunk of at most ``CHUNK`` amplitudes holds ``CHUNK >> n``
+whole samples when a sample fits in one (n <= 16), else one sample's
+amplitudes with its most significant non-gate qubits fixed. Each chunk
+goes through two chunk-size work buffers that the caller allocates once
+(``_work_buffers``) and reuses for every pass, and is one gather, one
+stacked ``matmul`` per two pairs and one scatter. The plan of a pass, its
+axis orders and chunk index, is built once per (n, wires, S, ``CHUNK``)
+and cached (``_plan``). The engine (``disentangler``) and the simulator
+(``circuits``) each own one stack (the simulator's of one state) and one
+pair of work buffers per call. The rules several modules share
 live here too: the stack checks, the gate and qubit-index checks, the
 float format, and the canonical bases of eigenvalue clusters
 (``cluster_bases``).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -223,78 +228,134 @@ def _work_buffers(n: int, samples: int = 1, dtype=complex) -> tuple[np.ndarray, 
     return np.empty(size, dtype=dtype), np.empty(size, dtype=dtype)
 
 
+def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two square matrices, or of two stacks of
+    them over leading axes, entry for entry the products ``np.kron`` forms,
+    at a fraction of its call overhead."""
+    dim = x.shape[-1] * y.shape[-1]
+    prod = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return prod.reshape(*prod.shape[:-4], dim, dim)
+
+
+@functools.lru_cache(maxsize=256)  # the 144-operation function grid uses 51
+def _plan(n: int, wires: tuple[int, ...], count: int, chunk: int):
+    """The chunk plan of a kernel pass, built once per (n, wires, stack
+    size, chunk size): the wire groups of at most two pairs; the axis
+    orders of the (count, 2, ..., 2) stack that put each group's wires, then
+    all the wires, in front of the other qubits (after the chunk's ``lead``
+    fixed ones), and the order that puts the wires last; and the chunk index,
+    one (sample slice, bits) per chunk."""
+    lead = max(0, n + 1 - chunk.bit_length())
+    rest = [q for q in range(n) if q not in wires]
+    heads, others = rest[:lead], rest[lead:]
+
+    def order(*front):
+        return (0, *(1 + q for q in (*heads, *front, *(q for q in range(n) if q not in heads and q not in front))))
+
+    groups = [wires[i:i + 4] for i in range(0, len(wires), 4)]
+    layouts = [order(*group) for group in groups] + [order(*wires), order(*others, *wires)]
+    per = max(1, chunk >> n)
+    index = [(slice(lo, min(lo + per, count)), bits)
+             for lo in range(0, count, per) for bits in itertools.product((0, 1), repeat=lead)]
+    return groups, layouts, index
+
+
 def _apply_gate_to_amps(
     amps: np.ndarray, n: int, wires: tuple[int, ...], matrix,
     gathered: np.ndarray, product: np.ndarray,
 ) -> None:
-    """Apply a 2^k x 2^k matrix to the k = 1, 2 or 4 ``wires`` of each
-    sample of the (S, 2^n) stack ``amps`` (a 2^n vector is one sample), in
-    place; the first wire is the most significant bit of the matrix's own
-    basis. ``matrix`` is the (S, 2^k, 2^k) stack of one matrix per sample
-    (one 2^k x 2^k matrix for one sample).
+    """Apply one gate per sample of the (S, 2^n) stack ``amps`` (a 2^n
+    vector is one sample) in place, on one wire or on P disjoint ordered
+    pairs, the first wire of each the more significant bit of its gate.
+    ``matrix`` holds per sample one 2^k x 2^k matrix on all k ``wires``
+    (k = 1, 2 or 4) or the (P, 4, 4) stack of the pairs' gates (without S
+    for one sample). Two pairs go to one GEMM, as the Kronecker product of
+    their gates. One group is one ``matmul`` of the gathered block; with
+    more, each GEMM multiplies the transposed block, so that its output puts
+    the next group's wires in front, and a chunk is gathered and scattered
+    once. The plan of a pass (``_plan``) is built once per (n, wires, S,
+    ``CHUNK``).
 
     A chunk holds ``CHUNK >> n`` whole samples (the last one the rest) or,
     when one sample has more than ``CHUNK`` amplitudes, one sample with its
     ``lead`` most significant non-gate qubits, the fewest that leave
     ``CHUNK`` amplitudes, at the values ``bits``, the last one fastest;
-    chunks run sample by sample. Its moved
-    view is gathered into the contiguous (s, 2^k, m) work buffer
+    chunks run sample by sample, and a chunk holds every value of the wires.
+    Each chunk is gathered into the contiguous (s, 2^k, m) work buffer
     ``gathered``, whose columns run over the remaining non-gate qubits in
-    ascending order, multiplied by its samples' matrices into ``product``
-    and scattered back into ``amps``; both chunk-size buffers are
-    overwritten. A function in place of ``matrix`` is first called with an
-    iterator over every chunk's ``(samples, bits, gather)``, in that order,
-    where ``samples`` is the range of its samples; ``gather()`` gathers the
-    chunk and returns its block, which the function may not write. It may
-    skip chunks and use ``product`` as scratch, and returns the stack of
-    matrices. The apply sweep starts from the chunk gathered last, which it
-    does not gather again: a one-chunk pass gathers once. That is why the
-    function form stays: gathering that chunk again made ``run_schedule``
-    on one random n=16 state (L=2, two-CNOT rewrite) 4-12% slower.
+    ascending order, multiplied through ``product`` and scattered back into
+    ``amps``; both chunk-size buffers are overwritten.
+
+    A function in place of ``matrix`` is first called with an iterator over
+    every chunk's ``(samples, bits, gather)``, in that order, where
+    ``samples`` is the range of its samples; ``gather(g=0)`` gathers the
+    chunk with the wires of group ``g`` (pairs 2g and 2g + 1) in front and
+    returns its block, which the function may not write. It may skip
+    chunks and use ``product`` as scratch, and returns the matrices. The
+    apply sweep of a one-group pass starts from the chunk gathered last,
+    which it does not gather again: a one-chunk pass gathers once. That is
+    why the function form stays: gathering that chunk again made
+    ``run_schedule`` on one random n=16 state (L=2, two-CNOT rewrite) 4-12%
+    slower.
     """
-    k = len(wires)
     amps = amps.reshape(-1, 1 << n)
     count = len(amps)
-    lead = max(0, n + 1 - CHUNK.bit_length())
-    per = max(1, CHUNK >> n)
-    heads = itertools.islice((q for q in range(n) if q not in wires), lead)
-    moved = np.moveaxis(amps.reshape([count] + [2] * n), [1 + q for q in (*heads, *wires)], range(1, 1 + lead + k))
-    index = [(slice(lo, min(lo + per, count)), bits)
-             for lo in range(0, count, per) for bits in itertools.product((0, 1), repeat=lead)]
-    parts = [moved[(samples, *bits)] for samples, bits in index]
-    views = {}  # per sample count: both work buffers in a chunk's moved shape and as (s, 2^k, m) blocks
-    for part in parts:
-        if len(part) not in views:
-            size = part.size
-            views[len(part)] = [(b[:size].reshape(part.shape), b[:size].reshape(len(part), 1 << k, -1))
-                                for b in (gathered, product)]
-    resident = None  # the chunk that ``gathered`` holds
+    groups, layouts, index = _plan(n, tuple(wires), count, CHUNK)
+    t = amps.reshape((count,) + (2,) * n)
+    last = len(groups) - 1
+    apply = 0 if last == 0 else last + 1  # the layout the apply sweep gathers
+    resident = None  # the (chunk, layout) that ``gathered`` holds, and its block
 
-    def gather(i: int) -> np.ndarray:
+    def part(layout: int, i: int) -> np.ndarray:
+        samples, bits = index[i]
+        return t.transpose(layouts[layout])[(samples, *bits)]
+
+    def gather(i: int, g: int = 0) -> np.ndarray:
         nonlocal resident
-        (view, block), _ = views[len(parts[i])]
-        np.copyto(view, parts[i])
-        resident = i
+        chunk = part(g, i)
+        view = gathered[: chunk.size]
+        np.copyto(view.reshape(chunk.shape), chunk)
+        block = view.reshape(len(chunk), 1 << len(groups[g if g <= last else 0]), -1)
+        resident = (i, g, block)
         return block
 
     if callable(matrix):
         matrix = matrix((range(count)[samples], bits, partial(gather, i)) for i, (samples, bits) in enumerate(index))
-    matrix = np.reshape(matrix, (count, 1 << k, 1 << k))
-    start = resident or 0
+    matrix = np.asarray(matrix)
+    if matrix.shape[-1] == 1 << len(wires):
+        stack = [matrix.reshape(count, 1 << len(wires), 1 << len(wires))]
+    else:
+        pairs = matrix.reshape(count, -1, 4, 4)
+        stack = [kron2(pairs[:, p], pairs[:, p + 1]) if p + 1 < pairs.shape[1] else pairs[:, p]
+                 for p in range(0, pairs.shape[1], 2)]
+    start = resident[0] if resident and resident[1] == apply else 0
     for i in (*range(start, len(index)), *range(start)):
-        if i != resident:
-            gather(i)
-        (_, block), (scatter, out) = views[len(parts[i])]
-        np.matmul(matrix[index[i][0]], block, out=out)
-        np.copyto(parts[i], scatter)
+        block = resident[2] if resident and resident[:2] == (i, apply) else gather(i, apply)
+        samples = index[i][0]
+        if not last:
+            out = product[: block.size].reshape(block.shape)
+            np.matmul(stack[0][samples], block, out=out)
+        else:
+            buffers = (product, gathered)
+            for g, m in enumerate(stack):
+                out = buffers[g % 2][: block.size].reshape(len(block), -1, block.shape[1])
+                np.matmul(block.mT, m[samples].mT, out=out)
+                if g < last:
+                    block = out.reshape(len(block), 1 << len(groups[g + 1]), -1)
+        target = part(apply if not last else last + 2, i)
+        np.copyto(target, out.reshape(target.shape))
 
 
-def _check_gate(n: int, wires: tuple[int, ...], matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` as a checked unitary on one wire or an ordered pair of
-    distinct wires of an ``n``-qubit state."""
-    matrix = require_unitary(matrix, what=("single-qubit gate", "two-qubit gate")[len(wires) - 1])
-    _check_wires(n, wires)
-    return matrix
+def _check_gates(n: int, wires: list[tuple[int, ...]], matrices: np.ndarray) -> np.ndarray:
+    """The stack ``matrices`` of one gate per entry of ``wires``, each one
+    wire or an ordered pair of distinct wires of an ``n``-qubit state (all
+    of one kind), as checked unitaries: one ``require_unitary`` call names
+    the first that is not unitary, then the wires are checked in order."""
+    if wires:
+        matrices = require_unitary(matrices, what=("single-qubit gate", "two-qubit gate")[len(wires[0]) - 1])
+    for w in wires:
+        _check_wires(n, w)
+    return matrices
 
 
 def fidelity(phi: StateVector, psi: StateVector) -> float:

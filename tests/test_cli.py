@@ -88,9 +88,12 @@ class TestCompile:
           "--seed", "3"], "circuit.qasm"),
         (["benchmark", "--targets", "f1", "--schemes", "chain", "--n", "16", "--plotdata"],
          "plotdata/f1_chain_n16_L1.csv"),
-    ], ids=["compile", "plotdata"])
+        # a round per pass: 8 pairs at n = 16, up to 6 at n = 12
+        (["compile", "--target", "random", "--n", "16", "--scheme", "htn", "--seed", "3"], "circuit.qasm"),
+        (["compile", "--target", "f1", "--n", "12", "--scheme", "hen"], "circuit.qasm"),
+    ], ids=["compile", "plotdata", "htn-round-passes", "hen-round-passes"])
     def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path, argv, artifact):
-        # dense states at n = 14 and 16 reach the threaded BLAS paths
+        # dense states at n = 12 to 16 reach the threaded BLAS paths
         src = Path(cli.__file__).resolve().parents[1]
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(src))
@@ -472,6 +475,25 @@ class TestBenchmark:
                      "--out", str(tmp_path / text)])
             rows[text] = list(csv.DictReader((tmp_path / text / "results.csv").read_text().splitlines()[1:]))
         assert len(rows["6"]) == 1 and rows["6,6"] == rows["6"] * 2
+
+    def test_a_repeated_listing_runs_its_cell_once(self, tmp_path, monkeypatch):
+        # f1,f1 x 6,6 x 1,1 lists one cell eight times: the engine runs once,
+        # and each listing writes the row of the cell listed once
+        calls, engine = [], cli.run_schedule
+
+        def recording(*args, **kwargs):
+            calls.append(args[2])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_schedule", recording)
+        lines = {}
+        for name, (names, sizes, layers) in {"once": ("f1", "6", "1"), "repeated": ("f1,f1", "6,6", "1,1")}.items():
+            calls.clear()
+            run_cli(["benchmark", "--targets", names, "--schemes", "chain", "--n-list", sizes,
+                     "--layers-list", layers, "--out", str(tmp_path / name)])
+            lines[name] = (tmp_path / name / "results.csv").read_text().splitlines()
+            assert calls == [1], name
+        assert len(lines["once"]) == 3 and lines["repeated"] == lines["once"] + lines["once"][2:] * 7
 
     def test_each_target_resolved_once(self, tmp_path, monkeypatch):
         # 4 cells per target: f1 is discretized once, and the 3 random samples

@@ -450,8 +450,9 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_each_gate_applied_once(self, rng, monkeypatch, scheme):
-        # the kernel's passes cover the steps' pairs in order, one or two
-        # pairs to a pass
+        # the kernel's passes cover the steps' pairs in order: a whole round
+        # per pass while a sample fits in one chunk (2^6 <= CHUNK), at most
+        # two pairs per pass above it (chunks of 2^4)
         calls = []
         kernel = disentangler._apply_gate_to_amps
 
@@ -460,10 +461,16 @@ class TestRunSchedule:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(disentangler, "_apply_gate_to_amps", recording)
-        res = run_schedule(random_state(6, rng), getattr(schedules, f"{scheme}_schedule")(6),
-                           2, disentangler.default_truncation_mode(scheme))
-        assert all(len(wires) in (2, 4) for wires in calls)
-        assert [q for wires in calls for q in wires] == [q for step in res.steps for q in step.pair]
+        sched, target = getattr(schedules, f"{scheme}_schedule")(6), random_state(6, rng)
+        rounds = 2 * sched.rounds
+        for chunk, passes in ((statevec.CHUNK, [sum(rnd, ()) for rnd in rounds]),
+                              (1 << 4, [sum(rnd[i:i + 2], ()) for rnd in rounds for i in range(0, len(rnd), 2)])):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(statevec, "CHUNK", chunk)
+                res = run_schedule(target, sched, 2, disentangler.default_truncation_mode(scheme))
+            assert calls == passes, chunk
+            assert [q for wires in calls for q in wires] == [q for step in res.steps for q in step.pair]
 
     @pytest.mark.parametrize("build,sizes,modes", [
         (schedules.chain_schedule, range(4, 11), (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
@@ -831,9 +838,6 @@ class TestRealTargets:
     def functions(n):
         return [targets.discretize(targets.make_spec(name, n)) for name in ("f1", "f2", "f3", "g1", "g2", "g3")]
 
-    @staticmethod
-    def passes(sched, layers):
-        return layers * sum((len(rnd) + 1) // 2 for rnd in sched.rounds)
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_steps_are_float64_with_determinant_one(self, scheme):
@@ -857,9 +861,9 @@ class TestRealTargets:
         complex_ = [random_state(n, rng) for _ in range(2)]
         run_schedule(real, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
         assert calls == []
-        # one call per pass, on the whole stack
+        # one call per pass, on the whole stack: at n = 8 a pass is a round
         run_schedule(complex_, sched, 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
-        assert calls == [2] * self.passes(sched, 2)
+        assert calls == [2] * (2 * len(sched.rounds))
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_rewrite_2cx_changes_nothing(self, scheme):

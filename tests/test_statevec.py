@@ -12,6 +12,7 @@ from conftest import (
     dense_two_qubit_operator,
     extract_block_bitloop,
     haar_unitary,
+    random_real_state,
     random_state,
 )
 
@@ -328,6 +329,33 @@ class TestGateKernel:
             expected = fresh_array_gate(fresh_array_gate(amps, n, wires[:2], first), n, wires[2:], second)
             statevec._apply_gate_to_amps(amps, n, wires, kron2(first, second), *work)
             assert np.abs(amps - expected).max() < 1e-13, wires
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_round_pass_equals_two_pair_passes(self, rng, n, real, count):
+        # P random disjoint pairs in one pass, two to a GEMM through the
+        # transposed blocks from the third pair on, are the successive passes
+        # of two pairs each, up to round-off; one or two pairs are that pass
+        for pairs in range(1, n // 2 + 1):
+            wires = tuple(int(q) for q in rng.permutation(n)[:2 * pairs])
+            if real:
+                amps = np.array([random_real_state(n, rng).amps.real for _ in range(count)])
+                gates = np.array([np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(count * pairs)])
+            else:
+                amps = np.array([random_state(n, rng).amps for _ in range(count)])
+                gates = np.array([haar_unitary(4, rng) for _ in range(count * pairs)])
+            gates = gates.reshape(count, pairs, 4, 4)
+            expected = amps.copy()
+            work = statevec._work_buffers(n, count, amps.dtype)
+            for p in range(0, pairs, 2):
+                statevec._apply_gate_to_amps(expected, n, wires[2 * p:2 * p + 4], gates[:, p:p + 2], *work)
+            # one sample is a 2^n vector with a (P, 4, 4) stack of gates
+            statevec._apply_gate_to_amps(amps[0] if count == 1 else amps, n, wires,
+                                         gates[0] if count == 1 else gates, *work)
+            assert np.abs(amps - expected).max() < 1e-14, wires
+            if pairs <= 2:
+                assert np.array_equal(amps, expected), wires
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_chunked_pass_equals_fresh_array_reference(self, rng, monkeypatch, k):
