@@ -6,8 +6,9 @@ unitaries (TwoQubitGate) or bound 2x2 unitaries (OneQubitGate). The same
 two types carry synthesized sequences, whose wires are 0 and 1 of one 4x4.
 
 Wire convention inside a pair's 4x4: the first wire of the ordered pair is
-the more significant bit. ``embed`` is the one place that applies it, for
-the fused simulator and for rebuilding a synthesized sequence alike.
+the more significant bit. ``embed_stack`` is the one place that applies
+it, to the fused simulator's factors and, through ``embed``, to the gates
+of a synthesized sequence alike.
 
 ``simulate`` fuses before it applies, as qsim does (arXiv 2111.02396): each
 run of gates on one wire pair, with the single-qubit gates that reach it,
@@ -96,22 +97,38 @@ class Circuit:
 
 
 def embed(gate: GateLike, pair: tuple[int, int]) -> np.ndarray:
-    """The 4x4 of ``gate`` on the ordered wire pair ``pair``: a Kronecker
-    product with the identity for a single-qubit gate, the gate's own matrix
-    on the same pair and its SWAP conjugate on the reversed one."""
+    """The 4x4 of ``gate`` on the ordered wire pair ``pair`` (``embed_stack``)."""
     if isinstance(gate, OneQubitGate):
-        return kron2(gate.matrix, I2) if gate.wire == pair[0] else kron2(I2, gate.matrix)
-    if (gate.b, gate.a) == pair:
-        return SWAP @ gate.matrix @ SWAP
-    return gate.matrix
+        return embed_stack(gate.matrix, gate.wire != pair[0])
+    return embed_stack(gate.matrix, (gate.b, gate.a) == pair)
+
+
+# per matrix size, the placement on an ordered pair and on the flipped one
+_PLACE = {2: (lambda m: kron2(m, I2), lambda m: kron2(I2, m)), 4: (lambda m: m, lambda m: SWAP @ m @ SWAP)}
+
+
+def embed_stack(matrices: np.ndarray, flip) -> np.ndarray:
+    """The 4x4s on one ordered wire pair of a 2x2 or 4x4 matrix, or of a
+    stack of them: a 2x2 on the pair's first wire, or where ``flip`` on its
+    second, is a Kronecker product with the identity; a 4x4 on the pair is
+    itself, and on the reversed pair, where ``flip``, its SWAP conjugate.
+    ``flip`` is one bool or a bool array, one per matrix."""
+    place = _PLACE[matrices.shape[-1]]
+    if isinstance(flip, bool):
+        return place[flip](matrices)
+    out = np.empty(matrices.shape[:-2] + (4, 4), dtype=complex)
+    for side in (False, True):
+        out[flip == side] = place[side](matrices[flip == side])
+    return out
 
 
 def simulate(circuit: Circuit) -> StateVector:
     """Run the circuit on |0...0> with the exact simulator.
 
     One walk over the gates fuses them: a run of two-qubit gates on one
-    wire pair (either orientation) is multiplied into one 4x4 through
-    ``embed``. A single-qubit gate on that pair joins it; one on another
+    wire pair (either orientation) is multiplied into one 4x4 of factors
+    placed on that pair by one ``embed_stack`` call per kind (two-qubit,
+    single-qubit). A single-qubit gate on that pair joins it; one on another
     wire waits, per wire, and folds into the next 4x4 that touches its
     wire. The walk only records each product's factors: the fused 4x4s are
     then formed as stacked products, one ``matmul`` per factor position
@@ -149,10 +166,10 @@ def simulate(circuit: Circuit) -> StateVector:
     waiting = _products(singles, [chain for run in runs for chain in run[1:3]] + list(chains.values()), I2)
     stack = np.empty((len(factors), 4, 4), dtype=complex)
     own = sorted(set(range(len(factors))).difference(first, second))
-    stack[own] = np.reshape(np.array([factors[f] for f in own], dtype=complex), (-1, 4, 4))
-    stack[first] = kron2(singles[[factors[f] for f in first]], I2)
-    stack[second] = kron2(I2, singles[[factors[f] for f in second]])
-    stack[swapped] = SWAP @ stack[swapped] @ SWAP
+    stack[own] = embed_stack(np.reshape(np.array([factors[f] for f in own], dtype=complex), (-1, 4, 4)),
+                             np.isin(own, swapped))
+    stack[first + second] = embed_stack(singles[[factors[f] for f in first + second]],
+                                        np.arange(len(first) + len(second)) >= len(first))
     pairs = [run[0] for run in runs]
     fused = _products(stack, [run[3] for run in runs], kron2(waiting[0:2 * len(runs):2], waiting[1:2 * len(runs):2]))
     fused = _check_gates(n, pairs, fused)

@@ -13,7 +13,7 @@ directory above it that exists, is not a directory.
 ``compile`` runs its one target through ``run_schedule`` and
 ``gatesynth.synthesize_circuit`` as a stack of one. ``benchmark`` makes the
 same two calls per cell: for all of a cell's samples as one stack while one
-state fits in one kernel chunk (2^n <= ``statevec.CHUNK``, n <= 16), and
+state fits in one kernel chunk (``statevec.fits_one_chunk``, n <= 16), and
 one sample at a time above that, where a stack would hold S more state
 sizes for little gain. Every sample gets the circuit it gets alone, so the
 rows do not depend on the stack. A failed cell names its sample, then the
@@ -209,7 +209,7 @@ def cmd_benchmark(args) -> int:
         resolved = [(t, [files[t]] if t in files else targets.resolve(t, n, args.seed, args.samples)) for t in names]
         for tname, samples in resolved:
             # one stack while a state fits in one kernel chunk, one sample at a time above that
-            per = len(samples) if 1 << n <= statevec.CHUNK else 1
+            per = len(samples) if statevec.fits_one_chunk(n) else 1
             for scheme_name, (schedule, trunc) in built[n].items():
                 for layers in layer_counts:
                     results, synthesized = [], []

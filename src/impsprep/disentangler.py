@@ -15,18 +15,21 @@ once (one benchmark cell's samples), and owns one (S, 2^n) array, the
 exact image of every target under all gates applied so far, and the
 kernel's two chunk-size work buffers: S state sizes and two chunks however
 many steps it runs. While one sample fits in one kernel chunk
-(2^n <= ``statevec.CHUNK``, n <= 16) a whole round is one ``statevec``
-kernel pass; above that a pass takes two pairs of the round. The rule
-depends on n only. In a pass's read sweep each sample's Gram matrices
-are read two pairs at a time: the chunks are gathered with those pairs'
-wires in front (skipping those outside a held slice), one 16x16 Gram is
-summed over them, and both pairs' Gram matrices are its partial traces.
-Then all of the pass's (samples x pairs) are factored in one stacked
-``disentangle_step``, a complex stack's are rewritten in one stacked
-``build_u2cx``, and the apply sweep gathers each chunk once and applies
-the gates two pairs to a GEMM. A stack of real targets runs in float64
-throughout; its steps are special orthogonal, so two-CNOT as they are,
-and none is rewritten. A gate on one pair leaves a disjoint pair's
+(``statevec.fits_one_chunk``, n <= 16) a whole round is one ``statevec``
+kernel pass, and its read sweep reads each pair's Gram matrices as a pass
+of that pair alone reads them: the chunk gathered with the pair's wires
+in front, one 4x4 Gram. A pair's Gram then has the bits of a one-pair
+pass on the same state, whichever pairs share its pass. Above one chunk,
+where each read gathers the whole state, a pass takes two pairs of the
+round and reads them together: the chunks gathered with their four wires
+in front (skipping those outside a held slice), one 16x16 Gram summed
+over them, and both pairs' Gram matrices as its partial traces. The rule
+depends on n only. Then all of the pass's (samples x pairs) are factored
+in one stacked ``disentangle_step``, a complex stack's are rewritten in
+one stacked ``build_u2cx``, and the apply sweep gathers each chunk once
+and applies the gates two pairs to a GEMM. A stack of real targets runs
+in float64 throughout; its steps are special orthogonal, so two-CNOT as
+they are, and none is rewritten. A gate on one pair leaves a disjoint pair's
 reduced state as it was, so all of a round's Gram matrices equal the
 pre-round state's (or its held slice's) up to round-off; a lone pair's
 pass is one step's arithmetic. Every matrix of a stack gets the bits it
@@ -168,26 +171,26 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
 
 
-def _pair_grams(chunks, n: int, pairs, fixed, spare: np.ndarray, count: int) -> np.ndarray:
-    """The Gram matrix of each of the disjoint ``pairs`` in each of
-    ``count`` samples, as a (count, pairs, 4, 4) stack, read through the
-    kernel's ``(samples, bits, gather)`` ``chunks`` of one pass over all the
-    pairs. The pairs are read two at a time, as a pass of those two alone
-    reads them: the chunk gathered with their wires in front (``gather(g)``
-    for pairs 2g and 2g + 1), one 16x16 Gram matrix of the gathered block,
-    and both pairs' as its partial traces. Each is summed in chunk order and
-    read from the slice with the qubits ``fixed`` at |0>: a chunk that holds
-    one of them at 1 is not gathered, and a gathered block's own slice is
-    copied into the chunk-size ``spare``, whose other half (at least) takes
-    the conjugate that ``_gram`` needs."""
-    rest = [q for q in range(n) if q not in sum(pairs, ())]
-    groups = [pairs[p:p + 2] for p in range(0, len(pairs), 2)]
-    grams = [[None] * count for _ in groups]
+def _pair_grams(chunks, n: int, reads, fixed, spare: np.ndarray, count: int) -> np.ndarray:
+    """The Gram matrix of each pair of the disjoint pairs ``reads`` holds,
+    one or two pairs a read, in each of ``count`` samples, as a
+    (count, pairs, 4, 4) stack, read through the kernel's
+    ``(samples, bits, gather)`` ``chunks`` of one pass over all the pairs.
+    A read is what a pass of its pairs alone reads: the chunk gathered with
+    their wires in front, one 4x4 Gram matrix of a lone pair's block, or
+    one 16x16 of two pairs' and both pairs' as its partial traces. Each is
+    summed in chunk order and read from the slice with the qubits ``fixed``
+    at |0>: a chunk that holds one of them at 1 is not gathered, and a
+    gathered block's own slice is copied into the chunk-size ``spare``,
+    whose other half (at least) takes the conjugate that ``_gram`` needs."""
+    rest = [q for q in range(n) if q not in sum(sum(reads, ()), ())]
+    grams = [[None] * count for _ in reads]
     for samples, bits, gather in chunks:
         if any(bit and q in fixed for q, bit in zip(rest, bits)):
             continue
-        for g, group in enumerate(groups):
-            blocks, wires = gather(g), sum(group, ())
+        for r, read in enumerate(reads):
+            wires = sum(read, ())
+            blocks = gather(wires)
             free = [q for q in range(n) if q not in wires and q not in rest[:len(bits)]]
             if fixed.intersection(free):
                 t = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
@@ -195,10 +198,10 @@ def _pair_grams(chunks, n: int, pairs, fixed, spare: np.ndarray, count: int) -> 
                 blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
                 np.copyto(blocks.reshape(t.shape), t)
             for i, part in zip(samples, _gram(blocks, spare[spare.size - blocks.size:])):
-                grams[g][i] = part if grams[g][i] is None else grams[g][i] + part
+                grams[r][i] = part if grams[r][i] is None else grams[r][i] + part
     out = []
-    for group, gram in zip(groups, map(np.array, grams)):
-        if len(group) == 1:
+    for read, gram in zip(reads, map(np.array, grams)):
+        if len(read) == 1:
             out.append(gram)
         else:
             t = gram.reshape(-1, 4, 4, 4, 4)
@@ -354,7 +357,8 @@ def run_schedule(
 
     def factor(group, fixed, where, chunks) -> np.ndarray:
         # the kernel calls this with its read sweep, before its apply sweep
-        grams = _pair_grams(chunks, n, group, fixed, work[1], count)
+        reads = [(pair,) for pair in group] if whole else [group]
+        grams = _pair_grams(chunks, n, reads, fixed, work[1], count)
         try:
             unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
             if rewrite:
@@ -365,9 +369,10 @@ def run_schedule(
         passes.append((group, unitary, lam, weights.tolist()))
         return unitary
 
-    # a round per pass while a sample fits in one kernel chunk, else two pairs
-    # per pass; the rule depends on n only, so a stacked sample keeps its bits
-    whole = 1 << n <= statevec.CHUNK
+    # a round per pass, each pair read alone, while a sample fits in one
+    # kernel chunk, else two pairs per pass, read together; the rule depends
+    # on n only, so a stacked sample keeps its bits
+    whole = statevec.fits_one_chunk(n)
     per_round_weights: list[list[float]] = [[] for _ in stack]
     for layer in range(layers):
         for r, (rnd, fixed) in enumerate(zip(schedule.rounds, held)):

@@ -17,13 +17,14 @@ amplitudes with its most significant non-gate qubits fixed. Each chunk
 goes through two chunk-size work buffers that the caller allocates once
 (``_work_buffers``) and reuses for every pass, and is one gather, one
 stacked ``matmul`` per two pairs and one scatter. The plan of a pass, its
-axis orders and chunk index, is built once per (n, wires, S, ``CHUNK``)
-and cached (``_plan``). The engine (``disentangler``) and the simulator
-(``circuits``) each own one stack (the simulator's of one state) and one
-pair of work buffers per call. The rules several modules share
-live here too: the stack checks, the gate and qubit-index checks, the
-float format, and the canonical bases of eigenvalue clusters
-(``cluster_bases``).
+chunk index, is built once per (n, wires, S, ``CHUNK``) and cached
+(``_plan``), as is each axis order of a gather (``_order``);
+``fits_one_chunk`` is the one test of whether a sample fits in one chunk.
+The engine (``disentangler``) and the simulator (``circuits``) each own
+one stack (the simulator's of one state) and one pair of work buffers per
+call. The rules several modules share live here too: the stack checks,
+the gate and qubit-index checks, the float format, and the canonical bases
+of eigenvalue clusters (``cluster_bases``).
 """
 from __future__ import annotations
 
@@ -237,27 +238,38 @@ def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return prod.reshape(*prod.shape[:-4], dim, dim)
 
 
+def fits_one_chunk(n: int) -> bool:
+    """Whether one ``n``-qubit sample fits in one kernel chunk (2^n <=
+    ``CHUNK``, n <= 16): the rule by which the engine takes a whole round
+    per pass and ``benchmark`` stacks a cell's samples. Both must agree for
+    a stacked sample to keep the bits it gets alone."""
+    return 1 << n <= CHUNK
+
+
 @functools.lru_cache(maxsize=256)  # the 144-operation function grid uses 51
 def _plan(n: int, wires: tuple[int, ...], count: int, chunk: int):
     """The chunk plan of a kernel pass, built once per (n, wires, stack
-    size, chunk size): the wire groups of at most two pairs; the axis
-    orders of the (count, 2, ..., 2) stack that put each group's wires, then
-    all the wires, in front of the other qubits (after the chunk's ``lead``
-    fixed ones), and the order that puts the wires last; and the chunk index,
-    one (sample slice, bits) per chunk."""
+    size, chunk size): the chunk's ``lead`` fixed qubits, the most
+    significant non-gate ones; the qubits the apply sweep's output holds in
+    front after those, the wires for up to four, else (one GEMM per two
+    pairs) every other qubit, then the wires; and the chunk index, one
+    (sample slice, bits) per chunk."""
     lead = max(0, n + 1 - chunk.bit_length())
-    rest = [q for q in range(n) if q not in wires]
-    heads, others = rest[:lead], rest[lead:]
-
-    def order(*front):
-        return (0, *(1 + q for q in (*heads, *front, *(q for q in range(n) if q not in heads and q not in front))))
-
-    groups = [wires[i:i + 4] for i in range(0, len(wires), 4)]
-    layouts = [order(*group) for group in groups] + [order(*wires), order(*others, *wires)]
+    rest = tuple(q for q in range(n) if q not in wires)
+    scatter = wires if len(wires) <= 4 else rest[lead:] + wires
     per = max(1, chunk >> n)
     index = [(slice(lo, min(lo + per, count)), bits)
              for lo in range(0, count, per) for bits in itertools.product((0, 1), repeat=lead)]
-    return groups, layouts, index
+    return rest[:lead], scatter, index
+
+
+@functools.lru_cache(maxsize=1024)
+def _order(n: int, heads: tuple[int, ...], front: tuple[int, ...]) -> tuple[int, ...]:
+    """The axis order of a (S, 2, ..., 2) stack that puts the qubits
+    ``heads``, then ``front``, then the others in ascending order after the
+    sample axis."""
+    others = (q for q in range(n) if q not in heads and q not in front)
+    return (0, *(1 + q for q in (*heads, *front, *others)))
 
 
 def _apply_gate_to_amps(
@@ -274,7 +286,7 @@ def _apply_gate_to_amps(
     more, each GEMM multiplies the transposed block, so that its output puts
     the next group's wires in front, and a chunk is gathered and scattered
     once. The plan of a pass (``_plan``) is built once per (n, wires, S,
-    ``CHUNK``).
+    ``CHUNK``), each axis order once (``_order``).
 
     A chunk holds ``CHUNK >> n`` whole samples (the last one the rest) or,
     when one sample has more than ``CHUNK`` amplitudes, one sample with its
@@ -288,35 +300,35 @@ def _apply_gate_to_amps(
 
     A function in place of ``matrix`` is first called with an iterator over
     every chunk's ``(samples, bits, gather)``, in that order, where
-    ``samples`` is the range of its samples; ``gather(g=0)`` gathers the
-    chunk with the wires of group ``g`` (pairs 2g and 2g + 1) in front and
-    returns its block, which the function may not write. It may skip
-    chunks and use ``product`` as scratch, and returns the matrices. The
-    apply sweep of a one-group pass starts from the chunk gathered last,
-    which it does not gather again: a one-chunk pass gathers once. That is
-    why the function form stays: gathering that chunk again made
-    ``run_schedule`` on one random n=16 state (L=2, two-CNOT rewrite) 4-12%
-    slower.
+    ``samples`` is the range of its samples; ``gather(front=wires)``
+    gathers the chunk with the wires ``front``, some of the pass's, in
+    front of the others and returns its (s, 2^len(front), m) block, which
+    the function may not write. It may skip chunks and use ``product`` as
+    scratch, and returns the matrices. The apply sweep starts from the
+    chunk gathered last if that was gathered with all the wires in front,
+    and does not gather it again: a one-chunk pass that reads its block
+    that way gathers once. That is why the function form stays: gathering
+    that chunk again made ``run_schedule`` on one random n=16 state (L=2,
+    two-CNOT rewrite) 4-12% slower.
     """
     amps = amps.reshape(-1, 1 << n)
     count = len(amps)
-    groups, layouts, index = _plan(n, tuple(wires), count, CHUNK)
+    wires = tuple(wires)
+    heads, scatter, index = _plan(n, wires, count, CHUNK)
     t = amps.reshape((count,) + (2,) * n)
-    last = len(groups) - 1
-    apply = 0 if last == 0 else last + 1  # the layout the apply sweep gathers
-    resident = None  # the (chunk, layout) that ``gathered`` holds, and its block
+    resident = None  # the (chunk, front) that ``gathered`` holds, and its block
 
-    def part(layout: int, i: int) -> np.ndarray:
+    def part(front: tuple[int, ...], i: int) -> np.ndarray:
         samples, bits = index[i]
-        return t.transpose(layouts[layout])[(samples, *bits)]
+        return t.transpose(_order(n, heads, front))[(samples, *bits)]
 
-    def gather(i: int, g: int = 0) -> np.ndarray:
+    def gather(i: int, front: tuple[int, ...] = wires) -> np.ndarray:
         nonlocal resident
-        chunk = part(g, i)
+        chunk = part(front, i)
         view = gathered[: chunk.size]
         np.copyto(view.reshape(chunk.shape), chunk)
-        block = view.reshape(len(chunk), 1 << len(groups[g if g <= last else 0]), -1)
-        resident = (i, g, block)
+        block = view.reshape(len(chunk), 1 << len(front), -1)
+        resident = (i, front, block)
         return block
 
     if callable(matrix):
@@ -328,21 +340,22 @@ def _apply_gate_to_amps(
         pairs = matrix.reshape(count, -1, 4, 4)
         stack = [kron2(pairs[:, p], pairs[:, p + 1]) if p + 1 < pairs.shape[1] else pairs[:, p]
                  for p in range(0, pairs.shape[1], 2)]
-    start = resident[0] if resident and resident[1] == apply else 0
+    start = resident[0] if resident and resident[1] == wires else 0
     for i in (*range(start, len(index)), *range(start)):
-        block = resident[2] if resident and resident[:2] == (i, apply) else gather(i, apply)
+        block = resident[2] if resident and resident[:2] == (i, wires) else gather(i)
         samples = index[i][0]
-        if not last:
+        if len(stack) == 1:
             out = product[: block.size].reshape(block.shape)
             np.matmul(stack[0][samples], block, out=out)
         else:
             buffers = (product, gathered)
+            block = block.reshape(len(block), stack[0].shape[-1], -1)
             for g, m in enumerate(stack):
                 out = buffers[g % 2][: block.size].reshape(len(block), -1, block.shape[1])
                 np.matmul(block.mT, m[samples].mT, out=out)
-                if g < last:
-                    block = out.reshape(len(block), 1 << len(groups[g + 1]), -1)
-        target = part(apply if not last else last + 2, i)
+                if g + 1 < len(stack):
+                    block = out.reshape(len(block), stack[g + 1].shape[-1], -1)
+        target = part(scatter, i)
         np.copyto(target, out.reshape(target.shape))
 
 

@@ -97,6 +97,17 @@ class TestEmbed:
             expected = dense_circuit_operator(Circuit(n=3, gates=[g]))
             assert np.abs(dense_two_qubit_operator(embed(g, pair), 3, a, b) - expected).max() < 1e-12
 
+    def test_stacked_form_is_each_gate_alone(self, rng):
+        # a stack of 2x2s or of 4x4s with one flip per matrix is, bit for
+        # bit, each matrix placed alone
+        for size, gate in ((2, lambda m, flip: OneQubitGate(int(flip), m)),
+                           (4, lambda m, flip: TwoQubitGate(*((1, 0) if flip else (0, 1)), m))):
+            matrices = np.array([haar_unitary(size, rng) for _ in range(5)])
+            flips = np.array([False, True, True, False, True])
+            stacked = circuits.embed_stack(matrices, flips)
+            for m, flip, out in zip(matrices, flips, stacked):
+                assert np.array_equal(out, embed(gate(m, flip), (0, 1)))
+
 
 class TestFusedSimulate:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -472,6 +472,22 @@ class TestRunSchedule:
             assert calls == passes, chunk
             assert [q for wires in calls for q in wires] == [q for step in res.steps for q in step.pair]
 
+    @pytest.mark.parametrize("scheme", ["ttn", "htn", "hen"])
+    def test_first_round_steps_are_each_pairs_own(self, rng, scheme):
+        # while a sample fits in one chunk a round is one pass that reads
+        # each pair as a pass of that pair alone reads it: the first round's
+        # steps are, bit for bit, the steps each pair gets alone from the
+        # target, in every sample of a stack
+        n = 8
+        sched = getattr(schedules, f"{scheme}_schedule")(n)
+        stack = [random_state(n, rng) for _ in range(3)]
+        for target, res in zip(stack, run_schedule(stack, sched, 1, disentangler.default_truncation_mode(scheme))):
+            assert len(sched.rounds[0]) > 2
+            for (a, b), step in zip(sched.rounds[0], res.steps):
+                alone = disentangle_step(target, a, b)
+                assert np.array_equal(step.unitary, alone.unitary), (a, b)
+                assert np.array_equal(step.singular_values, alone.singular_values), (a, b)
+
     @pytest.mark.parametrize("build,sizes,modes", [
         (schedules.chain_schedule, range(4, 11), (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
         (schedules.ttn_schedule, range(4, 11), (TruncationMode.PER_LAYER, TruncationMode.PER_ROUND)),
