@@ -46,7 +46,6 @@ from .statevec import (
     from_amplitudes,
     infidelity,
     load_amplitudes,
-    save_amplitudes,
 )
 from .targets import (
     RankProfile,

@@ -14,27 +14,18 @@ a stack of S same-size targets of one kind, all real or all complex, at
 once (one benchmark cell's samples), and owns one (S, 2^n) array, the
 exact image of every target under all gates applied so far, and the
 kernel's two chunk-size work buffers: S state sizes and two chunks however
-many steps it runs. While one sample fits in one kernel chunk
-(``statevec.fits_one_chunk``, n <= 16) a whole round is one ``statevec``
-kernel pass, and its read sweep reads each pair's Gram matrices as a pass
-of that pair alone reads them: the chunk gathered with the pair's wires
-in front, one 4x4 Gram. A pair's Gram then has the bits of a one-pair
-pass on the same state, whichever pairs share its pass. Above one chunk,
-where each read gathers the whole state, a pass takes two pairs of the
-round and reads them together: the chunks gathered with their four wires
-in front (skipping those outside a held slice), one 16x16 Gram summed
-over them, and both pairs' Gram matrices as its partial traces. The rule
-depends on n only. Then all of the pass's (samples x pairs) are factored
-in one stacked ``disentangle_step``, a complex stack's are rewritten in
-one stacked ``build_u2cx``, and the apply sweep gathers each chunk once
-and applies the gates two pairs to a GEMM. A stack of real targets runs
-in float64 throughout; its steps are special orthogonal, so two-CNOT as
-they are, and none is rewritten. A gate on one pair leaves a disjoint pair's
-reduced state as it was, so all of a round's Gram matrices equal the
-pre-round state's (or its held slice's) up to round-off; a lone pair's
-pass is one step's arithmetic. Every matrix of a stack gets the bits it
-gets alone, so a target's circuit does not depend on the stack it is
-compiled in.
+many steps it runs. It hands each round to the ``statevec`` kernel with
+the round's held qubits and a function of Gram matrices; the kernel
+decides how the round splits into state passes and how each pair's Gram
+matrix is read. The function factors all of a pass's (samples x pairs) in
+one stacked ``disentangle_step`` and rewrites a complex stack's in one
+stacked ``build_u2cx``. A stack of real targets runs in float64
+throughout; its steps are special orthogonal, so two-CNOT as they are, and
+none is rewritten. A gate on one pair leaves a disjoint pair's reduced
+state as it was, so all of a round's Gram matrices equal the pre-round
+state's (or its held slice's) up to round-off; a lone pair's pass is one
+step's arithmetic. Every matrix of a stack gets the bits it gets alone, so
+a target's circuit does not depend on the stack it is compiled in.
 
 Truncation conventions
 ----------------------
@@ -65,11 +56,11 @@ from functools import partial
 
 import numpy as np
 
-from . import gatesynth, statevec
+from . import gatesynth
 from .circuits import Circuit, OneQubitGate, TwoQubitGate
 from .circuits import simulate  # noqa: F401  unused; perfbench/tracer.py patches it by name
 from .schedules import Schedule
-from .statevec import StackError, StateVector, _apply_gate_to_amps, _freeze, _work_buffers
+from .statevec import StackError, StateVector, _apply_gate_to_amps, _freeze, _gram, _work_buffers
 from .statevec import _check_wires, _raise_first_failure, cluster_bases
 
 PHASE_TOL = 1e-12
@@ -124,18 +115,6 @@ def inverse_extract(rows: np.ndarray, a: int, b: int) -> StateVector:
     return StateVector(n=t.ndim, amps=_freeze(t.reshape(-1).copy()))
 
 
-def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """conj(R R^H) = R* R^T of the C-contiguous rows R, or of each of a
-    (..., k, m) stack of them, as one matmul with R* written into
-    ``scratch`` (any buffer of R's size or larger) or, without it, into a
-    new array; a real R is one product R R^T, with no conjugate pass.
-    Unlike a sum of dot products, its bytes do not depend on the BLAS
-    thread count."""
-    conj = None if scratch is None else scratch[: rows.size].reshape(rows.shape)
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block is reported by its Gram
-        return (np.conjugate(rows, out=conj) if np.iscomplexobj(rows) else rows) @ rows.mT
-
-
 def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full 4x4 left factor and the four singular values, scaled to unit sum
     of squares, of the block whose ``_gram`` is ``gram``,
@@ -169,44 +148,6 @@ def _factor_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sqrt(np.where(keep, w, 0.0))
     s /= np.sqrt((s[:, None, :] @ s[:, :, None])[:, 0])  # as np.linalg.norm forms it
     return u.reshape(*shape, 4, 4), s.reshape(*shape, 4)
-
-
-def _pair_grams(chunks, n: int, reads, fixed, spare: np.ndarray, count: int) -> np.ndarray:
-    """The Gram matrix of each pair of the disjoint pairs ``reads`` holds,
-    one or two pairs a read, in each of ``count`` samples, as a
-    (count, pairs, 4, 4) stack, read through the kernel's
-    ``(samples, bits, gather)`` ``chunks`` of one pass over all the pairs.
-    A read is what a pass of its pairs alone reads: the chunk gathered with
-    their wires in front, one 4x4 Gram matrix of a lone pair's block, or
-    one 16x16 of two pairs' and both pairs' as its partial traces. Each is
-    summed in chunk order and read from the slice with the qubits ``fixed``
-    at |0>: a chunk that holds one of them at 1 is not gathered, and a
-    gathered block's own slice is copied into the chunk-size ``spare``,
-    whose other half (at least) takes the conjugate that ``_gram`` needs."""
-    rest = [q for q in range(n) if q not in sum(sum(reads, ()), ())]
-    grams = [[None] * count for _ in reads]
-    for samples, bits, gather in chunks:
-        if any(bit and q in fixed for q, bit in zip(rest, bits)):
-            continue
-        for r, read in enumerate(reads):
-            wires = sum(read, ())
-            blocks = gather(wires)
-            free = [q for q in range(n) if q not in wires and q not in rest[:len(bits)]]
-            if fixed.intersection(free):
-                t = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
-                t = t[(slice(None), slice(None), *(0 if q in fixed else slice(None) for q in free))]
-                blocks = spare[: t.size].reshape(*blocks.shape[:2], -1)
-                np.copyto(blocks.reshape(t.shape), t)
-            for i, part in zip(samples, _gram(blocks, spare[spare.size - blocks.size:])):
-                grams[r][i] = part if grams[r][i] is None else grams[r][i] + part
-    out = []
-    for read, gram in zip(reads, map(np.array, grams)):
-        if len(read) == 1:
-            out.append(gram)
-        else:
-            t = gram.reshape(-1, 4, 4, 4, 4)
-            out += [np.trace(t, axis1=2, axis2=4), np.trace(t, axis1=1, axis2=3)]
-    return np.stack(out, axis=1)
 
 
 def disentangle_step(state: StateVector, a, b, fixed=frozenset(), gram=None):
@@ -302,10 +243,9 @@ def run_schedule(
     preparation circuit: a PreparationResult for one state, a list of them
     for a sequence.
 
-    A sequence is one stack, and a round's pairs are disjoint and taken a
-    round to a state pass at n <= 16, two pairs to a pass above that (see
-    the module docstring); each target's result is the one it gets alone,
-    bit for bit. Truncation follows ``truncation_mode``,
+    A sequence is one stack, and each round, of disjoint pairs, is one
+    kernel call (see the module docstring); each target's result is the
+    one it gets alone, bit for bit. Truncation follows ``truncation_mode``,
     a TruncationMode or its value, by default the scheme's convention
     (``default_truncation_mode``), as described in the module docstring;
     any other value raises ValueError. The targets are all real (every
@@ -355,31 +295,23 @@ def run_schedule(
     work = _work_buffers(n, count, exact.dtype)
     passes = []  # per pass: its pairs, and their (S, P, ...) unitaries, singular values and weights
 
-    def factor(group, fixed, where, chunks) -> np.ndarray:
-        # the kernel calls this with its read sweep, before its apply sweep
-        reads = [(pair,) for pair in group] if whole else [group]
-        grams = _pair_grams(chunks, n, reads, fixed, work[1], count)
+    def factor(where: str, pairs: list, grams: np.ndarray) -> np.ndarray:
+        # the kernel calls this once per pass, with its pairs' Gram matrices
         try:
-            unitary, lam, weights = disentangle_step(None, *zip(*group), gram=grams)
+            unitary, lam, weights = disentangle_step(None, *zip(*pairs), gram=grams)
             if rewrite:
                 unitary = gatesynth.build_u2cx(unitary)
         except StackError as exc:
-            i, p = divmod(exc.index, len(group))
-            raise StackError(f"{where} pair {group[p]}: {exc}", i) from exc
-        passes.append((group, unitary, lam, weights.tolist()))
+            i, p = divmod(exc.index, len(pairs))
+            raise StackError(f"{where} pair {pairs[p]}: {exc}", i) from exc
+        passes.append((pairs, unitary, lam, weights.tolist()))
         return unitary
 
-    # a round per pass, each pair read alone, while a sample fits in one
-    # kernel chunk, else two pairs per pass, read together; the rule depends
-    # on n only, so a stacked sample keeps its bits
-    whole = statevec.fits_one_chunk(n)
     per_round_weights: list[list[float]] = [[] for _ in stack]
     for layer in range(layers):
         for r, (rnd, fixed) in enumerate(zip(schedule.rounds, held)):
-            first, where, size = len(passes), f"layer {layer} round {r}", len(rnd) if whole else 2
-            for i in range(0, len(rnd), size):
-                group = rnd[i:i + size]
-                _apply_gate_to_amps(exact, n, sum(group, ()), partial(factor, group, fixed, where), *work)
+            first = len(passes)
+            _apply_gate_to_amps(exact, n, sum(rnd, ()), partial(factor, f"layer {layer} round {r}"), *work, held=fixed)
             for i, weights in enumerate(per_round_weights):
                 weights.append(float(np.prod([w for *_, pass_weights in passes[first:] for w in pass_weights[i]])))
 

@@ -5,26 +5,30 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate on one wire or on any number of disjoint pairs in one pass, in
-place, to a stack of S same-size amplitude vectors its caller owns: per
-sample one matrix on all the wires or the (P, 4, 4) stack of the pairs'
-gates, given as an array or as a function of the gathered blocks that
-returns it. The pairs go two to a GEMM, as the Kronecker product of their
-gates. It works chunk by chunk, as qsim blocks for the cache (arXiv
-2111.02396): a chunk of at most ``CHUNK`` amplitudes holds ``CHUNK >> n``
-whole samples when a sample fits in one (n <= 16), else one sample's
+every gate on one wire or on any number of disjoint pairs, in place, to a
+stack of S same-size amplitude vectors its caller owns: per sample one
+matrix on all the wires or the (P, 4, 4) stack of the pairs' gates, given
+as an array or as a function of the pairs' Gram matrices (``_gram``) that
+returns it. The kernel makes every decision of a state pass. While a
+sample fits in one chunk (``fits_one_chunk``, n <= 16) all the pairs are
+one pass and each pair's Gram is read alone; above that the pairs go two
+to a pass and are read together, as one 16x16 Gram and its partial
+traces. Within a pass the pairs go two to a GEMM, as the Kronecker product
+of their gates. It works chunk by chunk, as qsim blocks for the cache
+(arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
+``CHUNK >> n`` whole samples when a sample fits in one, else one sample's
 amplitudes with its most significant non-gate qubits fixed. Each chunk
 goes through two chunk-size work buffers that the caller allocates once
 (``_work_buffers``) and reuses for every pass, and is one gather, one
 stacked ``matmul`` per two pairs and one scatter. The plan of a pass, its
 chunk index, is built once per (n, wires, S, ``CHUNK``) and cached
-(``_plan``), as is each axis order of a gather (``_order``);
-``fits_one_chunk`` is the one test of whether a sample fits in one chunk.
-The engine (``disentangler``) and the simulator (``circuits``) each own
-one stack (the simulator's of one state) and one pair of work buffers per
-call. The rules several modules share live here too: the stack checks,
-the gate and qubit-index checks, the float format, and the canonical bases
-of eigenvalue clusters (``cluster_bases``).
+(``_plan``), as is each axis order of a gather (``_order``). No other
+module reads the chunk layout. The engine (``disentangler``) and the
+simulator (``circuits``) each own one stack (the simulator's of one state)
+and one pair of work buffers per call. The rules several modules share
+live here too: the stack checks, the gate and qubit-index checks, the
+float format, and the canonical bases of eigenvalue clusters
+(``cluster_bases``).
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ import itertools
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -240,9 +243,9 @@ def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fits_one_chunk(n: int) -> bool:
     """Whether one ``n``-qubit sample fits in one kernel chunk (2^n <=
-    ``CHUNK``, n <= 16): the rule by which the engine takes a whole round
-    per pass and ``benchmark`` stacks a cell's samples. Both must agree for
-    a stacked sample to keep the bits it gets alone."""
+    ``CHUNK``, n <= 16): the rule by which the kernel takes all of a call's
+    pairs in one pass and ``benchmark`` stacks a cell's samples. Both must
+    agree for a stacked sample to keep the bits it gets alone."""
     return 1 << n <= CHUNK
 
 
@@ -272,48 +275,84 @@ def _order(n: int, heads: tuple[int, ...], front: tuple[int, ...]) -> tuple[int,
     return (0, *(1 + q for q in (*heads, *front, *others)))
 
 
+def _gram(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """conj(R R^H) = R* R^T of the C-contiguous rows R, or of each of a
+    (..., k, m) stack of them, as one matmul with R* written into
+    ``scratch`` (any buffer of R's size or larger) or, without it, into a
+    new array; a real R is one product R R^T, with no conjugate pass.
+    Unlike a sum of dot products, its bytes do not depend on the BLAS
+    thread count."""
+    conj = None if scratch is None else scratch[: rows.size].reshape(rows.shape)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite block is reported by its Gram
+        return (np.conjugate(rows, out=conj) if np.iscomplexobj(rows) else rows) @ rows.mT
+
+
 def _apply_gate_to_amps(
     amps: np.ndarray, n: int, wires: tuple[int, ...], matrix,
-    gathered: np.ndarray, product: np.ndarray,
+    gathered: np.ndarray, product: np.ndarray, *, held: frozenset[int] = frozenset(),
 ) -> None:
     """Apply one gate per sample of the (S, 2^n) stack ``amps`` (a 2^n
     vector is one sample) in place, on one wire or on P disjoint ordered
     pairs, the first wire of each the more significant bit of its gate.
     ``matrix`` holds per sample one 2^k x 2^k matrix on all k ``wires``
     (k = 1, 2 or 4) or the (P, 4, 4) stack of the pairs' gates (without S
-    for one sample). Two pairs go to one GEMM, as the Kronecker product of
-    their gates. One group is one ``matmul`` of the gathered block; with
-    more, each GEMM multiplies the transposed block, so that its output puts
-    the next group's wires in front, and a chunk is gathered and scattered
-    once. The plan of a pass (``_plan``) is built once per (n, wires, S,
-    ``CHUNK``), each axis order once (``_order``).
+    for one sample). While one sample fits in one chunk
+    (``fits_one_chunk``) all the pairs are one pass (``_pass``); above
+    that they go two to a pass.
+
+    A function in place of ``matrix`` is called once per pass with the
+    pass's pairs and their (S, P, 4, 4) Gram matrices, ``_gram`` of each
+    pair's block (``disentangler.extract_block``'s rows) in the slice with
+    the qubits ``held`` at |0>, and returns the pass's gates. Each Gram is
+    summed over the chunks in chunk order. While a sample fits in one chunk
+    each pair is read as a pass of that pair alone reads it, from the chunk
+    gathered with its wires in front, so its bits do not depend on the
+    pairs that share its pass. Above one chunk a pass's two pairs are read
+    together, from the chunks gathered with their four wires in front
+    (skipping those that hold a held qubit at 1): one 16x16 Gram, and both
+    pairs' as its partial traces.
+    """
+    amps = amps.reshape(-1, 1 << n)
+    wires = tuple(wires)
+    if not callable(matrix) and np.shape(matrix)[-1] == 1 << len(wires):
+        return _pass(amps, n, wires, matrix, gathered, product, held)
+    pairs = list(zip(wires[::2], wires[1::2]))
+    size = len(pairs) if fits_one_chunk(n) else 2
+    for p in range(0, len(pairs), size):
+        gates = matrix if callable(matrix) else np.reshape(matrix, (len(amps), -1, 4, 4))[:, p:p + size]
+        _pass(amps, n, sum(pairs[p:p + size], ()), gates, gathered, product, held)
+
+
+def _pass(amps: np.ndarray, n: int, wires: tuple[int, ...], matrix, gathered: np.ndarray,
+          product: np.ndarray, held: frozenset[int]) -> None:
+    """One state pass of ``_apply_gate_to_amps``: the read sweep when
+    ``matrix`` is a function, then the apply sweep.
 
     A chunk holds ``CHUNK >> n`` whole samples (the last one the rest) or,
     when one sample has more than ``CHUNK`` amplitudes, one sample with its
-    ``lead`` most significant non-gate qubits, the fewest that leave
+    ``heads``, the most significant non-gate qubits, the fewest that leave
     ``CHUNK`` amplitudes, at the values ``bits``, the last one fastest;
     chunks run sample by sample, and a chunk holds every value of the wires.
     Each chunk is gathered into the contiguous (s, 2^k, m) work buffer
     ``gathered``, whose columns run over the remaining non-gate qubits in
     ascending order, multiplied through ``product`` and scattered back into
-    ``amps``; both chunk-size buffers are overwritten.
+    ``amps``; both chunk-size buffers are overwritten. Two pairs go to one
+    GEMM, as the Kronecker product of their gates. One group is one
+    ``matmul`` of the block; with more, each GEMM multiplies the transposed
+    block, so that its output puts the next group's wires in front, and a
+    chunk is gathered and scattered once. The plan (``_plan``) is built
+    once per (n, wires, S, ``CHUNK``), each axis order once (``_order``). A
+    read copies a block's held slice into ``product``, whose other half (at
+    least) takes the conjugate that ``_gram`` needs.
 
-    A function in place of ``matrix`` is first called with an iterator over
-    every chunk's ``(samples, bits, gather)``, in that order, where
-    ``samples`` is the range of its samples; ``gather(front=wires)``
-    gathers the chunk with the wires ``front``, some of the pass's, in
-    front of the others and returns its (s, 2^len(front), m) block, which
-    the function may not write. It may skip chunks and use ``product`` as
-    scratch, and returns the matrices. The apply sweep starts from the
-    chunk gathered last if that was gathered with all the wires in front,
-    and does not gather it again: a one-chunk pass that reads its block
-    that way gathers once. That is why the function form stays: gathering
-    that chunk again made ``run_schedule`` on one random n=16 state (L=2,
-    two-CNOT rewrite) 4-12% slower.
+    The apply sweep starts from the chunk the read sweep gathered last if
+    that was gathered with all the wires in front, and does not gather it
+    again: a one-chunk pass of one pair gathers once. That is why the read
+    sweep stays in the pass: gathering that chunk again made
+    ``run_schedule`` on one random n=16 state (L=2, two-CNOT rewrite) 4-12%
+    slower.
     """
-    amps = amps.reshape(-1, 1 << n)
     count = len(amps)
-    wires = tuple(wires)
     heads, scatter, index = _plan(n, wires, count, CHUNK)
     t = amps.reshape((count,) + (2,) * n)
     resident = None  # the (chunk, front) that ``gathered`` holds, and its block
@@ -332,7 +371,31 @@ def _apply_gate_to_amps(
         return block
 
     if callable(matrix):
-        matrix = matrix((range(count)[samples], bits, partial(gather, i)) for i, (samples, bits) in enumerate(index))
+        pairs = list(zip(wires[::2], wires[1::2]))
+        reads = [[pair] for pair in pairs] if fits_one_chunk(n) else [pairs]
+        grams = [[None] * count for _ in reads]
+        for i, (samples, bits) in enumerate(index):
+            if any(bit and q in held for q, bit in zip(heads, bits)):
+                continue
+            for r, read in enumerate(reads):
+                front = sum(read, ())
+                blocks = gather(i, front)
+                free = [q for q in range(n) if q not in front and q not in heads]
+                if held.intersection(free):
+                    sliced = blocks.reshape([*blocks.shape[:2]] + [2] * len(free))
+                    sliced = sliced[(slice(None), slice(None), *(0 if q in held else slice(None) for q in free))]
+                    blocks = product[: sliced.size].reshape(*blocks.shape[:2], -1)
+                    np.copyto(blocks.reshape(sliced.shape), sliced)
+                for s, gram in zip(range(count)[samples], _gram(blocks, product[product.size - blocks.size:])):
+                    grams[r][s] = gram if grams[r][s] is None else grams[r][s] + gram
+        per_pair = []
+        for read, gram in zip(reads, map(np.array, grams)):
+            if len(read) == 1:
+                per_pair.append(gram)
+            else:
+                gram = gram.reshape(-1, 4, 4, 4, 4)
+                per_pair += [np.trace(gram, axis1=2, axis2=4), np.trace(gram, axis1=1, axis2=3)]
+        matrix = matrix(pairs, np.stack(per_pair, axis=1))
     matrix = np.asarray(matrix)
     if matrix.shape[-1] == 1 << len(wires):
         stack = [matrix.reshape(count, 1 << len(wires), 1 << len(wires))]
@@ -386,15 +449,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"  # every float an output file holds, locale-independent
 
 
-def save_amplitudes(state: StateVector, path) -> None:
-    """Write one amplitude per line as ``re im`` (locale-independent)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for z in state.amps:
-            fh.write(f"{_fmt(z.real)} {_fmt(z.imag)}\n")
-
-
 def load_amplitudes(path) -> StateVector:
-    """Read the ``re im`` per-line format written by save_amplitudes.
+    """Read an amplitude file: one amplitude per line as ``re im``, two
+    decimal floats separated by whitespace, qubit 0 the most significant bit
+    of the line's index.
 
     One numpy parse; the (N, 2) float rows are viewed as N complex values,
     exactly complex(float(re), float(im)) per line. Blank lines are skipped.

@@ -21,6 +21,14 @@ def random_real_state(n, rng):
     return statevec.from_amplitudes(rng.normal(size=1 << n))
 
 
+def write_amplitudes(state, path):
+    """Write ``state`` as an amplitude file: one ``re im`` line per
+    amplitude, each float as the program's output files write it
+    (``statevec._fmt``)."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(f"{statevec._fmt(z.real)} {statevec._fmt(z.imag)}\n" for z in state.amps)
+
+
 def qubit_bit(index, qubit, n):
     """Bit of `qubit` inside basis `index` (qubit 0 = most significant)."""
     return (index >> (n - 1 - qubit)) & 1

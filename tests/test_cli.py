@@ -16,7 +16,7 @@ import pytest
 from impsprep import circuits, cli, disentangler, gatesynth, qasm, schedules, statevec, targets
 from impsprep.circuits import simulate
 
-from conftest import break_csd
+from conftest import break_csd, write_amplitudes
 
 
 def run_cli(args):
@@ -252,7 +252,7 @@ class TestCompile:
         # and is never rewritten
         target = targets.discretize(targets.make_spec("f1", 12))
         path = tmp_path / "f1.amps"
-        statevec.save_amplitudes(target, path)
+        write_amplitudes(target, path)
         assert np.array_equal(statevec.load_amplitudes(path).amps, target.amps)
         build_u2cx, rewritten = gatesynth.build_u2cx, []
         monkeypatch.setattr(gatesynth, "build_u2cx", lambda u: rewritten.append(u) or build_u2cx(u))
@@ -310,7 +310,7 @@ class TestCompile:
     def test_amps_file_target(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=16) + 1j * rng.normal(size=16))
         path = tmp_path / "target.amps"
-        statevec.save_amplitudes(state, path)
+        write_amplitudes(state, path)
         run_cli([
             "compile", "--target", str(path), "--scheme", "ttn", "--n", "4",
             "--out", str(tmp_path),
@@ -550,8 +550,8 @@ class TestBenchmark:
         cwd.mkdir(parents=True)
         monkeypatch.chdir(cwd)
         far, near = statevec.random_state(4, rng), statevec.random_state(4, rng)
-        statevec.save_amplitudes(far, tmp_path / "t.amps")
-        statevec.save_amplitudes(near, cwd / "t.amps")
+        write_amplitudes(far, tmp_path / "t.amps")
+        write_amplitudes(near, cwd / "t.amps")
         before = set(tmp_path.rglob("*"))
         run_cli(["benchmark", "--targets", "../../t.amps,t.amps,f1", "--schemes", "chain", "--n-list", "4",
                  "--plotdata", "--out", "out"])
@@ -687,7 +687,7 @@ class TestBadInputs:
     ])
     def test_named_in_the_exit_message(self, tmp_path, monkeypatch, argv, named):
         monkeypatch.chdir(tmp_path)
-        statevec.save_amplitudes(statevec.from_amplitudes(np.ones(8)), "three.amps")
+        write_amplitudes(statevec.from_amplitudes(np.ones(8)), "three.amps")
         with pytest.raises(SystemExit) as info:
             run_cli(argv + (["--out", "out"] if argv[0] != "rank" else []))
         assert isinstance(info.value.code, str) and named in info.value.code
@@ -696,7 +696,7 @@ class TestBadInputs:
     def test_a_line_break_in_the_target_name_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         name = "t\nu3(0,0,0) q[0];.amps"
-        statevec.save_amplitudes(statevec.from_amplitudes([1, 0, 0, 0]), name)
+        write_amplitudes(statevec.from_amplitudes([1, 0, 0, 0]), name)
         with pytest.raises(SystemExit) as info:
             run_cli(["compile", "--target", name, "--scheme", "chain", "--n", "2", "--out", "out"])
         assert info.value.code == "error: header entry 'target' holds a line break"

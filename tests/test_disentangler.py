@@ -149,7 +149,7 @@ class TestBlockFactor:
     def test_separated_spectra_give_the_singular_vectors(self, rng, width, real):
         w = np.array([0.4, 0.3, 0.2, 0.1])
         u_ref, rows = block_with_spectrum(w, width, rng, real)
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         assert np.abs(lam - np.sqrt(w)).max() < 1e-12
         # each column is the exact singular vector up to its phase
         assert np.abs(np.abs(u_ref.conj().T @ u) - np.eye(4)).max() < 1e-12
@@ -169,7 +169,7 @@ class TestBlockFactor:
         bound = 10 * EPS * w[0] / (w[1] - w[2])
         for width in (4, 16, 1 << 12):
             u_ref, rows = block_with_spectrum(w, width, rng, real)
-            u, lam = disentangler._factor_gram(disentangler._gram(rows))
+            u, lam = disentangler._factor_gram(statevec._gram(rows))
             assert np.abs(kept_projector(u) - kept_projector(u_ref)).max() < bound
             assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
             assert_special_unitary(u)
@@ -178,7 +178,7 @@ class TestBlockFactor:
     @pytest.mark.parametrize("width", [1, 2, 3, 64, 1 << 12])
     def test_rank_deficient_blocks_report_zero_singular_values(self, rng, rank, width):
         rows = low_rank_block(rank, width, rng)
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         s = np.linalg.svd(rows, compute_uv=False)
         s = np.pad(s, (0, 4 - s.size)) / np.linalg.norm(s)
         kept = min(rank, width)
@@ -196,7 +196,7 @@ class TestBlockFactor:
         for tiny, kept in ((1e-4, True), (1e-5, True), (1e-7, False), (1e-9, False), (0.0, False)):
             w = np.array([1.0, 0.5, tiny ** 2, 0.0])
             _u_ref, rows = block_with_spectrum(w, 64, rng, False)
-            _u, lam = disentangler._factor_gram(disentangler._gram(rows))
+            _u, lam = disentangler._factor_gram(statevec._gram(rows))
             assert lam[3] == 0.0
             if kept:
                 assert abs(lam[2] / np.sqrt(w[2] / w.sum()) - 1.0) < 1e-4
@@ -208,7 +208,7 @@ class TestBlockFactor:
         # a rank-2 block whose second Gram eigenvalue is far below w0 but
         # above round-off: all its weight stays in the kept pair
         _u_ref, rows = block_with_spectrum([1.0, w1, 0.0, 0.0], 1 << 12, rng, False)
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         moved = u.conj().T @ rows
         assert np.linalg.norm(moved[2:]) ** 2 / np.linalg.norm(rows) ** 2 < 1e-14
         assert lam[1] > 0.0 and np.all(lam[2:] == 0.0)
@@ -219,10 +219,10 @@ class TestBlockFactor:
         # the columns beyond the rank span the null space; round-off-level
         # changes of the block must not pick another basis of it
         rows = low_rank_block(rank, width, rng)
-        u, _ = disentangler._factor_gram(disentangler._gram(rows))
+        u, _ = disentangler._factor_gram(statevec._gram(rows))
         for _ in range(5):
             noisy = rows * (1.0 + 1e-15 * rng.normal(size=rows.shape))
-            assert np.abs(disentangler._factor_gram(disentangler._gram(noisy))[0] - u).max() < 1e-12
+            assert np.abs(disentangler._factor_gram(statevec._gram(noisy))[0] - u).max() < 1e-12
 
     @pytest.mark.parametrize("case", ["boundary", "identity-rows"])
     def test_degenerate_boundary_keeps_the_weight(self, rng, case):
@@ -233,7 +233,7 @@ class TestBlockFactor:
             outside = u_ref[:, 3:].conj().T  # the kept pair never reaches w3's vector
         else:
             w, rows, outside = np.full(4, 0.25), np.eye(4, 16, dtype=complex) / 2, np.zeros((0, 4))
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
         assert np.abs(outside @ u[:, :2]).max(initial=0.0) < 1e-12
         assert_special_unitary(u)
@@ -245,13 +245,13 @@ class TestBlockFactor:
         # mixing the left singular vectors of equal singular values leaves
         # R R^H, and so U, as it is
         u_ref, rows = block_with_spectrum(np.array(w), 64, rng, False)
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         mix = np.eye(4, dtype=complex)
         for lo in (0, 2):
             if w[lo] == w[lo + 1]:
                 mix[lo:lo + 2, lo:lo + 2] = haar_unitary(2, rng)
         mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
-        assert np.abs(disentangler._factor_gram(disentangler._gram(mixed))[0] - u).max() < 1e-12
+        assert np.abs(disentangler._factor_gram(statevec._gram(mixed))[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w)).max() < 1e-12
 
     @pytest.mark.parametrize("code", range(15))
@@ -269,7 +269,7 @@ class TestBlockFactor:
                 w[j] = 0.0
         w = np.array(w)
         u_ref, rows = block_with_spectrum(w, 64, rng, False)
-        u, lam = disentangler._factor_gram(disentangler._gram(rows))
+        u, lam = disentangler._factor_gram(statevec._gram(rows))
         assert abs(lam[0] ** 2 + lam[1] ** 2 - (w[0] + w[1]) / w.sum()) < 1e-12
         if w[1] == w[2] > 0.0:
             return
@@ -279,7 +279,7 @@ class TestBlockFactor:
                 mix[lo:hi, lo:hi] = haar_unitary(hi - lo, rng)
                 lo = hi
         mixed = (u_ref @ mix @ u_ref.conj().T) @ rows
-        assert np.abs(disentangler._factor_gram(disentangler._gram(mixed))[0] - u).max() < 1e-12
+        assert np.abs(disentangler._factor_gram(statevec._gram(mixed))[0] - u).max() < 1e-12
         assert np.abs(lam - np.sqrt(w / w.sum())).max() < 1e-12
 
     def test_gram_bytes_do_not_depend_on_the_blas_thread_count(self):
@@ -288,7 +288,7 @@ class TestBlockFactor:
         script = (
             "import hashlib\n"
             "import numpy as np\n"
-            "from impsprep.disentangler import _gram\n"
+            "from impsprep.statevec import _gram\n"
             "rng = np.random.default_rng(5)\n"
             "for m in (64, 4096):\n"
             "    rows = rng.normal(size=(16, m)) + 1j * rng.normal(size=(16, m))\n"
@@ -450,27 +450,35 @@ class TestRunSchedule:
 
     @pytest.mark.parametrize("scheme", ["chain", "ttn", "htn", "hen"])
     def test_each_gate_applied_once(self, rng, monkeypatch, scheme):
-        # the kernel's passes cover the steps' pairs in order: a whole round
-        # per pass while a sample fits in one chunk (2^6 <= CHUNK), at most
-        # two pairs per pass above it (chunks of 2^4)
-        calls = []
-        kernel = disentangler._apply_gate_to_amps
+        # one kernel call per round, whose passes, read from the pairs of
+        # each stacked ``disentangle_step``, cover the steps' pairs in
+        # order: a whole round per pass while a sample fits in one chunk
+        # (2^6 <= CHUNK), at most two pairs per pass above it (chunks of 2^4)
+        calls, passes = [], []
+        kernel, step = disentangler._apply_gate_to_amps, disentangler.disentangle_step
 
         def recording(*args, **kwargs):
             calls.append(args[2])
             return kernel(*args, **kwargs)
 
+        def stepping(state, a, b, fixed=frozenset(), gram=None):
+            passes.append(sum(zip(a, b), ()))
+            return step(state, a, b, fixed, gram)
+
         monkeypatch.setattr(disentangler, "_apply_gate_to_amps", recording)
+        monkeypatch.setattr(disentangler, "disentangle_step", stepping)
         sched, target = getattr(schedules, f"{scheme}_schedule")(6), random_state(6, rng)
         rounds = 2 * sched.rounds
-        for chunk, passes in ((statevec.CHUNK, [sum(rnd, ()) for rnd in rounds]),
-                              (1 << 4, [sum(rnd[i:i + 2], ()) for rnd in rounds for i in range(0, len(rnd), 2)])):
+        for chunk, want in ((statevec.CHUNK, [sum(rnd, ()) for rnd in rounds]),
+                            (1 << 4, [sum(rnd[i:i + 2], ()) for rnd in rounds for i in range(0, len(rnd), 2)])):
             calls.clear()
+            passes.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(statevec, "CHUNK", chunk)
                 res = run_schedule(target, sched, 2, disentangler.default_truncation_mode(scheme))
-            assert calls == passes, chunk
-            assert [q for wires in calls for q in wires] == [q for step in res.steps for q in step.pair]
+            assert calls == [sum(rnd, ()) for rnd in rounds], chunk
+            assert passes == want, chunk
+            assert [q for wires in passes for q in wires] == [q for step in res.steps for q in step.pair]
 
     @pytest.mark.parametrize("scheme", ["ttn", "htn", "hen"])
     def test_first_round_steps_are_each_pairs_own(self, rng, scheme):
@@ -798,7 +806,7 @@ class TestStack:
         blocks = [block_with_spectrum(np.array(w), 64, rng, real)[1] for w in spectra for real in (False, True)]
         blocks += [low_rank_block(rank, width, rng) for rank in (1, 2, 3) for width in (2, 64)]
         blocks += [np.eye(4, 16, dtype=complex) / 2]
-        grams = np.array([disentangler._gram(np.ascontiguousarray(b)) for b in blocks])
+        grams = np.array([statevec._gram(np.ascontiguousarray(b)) for b in blocks])
         for stack in (grams, grams[::-1], grams[:18].reshape(6, 3, 4, 4)):
             u, lam = disentangler._factor_gram(stack)
             assert u.shape == stack.shape and lam.shape == stack.shape[:-1]

@@ -30,7 +30,25 @@ def relative_imports(path: Path) -> list[tuple[str, str | None, int]]:
     return found
 
 
+def used_names(path: Path) -> set[str]:
+    """Every name the code of ``path`` uses or defines: identifiers,
+    attributes (``statevec.CHUNK`` names ``CHUNK``), imported names and
+    function names; docstrings and comments name nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
 IMPORTS = {path.stem: relative_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+NAMES = {path.stem: used_names(path) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_the_package_is_found():
@@ -57,3 +75,22 @@ def test_each_concept_has_one_home():
     assert {name: getattr(module, name).__module__ for name, module in homes.items()} == {
         name: module.__name__ for name, module in homes.items()}
     assert [name for name in homes if hasattr(statevec, name)] == []
+
+
+def test_only_the_kernel_reads_the_chunk_layout():
+    # the gate kernel makes every decision of a state pass; the CLI may ask
+    # only whether a sample fits in one chunk, to stack a cell's samples
+    readers = {"CHUNK": {"statevec"}, "_plan": {"statevec"}, "_order": {"statevec"},
+               "fits_one_chunk": {"statevec", "cli"}}
+    strays = [f"{module} names {name}" for module, names in NAMES.items()
+              for name, allowed in readers.items() if name in names and module not in allowed]
+    assert strays == []
+
+
+def test_no_module_level_name_is_defined_twice():
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(path.stem)
+    assert {name: modules for name, modules in homes.items() if len(modules) > 1} == {}

@@ -14,6 +14,7 @@ from conftest import (
     haar_unitary,
     random_real_state,
     random_state,
+    write_amplitudes,
 )
 
 
@@ -373,64 +374,91 @@ class TestGateKernel:
             statevec._apply_gate_to_amps(amps, n, wires, matrix, *work)
             assert np.array_equal(amps, expected), wires
 
-    @pytest.mark.parametrize("chunk,per", [(statevec.CHUNK, 5), (1 << 7, 2), (1 << 6, 1), (1 << 5, 1)],
-                             ids=["stack-per-chunk", "two-per-chunk", "one-per-chunk", "chunks-per-sample"])
-    def test_stack_pass_equals_each_sample_alone(self, rng, monkeypatch, chunk, per):
-        # five n=6 samples, one matrix each: every sample's amplitudes are
-        # bit for bit those of its pass alone, however many samples a chunk
-        # holds; a function in place of the matrices sees each chunk's
-        # samples
-        monkeypatch.setattr(statevec, "CHUNK", chunk)
-        n, count = 6, 5
-        amps = np.array([random_state(n, rng).amps for _ in range(count)])
-        work = statevec._work_buffers(n, count)
-        assert all(len(buffer) == min(count << n, chunk) for buffer in work)
-        for k in (1, 2, 4):
-            wires = tuple(int(q) for q in rng.permutation(n)[:k])
-            matrices = np.array([haar_unitary(1 << k, rng) for _ in range(count)])
-            expected = amps.copy()
-            for a, m in zip(expected, matrices):
-                statevec._apply_gate_to_amps(a, n, wires, m, *statevec._work_buffers(n))
-            seen = []
+    @staticmethod
+    def stack(n, count, pairs, real, rng):
+        # ``count`` random states and per state ``pairs`` random gates, all
+        # real or all complex
+        if real:
+            amps = np.array([random_real_state(n, rng).amps.real for _ in range(count)])
+            gates = [np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(count * pairs)]
+        else:
+            amps = np.array([random_state(n, rng).amps for _ in range(count)])
+            gates = [haar_unitary(4, rng) for _ in range(count * pairs)]
+        return amps, np.reshape(gates, (count, pairs, 4, 4))
 
-            def factor(chunks):
-                seen.extend(samples for samples, _bits, _gather in chunks)
-                return matrices
+    @staticmethod
+    def held_cases(n, wires, rng):
+        # no qubit held, and all or half of the others held at |0>
+        rest = [q for q in range(n) if q not in wires]
+        return [frozenset(), frozenset(rest), frozenset(int(q) for q in rng.permutation(rest)[: len(rest) // 2])]
 
-            statevec._apply_gate_to_amps(amps, n, wires, factor, *work)
-            assert all(np.array_equal(a, e) for a, e in zip(amps, expected)), wires
-            assert [list(samples) for samples in dict.fromkeys(seen)] == [
-                list(range(lo, min(lo + per, count))) for lo in range(0, count, per)]
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("per", ["stack-per-chunk", "one-per-chunk"])
+    def test_stack_pass_equals_each_sample_alone(self, rng, monkeypatch, per, real, count):
+        # while a sample fits in one chunk, a function in place of the gates
+        # is called once, with all the pairs, and each sample's Gram matrix
+        # of each pair is bit for bit ``_gram`` of that sample's block alone
+        # (its slice with ``held`` at |0>), whether the chunk holds the
+        # whole stack or one sample; the gates it returns are the pass of
+        # each sample alone
+        for n in (6, 7, 8):
+            if per == "one-per-chunk":
+                monkeypatch.setattr(statevec, "CHUNK", 1 << n)
+            for pairs in range(1, n // 2 + 1):
+                wires = tuple(int(q) for q in rng.permutation(n)[:2 * pairs])
+                for held in self.held_cases(n, wires, rng):
+                    amps, gates = self.stack(n, count, pairs, real, rng)
+                    expected = amps.copy()
+                    for a, g in zip(expected, gates):
+                        statevec._apply_gate_to_amps(a, n, wires, g, *statevec._work_buffers(n, 1, amps.dtype))
+                    seen = []
 
-    @pytest.mark.parametrize("chunk,lead", [(statevec.CHUNK, 0), (1 << 6, 2)], ids=["one", "four"])
-    def test_matrix_from_the_gathered_block(self, rng, monkeypatch, chunk, lead):
-        # a function in place of the matrix sees every chunk's gathered
-        # block, wires in front, with the ``lead`` most significant other
-        # qubits at ``bits`` (the whole block for one chunk), as the block
-        # of the one sample of a one-state stack, and returns the matrix to
-        # apply; one that gathers only some chunks, or none, gets the same
-        # pass
-        monkeypatch.setattr(statevec, "CHUNK", chunk)
-        n, wires = 8, (5, 1)
-        matrix = haar_unitary(4, rng)
-        for keep in (lambda bits: True, lambda bits: bits[-1:] != (1,), lambda bits: False):
-            amps = random_state(n, rng).amps.copy()
-            seen = []
+                    def factor(got_pairs, grams):
+                        seen.append((got_pairs, grams.copy()))
+                        return gates
 
-            def factor(chunks):
-                for samples, bits, gather in chunks:
-                    assert samples == range(1)
-                    if keep(bits):
-                        seen.append((bits, gather()[0].copy()))
-                return matrix
+                    want = np.array([[statevec._gram(disentangler.extract_block(
+                        statevec.StateVector(n, sample), a, b, held)) for a, b in zip(wires[::2], wires[1::2])]
+                        for sample in amps])
+                    statevec._apply_gate_to_amps(amps, n, wires, factor, *statevec._work_buffers(n, count, amps.dtype),
+                                                 held=held)
+                    where = (n, wires, sorted(held))
+                    assert [got for got, _ in seen] == [list(zip(wires[::2], wires[1::2]))], where
+                    assert seen[0][1].shape == (count, pairs, 4, 4) and seen[0][1].tobytes() == want.tobytes(), where
+                    assert np.array_equal(amps, expected), where
 
-            expected = fresh_array_gate(amps, n, wires, matrix)
-            whole = np.moveaxis(amps.reshape([2] * n), wires, (0, 1)).reshape([4] + [2] * lead + [-1])
-            statevec._apply_gate_to_amps(amps, n, wires, factor, *statevec._work_buffers(n))
-            assert [bits for bits, _block in seen] == [b for b in np.ndindex(*[2] * lead) if keep(b)]
-            for bits, block in seen:
-                assert np.array_equal(block, whole[(slice(None), *bits)]), bits
-            assert np.array_equal(amps, expected)
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_matrix_from_the_gathered_block(self, rng, monkeypatch, n):
+        # above one chunk (chunks of 2^6) the function is called once per
+        # two pairs, and its Gram matrices, summed over the chunks and read
+        # after the earlier passes' gates, are the one-chunk ones up to
+        # round-off
+        for real in (False, True):
+            for count in (1, 3):
+                for pairs in range(1, n // 2 + 1):
+                    wires = tuple(int(q) for q in rng.permutation(n)[:2 * pairs])
+                    for held in self.held_cases(n, wires, rng):
+                        amps, gates = self.stack(n, count, pairs, real, rng)
+                        one, chunked = [], []
+                        for chunk, calls in ((statevec.CHUNK, one), (1 << 6, chunked)):
+
+                            def factor(got_pairs, grams, calls=calls):
+                                calls.append((got_pairs, grams.copy()))
+                                first = sum(len(got) for got, _ in calls[:-1])
+                                return gates[:, first:first + len(got_pairs)]
+
+                            with monkeypatch.context() as patch:
+                                patch.setattr(statevec, "CHUNK", chunk)
+                                statevec._apply_gate_to_amps(amps.copy(), n, wires, factor,
+                                                             *statevec._work_buffers(n, count, amps.dtype), held=held)
+                        all_pairs = list(zip(wires[::2], wires[1::2]))
+                        where = (real, count, wires, sorted(held))
+                        assert [got for got, _ in chunked] == [all_pairs[p:p + 2] for p in range(0, pairs, 2)], where
+                        (_, want), = one
+                        got = np.concatenate([grams for _, grams in chunked], axis=1)
+                        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                        assert np.all(np.abs(got - want) <= 1e-14 * scale), where
 
 
 class TestInfidelity:
@@ -461,7 +489,7 @@ class TestAmplitudeFiles:
     def test_roundtrip(self, tmp_path, rng):
         s = random_state(5, rng)
         path = tmp_path / "state.amps"
-        statevec.save_amplitudes(s, path)
+        write_amplitudes(s, path)
         loaded = statevec.load_amplitudes(path)
         assert loaded.n == 5
         assert np.abs(loaded.amps - s.amps).max() < 1e-15
@@ -479,7 +507,7 @@ class TestAmplitudeFiles:
                       for kind in ("f1", "f2", "f3", "g1", "g2", "g3", "ghz", "w")]
             for i, state in enumerate(states + [random_state(n, rng) for _ in range(3)]):
                 if n <= 14:
-                    statevec.save_amplitudes(state, path)
+                    write_amplitudes(state, path)
                     loaded = statevec.load_amplitudes(path)
                 else:
                     loaded = statevec.from_amplitudes(state.amps)
@@ -499,7 +527,7 @@ class TestAmplitudeFiles:
 
     def test_parse_is_bit_identical_to_float_loop(self, tmp_path, rng):
         path = tmp_path / "state.amps"
-        statevec.save_amplitudes(random_state(10, rng), path)
+        write_amplitudes(random_state(10, rng), path)
         with open(path, "a", encoding="ascii") as fh:  # signed zeros, subnormals, odd spacing
             fh.write("\n-0 0\n0 -0\n  1e-320\t-4.9e-324 \n")
             fh.writelines(f"{x:.17g} {y:.17g}\n" for x, y in rng.normal(size=(1024 - 3, 2)))

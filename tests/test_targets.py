@@ -14,6 +14,8 @@ from impsprep.targets import (
     verify_ring_bounds,
 )
 
+from conftest import write_amplitudes
+
 
 def brute_force_rank_profile(amps, n, tol):
     """Independent Schmidt-rank oracle: reshape by explicit index loops and
@@ -77,7 +79,7 @@ class TestDiscretize:
     def test_rawfile(self, tmp_path, rng):
         state = statevec.from_amplitudes(rng.normal(size=8))
         path = tmp_path / "t.amps"
-        statevec.save_amplitudes(state, path)
+        write_amplitudes(state, path)
         ((label, loaded, domain),) = targets.resolve(str(path), 3, 0)
         assert np.abs(loaded.amps - state.amps).max() < 1e-15
         assert label == f"rawfile:{path}" and domain is None
@@ -106,7 +108,7 @@ class TestResolve:
 
     def test_file_with_another_qubit_count_is_named(self, tmp_path, rng):
         path = tmp_path / "t.amps"
-        statevec.save_amplitudes(statevec.random_state(3, rng), path)
+        write_amplitudes(statevec.random_state(3, rng), path)
         with pytest.raises(ValueError, match=f"{path} holds 3 qubits, --n was 4"):
             targets.resolve(str(path), 4, 0)
 
