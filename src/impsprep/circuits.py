@@ -12,13 +12,12 @@ of a synthesized sequence alike.
 
 ``simulate`` fuses before it applies, as qsim does (arXiv 2111.02396): each
 run of gates on one wire pair, with the single-qubit gates that reach it,
-becomes one 4x4, and two consecutive 4x4s on disjoint pairs share a state
-pass, not one pass per primitive gate. The fused 4x4s are formed as
-stacked products over the whole circuit, one ``matmul`` per factor
-position, and checked in one call. It owns the one state it updates and
-the kernel's two chunk-size work buffers, allocated once per call; every
-pass goes through the state chunk by chunk (see ``statevec``). It returns
-the state frozen.
+becomes one 4x4, not one pass per primitive gate. The fused 4x4s are
+formed as stacked products over the whole circuit, one ``matmul`` per
+factor position, checked in one call and handed to the gate kernel in one
+call, whose pass rule groups them (see ``statevec``). It owns the one
+state it updates and the kernel's two chunk-size work buffers, allocated
+once per call. It returns the state frozen.
 """
 from __future__ import annotations
 
@@ -135,8 +134,8 @@ def simulate(circuit: Circuit) -> StateVector:
     over every run that has one, in the order a gate-by-gate fold would
     form them (so each gets the bits it gets alone), and checked in one
     ``require_unitary`` call, as are the waiting gates no 4x4 took, which
-    are applied on their own at the end. Two consecutive 4x4s on disjoint
-    wires share a pass as their Kronecker product.
+    are applied on their own at the end. All the fused 4x4s go to the
+    kernel in one call, which groups them into passes.
     """
     n = circuit.n
     _check_qubit_count(n)
@@ -177,11 +176,7 @@ def simulate(circuit: Circuit) -> StateVector:
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     work = _work_buffers(n)
-    r = 0
-    while r < len(runs):
-        both = r + 1 < len(runs) and not set(pairs[r]) & set(pairs[r + 1])
-        _apply_gate_to_amps(amps, n, pairs[r] + pairs[r + 1] if both else pairs[r], fused[r:r + 1 + both], *work)
-        r += 1 + both
+    _apply_gate_to_amps(amps, n, sum(pairs, ()), fused, *work)
     for wire, matrix in zip(chains, leftover):
         _apply_gate_to_amps(amps, n, (wire,), matrix, *work)
     return StateVector(n=n, amps=_freeze(amps))

@@ -276,8 +276,14 @@ def cmd_rank(args) -> int:
         kinds = args.ring.split(",")
         if len(kinds) != 2:
             raise SystemExit("--ring wants two comma-separated function kinds")
+        for kind in kinds:
+            if kind.lower() in targets.STATES:
+                raise SystemExit(f"--ring wants function kinds ({', '.join(targets.KINDS)}), got the state {kind!r}")
         if (args.domain_lo is None) != (args.domain_hi is None):
             raise SystemExit("--domain-lo and --domain-hi must be given together")
+        for flag, bound in (("--domain-lo", args.domain_lo), ("--domain-hi", args.domain_hi)):
+            if bound is not None and not np.isfinite(bound):
+                raise SystemExit(f"{flag} must be finite, got {bound}")
         domain = (args.domain_lo, args.domain_hi) if args.domain_lo is not None else (0.0, 1.0)
         f = targets.make_spec(kinds[0], n, domain=domain)
         g = targets.make_spec(kinds[1], n, domain=domain)

@@ -5,16 +5,17 @@ Index convention: qubit 0 is the most significant bit of the basis index,
 so qubit ``i`` sits at bit position ``n - 1 - i`` of the integer index.
 States are value-semantic: every public operation returns a fresh object
 whose buffer is read-only. One kernel, ``_apply_gate_to_amps``, applies
-every gate on one wire or on any number of disjoint pairs, in place, to a
+every gate on one wire or on an ordered run of pairs, in place, to a
 stack of S same-size amplitude vectors its caller owns: per sample one
 matrix on all the wires or the (P, 4, 4) stack of the pairs' gates, given
 as an array or as a function of the pairs' Gram matrices (``_gram``) that
-returns it. The kernel makes every decision of a state pass. While a
-sample fits in one chunk (``fits_one_chunk``, n <= 16) all the pairs are
-one pass and each pair's Gram is read alone; above that the pairs go two
-to a pass and are read together, as one 16x16 Gram and its partial
-traces. Within a pass the pairs go two to a GEMM, as the Kronecker product
-of their gates. It works chunk by chunk, as qsim blocks for the cache
+returns it. The kernel makes every decision of a state pass, by one rule
+for every caller: a pass takes the next pair unless it shares a wire with
+the pass or, above one chunk (``fits_one_chunk``, n > 16), holds two
+pairs. While a sample fits in one chunk each pair's Gram is read alone;
+above that a pass's pairs are read together, as one 16x16 Gram and its
+partial traces. Within a pass the pairs go two to a GEMM, as the Kronecker
+product of their gates. It works chunk by chunk, as qsim blocks for the cache
 (arXiv 2111.02396): a chunk of at most ``CHUNK`` amplitudes holds
 ``CHUNK >> n`` whole samples when a sample fits in one, else one sample's
 amplitudes with its most significant non-gate qubits fixed. Each chunk
@@ -243,9 +244,9 @@ def kron2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def fits_one_chunk(n: int) -> bool:
     """Whether one ``n``-qubit sample fits in one kernel chunk (2^n <=
-    ``CHUNK``, n <= 16): the rule by which the kernel takes all of a call's
-    pairs in one pass and ``benchmark`` stacks a cell's samples. Both must
-    agree for a stacked sample to keep the bits it gets alone."""
+    ``CHUNK``, n <= 16): the test by which a kernel pass may hold more than
+    two pairs, each read alone, and, as a memory rule, ``benchmark`` stacks
+    a cell's samples; a stacked sample keeps its own bits either way."""
     return 1 << n <= CHUNK
 
 
@@ -292,13 +293,13 @@ def _apply_gate_to_amps(
     gathered: np.ndarray, product: np.ndarray, *, held: frozenset[int] = frozenset(),
 ) -> None:
     """Apply one gate per sample of the (S, 2^n) stack ``amps`` (a 2^n
-    vector is one sample) in place, on one wire or on P disjoint ordered
-    pairs, the first wire of each the more significant bit of its gate.
-    ``matrix`` holds per sample one 2^k x 2^k matrix on all k ``wires``
-    (k = 1, 2 or 4) or the (P, 4, 4) stack of the pairs' gates (without S
-    for one sample). While one sample fits in one chunk
-    (``fits_one_chunk``) all the pairs are one pass (``_pass``); above
-    that they go two to a pass.
+    vector is one sample) in place, on one wire or on P ordered pairs,
+    which may share wires, the first wire of each the more significant bit
+    of its gate. ``matrix`` holds per sample one 2^k x 2^k matrix on all k
+    ``wires`` (k = 1, 2 or 4) or the (P, 4, 4) stack of the pairs' gates
+    (without S for one sample). The pairs go in order into passes
+    (``_pass``): a pass takes the next pair unless it shares a wire with
+    the pass or, above one chunk (``fits_one_chunk``), holds two pairs.
 
     A function in place of ``matrix`` is called once per pass with the
     pass's pairs and their (S, P, 4, 4) Gram matrices, ``_gram`` of each
@@ -316,11 +317,14 @@ def _apply_gate_to_amps(
     wires = tuple(wires)
     if not callable(matrix) and np.shape(matrix)[-1] == 1 << len(wires):
         return _pass(amps, n, wires, matrix, gathered, product, held)
-    pairs = list(zip(wires[::2], wires[1::2]))
-    size = len(pairs) if fits_one_chunk(n) else 2
-    for p in range(0, len(pairs), size):
-        gates = matrix if callable(matrix) else np.reshape(matrix, (len(amps), -1, 4, 4))[:, p:p + size]
-        _pass(amps, n, sum(pairs[p:p + size], ()), gates, gathered, product, held)
+    count = len(wires) // 2
+    size = count if fits_one_chunk(n) else 2
+    start = 0
+    for p in range(1, count + 1):
+        if p == count or p - start == size or set(wires[2 * p:2 * p + 2]) & set(wires[2 * start:2 * p]):
+            gates = matrix if callable(matrix) else np.reshape(matrix, (len(amps), -1, 4, 4))[:, start:p]
+            _pass(amps, n, wires[2 * start:2 * p], gates, gathered, product, held)
+            start = p
 
 
 def _pass(amps: np.ndarray, n: int, wires: tuple[int, ...], matrix, gathered: np.ndarray,

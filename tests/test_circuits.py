@@ -59,23 +59,16 @@ def random_circuit(n, length, rng):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """State passes made by simulate's gate kernel: how many, and the wire
-    pairs and single wires they cover. Every pass carries one or two pairs
-    or one single wire."""
-    seen = {"passes": 0, "pairs": [], "single": 0}
-    kernel = circuits._apply_gate_to_amps
+    """The wires of each state pass (``statevec._pass``) the gate kernel
+    makes, in order: a pass's pairs flattened, or one single wire."""
+    seen = []
+    kernel_pass = statevec._pass
 
-    def counting(*args, **kwargs):
-        wires = args[2]
-        assert len(wires) in (1, 2, 4)
-        seen["passes"] += 1
-        if len(wires) == 1:
-            seen["single"] += 1
-        else:
-            seen["pairs"] += [wires[i:i + 2] for i in range(0, len(wires), 2)]
-        return kernel(*args, **kwargs)
+    def recording(*args, **kwargs):
+        seen.append(args[2])
+        return kernel_pass(*args, **kwargs)
 
-    monkeypatch.setattr(circuits, "_apply_gate_to_amps", counting)
+    monkeypatch.setattr(statevec, "_pass", recording)
     return seen
 
 
@@ -117,31 +110,49 @@ class TestFusedSimulate:
             expected = dense_circuit_operator(circuit)[:, 0]
             assert np.abs(simulate(circuit).amps - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("gates,pairs,total,single", [
+    @pytest.mark.parametrize("gates,want", [
         # both orientations of cx on one pair, u3 on both wires: one pass
-        ([("u", 0), ("cx", 0, 1), ("u", 1), ("cx", 1, 0), ("u", 0), ("cx", 0, 1)], [(0, 1)], 1, 0),
+        ([("u", 0), ("cx", 0, 1), ("u", 1), ("cx", 1, 0), ("u", 0), ("cx", 0, 1)], [(0, 1)]),
         # u3 on an idle wire waits for the next pair that touches it; one
         # on a wire no later pair touches is applied alone at the end
-        ([("cx", 0, 1), ("u", 2), ("u", 2), ("cx", 1, 2), ("u", 0)], [(0, 1), (1, 2)], 3, 1),
+        ([("cx", 0, 1), ("u", 2), ("u", 2), ("cx", 1, 2), ("u", 0)], [(0, 1), (1, 2), (0,)]),
         # disjoint back-to-back pairs share a pass, then trailing u3 on two
         # idle wires
         ([("cx", 0, 1), ("cx", 2, 3), ("cx", 1, 2), ("u", 0), ("u", 4), ("u", 4)],
-         [(0, 1), (2, 3), (1, 2)], 4, 2),
-        # a pair waits for a disjoint partner across interleaved u3
-        ([("cx", 3, 4), ("u", 0), ("cx", 1, 0), ("u", 4), ("cx", 2, 3)], [(3, 4), (1, 0), (2, 3)], 3, 1),
+         [(0, 1, 2, 3), (1, 2), (0,), (4,)]),
+        # a pair joins the pass of a disjoint one across interleaved u3
+        ([("cx", 3, 4), ("u", 0), ("cx", 1, 0), ("u", 4), ("cx", 2, 3)], [(3, 4, 1, 0), (2, 3), (4,)]),
+        # three disjoint pairs in a row are one pass (a sample fits in one chunk)
+        ([("cx", 0, 1), ("cx", 2, 3), ("cx", 4, 5), ("u", 0), ("cx", 1, 2)], [(0, 1, 2, 3, 4, 5), (1, 2), (0,)]),
         # single-qubit gates only
-        ([("u", 3), ("u", 1), ("u", 3)], [], 2, 2),
+        ([("u", 3), ("u", 1), ("u", 3)], [(3,), (1,)]),
     ])
-    def test_pass_counts_and_oracle(self, rng, passes, gates, pairs, total, single):
+    def test_pass_counts_and_oracle(self, rng, passes, gates, want):
         built = [
             OneQubitGate(g[1], haar_unitary(2, rng)) if g[0] == "u" else TwoQubitGate(g[1], g[2], CNOT)
             for g in gates
         ]
-        circuit = Circuit(n=5, gates=built)
+        circuit = Circuit(n=6, gates=built)
         prepared = simulate(circuit)
-        assert passes == {"passes": total, "pairs": pairs, "single": single}
+        assert passes == want
         expected = dense_circuit_operator(circuit)[:, 0]
         assert np.abs(prepared.amps - expected).max() < 1e-12
+
+    def test_pass_takes_each_maximal_disjoint_run(self, rng, monkeypatch, passes):
+        # fused runs A(0, 1), B(2, 3), C(4, 5), D(0, 6): while a sample fits
+        # in one chunk a pass takes the next run unless it shares a wire
+        # with the pass, [ABC] then [D]; above one chunk (chunks of 2^6) a
+        # pass also closes at two runs, [AB] then [CD]
+        circuit = Circuit(n=10, gates=[TwoQubitGate(a, b, haar_unitary(4, rng))
+                                       for a, b in ((0, 1), (2, 3), (4, 5), (0, 6))])
+        expected = dense_circuit_operator(circuit)[:, 0]
+        for chunk, want in ((statevec.CHUNK, [(0, 1, 2, 3, 4, 5), (0, 6)]), (1 << 6, [(0, 1, 2, 3), (4, 5, 0, 6)])):
+            passes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(statevec, "CHUNK", chunk)
+                prepared = simulate(circuit)
+            assert passes == want, chunk
+            assert np.abs(prepared.amps - expected).max() < 1e-12, chunk
 
     @pytest.mark.parametrize("scheme", ["chain", "htn"])
     def test_engine_circuit_matches_gate_by_gate(self, rng, scheme):
@@ -156,11 +167,16 @@ class TestFusedSimulate:
         res = run_schedule(target, schedules.htn_schedule(8), 2, TruncationMode.PER_ROUND, rewrite_2cx=True)
         primitive, _ = gatesynth.synthesize_circuit(res.circuit, gatesynth.SynthMode.OPTIMIZED2)
         assert len(primitive.gates) > 4 * len(res.steps)
+        passes.clear()
         prepared = simulate(primitive)
-        # each unitary's pair is covered once, two disjoint pairs to a pass
-        assert passes["pairs"] == [step.pair for step in reversed(res.steps)]
-        assert passes["passes"] < len(res.steps)
-        assert passes["single"] == 0
+        # each unitary's pair is covered once, in order; a pass holds
+        # disjoint pairs, and the next pass opens on a pair that shares a
+        # wire with it (n = 8: a sample fits in one chunk)
+        pairs = [wires[i:i + 2] for wires in passes for i in range(0, len(wires), 2)]
+        assert pairs == [step.pair for step in reversed(res.steps)]
+        assert all(len(set(wires)) == len(wires) > 1 for wires in passes)
+        assert all(set(after[:2]) & set(before) for before, after in zip(passes, passes[1:]))
+        assert len(passes) < len(res.steps)
         reference = gate_by_gate(primitive)
         assert np.abs(prepared.amps - reference.amps).max() < 1e-12
 

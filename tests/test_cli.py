@@ -693,6 +693,23 @@ class TestBadInputs:
         assert isinstance(info.value.code, str) and named in info.value.code
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--ring", "exp,ghz"], "--ring wants function kinds (f1, f2, f3, g1, g2, g3, exp, cos, linear), got the state 'ghz'"),
+        (["--ring", "W,cos"], "--ring wants function kinds (f1, f2, f3, g1, g2, g3, exp, cos, linear), got the state 'W'"),
+        (["--ring", "exp,cos", "--domain-lo", "0", "--domain-hi", "inf"], "--domain-hi must be finite, got inf"),
+        (["--ring", "exp,cos", "--domain-lo=-inf", "--domain-hi", "1"], "--domain-lo must be finite, got -inf"),
+        (["--ring", "exp,cos", "--domain-lo", "nan", "--domain-hi", "1"], "--domain-lo must be finite, got nan"),
+    ], ids=["ghz", "w", "hi-inf", "lo-minus-inf", "lo-nan"])
+    def test_a_bad_ring_input_fails_before_sampling(self, monkeypatch, argv, message):
+        # the message names the flag and the value, no numpy warning precedes
+        # it, and no function is sampled
+        monkeypatch.setattr(targets, "raw_samples", lambda *args: pytest.fail("sampled"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as info:
+                run_cli(["rank", "--n", "4", *argv])
+        assert info.value.code == message
+
     def test_a_line_break_in_the_target_name_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         name = "t\nu3(0,0,0) q[0];.amps"

@@ -542,21 +542,22 @@ class TestRunSchedule:
     def test_one_state_buffer_per_call(self, rng, monkeypatch):
         # every pass of one run_schedule, and of one simulate, updates the
         # same state through the same two work buffers, however many passes
-        # they make
-        buffers = []
-        for module in (disentangler, circuits):
-            kernel = module._apply_gate_to_amps
+        # they make; simulate hands the kernel its fused 4x4s in one call
+        buffers, calls = [], []
+        kernel_pass, kernel = statevec._pass, circuits._apply_gate_to_amps
 
-            def recording(*args, _kernel=kernel, **kwargs):
-                buffers.append(tuple(args[i].ctypes.data for i in (0, 4, 5)))
-                return _kernel(*args, **kwargs)
+        def recording(*args, **kwargs):
+            buffers.append(tuple(args[i].ctypes.data for i in (0, 4, 5)))
+            return kernel_pass(*args, **kwargs)
 
-            monkeypatch.setattr(module, "_apply_gate_to_amps", recording)
+        monkeypatch.setattr(statevec, "_pass", recording)
+        monkeypatch.setattr(circuits, "_apply_gate_to_amps", lambda *args, **kwargs: calls.append(args) or kernel(*args, **kwargs))
         res = run_schedule(random_state(6, rng), schedules.hen_schedule(6), 2, TruncationMode.PER_ROUND)
         assert len(buffers) > 1 and len(set(buffers)) == 1
         buffers.clear()
         simulate(res.circuit)
         assert len(buffers) > 1 and len(set(buffers)) == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("scheme,mode", [
         ("hen", TruncationMode.PER_ROUND),
@@ -623,8 +624,14 @@ class TestRunSchedule:
         for step, want in zip(res.steps, ref.steps):
             gap = np.abs(np.diff(want.singular_values ** 2)).min()
             assert np.abs(step.unitary - want.unitary).max() * gap < 1e-11, step.pair
-        # the simulator's chunked passes are bit for bit the one-chunk ones
-        assert np.array_equal(simulate(ref.circuit).amps, whole)
+        # the simulator's chunked passes close at two pairs, so they group
+        # the fused 4x4s as the one-chunk passes do only where no maximal
+        # disjoint run holds more than two (chain): there they are bit for
+        # bit the one-chunk ones, elsewhere equal up to round-off
+        chunked = simulate(ref.circuit).amps
+        if scheme == "chain":
+            assert np.array_equal(chunked, whole)
+        assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
 
     @pytest.mark.parametrize("sched,qubit,rnd", [
         (schedules.htn_schedule(8), 1, 1),
